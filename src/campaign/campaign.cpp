@@ -1,6 +1,9 @@
 #include "campaign/campaign.h"
 
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <array>
@@ -26,6 +29,7 @@
 #include "util/csv.h"
 #include "util/fs.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace ccfuzz::campaign {
 namespace {
@@ -651,6 +655,7 @@ const CampaignReport& Campaign::run() {
   // capacity; the evaluation side is allocation-free per se once warm (each
   // cell's evaluator runs on its own per-worker context, so interleaved
   // cells never reshape shared buffers — see TraceEvaluator::evaluate).
+  std::vector<Job> pending;
   std::vector<Job> jobs;
   std::vector<Job> copies;
   std::vector<fuzz::BatchItem> items;
@@ -670,6 +675,7 @@ const CampaignReport& Campaign::run() {
     // Repeats — a genome already in the cache, or the same genome reaching
     // two equivalent cells in this batch — are filled by copy, not
     // re-simulated.
+    pending.clear();
     jobs.clear();
     copies.clear();
     batch_keys.clear();
@@ -678,24 +684,31 @@ const CampaignReport& Campaign::run() {
       CellState& cell = *cp;
       if (cell.done) continue;
       any_active = true;
-      const auto pending = cell.fuzzer.pending_members();
-      for (fuzz::Member* m : pending) {
-        const std::uint64_t key = mix_keys(cell.key, trace::hash(m->genome));
-        if (const auto hit = cache_.find(key); hit != cache_.end()) {
-          m->eval = hit->second;
-          m->evaluated = true;
-          ++cell.result.cache_hits;
-        } else if (!batch_keys.insert(key).second) {
-          copies.push_back({&cell, m, key});
-          ++cell.result.cache_hits;
-        } else {
-          jobs.push_back({&cell, m, key});
-        }
-      }
+      const auto members = cell.fuzzer.pending_members();
+      for (fuzz::Member* m : members) pending.push_back({&cell, m, 0});
       cell.fuzzer.note_external_evaluations(
-          static_cast<std::int64_t>(pending.size()));
+          static_cast<std::int64_t>(members.size()));
     }
     if (!any_active) break;
+    // Keys are independent per member, so they are hashed on the pool. The
+    // lookups and dedupe stay serial in (cell, island, slot) order, so the
+    // same members simulate and the same ones copy as in a serial run.
+    maybe_parallel_for(parallel_, pending.size(), [&](std::size_t i) {
+      pending[i].key =
+          mix_keys(pending[i].cell->key, trace::hash(pending[i].member->genome));
+    });
+    for (const Job& p : pending) {
+      if (const auto hit = cache_.find(p.key); hit != cache_.end()) {
+        p.member->eval = hit->second;
+        p.member->evaluated = true;
+        ++p.cell->result.cache_hits;
+      } else if (!batch_keys.insert(p.key).second) {
+        copies.push_back(p);
+        ++p.cell->result.cache_hits;
+      } else {
+        jobs.push_back(p);
+      }
+    }
 
     items.resize(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -750,6 +763,13 @@ const CampaignReport& Campaign::run() {
       }
       if (stop) cell.final_pass = true;
     }
+#ifdef __GLIBC__
+    // Islands breed on pool workers, so children are allocated in the
+    // workers' malloc arenas while their parents are freed into others, and
+    // glibc keeps those freed pages resident. Without this trim, peak RSS of
+    // paper-scale campaigns grew by 5-10 %.
+    malloc_trim(0);
+#endif
 
     ++iteration;
     if (checkpoint_every_ > 0 && iteration % checkpoint_every_ == 0) {

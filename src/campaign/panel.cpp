@@ -19,16 +19,11 @@ std::vector<PanelRow> evaluate_panel(const scenario::ScenarioConfig& cfg,
   run_cfg.record_mode = scenario::RecordMode::kFullEvents;
 
   std::vector<PanelRow> rows(jobs.size());
-  const auto work = [&](std::size_t i) {
+  maybe_parallel_for(parallel, jobs.size(), [&](std::size_t i) {
     rows[i].label = jobs[i].label.empty() ? jobs[i].cca : jobs[i].label;
     rows[i].cca = jobs[i].cca;
     rows[i].run = scenario::run_scenario(run_cfg, factories[i], jobs[i].trace);
-  };
-  if (parallel && jobs.size() > 1) {
-    global_thread_pool().parallel_for(jobs.size(), work);
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) work(i);
-  }
+  });
   return rows;
 }
 

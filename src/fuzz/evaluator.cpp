@@ -88,14 +88,9 @@ std::vector<Evaluation> TraceEvaluator::evaluate_batch(
 }
 
 void evaluate_batch(const std::vector<BatchItem>& items, bool parallel) {
-  const auto work = [&](std::size_t i) {
+  maybe_parallel_for(parallel, items.size(), [&](std::size_t i) {
     items[i].evaluator->evaluate_into(*items[i].trace, *items[i].out);
-  };
-  if (parallel && items.size() > 1) {
-    global_thread_pool().parallel_for(items.size(), work);
-  } else {
-    for (std::size_t i = 0; i < items.size(); ++i) work(i);
-  }
+  });
 }
 
 }  // namespace ccfuzz::fuzz

@@ -10,6 +10,7 @@
 
 #include "fuzz/selection.h"
 #include "fuzz/state_io.h"
+#include "util/thread_pool.h"
 
 namespace ccfuzz::fuzz {
 namespace {
@@ -56,19 +57,23 @@ Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
 
   Rng master(cfg_.seed);
   islands_.resize(static_cast<std::size_t>(cfg_.islands));
-  const int base = cfg_.population / cfg_.islands;
-  const int extra = cfg_.population % cfg_.islands;
-  for (int i = 0; i < cfg_.islands; ++i) {
-    Island& isl = islands_[static_cast<std::size_t>(i)];
-    isl.rng = master.fork(static_cast<std::uint64_t>(i) + 1);
-    const int count = base + (i < extra ? 1 : 0);
-    isl.members.reserve(static_cast<std::size_t>(count));
-    for (int m = 0; m < count; ++m) {
+  for (std::size_t i = 0; i < islands_.size(); ++i) {
+    islands_[i].rng = master.fork(static_cast<std::uint64_t>(i) + 1);
+  }
+  const std::size_t base = static_cast<std::size_t>(cfg_.population) /
+                           islands_.size();
+  const std::size_t extra = static_cast<std::size_t>(cfg_.population) %
+                            islands_.size();
+  maybe_parallel_for(cfg_.parallel, islands_.size(), [&](std::size_t i) {
+    Island& isl = islands_[i];
+    const std::size_t count = base + (i < extra ? 1 : 0);
+    isl.members.reserve(count);
+    for (std::size_t m = 0; m < count; ++m) {
       Member mem;
       mem.genome = model_->generate(isl.rng);
       isl.members.push_back(std::move(mem));
     }
-  }
+  });
 }
 
 std::vector<Member*> Fuzzer::pending_members() {
@@ -130,9 +135,13 @@ void Fuzzer::breed_island(Island& isl) {
   for (std::size_t i = 0; i < crossovers; ++i) {
     Member m;
     if (has_archive) {
-      m.genome =
-          std::move(*model_->crossover(parent(isl.rng), parent(isl.rng),
-                                       isl.rng));
+      // Named draws, second parent first: C++ leaves argument evaluation
+      // order unspecified, and GCC drew the second argument of the former
+      // crossover(parent(rng), parent(rng), rng) first. Every golden and
+      // checkpoint was bred in that order; now every compiler breeds it.
+      const trace::Trace& b = parent(isl.rng);
+      const trace::Trace& a = parent(isl.rng);
+      m.genome = std::move(*model_->crossover(a, b, isl.rng));
     } else {
       const auto [a, b] = select.pick_pair(isl.rng);
       m.genome = std::move(*model_->crossover(isl.members[a].genome,
@@ -268,7 +277,11 @@ GenStats Fuzzer::advance_generation() {
       generation_ % cfg_.migration_interval == 0) {
     migrate();
   }
-  for (auto& isl : islands_) breed_island(isl);
+  // Breeding reads the shared archive and model and writes only its own
+  // island, with draws from its own RNG stream: the pool changes the time
+  // it takes, not the children.
+  maybe_parallel_for(cfg_.parallel, islands_.size(),
+                     [this](std::size_t i) { breed_island(islands_[i]); });
   return gs;
 }
 

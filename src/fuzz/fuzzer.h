@@ -7,6 +7,12 @@
 // fills the remainder with rank-selected mutations. Every
 // `migration_interval` generations the top fraction of each island migrates
 // to the next island in a ring, replacing its worst members.
+//
+// With GaConfig::parallel, the per-island phases run on the global thread
+// pool: evaluation, initial-population generation and breeding. Each island
+// owns its RNG stream and writes only its own members, so the results are
+// bit-identical to a serial run. Statistics, archive inserts and migration
+// stay serial. Campaign::run likewise computes its cache keys on the pool.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +65,9 @@ struct GaConfig {
   bool anneal = false;
   trace::AnnealingConfig anneal_cfg{};
   std::uint64_t seed = 0x5EED5EED5EEDULL;
-  /// Evaluate islands' members in parallel on the global thread pool.
+  /// Run evaluation, initial-population generation and breeding on the
+  /// global thread pool. Results are bit-identical either way, because each
+  /// island draws only from its own RNG stream.
   bool parallel = true;
   /// Parent-selection strategy (see SearchMode).
   SearchMode search = SearchMode::kScore;
@@ -185,7 +193,9 @@ class Fuzzer {
   Error restore_state(std::istream& is);
 
  private:
-  struct Island {
+  // One cache line per island: islands breed on different threads, and
+  // every random draw writes `rng`.
+  struct alignas(64) Island {
     std::vector<Member> members;
     Rng rng;
   };

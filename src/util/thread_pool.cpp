@@ -4,6 +4,14 @@
 #include <cstdlib>
 
 namespace ccfuzz {
+namespace {
+
+// True on every pool worker thread (of any pool). A parallel_for issued from
+// inside a pool task runs inline: waiting for in_flight_ to drain would count
+// the caller's own task and never return.
+thread_local bool t_pool_worker = false;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -26,6 +34,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -46,7 +55,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
+  if (n == 1 || workers_.empty() || t_pool_worker) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -31,7 +31,8 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n), distributing across workers, and
   /// blocks until all iterations complete. Exceptions in fn terminate (the
-  /// simulator treats internal errors as fatal bugs).
+  /// simulator treats internal errors as fatal bugs). Called from a pool
+  /// worker (a nested parallel_for), the loop runs inline on that worker.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -49,5 +50,17 @@ class ThreadPool {
 /// Global pool shared by fuzzing drivers (lazily constructed).
 /// Thread count can be capped via the CCFUZZ_THREADS environment variable.
 ThreadPool& global_thread_pool();
+
+/// Runs fn(i) for every i in [0, n): on the global pool when `parallel`,
+/// otherwise in order on the calling thread. Callers write results by index,
+/// so the output is the same either way.
+template <class Fn>
+void maybe_parallel_for(bool parallel, std::size_t n, Fn&& fn) {
+  if (parallel && n > 1) {
+    global_thread_pool().parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
 
 }  // namespace ccfuzz

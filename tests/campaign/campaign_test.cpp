@@ -210,6 +210,49 @@ TEST(Campaign, DeterministicAcrossRuns) {
   }
 }
 
+// Parallel breeding, seeding and cache keying change only the time taken:
+// the report and the checkpoint (populations, RNG streams, cache) match a
+// fully serial campaign byte for byte.
+TEST(Campaign, ParallelAndSerialWriteIdenticalBytes) {
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() / "ccfuzz_campaign_parallel_test";
+  fs::remove_all(root);
+  const auto run = [&](bool parallel) {
+    fuzz::GaConfig ga = tiny_ga();
+    ga.population = 15;
+    ga.islands = 7;
+    ga.parallel = parallel;
+    const fs::path dir = root / (parallel ? "parallel" : "serial");
+    CampaignConfig cfg;
+    cfg.ccas({"reno", "cubic"})
+        .modes({scenario::FuzzMode::kTraffic, scenario::FuzzMode::kLink})
+        .base_scenario(tiny_scenario())
+        .traffic_model({.max_packets = 200, .initial_packets = 100})
+        .ga(ga)
+        .parallel(parallel)
+        .output_dir(dir.string())
+        .checkpoint_every(1);
+    Campaign(cfg).run();
+    return dir;
+  };
+  const auto slurp = [](const fs::path& p) {
+    std::ifstream is(p, std::ios::binary);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+  };
+  const fs::path par = run(true);
+  const fs::path ser = run(false);
+  for (const char* file : {"summary.json", "checkpoint/campaign.ckpt"}) {
+    const std::string a = slurp(par / file);
+    EXPECT_FALSE(a.empty()) << file;
+    EXPECT_TRUE(a == slurp(ser / file))
+        << file << " differs between parallel and serial campaigns";
+  }
+  fs::remove_all(root);
+}
+
 // Two cells with identical evaluation semantics (same CCA/scenario/score
 // object/weights) and the same GA seed produce identical genomes, so the
 // second cell must be served entirely from the cache.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "cca/registry.h"
 
 namespace ccfuzz::fuzz {
@@ -109,16 +112,66 @@ TEST(Fuzzer, DeterministicForSeed) {
   }
 }
 
+std::string state_after_three_generations(GaConfig cfg, bool parallel,
+                                          std::shared_ptr<const TraceModel> model,
+                                          TraceEvaluator evaluator) {
+  cfg.parallel = parallel;
+  Fuzzer f(cfg, std::move(model), std::move(evaluator));
+  for (int g = 0; g < 3; ++g) f.step();
+  std::ostringstream os;
+  f.save_state(os);
+  return os.str();
+}
+
 TEST(Fuzzer, DeterministicRegardlessOfParallelism) {
-  auto run_once = [](bool parallel) {
-    GaConfig cfg = small_config();
-    cfg.parallel = parallel;
-    Fuzzer f(cfg, small_traffic_model(), small_evaluator());
-    f.step();
-    f.step();
-    return f.history().back().best_score;
+  // Islands generate, evaluate and breed on the pool when parallel. Each
+  // draws only from its own RNG stream, so the whole GA state — populations,
+  // RNG streams, history, archive — must match a serial run byte for byte.
+  // Seven islands is not a multiple of any pool size.
+  GaConfig ga = small_config();
+  ga.population = 23;
+  ga.islands = 7;
+
+  trace::LinkTraceModel lm;
+  lm.total_packets = 2000;  // 12 Mbps over 2 s
+  lm.duration = TimeNs::seconds(2);
+  scenario::ScenarioConfig link;
+  link.mode = scenario::FuzzMode::kLink;
+  link.duration = TimeNs::seconds(2);
+  const TraceEvaluator link_evaluator(link, cca::make_factory("reno"),
+                                      std::make_shared<LowUtilizationScore>());
+
+  scenario::ScenarioConfig probed;
+  probed.duration = TimeNs::seconds(2);
+  probed.net.queue_capacity = 25;
+  probed.coverage = true;
+  const TraceEvaluator probed_evaluator(
+      probed, cca::make_factory("reno"),
+      std::make_shared<LowUtilizationScore>(),
+      TraceScoreWeights{.per_packet = 1e-4});
+  GaConfig elites = ga;
+  elites.search = SearchMode::kMapElites;
+  elites.novelty_bonus = 0.5;
+
+  GaConfig anneal = ga;
+  anneal.anneal = true;
+  anneal.anneal_cfg.sigma = 2.0;
+  anneal.anneal_cfg.strength = 0.3;
+
+  const auto check = [](const char* name, const GaConfig& cfg,
+                        const std::shared_ptr<const TraceModel>& model,
+                        const TraceEvaluator& evaluator) {
+    const std::string par =
+        state_after_three_generations(cfg, true, model, evaluator);
+    const std::string ser =
+        state_after_three_generations(cfg, false, model, evaluator);
+    EXPECT_FALSE(par.empty()) << name;
+    EXPECT_TRUE(par == ser) << name << ": parallel state differs from serial";
   };
-  EXPECT_DOUBLE_EQ(run_once(true), run_once(false));
+  check("traffic", ga, small_traffic_model(), small_evaluator());
+  check("link", ga, std::make_shared<LinkModel>(lm), link_evaluator);
+  check("map-elites", elites, small_traffic_model(), probed_evaluator);
+  check("anneal", anneal, small_traffic_model(), small_evaluator());
 }
 
 TEST(Fuzzer, DifferentSeedsDiverge) {

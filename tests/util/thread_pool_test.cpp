@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace ccfuzz {
@@ -70,6 +71,26 @@ TEST(ThreadPool, NestedWorkFromCallerThread) {
     });
   }
   EXPECT_EQ(total.load(), 20 * 64);
+}
+
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  // A pool task that calls parallel_for on its own pool (a Fuzzer built or
+  // stepped inside a pool task) must run the inner loop on its own thread
+  // rather than wait for a batch that counts the caller's own task.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  std::atomic<int> moved{0};
+  pool.parallel_for(8, [&](std::size_t i) {
+    const std::thread::id self = std::this_thread::get_id();
+    pool.parallel_for(16, [&](std::size_t j) {
+      if (std::this_thread::get_id() != self) moved++;
+      hits[i * 16 + j]++;
+    });
+  });
+  EXPECT_EQ(moved.load(), 0);
+  for (const auto& h : hits) {
+    ASSERT_EQ(h.load(), 1);
+  }
 }
 
 }  // namespace
