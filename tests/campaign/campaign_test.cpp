@@ -155,6 +155,109 @@ TEST(CellWiring, TrafficModelTracksScenarioDuration) {
   EXPECT_TRUE(model->supports_crossover());
 }
 
+// One line per generation: the GA outcome at full double precision, plus
+// the final winner's hash and the cell's evaluation count (simulations +
+// cache hits, final pass included) — everything a change to the GA driver
+// could perturb.
+std::string render_history(const CellResult& r) {
+  std::string out;
+  char line[192];
+  for (const fuzz::GenStats& gs : r.history) {
+    std::snprintf(line, sizeof line, "%d %.17g %.17g %lld %d %lld %lld\n",
+                  gs.generation, gs.best_score, gs.mean_score,
+                  static_cast<long long>(gs.evaluations), gs.stalled_count,
+                  static_cast<long long>(gs.archive_cells),
+                  static_cast<long long>(gs.coverage_bits));
+    out += line;
+  }
+  std::snprintf(line, sizeof line, "winner %016llx evaluated %lld\n",
+                r.winners.empty()
+                    ? 0ULL
+                    : static_cast<unsigned long long>(
+                          r.winners.front().trace_hash),
+                static_cast<long long>(r.simulations + r.cache_hits));
+  return out + line;
+}
+
+// Pins the GenStats history and winner of one-cell campaigns, recorded
+// while a standalone Fuzzer::run() still existed and matched the campaign
+// driver generation for generation. Any change to the GA driver must leave
+// every line identical.
+TEST(Campaign, GoldenGenStatsHistory) {
+  CellConfig base = tiny_cell();
+  base.ga.islands = 3;
+  base.ga.max_generations = 6;
+  base.ga.migration_interval = 2;
+
+  CellConfig link = base;
+  link.scenario.mode = scenario::FuzzMode::kLink;
+  CellConfig elites = base;
+  elites.ga.search = fuzz::SearchMode::kMapElites;
+  elites.ga.novelty_bonus = 0.5;
+  CellConfig anneal = base;
+  anneal.ga.anneal = true;
+  anneal.ga.anneal_cfg.sigma = 2.0;
+  anneal.ga.anneal_cfg.strength = 0.3;
+  CellConfig patience = base;
+  patience.ga.max_generations = 50;
+  patience.ga.patience = 2;
+  CellConfig zero = base;
+  zero.ga.max_generations = 0;
+
+  const struct {
+    const char* name;
+    CellConfig cell;
+    const char* want;
+  } cases[] = {
+      {"traffic", base,
+       "0 -0.02 -7.0839999999999996 12 0 0 0\n"
+       "1 -0.009300000000000001 -5.6878833333333327 21 0 0 0\n"
+       "2 -0.009300000000000001 -4.1155416666666671 30 0 0 0\n"
+       "3 -0.009300000000000001 -4.9350250000000004 39 0 0 0\n"
+       "4 -0.009300000000000001 -3.4471583333333342 48 0 0 0\n"
+       "5 -0.0061000000000000004 -2.6798499999999996 57 0 0 0\n"
+       "winner 01a328c74f97be24 evaluated 66\n"},
+      {"link", link,
+       "0 -0 -1.7260000000000002 12 0 0 0\n"
+       "1 -0 -0.72999999999999987 21 0 0 0\n"
+       "2 -0 -0.38199999999999995 30 0 0 0\n"
+       "3 -0 -1.0739999999999998 39 0 0 0\n"
+       "4 -0 -1.008 48 0 0 0\n"
+       "5 -0 -0.33800000000000002 57 0 0 0\n"
+       "winner 75ca53624d53f923 evaluated 66\n"},
+      {"map-elites+novelty", elites,
+       "0 -0.02 -7.0839999999999996 12 0 5 97\n"
+       "1 -0.0132 -5.424383333333334 21 0 7 122\n"
+       "2 -0.0132 -4.0628916666666663 30 0 7 134\n"
+       "3 -0.0091000000000000004 -3.5738833333333342 39 0 7 135\n"
+       "4 -0.0091000000000000004 -5.7724749999999991 48 0 7 142\n"
+       "5 -0.0091000000000000004 -4.6325666666666665 57 0 7 145\n"
+       "winner 822c1231c60c3336 evaluated 66\n"},
+      {"anneal", anneal,
+       "0 -0.02 -7.0839999999999996 12 0 0 0\n"
+       "1 -0.0071000000000000004 -4.0434416666666664 21 0 0 0\n"
+       "2 -0.0071000000000000004 -3.2542333333333331 30 0 0 0\n"
+       "3 -0.0071000000000000004 -3.2656583333333331 39 0 0 0\n"
+       "4 -0.0071000000000000004 -5.4077916666666681 48 0 0 0\n"
+       "5 -0.0071000000000000004 -5.3777416666666662 57 0 0 0\n"
+       "winner 3a44523365e999d4 evaluated 66\n"},
+      {"patience", patience,
+       "0 -0.02 -7.0839999999999996 12 0 0 0\n"
+       "1 -0.009300000000000001 -5.6878833333333327 21 0 0 0\n"
+       "2 -0.009300000000000001 -4.1155416666666671 30 0 0 0\n"
+       "3 -0.009300000000000001 -4.9350250000000004 39 0 0 0\n"
+       "winner 46a0c83c7f78fb27 evaluated 48\n"},
+      {"zero-generations", zero,
+       "winner 79f63f3088c679e9 evaluated 12\n"},
+  };
+  for (const auto& c : cases) {
+    CampaignConfig cfg;
+    cfg.add_cell(c.cell);
+    EXPECT_EQ(render_history(Campaign(cfg).run().cells.front()), c.want)
+        << c.name;
+  }
+}
+
 // The scheduler contract: a campaign cell produces the exact GenStats
 // sequence (and final winner) that driving the Fuzzer directly would.
 TEST(Campaign, CellMatchesDirectFuzzerRun) {
@@ -211,8 +314,10 @@ TEST(Campaign, DeterministicAcrossRuns) {
 }
 
 // Parallel breeding, seeding and cache keying change only the time taken:
-// the report and the checkpoint (populations, RNG streams, cache) match a
-// fully serial campaign byte for byte.
+// the report and the checkpoint (every cell's populations, RNG streams,
+// history and archive, plus the cache) match a fully serial campaign byte
+// for byte. Seven islands is not a multiple of any pool size; the explicit
+// cells cover MAP-Elites with a novelty bonus and annealing.
 TEST(Campaign, ParallelAndSerialWriteIdenticalBytes) {
   namespace fs = std::filesystem;
   const fs::path root =
@@ -222,7 +327,19 @@ TEST(Campaign, ParallelAndSerialWriteIdenticalBytes) {
     fuzz::GaConfig ga = tiny_ga();
     ga.population = 15;
     ga.islands = 7;
+    ga.max_generations = 3;
     ga.parallel = parallel;
+    CellConfig elites = tiny_cell();
+    elites.name = "reno.map-elites";
+    elites.ga = ga;
+    elites.ga.search = fuzz::SearchMode::kMapElites;
+    elites.ga.novelty_bonus = 0.5;
+    CellConfig anneal = tiny_cell();
+    anneal.name = "reno.anneal";
+    anneal.ga = ga;
+    anneal.ga.anneal = true;
+    anneal.ga.anneal_cfg.sigma = 2.0;
+    anneal.ga.anneal_cfg.strength = 0.3;
     const fs::path dir = root / (parallel ? "parallel" : "serial");
     CampaignConfig cfg;
     cfg.ccas({"reno", "cubic"})
@@ -230,6 +347,8 @@ TEST(Campaign, ParallelAndSerialWriteIdenticalBytes) {
         .base_scenario(tiny_scenario())
         .traffic_model({.max_packets = 200, .initial_packets = 100})
         .ga(ga)
+        .add_cell(elites)
+        .add_cell(anneal)
         .parallel(parallel)
         .output_dir(dir.string())
         .checkpoint_every(1);
