@@ -43,7 +43,7 @@ int main() {
              traffic.mbps[i], link.mbps[i]});
   }
 
-  const auto d = analysis::stall_diagnostics(run.tcp_log());
+  const auto d = analysis::stall_diagnostics(run.primary().tcp_log);
   std::printf(
       "# summary: goodput=%.2f Mbps stalled=%d cross_packets=%lld bursts=%d "
       "rtos=%lld spurious_retx=%lld premature_round_ends=%lld\n",

@@ -74,10 +74,10 @@ int main() {
               "marks_lost=%lld drops=%lld\n",
               run.goodput_mbps(),
               run.stalled(DurationNs::seconds(1)) ? 1 : 0,
-              static_cast<long long>(run.rto_count()),
+              static_cast<long long>(run.primary().rto_count),
               static_cast<long long>(
-                  run.tcp_log().count(tcp::TcpEventType::kMarkLost)),
-              static_cast<long long>(run.cca_drops()));
+                  run.primary().tcp_log.count(tcp::TcpEventType::kMarkLost)),
+              static_cast<long long>(run.primary().drops));
   std::printf("# shape check: egress collapses after the outage at t=2 s "
               "and the post-3.5 s service spikes go mostly unused.\n");
   return 0;

@@ -21,7 +21,7 @@ int main() {
   const auto crafted = scenario::crafted::craft_retransmission_killer(
       cfg, cca::make_factory("bbr"));
   const auto& run = crafted.final_run;
-  const auto d = analysis::stall_diagnostics(run.tcp_log());
+  const auto d = analysis::stall_diagnostics(run.primary().tcp_log);
   std::printf("# pinned head seq=%lld; rtos=%lld spurious_retx=%lld "
               "premature_round_ends=%lld bw_filter_drops=%lld\n",
               static_cast<long long>(crafted.pinned_seq),
@@ -32,7 +32,7 @@ int main() {
 
   // Find the first RTO and print the window around it (the Fig 4c story).
   TimeNs rto_time = TimeNs::zero();
-  for (const auto& ev : run.tcp_log().events()) {
+  for (const auto& ev : run.primary().tcp_log.events()) {
     if (ev.type == tcp::TcpEventType::kRto) {
       rto_time = ev.time;
       break;
@@ -45,6 +45,6 @@ int main() {
   opt.max_rows = static_cast<std::size_t>(bench::env_long("CCFUZZ_ROWS", 80));
   std::printf("# events around the first RTO (t=%.3f s):\n",
               rto_time.to_seconds());
-  analysis::print_timeline(std::cout, run.tcp_log(), opt);
+  analysis::print_timeline(std::cout, run.primary().tcp_log, opt);
   return 0;
 }

@@ -42,8 +42,8 @@ int main() {
     csv.row("cross", {cross_delay.time_s[i], cross_delay.delay_ms[i]});
   }
 
-  const auto attacked_delays = attacked.cca_queue_delays_s();
-  const auto clean_delays = clean.cca_queue_delays_s();
+  const auto attacked_delays = attacked.queue_delays_s(0);
+  const auto clean_delays = clean.queue_delays_s(0);
   std::printf("# summary: p10 delay attacked=%.1f ms clean=%.1f ms "
               "(score function: 10th-percentile delay)\n",
               percentile(attacked_delays, 10) * 1e3,

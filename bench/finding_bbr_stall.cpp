@@ -34,7 +34,7 @@ int main() {
       crafted.trace);
   for (const auto& row : panel) {
     const auto& run = row.run;
-    const auto d = analysis::stall_diagnostics(run.tcp_log());
+    const auto d = analysis::stall_diagnostics(run.primary().tcp_log);
     csv.row(row.label, {run.goodput_mbps(),
                         run.stalled(DurationNs::seconds(2)) ? 1.0 : 0.0,
                         static_cast<double>(d.rtos),

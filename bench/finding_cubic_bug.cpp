@@ -31,9 +31,10 @@ int main() {
       campaign::evaluate_panel(cfg, {"cubic-ns3bug", "cubic"}, crafted.trace);
   for (const auto& row : panel) {
     const auto& run = row.run;
-    csv.row(row.label, {run.goodput_mbps(), static_cast<double>(run.cca_drops()),
-                        static_cast<double>(run.cca_retransmissions()),
-                        static_cast<double>(run.rto_count())});
+    const auto& flow = run.primary();
+    csv.row(row.label, {run.goodput_mbps(), static_cast<double>(flow.drops),
+                        static_cast<double>(flow.retransmissions),
+                        static_cast<double>(flow.rto_count)});
   }
   std::printf("# shape check: cubic-ns3bug suffers more drops than the "
               "clamped (Linux-correct) cubic on the identical trace.\n");

@@ -41,26 +41,27 @@ int main() {
            cfg.duration.to_seconds() * 1e-6;
   };
 
+  const auto& clean = panel[0].run.primary();
   csv.row(panel[0].label, {panel[0].run.goodput_mbps(), 0.0,
-                           static_cast<double>(panel[0].run.rto_count()),
-                           static_cast<double>(panel[0].run.final_rto_backoff()),
-                           0.0});
+                           static_cast<double>(clean.rto_count),
+                           static_cast<double>(clean.final_rto_backoff), 0.0});
 
   const auto crafted = scenario::crafted::craft_retransmission_killer(
       cfg, cca::make_factory("reno"));
   const auto& k = crafted.final_run;
   csv.row("adaptive-killer",
           {k.goodput_mbps(), attack_mbps(k),
-           static_cast<double>(k.rto_count()),
-           static_cast<double>(k.final_rto_backoff()),
+           static_cast<double>(k.primary().rto_count),
+           static_cast<double>(k.primary().final_rto_backoff),
            k.stalled(DurationNs::seconds(1)) ? 1.0 : 0.0});
 
   for (std::size_t i = 1; i < panel.size(); ++i) {
     const auto& run = panel[i].run;
-    csv.row(panel[i].label, {run.goodput_mbps(), attack_mbps(run),
-                             static_cast<double>(run.rto_count()),
-                             static_cast<double>(run.final_rto_backoff()),
-                             run.stalled(DurationNs::seconds(1)) ? 1.0 : 0.0});
+    csv.row(panel[i].label,
+            {run.goodput_mbps(), attack_mbps(run),
+             static_cast<double>(run.primary().rto_count),
+             static_cast<double>(run.primary().final_rto_backoff),
+             run.stalled(DurationNs::seconds(1)) ? 1.0 : 0.0});
   }
   std::printf("# shape check: the adaptive killer locks Reno into RTO "
               "backoff at a tiny average attack rate; open-loop bursts "

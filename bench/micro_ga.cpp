@@ -1,12 +1,13 @@
-// Micro-benchmarks for the GA machinery: trace evolution operators and a
-// full generation step (evaluation dominates; operators must be noise).
+// Micro-benchmarks for the GA machinery: trace evolution operators, rank
+// selection, per-member evaluation and elite-archive inserts (evaluation
+// dominates; operators must be noise). Whole GA generations are timed end
+// to end by the campaign benchmark (benchmark/, `matrix` workload).
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "campaign/campaign.h"
 #include "fuzz/elite_archive.h"
-#include "fuzz/fuzzer.h"
 #include "fuzz/selection.h"
 
 using namespace ccfuzz;
@@ -125,23 +126,6 @@ void BM_EliteArchive(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPool);
 }
 BENCHMARK(BM_EliteArchive);
-
-void BM_FuzzerGeneration(benchmark::State& state) {
-  // One full GA generation (24 members, 2 s simulations, parallel).
-  campaign::CellConfig cell;
-  cell.cca = "reno";
-  cell.scenario.duration = TimeNs::seconds(2);
-  cell.traffic_model = traffic_model();
-  cell.ga.population = 24;
-  cell.ga.islands = 3;
-  cell.ga.seed = 11;
-  for (auto _ : state) {
-    fuzz::Fuzzer fuzzer(cell.ga, campaign::make_trace_model(cell),
-                        campaign::make_evaluator(cell));
-    benchmark::DoNotOptimize(fuzzer.step().best_score);
-  }
-}
-BENCHMARK(BM_FuzzerGeneration)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

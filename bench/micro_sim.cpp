@@ -100,7 +100,7 @@ void BM_DumbbellSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_DumbbellSimulatedSecond);
@@ -111,7 +111,7 @@ void BM_DumbbellBbrSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("bbr");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_DumbbellBbrSimulatedSecond);
@@ -125,7 +125,7 @@ void BM_Dumbbell4FlowSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_Dumbbell4FlowSimulatedSecond);
@@ -140,7 +140,7 @@ void BM_Dumbbell16FlowSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_Dumbbell16FlowSimulatedSecond);
@@ -155,7 +155,7 @@ void BM_DumbbellFullEventsSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_DumbbellFullEventsSimulatedSecond);

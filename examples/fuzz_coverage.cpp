@@ -11,9 +11,10 @@
 // one behavioral niche; MAP-Elites breeds from the archive and keeps every
 // discovered behavior alive, so it fills more cells on the same budget.
 //
-// The MAP-Elites archive is then saved, reloaded, and resumed with a fresh
-// population — the cross-campaign workflow CampaignConfig::resume_dir
-// automates — to show cell occupancy continuing from where it left off.
+// Each search is a one-cell campaign. The MAP-Elites archive is then saved
+// and a third campaign resumes from it with a fresh population
+// (CellConfig::resume_archive; CampaignConfig::resume_dir automates the
+// path) to show cell occupancy continuing from where it left off.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,8 +22,6 @@
 #include <string>
 
 #include "campaign/campaign.h"
-#include "fuzz/elite_archive.h"
-#include "fuzz/fuzzer.h"
 #include "fuzz/score.h"
 
 using namespace ccfuzz;
@@ -44,19 +43,20 @@ campaign::CellConfig base_cell(int population, int generations) {
   return cell;
 }
 
-fuzz::Fuzzer make_fuzzer(const campaign::CellConfig& cell) {
-  return fuzz::Fuzzer(cell.ga, campaign::make_trace_model(cell),
-                      campaign::make_evaluator(cell));
-}
-
-void print_history(const char* label, const std::vector<fuzz::GenStats>& h) {
-  for (const auto& gs : h) {
+/// Runs `cell` as a one-cell campaign and prints its coverage history.
+campaign::CellResult run_cell(const char* label,
+                              const campaign::CellConfig& cell) {
+  campaign::CampaignConfig cfg;
+  cfg.add_cell(cell);
+  campaign::CellResult r = campaign::Campaign(cfg).run().cells.front();
+  for (const auto& gs : r.history) {
     std::printf("[%-10s] gen %2d  best=%8.3f  cells=%4lld (+%lld)  bits=%lld\n",
                 label, gs.generation, gs.best_score,
                 static_cast<long long>(gs.archive_cells),
                 static_cast<long long>(gs.archive_new_cells),
                 static_cast<long long>(gs.coverage_bits));
   }
+  return r;
 }
 
 }  // namespace
@@ -83,22 +83,18 @@ int main(int argc, char** argv) {
 
   std::printf("score-only search (%d gens x %d pop):\n", generations,
               population);
-  fuzz::Fuzzer score_only = make_fuzzer(score_cell);
-  print_history("score", score_only.run());
+  const campaign::CellResult score_only = run_cell("score", score_cell);
 
   std::printf("\nmap-elites search (same budget):\n");
-  fuzz::Fuzzer map_elites = make_fuzzer(elites_cell);
-  print_history("map-elites", map_elites.run());
+  const campaign::CellResult map_elites = run_cell("map-elites", elites_cell);
 
-  const std::size_t score_cells = score_only.archive()->filled();
-  const std::size_t elite_cells = map_elites.archive()->filled();
+  const std::size_t score_cells = score_only.archive->filled();
+  const std::size_t elite_cells = map_elites.archive->filled();
   std::printf("\n%-12s %8s %8s %10s\n", "search", "cells", "bits", "best");
   std::printf("%-12s %8zu %8u %10.3f\n", "score", score_cells,
-              score_only.archive()->union_bits(),
-              score_only.best().eval.score.total());
+              score_only.archive->union_bits(), score_only.best_score());
   std::printf("%-12s %8zu %8u %10.3f\n", "map-elites", elite_cells,
-              map_elites.archive()->union_bits(),
-              map_elites.best().eval.score.total());
+              map_elites.archive->union_bits(), map_elites.best_score());
   std::printf("map-elites filled %+lld cells vs score-only\n",
               static_cast<long long>(elite_cells) -
                   static_cast<long long>(score_cells));
@@ -107,21 +103,20 @@ int main(int argc, char** argv) {
   // behavior space instead of rediscovering it.
   std::filesystem::create_directories(out_dir);
   const std::string archive_path = out_dir + "/archive.txt";
-  map_elites.archive()->save_file(archive_path);
+  map_elites.archive->save_file(archive_path);
   std::printf("\narchive saved to %s (%zu cells)\n", archive_path.c_str(),
               elite_cells);
 
   campaign::CellConfig resumed_cell = elites_cell;
   resumed_cell.ga.seed = 1234;  // a brand-new population
   resumed_cell.ga.max_generations = std::max(2, generations / 2);
-  fuzz::Fuzzer resumed = make_fuzzer(resumed_cell);
-  resumed.seed_archive(fuzz::EliteArchive::load_file(archive_path));
+  resumed_cell.resume_archive = archive_path;
   std::printf("resumed with a fresh population (seed %llu):\n",
               static_cast<unsigned long long>(resumed_cell.ga.seed));
-  print_history("resumed", resumed.run());
+  const campaign::CellResult resumed = run_cell("resumed", resumed_cell);
   std::printf("resume: %zu -> %zu cells\n", elite_cells,
-              resumed.archive()->filled());
-  resumed.archive()->save_file(archive_path);
+              resumed.archive->filled());
+  resumed.archive->save_file(archive_path);
 
   return elite_cells > score_cells ? 0 : 2;
 }

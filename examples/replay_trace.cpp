@@ -33,13 +33,13 @@ int main(int argc, char** argv) {
               cca_name.c_str(),
               t.kind == trace::TraceKind::kLink ? "link" : "traffic",
               t.size(), t.duration.to_seconds(), run.goodput_mbps(),
-              static_cast<long long>(run.rto_count()),
+              static_cast<long long>(run.primary().rto_count),
               run.stalled(DurationNs::seconds(1)) ? "yes" : "no");
 
   analysis::TimelineOptions opt;
   opt.diagnostics_only = true;
   opt.max_rows = 60;
   std::printf("--- diagnostic timeline (first %zu rows) ---\n", opt.max_rows);
-  analysis::print_timeline(std::cout, run.tcp_log(), opt);
+  analysis::print_timeline(std::cout, run.primary().tcp_log, opt);
   return 0;
 }

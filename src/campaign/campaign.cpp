@@ -509,23 +509,26 @@ struct Campaign::CellState {
   std::uint64_t key;
   fuzz::TraceEvaluator evaluator;
   fuzz::Fuzzer fuzzer;
+  /// Report fields; `history` is filled from the fuzzer's at report time.
   CellResult result;
   double best_so_far = -1e300;
   int since_improvement = 0;
   /// Generations finished; the freshly-bred final population is being
-  /// evaluated so winners reflect it (mirrors the tail of Fuzzer::run()).
+  /// evaluated so winners reflect it.
   bool final_pass = false;
   bool done = false;
 
   CellState(CellConfig c, std::uint64_t k,
-            const std::shared_ptr<fuzz::Quarantine>& quarantine)
+            std::shared_ptr<fuzz::Quarantine> quarantine, bool parallel)
       : cfg(std::move(c)),
         key(k),
-        evaluator(make_quarantined_evaluator(cfg, quarantine)),
-        fuzzer(cfg.ga, make_trace_model(cfg), evaluator) {
+        evaluator(make_evaluator(cfg)),
+        fuzzer(cfg.ga, make_trace_model(cfg), cfg.scenario.coverage,
+               parallel) {
+    evaluator.set_quarantine(std::move(quarantine));
     result.cell = cfg;
-    // Mirror Fuzzer::run() for a zero-generation budget: no generations,
-    // but the initial population is still evaluated for winners.
+    // A zero-generation budget runs no generations, but the initial
+    // population is still evaluated for winners.
     if (cfg.ga.max_generations <= 0) final_pass = true;
     // Resume: continue filling the archive a previous campaign saved. A
     // missing file is a cold start by design (first run of a config that
@@ -546,16 +549,6 @@ struct Campaign::CellState {
             to_string(a.error().code), a.error().message.c_str());
       }
     }
-  }
-
- private:
-  static fuzz::TraceEvaluator make_quarantined_evaluator(
-      const CellConfig& cell, std::shared_ptr<fuzz::Quarantine> q) {
-    fuzz::TraceEvaluator e = make_evaluator(cell);
-    // Attach before the Fuzzer copies the evaluator, so both copies share
-    // the recorder.
-    e.set_quarantine(std::move(q));
-    return e;
   }
 };
 
@@ -605,11 +598,12 @@ void Campaign::build_cells() {
   cells_.reserve(cell_cfgs_.size());
   for (std::size_t i = 0; i < cell_cfgs_.size(); ++i) {
     cells_.push_back(std::make_unique<CellState>(
-        cell_cfgs_[i], eval_key(cell_cfgs_[i], i), quarantine_));
+        cell_cfgs_[i], eval_key(cell_cfgs_[i], i), quarantine_, parallel_));
   }
 }
 
-void Campaign::compute_winners(CellState& cell) {
+void Campaign::fill_result(CellState& cell) {
+  cell.result.history = cell.fuzzer.history();
   // Rank the final population together with the best member *ever*
   // observed: without elitism the best trace can be bred away before the
   // last generation, and losing it from the report would be silent. best()
@@ -635,7 +629,7 @@ void Campaign::compute_winners(CellState& cell) {
 }
 
 void Campaign::finish_cell(CellState& cell) {
-  compute_winners(cell);
+  fill_result(cell);
   cell.done = true;
   for (auto* o : observers_) o->on_cell_end(cell.result);
 }
@@ -750,9 +744,8 @@ const CampaignReport& Campaign::run() {
         continue;
       }
       const fuzz::GenStats gs = cell.fuzzer.advance_generation();
-      cell.result.history.push_back(gs);
       for (auto* o : observers_) o->on_generation(cell.cfg, gs);
-      // Termination mirrors Fuzzer::run(): generation budget or patience.
+      // Termination: generation budget or patience.
       bool stop = cell.fuzzer.generation() >= cell.cfg.ga.max_generations;
       if (gs.best_score > cell.best_so_far + 1e-12) {
         cell.best_so_far = gs.best_score;
@@ -782,7 +775,11 @@ const CampaignReport& Campaign::run() {
   if (!report_.interrupted) write_checkpoint();
 
   report_.cells.reserve(cells_.size());
-  for (auto& cp : cells_) report_.cells.push_back(std::move(cp->result));
+  for (auto& cp : cells_) {
+    // Interrupted cells report their partial history.
+    cp->result.history = cp->fuzzer.history();
+    report_.cells.push_back(std::move(cp->result));
+  }
   // Count what is on disk, not what this process recorded: a resumed
   // campaign reports the quarantine accumulated across every attempt.
   report_.quarantined = quarantine_ ? quarantine_->stored() : 0;
@@ -951,11 +948,9 @@ Error Campaign::restore_checkpoint(const std::string& path) {
   if (!next(line) || line != "# end checkpoint") {
     return Error::truncated("checkpoint: missing terminator");
   }
-  // Rebuild the derived report state the run loop normally accumulates.
+  // Rebuild the report fields of the cells that had already finished.
   for (auto& cp : cells_) {
-    CellState& cell = *cp;
-    cell.result.history = cell.fuzzer.history();
-    if (cell.done) compute_winners(cell);
+    if (cp->done) fill_result(*cp);
   }
   return Error::success();
 }

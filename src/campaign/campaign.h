@@ -8,11 +8,15 @@
 // winners and GenStats history into a CampaignReport (see report.h for
 // CSV/JSON serialization).
 //
-// Scheduling: instead of running cells one after another (each ending in a
-// low-parallelism tail as its last islands drain), the driver advances all
-// cells in lockstep and flattens every cell's pending evaluations into one
-// cross-cell batch on the shared thread pool, so cores stay saturated even
-// when islands are imbalanced. Repeat genomes — identical traces reaching
+// Scheduling: Campaign::run is the GA driver; a fuzz::Fuzzer only holds a
+// cell's population. Instead of running cells one after another (each
+// ending in a low-parallelism tail as its last islands drain), run()
+// advances all cells in lockstep. Each lockstep generation flattens every
+// cell's pending members into one cross-cell batch on the shared thread
+// pool, so cores stay saturated even when islands are imbalanced, then
+// advances each cell one generation. A cell stops at its generation budget
+// or patience, and its last bred population gets one final evaluation pass
+// so the winners reflect it. Repeat genomes — identical traces reaching
 // cells with identical evaluation semantics — are served from an evaluation
 // cache keyed by (cell evaluation key, trace::hash) instead of re-simulated.
 #pragma once
@@ -139,7 +143,9 @@ class CampaignConfig {
     winners_ = n;
     return *this;
   }
-  /// Evaluate batches on the global thread pool (on by default).
+  /// Run the GA on the global thread pool (on by default): evaluation,
+  /// cache keying, initial-population generation and breeding. Reports and
+  /// checkpoints are byte-identical either way.
   CampaignConfig& parallel(bool on) {
     parallel_ = on;
     return *this;
@@ -432,10 +438,10 @@ class Campaign {
  private:
   struct CellState;
 
-  /// Recomputes a cell's deduped winner list + archive pointer from its
-  /// final populations (pure function of GA state — also used when
-  /// restoring finished cells from a checkpoint).
-  void compute_winners(CellState& cell);
+  /// Fills a finished cell's report fields — history, deduped winner list,
+  /// archive pointer — from its GA state (a pure function of it, so also
+  /// used when restoring finished cells from a checkpoint).
+  void fill_result(CellState& cell);
   void finish_cell(CellState& cell);
   void build_cells();
   void write_checkpoint() const;

@@ -58,13 +58,14 @@ void TraceEvaluator::evaluate_on(scenario::RunContext& ctx,
     e.quarantined = true;
     if (quarantine_) quarantine_->record(t, reason);
   }
-  e.goodput_mbps = run.goodput_mbps();
-  e.cca_sent = run.cca_sent();
-  e.cca_delivered = run.cca_segments_delivered();
-  e.cca_drops = run.cca_drops();
+  const scenario::FlowResult& primary = run.primary();
+  e.goodput_mbps = primary.goodput_mbps();
+  e.cca_sent = primary.sent;
+  e.cca_delivered = primary.segments_delivered;
+  e.cca_drops = primary.drops;
   e.cross_sent = run.cross_sent;
   e.cross_drops = run.cross_drops;
-  e.rto_count = run.rto_count();
+  e.rto_count = primary.rto_count;
   e.p10_delay_s = run.queue_delay_percentile_s(10.0);
   e.stalled = run.stalled(DurationNs::seconds(1));
   e.flow_goodput_mbps.clear();
@@ -74,17 +75,6 @@ void TraceEvaluator::evaluate_on(scenario::RunContext& ctx,
   }
   e.jain_fairness = run.jain_fairness();
   e.coverage = run.coverage_signature();
-}
-
-std::vector<Evaluation> TraceEvaluator::evaluate_batch(
-    const std::vector<trace::Trace>& ts, bool parallel) const {
-  std::vector<Evaluation> out(ts.size());
-  std::vector<BatchItem> items(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    items[i] = {this, &ts[i], &out[i]};
-  }
-  fuzz::evaluate_batch(items, parallel);
-  return out;
 }
 
 void evaluate_batch(const std::vector<BatchItem>& items, bool parallel) {

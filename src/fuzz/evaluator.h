@@ -86,12 +86,6 @@ class TraceEvaluator {
   void evaluate_on(scenario::RunContext& ctx, const trace::Trace& t,
                    Evaluation& out) const;
 
-  /// Evaluates every trace; results land by index, so the output is
-  /// deterministic regardless of thread scheduling. When `parallel`, the
-  /// batch is spread over the global thread pool.
-  std::vector<Evaluation> evaluate_batch(const std::vector<trace::Trace>& ts,
-                                         bool parallel = true) const;
-
   /// Runs the simulation and returns the full result for figure generation,
   /// with raw per-packet events recorded regardless of the scenario's
   /// record_mode (scores derive from the streaming summaries either way).
@@ -127,7 +121,9 @@ struct BatchItem {
 };
 
 /// Evaluates a mixed batch (items may reference different evaluators) with
-/// results landing by index. This is the campaign scheduler's entry point:
+/// results landing by index, so the output is deterministic regardless of
+/// thread scheduling. When `parallel`, the batch is spread over the global
+/// thread pool. This is the campaign scheduler's entry point:
 /// all cells' pending members are flattened into one such batch, so cores
 /// stay saturated even when a single cell or island has a long tail.
 void evaluate_batch(const std::vector<BatchItem>& items, bool parallel = true);

@@ -34,8 +34,8 @@ void sort_best_first(std::vector<Member>& members) {
 }  // namespace
 
 Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
-               TraceEvaluator evaluator)
-    : cfg_(cfg), model_(std::move(model)), evaluator_(std::move(evaluator)) {
+               bool coverage, bool parallel)
+    : cfg_(cfg), model_(std::move(model)), parallel_(parallel) {
   assert(cfg_.population >= 2 && "population too small");
   assert(cfg_.islands >= 1 && "need at least one island");
   assert(cfg_.islands <= cfg_.population && "more islands than members");
@@ -43,16 +43,16 @@ Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
   // The archive rides along whenever runs produce coverage signatures: in
   // kScore mode it is passive telemetry (and the novelty-bonus source), in
   // kMapElites mode it is the parent pool.
-  if (evaluator_.scenario().coverage) {
+  if (coverage) {
     archive_ = std::make_shared<EliteArchive>();
   } else if (cfg_.search == SearchMode::kMapElites) {
     throw std::logic_error(
-        "SearchMode::kMapElites requires the evaluator scenario to arm the "
-        "coverage probe (ScenarioConfig::coverage = true)");
+        "SearchMode::kMapElites requires the scenario to arm the coverage "
+        "probe (ScenarioConfig::coverage = true)");
   } else if (cfg_.novelty_bonus != 0.0) {
     throw std::logic_error(
-        "GaConfig::novelty_bonus requires the evaluator scenario to arm the "
-        "coverage probe (ScenarioConfig::coverage = true)");
+        "GaConfig::novelty_bonus requires the scenario to arm the coverage "
+        "probe (ScenarioConfig::coverage = true)");
   }
 
   Rng master(cfg_.seed);
@@ -64,7 +64,7 @@ Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
                            islands_.size();
   const std::size_t extra = static_cast<std::size_t>(cfg_.population) %
                             islands_.size();
-  maybe_parallel_for(cfg_.parallel, islands_.size(), [&](std::size_t i) {
+  maybe_parallel_for(parallel_, islands_.size(), [&](std::size_t i) {
     Island& isl = islands_[i];
     const std::size_t count = base + (i < extra ? 1 : 0);
     isl.members.reserve(count);
@@ -84,20 +84,6 @@ std::vector<Member*> Fuzzer::pending_members() {
     }
   }
   return todo;
-}
-
-void Fuzzer::evaluate_all() {
-  // Evaluate unevaluated members across all islands as one parallel batch.
-  // Results land by index → deterministic regardless of thread scheduling
-  // (§3.6).
-  const std::vector<Member*> todo = pending_members();
-  std::vector<BatchItem> items(todo.size());
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    items[i] = {&evaluator_, &todo[i]->genome, &todo[i]->eval};
-  }
-  evaluate_batch(items, cfg_.parallel);
-  for (Member* m : todo) m->evaluated = true;
-  total_evaluations_ += static_cast<std::int64_t>(todo.size());
 }
 
 void Fuzzer::breed_island(Island& isl) {
@@ -280,32 +266,9 @@ GenStats Fuzzer::advance_generation() {
   // Breeding reads the shared archive and model and writes only its own
   // island, with draws from its own RNG stream: the pool changes the time
   // it takes, not the children.
-  maybe_parallel_for(cfg_.parallel, islands_.size(),
+  maybe_parallel_for(parallel_, islands_.size(),
                      [this](std::size_t i) { breed_island(islands_[i]); });
   return gs;
-}
-
-GenStats Fuzzer::step() {
-  evaluate_all();
-  return advance_generation();
-}
-
-const std::vector<GenStats>& Fuzzer::run() {
-  double best = -1e300;
-  int since_improvement = 0;
-  for (int g = 0; g < cfg_.max_generations; ++g) {
-    const GenStats gs = step();
-    if (gs.best_score > best + 1e-12) {
-      best = gs.best_score;
-      since_improvement = 0;
-    } else if (cfg_.patience > 0 && ++since_improvement >= cfg_.patience) {
-      break;
-    }
-  }
-  // The final breed left fresh members unevaluated; evaluate so best() and
-  // top_members() reflect the final population.
-  evaluate_all();
-  return history_;
 }
 
 void Fuzzer::save_state(std::ostream& os) const {

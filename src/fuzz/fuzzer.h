@@ -1,18 +1,22 @@
-// The CC-Fuzz genetic-algorithm driver (paper Figure 1, §3.5, §4).
+// The CC-Fuzz genetic-algorithm population (paper Figure 1, §3.5, §4).
 //
 // A population of traces is split across islands (island-isolation [21] for
-// solution diversity). Each generation, every island: evaluates its members
-// (in parallel, deterministically), ranks them, carries kElite members over
-// unchanged, fills a crossover quota by splicing rank-selected parents, and
-// fills the remainder with rank-selected mutations. Every
-// `migration_interval` generations the top fraction of each island migrates
-// to the next island in a ring, replacing its worst members.
+// solution diversity). Each generation, every island ranks its evaluated
+// members, carries kElite members over unchanged, fills a crossover quota by
+// splicing rank-selected parents, and fills the remainder with rank-selected
+// mutations. Every `migration_interval` generations the top fraction of each
+// island migrates to the next island in a ring, replacing its worst members.
 //
-// With GaConfig::parallel, the per-island phases run on the global thread
-// pool: evaluation, initial-population generation and breeding. Each island
-// owns its RNG stream and writes only its own members, so the results are
-// bit-identical to a serial run. Statistics, archive inserts and migration
-// stay serial. Campaign::run likewise computes its cache keys on the pool.
+// A Fuzzer holds population state only; campaign::Campaign::run drives it.
+// Per generation the driver takes pending_members(), evaluates them (on the
+// thread pool, or from its evaluation cache), reports the count through
+// note_external_evaluations(), and calls advance_generation(). The driver
+// owns the generation budget, patience stop and final evaluation pass.
+//
+// With `parallel`, initial-population generation and breeding run on the
+// global thread pool. Each island owns its RNG stream and writes only its
+// own members, so the results are bit-identical to a serial run.
+// Statistics, archive inserts and migration stay serial.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +42,7 @@ enum class SearchMode {
   /// behavioral elite archive (fuzz::EliteArchive), the rest from island
   /// rank order — so every discovered behavior keeps breeding regardless of
   /// how it scores globally, without collapsing the gene pool onto a small
-  /// archive. Requires the evaluator's scenario to arm the coverage probe
+  /// archive. Requires coverage: the scenario must arm the probe
   /// (ScenarioConfig::coverage).
   kMapElites,
 };
@@ -50,6 +54,8 @@ constexpr const char* to_string(SearchMode m) {
 
 /// GA parameters. Paper-scale defaults are population 500, 20 islands,
 /// kElite 1, 30% crossovers, 10% migration every 10 generations (§4).
+/// `max_generations` and `patience` are read by the campaign driver; the
+/// rest shape the population.
 struct GaConfig {
   int population = 500;
   int islands = 20;
@@ -65,16 +71,12 @@ struct GaConfig {
   bool anneal = false;
   trace::AnnealingConfig anneal_cfg{};
   std::uint64_t seed = 0x5EED5EED5EEDULL;
-  /// Run evaluation, initial-population generation and breeding on the
-  /// global thread pool. Results are bit-identical either way, because each
-  /// island draws only from its own RNG stream.
-  bool parallel = true;
   /// Parent-selection strategy (see SearchMode).
   SearchMode search = SearchMode::kScore;
   /// Selection bonus per union-coverage bit a member set for the first
   /// time, added to its score for ranking (not reporting). Works in either
   /// search mode — with kScore it gives classic novelty-bonus selection —
-  /// but needs the scenario's coverage probe armed. 0 disables. The bonus
+  /// but needs coverage (the scenario's probe armed). 0 disables. The bonus
   /// decays naturally: as the union map saturates, fresh bits dry up.
   double novelty_bonus = 0.0;
 };
@@ -118,61 +120,56 @@ struct GenStats {
   std::int64_t coverage_bits = 0;
 };
 
-/// The GA loop. Construct, then run() or step() generation by generation.
+/// The island population and its breeding step. Construct, then drive one
+/// generation at a time through the staged interface below.
 class Fuzzer {
  public:
-  /// `model` and `evaluator` are copied/shared; `cfg.population` is split
-  /// evenly across islands (remainder to the first islands).
+  /// `cfg.population` is split evenly across islands (remainder to the
+  /// first islands). `coverage` says whether evaluations carry coverage
+  /// signatures (the scenario arms the probe); it attaches the elite
+  /// archive. kMapElites and a novelty bonus need it: without it the
+  /// constructor throws std::logic_error. `parallel` generates the initial
+  /// population and breeds islands on the global thread pool.
   Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
-         TraceEvaluator evaluator);
+         bool coverage, bool parallel = true);
 
-  /// Runs one generation (evaluate → select → breed → maybe migrate).
-  /// Returns that generation's stats.
-  GenStats step();
-
-  // --- External-scheduler interface (campaign cell batching) ---------------
+  // --- Staged interface --------------------------------------------------
   // A campaign runs many Fuzzers at once and wants one flat evaluation batch
   // across all of them, so cores stay saturated when one cell or island has
   // a long tail. Per generation it calls pending_members(), fills each
   // member's `eval`/`evaluated` (from simulation or an evaluation cache),
-  // calls note_external_evaluations(), then advance_generation(). The
-  // resulting GenStats sequence is identical to driving step() directly.
+  // calls note_external_evaluations(), then advance_generation().
 
   /// Members awaiting evaluation, in deterministic (island, slot) order.
   std::vector<Member*> pending_members();
 
-  /// Accounts evaluations performed outside step() so GenStats::evaluations
-  /// matches an in-process run (cache hits count: the uncached run would
-  /// have simulated them).
+  /// Counts evaluations filled in by the driver into GenStats::evaluations
+  /// (cache hits count: an uncached run would have simulated them).
   void note_external_evaluations(std::int64_t n) { total_evaluations_ += n; }
 
-  /// Completes a generation whose members were evaluated externally:
-  /// stats → maybe migrate → breed, the exact tail of step().
+  /// Completes a generation whose members are all evaluated: stats →
+  /// archive inserts → maybe migrate → breed. Returns that generation's
+  /// stats.
   GenStats advance_generation();
 
-  /// Runs until max_generations or early-stop; returns the full history.
-  const std::vector<GenStats>& run();
-
-  /// Best member ever observed (valid after the first step()).
+  /// Best member ever observed (valid after the first advance_generation()).
   const Member& best() const { return best_ever_; }
 
   const std::vector<GenStats>& history() const { return history_; }
   int generation() const { return generation_; }
-  std::int64_t total_evaluations() const { return total_evaluations_; }
 
   /// Top-k members of the current population, best first (across islands).
   std::vector<Member> top_members(std::size_t k) const;
 
-  /// The behavioral elite archive — present whenever the evaluator's
-  /// scenario arms the coverage probe (kScore mode then tracks coverage
-  /// passively; kMapElites additionally selects parents from it). Null when
-  /// coverage is off.
+  /// The behavioral elite archive — present whenever the fuzzer was built
+  /// with coverage (kScore mode then tracks coverage passively; kMapElites
+  /// additionally selects parents from it). Null when coverage is off.
   std::shared_ptr<const EliteArchive> archive() const { return archive_; }
 
   /// Replaces the archive with `a` (campaign resume: continue filling the
   /// cells a previous campaign discovered). Call before the first
   /// generation. Throws std::logic_error when this fuzzer tracks no archive
-  /// (scenario coverage off).
+  /// (coverage off).
   void seed_archive(EliteArchive a);
 
   /// For Fig 4d-style sweeps: number used to average the top-k metric.
@@ -181,9 +178,9 @@ class Fuzzer {
   // --- Checkpointing --------------------------------------------------------
   /// Writes the full GA runtime state — island populations with their RNG
   /// streams, generation counter, history, best-ever member, and the elite
-  /// archive (embedded, terminated) — as a `# ccfuzz-fuzzer v1` block.
-  /// restore_state on an identically-configured Fuzzer continues the search
-  /// bit-identically to one that never stopped.
+  /// archive (embedded, terminated) — as a `# ccfuzz-fuzzer v1` block, at
+  /// any generation including 0. restore_state on an identically-configured
+  /// Fuzzer continues the search bit-identically to one that never stopped.
   void save_state(std::ostream& os) const;
 
   /// Restores state written by save_state into this (identically
@@ -200,7 +197,6 @@ class Fuzzer {
     Rng rng;
   };
 
-  void evaluate_all();
   void absorb_into_archive(GenStats& gs);
   void breed_island(Island& isl);
   void migrate();
@@ -208,7 +204,7 @@ class Fuzzer {
 
   GaConfig cfg_;
   std::shared_ptr<const TraceModel> model_;
-  TraceEvaluator evaluator_;
+  bool parallel_;
   std::vector<Island> islands_;
   /// Shared so campaign reports can outlive the fuzzer without copying.
   std::shared_ptr<EliteArchive> archive_;

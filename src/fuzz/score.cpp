@@ -87,7 +87,7 @@ double HighDelayScore::performance_score(
 double HighLossScore::performance_score(const scenario::RunResult& run) const {
   const DurationNs active = run.primary().active();
   if (active <= DurationNs::zero()) return 0.0;
-  return static_cast<double>(run.cca_drops()) / active.to_seconds();
+  return static_cast<double>(run.primary().drops) / active.to_seconds();
 }
 
 double LowGoodputScore::performance_score(
@@ -99,7 +99,7 @@ double LowSendRateScore::performance_score(
     const scenario::RunResult& run) const {
   const DurationNs active = run.primary().active();
   if (active <= DurationNs::zero()) return 0.0;
-  return -static_cast<double>(run.cca_sent()) / active.to_seconds();
+  return -static_cast<double>(run.primary().sent) / active.to_seconds();
 }
 
 double JainFairnessScore::performance_score(

@@ -64,7 +64,7 @@ CraftResult craft_retransmission_killer(const ScenarioConfig& cfg,
   // after it is the head of the hole. Identify it from the first run.
   scenario::RunResult run = run_scenario(run_cfg, cca, result.trace);
   result.pinned_seq = -1;
-  for (const auto& ev : run.tcp_log().events()) {
+  for (const auto& ev : run.primary().tcp_log.events()) {
     if (ev.type == tcp::TcpEventType::kMarkLost && ev.time > kcfg.first_burst) {
       result.pinned_seq = ev.seq;
       break;
@@ -80,7 +80,7 @@ CraftResult craft_retransmission_killer(const ScenarioConfig& cfg,
   TimeNs last_burst = kcfg.first_burst;
   while (result.bursts < kcfg.max_bursts) {
     const TimeNs retx = next_transmission_of(
-        run.tcp_log(), result.pinned_seq,
+        run.primary().tcp_log, result.pinned_seq,
         last_burst + kcfg.burst_lead + DurationNs::millis(2));
     if (retx < TimeNs::zero()) break;  // head never retransmitted again
     if (retx >= run_cfg.duration) break;

@@ -81,8 +81,8 @@ struct FlowResult {
 };
 
 /// Everything observable from one simulation run. Per-flow counters live in
-/// `flows` (index order matches ScenarioConfig::flows); the single-flow
-/// `cca_*` accessors are a migration shim reading the primary flow (0).
+/// `flows` (index order matches ScenarioConfig::flows); primary() is flow 0,
+/// the algorithm under test.
 struct RunResult {
   ScenarioConfig config;
 
@@ -160,8 +160,6 @@ struct RunResult {
   /// egress order. Needs kFullEvents (empty in metrics-only runs) — use
   /// queue_delay_percentile_s for scoring.
   std::vector<double> queue_delays_s(std::size_t i) const;
-  /// Migration shim: primary flow's queueing delays.
-  std::vector<double> cca_queue_delays_s() const { return queue_delays_s(0); }
 
   /// True when flow `i` made no bottleneck progress over the trailing `tail`
   /// of its active interval despite having started — the paper's "stuck"
@@ -171,32 +169,6 @@ struct RunResult {
   /// Jain's fairness index over the flows' goodputs: 1 = perfectly fair,
   /// 1/n = one flow has everything. 1 for single-flow or all-idle runs.
   double jain_fairness() const;
-
-  // --- Single-flow migration shims (primary flow) ---
-  std::int64_t cca_segments_delivered() const {
-    return primary().segments_delivered;
-  }
-  std::int64_t cca_egress_packets() const { return primary().egress_packets; }
-  std::int64_t cca_sent() const { return primary().sent; }
-  std::int64_t cca_retransmissions() const {
-    return primary().retransmissions;
-  }
-  std::int64_t cca_drops() const { return primary().drops; }
-  std::int64_t rto_count() const { return primary().rto_count; }
-  std::int64_t fast_recovery_count() const {
-    return primary().fast_recovery_count;
-  }
-  std::int64_t spurious_retx_count() const {
-    return primary().spurious_retx_count;
-  }
-  int final_rto_backoff() const { return primary().final_rto_backoff; }
-  double final_bw_estimate_pps() const {
-    return primary().final_bw_estimate_pps;
-  }
-  DurationNs final_min_rtt_estimate() const {
-    return primary().final_min_rtt_estimate;
-  }
-  const tcp::TcpEventLog& tcp_log() const { return primary().tcp_log; }
 
   /// The primary flow, created on demand — for tests that assemble a
   /// RunResult by hand.

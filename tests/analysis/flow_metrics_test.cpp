@@ -48,13 +48,14 @@ TEST(RateSeries, DropsSeriesConsistentWithQueueStats) {
   const auto s = rate_series(run, Stream::kDrops, net::FlowId::kCcaData);
   double packets = 0.0;
   for (double v : s.mbps) packets += v * 0.1 / (1500 * 8) * 1e6;  // Mbps→pkts
-  EXPECT_NEAR(packets, static_cast<double>(run.cca_drops()), 0.5);
+  EXPECT_NEAR(packets, static_cast<double>(run.primary().drops), 0.5);
 }
 
 TEST(DelaySeries, MatchesEgressCount) {
   const auto run = clean_run();
   const auto d = delay_series(run, net::FlowId::kCcaData);
-  EXPECT_EQ(d.time_s.size(), static_cast<std::size_t>(run.cca_egress_packets()));
+  EXPECT_EQ(d.time_s.size(),
+            static_cast<std::size_t>(run.primary().egress_packets));
   EXPECT_EQ(d.time_s.size(), d.delay_ms.size());
   for (double ms : d.delay_ms) {
     EXPECT_GE(ms, 0.0);

@@ -24,7 +24,6 @@ CellConfig coverage_cell(std::uint64_t seed) {
   cell.ga.population = 8;
   cell.ga.islands = 2;
   cell.ga.max_generations = 3;
-  cell.ga.parallel = false;
   cell.ga.seed = seed;
   cell.ga.search = fuzz::SearchMode::kMapElites;
   return cell;

@@ -65,7 +65,6 @@ CellConfig schema_cell(bool coverage) {
   cell.ga.population = 6;
   cell.ga.islands = 2;
   cell.ga.max_generations = 2;
-  cell.ga.parallel = false;
   if (coverage) {
     cell.ga.search = fuzz::SearchMode::kMapElites;
   }

@@ -26,7 +26,6 @@ CellConfig quick_cell() {
   cell.ga.population = 6;
   cell.ga.islands = 2;
   cell.ga.max_generations = 1;
-  cell.ga.parallel = false;
   return cell;
 }
 

@@ -1,13 +1,15 @@
 // EliteArchive semantics: cell replacement rules, union-coverage novelty
-// accounting, trace_io round-tripping, and the Fuzzer's coverage-guided
-// search modes (kMapElites parent selection, archive seeding for resume).
+// accounting, trace_io round-tripping, and coverage-guided search through
+// one-cell campaigns (kMapElites parent selection, archive seeding for
+// resume).
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
-#include "cca/registry.h"
+#include "campaign/campaign.h"
 #include "fuzz/elite_archive.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/score.h"
@@ -204,56 +206,49 @@ TEST(EliteArchiveMerge, IsIdempotent) {
   EXPECT_EQ(a.union_bits(), bits);
 }
 
-// --- Fuzzer integration ------------------------------------------------------
+// --- Coverage-guided search ------------------------------------------------
 
-GaConfig coverage_ga() {
-  GaConfig ga;
-  ga.population = 12;
-  ga.islands = 2;
-  ga.max_generations = 4;
-  ga.parallel = false;
-  return ga;
+campaign::CellConfig coverage_cell(SearchMode search = SearchMode::kMapElites) {
+  campaign::CellConfig cell;
+  cell.cca = "reno";
+  cell.scenario.duration = TimeNs::seconds(2);
+  cell.scenario.coverage = true;
+  cell.score = std::make_shared<LowUtilizationScore>();
+  cell.trace_weights = {.per_packet = 1e-4};
+  cell.traffic_model = {.max_packets = 400};
+  cell.ga.population = 12;
+  cell.ga.islands = 2;
+  cell.ga.max_generations = 4;
+  cell.ga.search = search;
+  return cell;
 }
 
-TraceEvaluator coverage_evaluator(bool coverage = true) {
-  scenario::ScenarioConfig cfg;
-  cfg.duration = TimeNs::seconds(2);
-  cfg.coverage = coverage;
-  return TraceEvaluator(cfg, cca::make_factory("reno"),
-                        std::make_shared<LowUtilizationScore>(),
-                        TraceScoreWeights{.per_packet = 1e-4});
-}
-
-std::shared_ptr<const TraceModel> coverage_model() {
-  trace::TrafficTraceModel m;
-  m.duration = TimeNs::seconds(2);
-  m.max_packets = 400;
-  return std::make_shared<TrafficModel>(m);
+campaign::CellResult run_cell(const campaign::CellConfig& cell) {
+  campaign::CampaignConfig cfg;
+  cfg.add_cell(cell);
+  return campaign::Campaign(cfg).run().cells.front();
 }
 
 TEST(Fuzzer, CoverageGuidedModesRequireTheProbe) {
-  GaConfig ga = coverage_ga();
-  ga.search = SearchMode::kMapElites;
-  EXPECT_THROW(Fuzzer(ga, coverage_model(), coverage_evaluator(false)),
-               std::logic_error);
-  GaConfig bonus = coverage_ga();
+  const campaign::CellConfig cell = coverage_cell();
+  const auto model = campaign::make_trace_model(cell);
+  EXPECT_THROW(Fuzzer(cell.ga, model, /*coverage=*/false), std::logic_error);
+  GaConfig bonus = coverage_cell(SearchMode::kScore).ga;
   bonus.novelty_bonus = 0.5;
-  EXPECT_THROW(Fuzzer(bonus, coverage_model(), coverage_evaluator(false)),
-               std::logic_error);
-  EXPECT_EQ(Fuzzer(coverage_ga(), coverage_model(), coverage_evaluator(false))
+  EXPECT_THROW(Fuzzer(bonus, model, /*coverage=*/false), std::logic_error);
+  EXPECT_EQ(Fuzzer(coverage_cell(SearchMode::kScore).ga, model,
+                   /*coverage=*/false)
                 .archive(),
             nullptr);
 }
 
 TEST(Fuzzer, MapElitesFillsArchiveAndReportsGrowth) {
-  GaConfig ga = coverage_ga();
-  ga.search = SearchMode::kMapElites;
-  Fuzzer f(ga, coverage_model(), coverage_evaluator());
-  const auto& history = f.run();
+  const campaign::CellResult r = run_cell(coverage_cell());
+  const auto& history = r.history;
 
-  ASSERT_NE(f.archive(), nullptr);
-  EXPECT_GT(f.archive()->filled(), 0u);
-  EXPECT_GT(f.archive()->union_bits(), 0u);
+  ASSERT_NE(r.archive, nullptr);
+  EXPECT_GT(r.archive->filled(), 0u);
+  EXPECT_GT(r.archive->union_bits(), 0u);
   ASSERT_FALSE(history.empty());
   EXPECT_GT(history.front().archive_cells, 0);
   EXPECT_EQ(history.front().archive_new_cells, history.front().archive_cells);
@@ -263,28 +258,26 @@ TEST(Fuzzer, MapElitesFillsArchiveAndReportsGrowth) {
     EXPECT_GE(history[g].coverage_bits, history[g - 1].coverage_bits);
   }
   EXPECT_EQ(history.back().archive_cells,
-            static_cast<std::int64_t>(f.archive()->filled()));
+            static_cast<std::int64_t>(r.archive->filled()));
 }
 
 TEST(Fuzzer, SeededArchiveResumesFilling) {
-  GaConfig ga = coverage_ga();
-  ga.search = SearchMode::kMapElites;
-
-  Fuzzer first(ga, coverage_model(), coverage_evaluator());
-  first.run();
-  std::stringstream ss;
-  first.archive()->save(ss);
-  const std::size_t carried = first.archive()->filled();
+  const campaign::CellResult first = run_cell(coverage_cell());
+  const std::size_t carried = first.archive->filled();
   ASSERT_GT(carried, 0u);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "ccfuzz_seeded_archive_test.txt")
+                               .string();
+  first.archive->save_file(path);
 
-  GaConfig resumed_ga = ga;
-  resumed_ga.seed ^= 0x9E3779B97F4A7C15ULL;  // a fresh population
-  Fuzzer resumed(resumed_ga, coverage_model(), coverage_evaluator());
-  resumed.seed_archive(EliteArchive::load(ss));
-  const auto& history = resumed.run();
+  campaign::CellConfig resumed = coverage_cell();
+  resumed.ga.seed ^= 0x9E3779B97F4A7C15ULL;  // a fresh population
+  resumed.resume_archive = path;
+  const campaign::CellResult r = run_cell(resumed);
+  std::filesystem::remove(path);
   // The seeded cells survive; the resumed campaign only adds to them.
-  EXPECT_GE(resumed.archive()->filled(), carried);
-  EXPECT_GE(history.front().archive_cells,
+  EXPECT_GE(r.archive->filled(), carried);
+  EXPECT_GE(r.history.front().archive_cells,
             static_cast<std::int64_t>(carried));
 }
 
@@ -321,12 +314,8 @@ TEST(EliteArchiveErrors, MissingFileIsKIo) {
 }
 
 TEST(EliteArchiveErrors, EveryTruncationOfARealArchiveIsATypedError) {
-  GaConfig ga = coverage_ga();
-  ga.search = SearchMode::kMapElites;
-  Fuzzer f(ga, coverage_model(), coverage_evaluator());
-  f.run();
   std::stringstream full;
-  f.archive()->save(full);
+  run_cell(coverage_cell()).archive->save(full);
   const std::string bytes = full.str();
   ASSERT_GT(bytes.size(), 200u);
 
@@ -344,12 +333,10 @@ TEST(EliteArchiveErrors, EveryTruncationOfARealArchiveIsATypedError) {
 }
 
 TEST(EliteArchiveErrors, GarbageInsideAnEntryIsFlagged) {
-  GaConfig ga = coverage_ga();
-  ga.search = SearchMode::kMapElites;
-  Fuzzer f(ga, coverage_model(), coverage_evaluator());
-  f.step();
+  campaign::CellConfig cell = coverage_cell();
+  cell.ga.max_generations = 1;
   std::stringstream full;
-  f.archive()->save(full);
+  run_cell(cell).archive->save(full);
   std::string bytes = full.str();
   // Mangle the first numeric payload line after the header.
   const auto pos = bytes.find('\n', bytes.find('\n') + 1);
@@ -370,14 +357,13 @@ TEST(Fuzzer, NoveltyBonusBiasesSelectionNotReporting) {
   // Same population, same evaluations: the bonus must leave reported scores
   // untouched (GenStats reads raw totals), and a fuzzer with a bonus still
   // tracks the identical archive (inserts are pre-selection).
-  GaConfig plain = coverage_ga();
-  Fuzzer a(plain, coverage_model(), coverage_evaluator());
-  GaConfig bonus = coverage_ga();
-  bonus.novelty_bonus = 10.0;
-  Fuzzer b(bonus, coverage_model(), coverage_evaluator());
+  campaign::CellConfig plain = coverage_cell(SearchMode::kScore);
+  plain.ga.max_generations = 1;
+  campaign::CellConfig bonus = plain;
+  bonus.ga.novelty_bonus = 10.0;
 
-  const GenStats ga_first = a.step();
-  const GenStats gb_first = b.step();
+  const GenStats ga_first = run_cell(plain).history.front();
+  const GenStats gb_first = run_cell(bonus).history.front();
   // Generation 0 is the same seeded population → identical raw stats.
   EXPECT_DOUBLE_EQ(ga_first.best_score, gb_first.best_score);
   EXPECT_DOUBLE_EQ(ga_first.mean_score, gb_first.mean_score);

@@ -90,10 +90,23 @@ std::vector<trace::Trace> batch_traces(int n) {
   return ts;
 }
 
+/// Evaluates every trace under `ev` as one batch.
+std::vector<Evaluation> batch_of(const TraceEvaluator& ev,
+                                 const std::vector<trace::Trace>& ts,
+                                 bool parallel) {
+  std::vector<Evaluation> out(ts.size());
+  std::vector<BatchItem> items;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    items.push_back({&ev, &ts[i], &out[i]});
+  }
+  evaluate_batch(items, parallel);
+  return out;
+}
+
 TEST(TraceEvaluator, BatchMatchesElementwiseEvaluate) {
   auto ev = make_evaluator();
   const auto ts = batch_traces(6);
-  const auto batch = ev.evaluate_batch(ts);
+  const auto batch = batch_of(ev, ts, /*parallel=*/true);
   ASSERT_EQ(batch.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const Evaluation single = ev.evaluate(ts[i]);
@@ -106,9 +119,9 @@ TEST(TraceEvaluator, BatchMatchesElementwiseEvaluate) {
 TEST(TraceEvaluator, BatchDeterministicAcrossCallsAndParallelism) {
   auto ev = make_evaluator();
   const auto ts = batch_traces(8);
-  const auto a = ev.evaluate_batch(ts, /*parallel=*/true);
-  const auto b = ev.evaluate_batch(ts, /*parallel=*/true);
-  const auto serial = ev.evaluate_batch(ts, /*parallel=*/false);
+  const auto a = batch_of(ev, ts, /*parallel=*/true);
+  const auto b = batch_of(ev, ts, /*parallel=*/true);
+  const auto serial = batch_of(ev, ts, /*parallel=*/false);
   for (std::size_t i = 0; i < ts.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].score.total(), b[i].score.total());
     EXPECT_DOUBLE_EQ(a[i].score.total(), serial[i].score.total());
@@ -137,8 +150,7 @@ TEST(EvaluateBatch, MixedEvaluatorsLandByIndex) {
 
 TEST(EvaluateBatch, EmptyBatchIsANoop) {
   evaluate_batch({});
-  auto ev = make_evaluator();
-  EXPECT_TRUE(ev.evaluate_batch({}).empty());
+  evaluate_batch({}, /*parallel=*/false);
 }
 
 }  // namespace

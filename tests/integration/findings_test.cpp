@@ -49,7 +49,8 @@ TEST(Finding41_BbrStall, RetransmissionKillerStallsBbrPermanently) {
 TEST(Finding41_BbrStall, StallChainDiagnosticsPresent) {
   const auto crafted = scenario::crafted::craft_retransmission_killer(
       stall_config(), cca::make_factory("bbr"));
-  const auto d = analysis::stall_diagnostics(crafted.final_run.tcp_log());
+  const auto d =
+      analysis::stall_diagnostics(crafted.final_run.primary().tcp_log);
   // The §4.1 mechanism: RTOs, spurious retransmissions of data whose SACKs
   // were still in flight, and premature probe-round ends from restamped
   // prior_delivered.
@@ -65,7 +66,7 @@ TEST(Finding41_BbrStall, CorruptedSamplesPoisonFilterDuringEpisode) {
   // During the attack episode the accepted bandwidth samples include
   // collapsed values (~1 packet per RTT instead of ~1000 pps).
   double min_sample = 1e18;
-  for (const auto& ev : crafted.final_run.tcp_log().events()) {
+  for (const auto& ev : crafted.final_run.primary().tcp_log.events()) {
     if (ev.type == tcp::TcpEventType::kBwSample &&
         ev.time > TimeNs::seconds(2)) {
       min_sample = std::min(min_sample, ev.value);
@@ -103,7 +104,7 @@ TEST(Finding42_CubicBug, BuggyCubicBurstsAfterRtoRecovery) {
       stall_config(), cca::make_factory("cubic"), buggy.trace);
   // Same trace: the buggy variant suffers strictly more drops at the
   // bottleneck after the recovery point (the burst past ssthresh).
-  EXPECT_GT(buggy.final_run.cca_drops(), fixed.cca_drops());
+  EXPECT_GT(buggy.final_run.primary().drops, fixed.primary().drops);
 }
 
 // --- §4.3: Reno low-rate (shrew) attack ------------------------------------
@@ -114,8 +115,9 @@ TEST(Finding43_Shrew, AdaptiveKillerLocksRenoIntoBackoff) {
   const auto& run = crafted.final_run;
   EXPECT_TRUE(run.stalled(DurationNs::seconds(1)));
   EXPECT_LT(run.goodput_mbps(), 4.0);
-  EXPECT_GE(run.rto_count(), 2);
-  EXPECT_GE(run.final_rto_backoff(), 2) << "exponential backoff must engage";
+  EXPECT_GE(run.primary().rto_count, 2);
+  EXPECT_GE(run.primary().final_rto_backoff, 2)
+      << "exponential backoff must engage";
 }
 
 TEST(Finding43_Shrew, OpenLoopPeriodicBurstsDegradeReno) {
@@ -132,7 +134,7 @@ TEST(Finding43_Shrew, OpenLoopPeriodicBurstsDegradeReno) {
   const auto run =
       scenario::run_scenario(cfg, cca::make_factory("reno"), trace);
   EXPECT_LT(run.goodput_mbps(), clean.goodput_mbps() - 1.0);
-  EXPECT_GT(run.cca_drops(), 0);
+  EXPECT_GT(run.primary().drops, 0);
   // Attack efficiency: the attacker averages well under the link rate.
   const double attack_mbps = static_cast<double>(run.cross_sent) * 1500 * 8 /
                              cfg.duration.to_seconds() * 1e-6;
@@ -153,7 +155,7 @@ TEST(Fig4e_Delay, StandingQueueInflatesBbrDelayFloor) {
   const auto attacked =
       scenario::run_scenario(cfg, cca::make_factory("bbr"), trace);
   const auto p10 = [](const scenario::RunResult& r) {
-    auto d = r.cca_queue_delays_s();
+    auto d = r.queue_delays_s(0);
     std::sort(d.begin(), d.end());
     return d.empty() ? 0.0 : d[d.size() / 10];
   };

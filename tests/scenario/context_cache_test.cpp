@@ -28,7 +28,7 @@ std::int64_t run_on(ContextKey key) {
   const ScenarioConfig cfg = tiny_config();
   return thread_run_context(key)
       .run(cfg, cca::make_factory("reno"), tiny_trace(cfg.duration))
-      .cca_sent();
+      .primary().sent;
 }
 
 class ContextCacheTest : public ::testing::Test {

@@ -30,15 +30,15 @@ std::uint64_t fnv1a(std::uint64_t h, std::int64_t v) {
 /// counters plus the full per-packet bottleneck record streams.
 std::uint64_t fingerprint(const RunResult& r) {
   std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a(h, r.cca_segments_delivered());
-  h = fnv1a(h, r.cca_egress_packets());
-  h = fnv1a(h, r.cca_sent());
-  h = fnv1a(h, r.cca_retransmissions());
-  h = fnv1a(h, r.cca_drops());
-  h = fnv1a(h, r.rto_count());
-  h = fnv1a(h, r.fast_recovery_count());
-  h = fnv1a(h, r.spurious_retx_count());
-  h = fnv1a(h, r.final_rto_backoff());
+  h = fnv1a(h, r.primary().segments_delivered);
+  h = fnv1a(h, r.primary().egress_packets);
+  h = fnv1a(h, r.primary().sent);
+  h = fnv1a(h, r.primary().retransmissions);
+  h = fnv1a(h, r.primary().drops);
+  h = fnv1a(h, r.primary().rto_count);
+  h = fnv1a(h, r.primary().fast_recovery_count);
+  h = fnv1a(h, r.primary().spurious_retx_count);
+  h = fnv1a(h, r.primary().final_rto_backoff);
   h = fnv1a(h, r.cross_sent);
   h = fnv1a(h, r.cross_drops);
   h = fnv1a(h, r.queue_stats.total_enqueued());
@@ -107,11 +107,11 @@ TEST(GoldenDeterminism, MatchesPreRefactorFingerprints) {
     const auto run =
         run_scenario(cfg, cca::make_factory(g.cca),
                      golden_trace(g.mode, cfg.duration));
-    EXPECT_EQ(run.cca_segments_delivered(), g.delivered);
-    EXPECT_EQ(run.cca_sent(), g.sent);
-    EXPECT_EQ(run.cca_retransmissions(), g.retx);
-    EXPECT_EQ(run.cca_drops(), g.drops);
-    EXPECT_EQ(run.rto_count(), g.rto);
+    EXPECT_EQ(run.primary().segments_delivered, g.delivered);
+    EXPECT_EQ(run.primary().sent, g.sent);
+    EXPECT_EQ(run.primary().retransmissions, g.retx);
+    EXPECT_EQ(run.primary().drops, g.drops);
+    EXPECT_EQ(run.primary().rto_count, g.rto);
     EXPECT_EQ(fingerprint(run), g.hash);
   }
 }
@@ -136,11 +136,11 @@ TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
     }
     const auto run =
         run_scenario(cfg, cca::make_factory("reno"), std::move(trace));
-    EXPECT_EQ(run.cca_segments_delivered(), 986);
-    EXPECT_EQ(run.cca_sent(), 1070);
-    EXPECT_EQ(run.cca_retransmissions(), 58);
-    EXPECT_EQ(run.cca_drops(), 38);
-    EXPECT_EQ(run.rto_count(), 2);
+    EXPECT_EQ(run.primary().segments_delivered, 986);
+    EXPECT_EQ(run.primary().sent, 1070);
+    EXPECT_EQ(run.primary().retransmissions, 58);
+    EXPECT_EQ(run.primary().drops, 38);
+    EXPECT_EQ(run.primary().rto_count, 2);
     EXPECT_EQ(fingerprint(run), 0xde52f07b9e650cd2ULL);
   }
   {
@@ -158,11 +158,11 @@ TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
         run_scenario(cfg, cca::make_factory("reno"),
                      trace::dist_packets(3000, TimeNs::zero(), cfg.duration,
                                          rng));
-    EXPECT_EQ(run.cca_segments_delivered(), 1228);
-    EXPECT_EQ(run.cca_sent(), 1265);
-    EXPECT_EQ(run.cca_retransmissions(), 37);
-    EXPECT_EQ(run.cca_drops(), 37);
-    EXPECT_EQ(run.rto_count(), 2);
+    EXPECT_EQ(run.primary().segments_delivered, 1228);
+    EXPECT_EQ(run.primary().sent, 1265);
+    EXPECT_EQ(run.primary().retransmissions, 37);
+    EXPECT_EQ(run.primary().drops, 37);
+    EXPECT_EQ(run.primary().rto_count, 2);
     EXPECT_EQ(fingerprint(run), 0xd350048e40190f88ULL);
   }
 }

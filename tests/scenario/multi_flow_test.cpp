@@ -243,7 +243,7 @@ TEST(RunResultEdge, StalledWithLateFlowStart) {
   cfg.duration = TimeNs::seconds(2);
   cfg.flow_start = TimeNs::seconds(1);
   const auto run = run_scenario(cfg, cca::make_factory("reno"), {});
-  ASSERT_GT(run.cca_sent(), 0);
+  ASSERT_GT(run.primary().sent, 0);
   EXPECT_FALSE(run.stalled(DurationNs::millis(500)));
   EXPECT_FALSE(run.stalled(DurationNs::seconds(2)));
 
@@ -252,8 +252,8 @@ TEST(RunResultEdge, StalledWithLateFlowStart) {
   ScenarioConfig dead = cfg;
   dead.mode = FuzzMode::kLink;
   const auto stuck = run_scenario(dead, cca::make_factory("reno"), {});
-  ASSERT_GT(stuck.cca_sent(), 0);
-  EXPECT_EQ(stuck.cca_egress_packets(), 0);
+  ASSERT_GT(stuck.primary().sent, 0);
+  EXPECT_EQ(stuck.primary().egress_packets, 0);
   EXPECT_TRUE(stuck.stalled(DurationNs::millis(100)));
   EXPECT_TRUE(stuck.stalled(DurationNs::seconds(2)));
 }
@@ -268,7 +268,7 @@ TEST(RunResultEdge, WindowedThroughputWithWindowLongerThanRun) {
   // egress throughput.
   const auto w = run.windowed_throughput_mbps(DurationNs::seconds(10));
   ASSERT_EQ(w.size(), 1u);
-  const double expected = static_cast<double>(run.cca_egress_packets()) *
+  const double expected = static_cast<double>(run.primary().egress_packets) *
                           1500.0 * 8.0 / 2.0 * 1e-6;
   EXPECT_NEAR(w.front(), expected, 1e-9);
 }
@@ -276,7 +276,7 @@ TEST(RunResultEdge, WindowedThroughputWithWindowLongerThanRun) {
 TEST(RunResultEdge, EmptyResultAccessorsAreNeutral) {
   RunResult r;
   EXPECT_EQ(r.flow_count(), 0u);
-  EXPECT_EQ(r.cca_sent(), 0);
+  EXPECT_EQ(r.primary().sent, 0);
   EXPECT_DOUBLE_EQ(r.goodput_mbps(), 0.0);
   EXPECT_FALSE(r.stalled(DurationNs::seconds(1)));
   EXPECT_DOUBLE_EQ(r.jain_fairness(), 1.0);

@@ -150,7 +150,7 @@ TEST(RecordMode, MetricsOnlyIsTheDefault) {
   // O(1) counters and streaming summaries are still live.
   EXPECT_GT(run.recorder.egress_count(net::FlowId::kCcaData), 0);
   EXPECT_GT(run.metrics.flow(0).egress_packets, 0);
-  EXPECT_GT(run.cca_egress_packets(), 0);
+  EXPECT_GT(run.primary().egress_packets, 0);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ ScenarioConfig base_config() {
 TEST(Runner, RenoCleanLinkResult) {
   const auto r = run_scenario(base_config(), cca::make_factory("reno"), {});
   EXPECT_GT(r.goodput_mbps(), 9.0);
-  EXPECT_GT(r.cca_segments_delivered(), 2000);
+  EXPECT_GT(r.primary().segments_delivered, 2000);
   EXPECT_EQ(r.cross_sent, 0);
   EXPECT_FALSE(r.stalled(DurationNs::millis(500)));
 }
@@ -27,9 +27,9 @@ TEST(Runner, DeterministicAcrossCalls) {
   cfg.record_mode = RecordMode::kFullEvents;
   const auto a = run_scenario(cfg, cca::make_factory("cubic"), {});
   const auto b = run_scenario(cfg, cca::make_factory("cubic"), {});
-  EXPECT_EQ(a.cca_segments_delivered(), b.cca_segments_delivered());
-  EXPECT_EQ(a.cca_sent(), b.cca_sent());
-  EXPECT_EQ(a.rto_count(), b.rto_count());
+  EXPECT_EQ(a.primary().segments_delivered, b.primary().segments_delivered);
+  EXPECT_EQ(a.primary().sent, b.primary().sent);
+  EXPECT_EQ(a.primary().rto_count, b.primary().rto_count);
   EXPECT_EQ(a.recorder.egress().size(), b.recorder.egress().size());
 }
 
@@ -58,8 +58,9 @@ TEST(Runner, QueueDelaysPopulated) {
   ScenarioConfig cfg = base_config();
   cfg.record_mode = RecordMode::kFullEvents;  // raw delay samples
   const auto r = run_scenario(cfg, cca::make_factory("reno"), {});
-  const auto delays = r.cca_queue_delays_s();
-  EXPECT_EQ(delays.size(), static_cast<std::size_t>(r.cca_egress_packets()));
+  const auto delays = r.queue_delays_s(0);
+  EXPECT_EQ(delays.size(),
+            static_cast<std::size_t>(r.primary().egress_packets));
   for (double d : delays) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 0.06);  // 50-packet queue ≈ 50 ms max
@@ -90,8 +91,8 @@ TEST(Runner, TotalSegmentsLimitsTransfer) {
   ScenarioConfig cfg = base_config();
   cfg.total_segments = 100;
   const auto r = run_scenario(cfg, cca::make_factory("reno"), {});
-  EXPECT_EQ(r.cca_segments_delivered(), 100);
-  EXPECT_LE(r.cca_sent(), 120);  // a few retransmissions at most
+  EXPECT_EQ(r.primary().segments_delivered, 100);
+  EXPECT_LE(r.primary().sent, 120);  // a few retransmissions at most
 }
 
 TEST(Runner, BbrRunsCleanLink) {
@@ -99,8 +100,8 @@ TEST(Runner, BbrRunsCleanLink) {
   EXPECT_GT(r.goodput_mbps(), 9.0) << "BBR must fill a clean 12 Mbps pipe";
   EXPECT_FALSE(r.stalled(DurationNs::millis(500)));
   // Model introspection: bandwidth estimate near 1000 pps.
-  EXPECT_GT(r.final_bw_estimate_pps(), 800.0);
-  EXPECT_LT(r.final_bw_estimate_pps(), 1400.0);
+  EXPECT_GT(r.primary().final_bw_estimate_pps, 800.0);
+  EXPECT_LT(r.primary().final_bw_estimate_pps, 1400.0);
 }
 
 TEST(Runner, BbrKeepsQueueShorterThanCubic) {
@@ -111,8 +112,8 @@ TEST(Runner, BbrKeepsQueueShorterThanCubic) {
   cfg.record_mode = RecordMode::kFullEvents;  // raw delay samples
   const auto bbr = run_scenario(cfg, cca::make_factory("bbr"), {});
   const auto cubic = run_scenario(cfg, cca::make_factory("cubic"), {});
-  const auto bbr_delays = bbr.cca_queue_delays_s();
-  const auto cubic_delays = cubic.cca_queue_delays_s();
+  const auto bbr_delays = bbr.queue_delays_s(0);
+  const auto cubic_delays = cubic.queue_delays_s(0);
   ASSERT_FALSE(bbr_delays.empty());
   ASSERT_FALSE(cubic_delays.empty());
   double bbr_mean = 0, cubic_mean = 0;

@@ -56,7 +56,7 @@ TEST(RunGuards, EventLimitTruncatesGracefully) {
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.truncation, TruncationReason::kEventLimit);
   // The run ended early but still produced a coherent, scoreable result.
-  EXPECT_LT(r.cca_segments_delivered(), clean.cca_segments_delivered());
+  EXPECT_LT(r.primary().segments_delivered, clean.primary().segments_delivered);
   EXPECT_GE(r.goodput_mbps(), 0.0);
 }
 
@@ -67,8 +67,8 @@ TEST(RunGuards, EventLimitTruncationIsDeterministic) {
   const auto b = run_scenario(cfg, cca::make_factory("cubic"), {});
   EXPECT_TRUE(a.truncated);
   EXPECT_EQ(a.truncation, b.truncation);
-  EXPECT_EQ(a.cca_sent(), b.cca_sent());
-  EXPECT_EQ(a.cca_segments_delivered(), b.cca_segments_delivered());
+  EXPECT_EQ(a.primary().sent, b.primary().sent);
+  EXPECT_EQ(a.primary().segments_delivered, b.primary().segments_delivered);
 }
 
 TEST(RunGuards, SimTimeLimitCapsTheDeadline) {
@@ -79,7 +79,7 @@ TEST(RunGuards, SimTimeLimitCapsTheDeadline) {
   const auto r = run_scenario(cfg, cca::make_factory("reno"), {});
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.truncation, TruncationReason::kSimTimeLimit);
-  EXPECT_LT(r.cca_segments_delivered(), clean.cca_segments_delivered());
+  EXPECT_LT(r.primary().segments_delivered, clean.primary().segments_delivered);
 }
 
 TEST(RunGuards, SimTimeLimitLongerThanDurationIsANoop) {

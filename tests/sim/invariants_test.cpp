@@ -108,11 +108,12 @@ TEST(InvariantsOracle, ArmedAuditsDoNotPerturbTheRun) {
     const auto armed = run_scenario(armed_config(mode), factory,
                                     probe_trace(mode, disarmed.duration));
     EXPECT_TRUE(armed.invariants.clean());
-    EXPECT_EQ(armed.cca_segments_delivered(), base.cca_segments_delivered());
-    EXPECT_EQ(armed.cca_sent(), base.cca_sent());
-    EXPECT_EQ(armed.cca_retransmissions(), base.cca_retransmissions());
-    EXPECT_EQ(armed.cca_drops(), base.cca_drops());
-    EXPECT_EQ(armed.rto_count(), base.rto_count());
+    EXPECT_EQ(armed.primary().segments_delivered,
+              base.primary().segments_delivered);
+    EXPECT_EQ(armed.primary().sent, base.primary().sent);
+    EXPECT_EQ(armed.primary().retransmissions, base.primary().retransmissions);
+    EXPECT_EQ(armed.primary().drops, base.primary().drops);
+    EXPECT_EQ(armed.primary().rto_count, base.primary().rto_count);
     EXPECT_EQ(armed.cross_sent, base.cross_sent);
     EXPECT_EQ(armed.cross_drops, base.cross_drops);
     EXPECT_TRUE(base.invariants.clean());  // disarmed: trivially clean

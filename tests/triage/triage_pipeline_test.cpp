@@ -33,7 +33,6 @@ campaign::CellConfig tiny_cell(const std::string& cca) {
   cell.ga.population = 6;
   cell.ga.islands = 2;
   cell.ga.max_generations = 2;
-  cell.ga.parallel = false;
   cell.winners = 2;
   return cell;
 }
