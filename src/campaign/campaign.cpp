@@ -29,6 +29,7 @@
 #include "util/csv.h"
 #include "util/fs.h"
 #include "util/logging.h"
+#include "util/record.h"
 #include "util/thread_pool.h"
 
 namespace ccfuzz::campaign {
@@ -818,7 +819,9 @@ void Campaign::write_checkpoint() const {
   // cache is order-independent.
   os << "# cache " << cache_.size() << "\n";
   for (const auto& [key, eval] : cache_) {
-    os << "# cachekey " << std::hex << key << std::dec << "\n";
+    os << "# cachekey ";
+    record::write_hex(os, {&key, 1});
+    os << "\n";
     fuzz::state_io::write_eval(os, eval);
   }
   os << "# end checkpoint\n";
@@ -841,113 +844,58 @@ void Campaign::write_checkpoint() const {
 Error validate_checkpoint_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) return Error::io("cannot open checkpoint: " + path);
-  std::string line;
-  if (!std::getline(is, line)) return Error::truncated("checkpoint: empty file");
-  if (line.rfind("# ccfuzz-checkpoint", 0) != 0) {
-    return Error::parse("checkpoint: bad magic: " + line);
-  }
-  if (line != "# ccfuzz-checkpoint v1") {
-    return Error::version("checkpoint: unsupported version: " + line);
-  }
-  std::string last;
-  while (std::getline(is, line)) {
-    if (!line.empty()) last = line;
-  }
-  if (last != "# end checkpoint") {
-    return Error::truncated("checkpoint: missing terminator (torn write?)");
-  }
-  return Error::success();
+  record::Reader r(is);
+  r.header("ccfuzz-checkpoint", "v1");
+  r.footer("checkpoint");
+  return r.error();
 }
 
 Error Campaign::restore_checkpoint(const std::string& path) {
   std::ifstream is(path);
   if (!is) return Error::io("cannot open checkpoint: " + path);
-  std::string line;
-  const auto next = [&](std::string& out) {
-    while (std::getline(is, out)) {
-      if (!out.empty()) return true;
-    }
-    return false;
-  };
-  // Parses "# <tag> <value>" into `out`; value-less tags pass a dummy.
-  const auto expect = [&](const char* tag, auto& out) -> Error {
-    if (!next(line)) {
-      return Error::truncated(std::string("checkpoint: missing '") + tag +
-                              "' line");
-    }
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != tag || !(ls >> out)) {
-      return Error::parse(std::string("checkpoint: expected '# ") + tag +
-                          " <value>', got: " + line);
-    }
-    return Error::success();
-  };
-
-  if (!next(line)) return Error::truncated("checkpoint: empty file");
-  if (line.rfind("# ccfuzz-checkpoint", 0) != 0) {
-    return Error::parse("checkpoint: bad magic: " + line);
-  }
-  if (line != "# ccfuzz-checkpoint v1") {
-    return Error::version("checkpoint: unsupported version: " + line);
-  }
-  std::size_t n_cells = 0;
-  if (Error e = expect("cells", n_cells)) return e;
+  record::Reader r(is);
+  std::size_t n_cells = 0, n_cache = 0;
+  r.header("ccfuzz-checkpoint", "v1");
+  r.read("cells", n_cells);
   if (n_cells != cells_.size()) {
-    return Error::mismatch("checkpoint: holds " + std::to_string(n_cells) +
+    r.fail(Error::mismatch("checkpoint: holds " + std::to_string(n_cells) +
                            " cells, campaign configures " +
-                           std::to_string(cells_.size()));
+                           std::to_string(cells_.size())));
   }
-  for (std::size_t i = 0; i < n_cells; ++i) {
+  for (std::size_t i = 0; i < n_cells && r.ok(); ++i) {
     CellState& cell = *cells_[i];
     std::size_t idx = 0;
-    if (Error e = expect("cell", idx)) return e;
-    if (idx != i) return Error::corrupt("checkpoint: cell index out of order");
-    if (!next(line)) return Error::truncated("checkpoint: missing cell name");
-    if (line.rfind("# name ", 0) != 0) {
-      return Error::parse("checkpoint: expected '# name', got: " + line);
-    }
+    std::string name;
+    r.read("cell", idx);
+    if (idx != i) r.fail(Error::corrupt("checkpoint: cell index out of order"));
+    r.expect("name").rest(name).done();
     // Config drift between the checkpointing and resuming processes would
     // silently graft one cell's population onto another's scenario.
-    if (line.substr(7) != cell.cfg.name) {
-      return Error::mismatch("checkpoint: cell " + std::to_string(i) +
-                             " is '" + line.substr(7) + "', campaign expects '" +
-                             cell.cfg.name + "'");
+    if (name != cell.cfg.name) {
+      r.fail(Error::mismatch("checkpoint: cell " + std::to_string(i) + " is '" +
+                             name + "', campaign expects '" + cell.cfg.name +
+                             "'"));
     }
-    int final_pass = 0, done = 0;
-    if (Error e = expect("best_so_far", cell.best_so_far)) return e;
-    if (Error e = expect("since_improvement", cell.since_improvement)) return e;
-    if (Error e = expect("final_pass", final_pass)) return e;
-    if (Error e = expect("done", done)) return e;
-    if (Error e = expect("simulations", cell.result.simulations)) return e;
-    if (Error e = expect("cache_hits", cell.result.cache_hits)) return e;
-    cell.final_pass = final_pass != 0;
-    cell.done = done != 0;
-    if (Error e = cell.fuzzer.restore_state(is)) return e;
-    if (!next(line)) return Error::truncated("checkpoint: missing end cell");
-    if (line != "# end cell") {
-      return Error::parse("checkpoint: expected '# end cell', got: " + line);
-    }
+    r.read("best_so_far", cell.best_so_far);
+    r.read("since_improvement", cell.since_improvement);
+    r.read("final_pass", cell.final_pass);
+    r.read("done", cell.done);
+    r.read("simulations", cell.result.simulations);
+    r.read("cache_hits", cell.result.cache_hits);
+    cell.fuzzer.restore_state(r);
+    r.end("cell");
   }
-  std::size_t n_cache = 0;
-  if (Error e = expect("cache", n_cache)) return e;
-  for (std::size_t i = 0; i < n_cache; ++i) {
-    if (!next(line)) return Error::truncated("checkpoint: missing cache key");
-    std::istringstream ls(line);
-    std::string hash, key;
+  r.read("cache", n_cache);
+  for (std::size_t i = 0; i < n_cache && r.ok(); ++i) {
     std::uint64_t k = 0;
-    ls >> hash >> key >> std::hex >> k;
-    if (hash != "#" || key != "cachekey" || ls.fail()) {
-      return Error::parse("checkpoint: bad cache key line: " + line);
-    }
     fuzz::Evaluation eval;
-    if (Error e = fuzz::state_io::read_eval(is, eval)) return e;
+    r.read("cachekey", record::Hex(&k, 1));
+    fuzz::state_io::read_eval(r, eval);
     cache_.emplace(k, std::move(eval));
   }
-  if (!next(line) || line != "# end checkpoint") {
-    return Error::truncated("checkpoint: missing terminator");
-  }
+  r.end("checkpoint");
+  r.eof();
+  if (!r.ok()) return r.error();
   // Rebuild the report fields of the cells that had already finished.
   for (auto& cp : cells_) {
     if (cp->done) fill_result(*cp);

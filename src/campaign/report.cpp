@@ -1,5 +1,7 @@
 #include "campaign/report.h"
 
+#include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,6 +30,40 @@ std::string json_escape(const std::string& s) {
         } else {
           out += c;
         }
+    }
+  }
+  return out;
+}
+
+Result<std::string> json_unescape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '\\') {
+      out += s[i];
+      continue;
+    }
+    if (++i >= s.size()) return Error::parse("dangling escape in string");
+    switch (s[i]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned v = 0;
+        const char* digits = s.data() + i + 1;
+        const char* end = s.data() + std::min(i + 5, s.size());
+        const auto [p, ec] = std::from_chars(digits, end, v, 16);
+        // Exactly four hex digits naming a byte: what json_escape emits.
+        if (ec != std::errc{} || p != digits + 4 || v > 0xFF) {
+          return Error::parse("bad \\u escape in string");
+        }
+        out += static_cast<char>(v);
+        i += 4;
+        break;
+      }
+      default:
+        return Error::parse(std::string("unknown escape \\") + s[i]);
     }
   }
   return out;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "campaign/campaign.h"
 
@@ -40,6 +41,11 @@ std::string sanitize_cell_name(const std::string& name);
 /// JSON string-escapes `s` (quotes, backslashes, control characters). Shared
 /// by the report writer and JsonlObserver.
 std::string json_escape(const std::string& s);
+
+/// Reverses json_escape, strictly: only the escapes it emits (`\"`, `\\`,
+/// `\n`, `\t`, and `\u` with four hex digits naming a byte ≤ 0xFF) are
+/// accepted; anything else is kParse.
+Result<std::string> json_unescape(std::string_view s);
 
 /// RFC-4180 quoting of one summary.csv field (quoted only when needed).
 /// Shared with the distributed merge step, which matches shard summary rows

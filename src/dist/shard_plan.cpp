@@ -9,47 +9,6 @@
 #include "util/fs.h"
 
 namespace ccfuzz::dist {
-namespace {
-
-/// Undoes campaign::json_escape for the escapes it emits (quote, backslash,
-/// \n, \t, \u00XX control characters). Returns false on a malformed escape.
-bool json_unescape(std::string_view in, std::string& out) {
-  out.clear();
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (in[i] != '\\') {
-      out += in[i];
-      continue;
-    }
-    if (++i >= in.size()) return false;
-    switch (in[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= in.size()) return false;
-        unsigned v = 0;
-        for (int k = 1; k <= 4; ++k) {
-          const char c = in[i + k];
-          v <<= 4;
-          if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-          else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-          else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-          else return false;
-        }
-        if (v > 0xFF) return false;  // json_escape only emits control bytes
-        out += static_cast<char>(v);
-        i += 4;
-        break;
-      }
-      default: return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 std::uint32_t ShardPlan::shard_of(std::string_view cell_name, int num_shards) {
   std::uint64_t h = trace::kFnvOffset;
@@ -169,12 +128,13 @@ Result<ShardPlan> ShardPlan::try_load(std::istream& is) {
     if (end == std::string::npos) {
       return Error::parse("shard plan: unterminated cell name: " + line);
     }
-    Entry e;
-    if (!json_unescape(
-            std::string_view(line).substr(kPrefix.size(), end - kPrefix.size()),
-            e.cell)) {
+    Result<std::string> cell = campaign::json_unescape(
+        std::string_view(line).substr(kPrefix.size(), end - kPrefix.size()));
+    if (!cell) {
       return Error::parse("shard plan: bad escape in cell name: " + line);
     }
+    Entry e;
+    e.cell = std::move(*cell);
     std::istringstream rest(line.substr(end + 1));
     std::string comma, tag;
     long shard = -1;

@@ -2,9 +2,9 @@
 
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
+#include "fuzz/state_io.h"
 #include "trace/trace_io.h"
 
 namespace ccfuzz::fuzz {
@@ -18,24 +18,6 @@ std::size_t quantize8(unsigned v) {
   if (v <= 6) return 5;
   if (v <= 10) return 6;
   return 7;
-}
-
-constexpr const char* kMagic = "# ccfuzz-archive v1";
-
-void write_hex_words(std::ostream& os, const coverage::CoverageBitmap& map) {
-  os << std::hex;
-  for (std::size_t i = 0; i < coverage::CoverageBitmap::kWords; ++i) {
-    os << (i == 0 ? "" : " ") << map.words[i];
-  }
-  os << std::dec;
-}
-
-bool read_hex_words(std::istringstream& is, coverage::CoverageBitmap& map) {
-  is >> std::hex;
-  for (auto& w : map.words) {
-    if (!(is >> w)) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -101,10 +83,10 @@ const EliteArchive::Cell& EliteArchive::sample(Rng& rng) const {
 }
 
 void EliteArchive::save(std::ostream& os, bool terminated) const {
-  os << kMagic << "\n";
+  os << "# ccfuzz-archive v1\n";
   os << "# cells " << occupied_.size() << "\n";
   os << "# union ";
-  write_hex_words(os, union_map_);
+  record::write_hex(os, union_map_.words);
   os << "\n";
   os << std::setprecision(17);
   for (const std::uint16_t idx : occupied_) {
@@ -112,13 +94,11 @@ void EliteArchive::save(std::ostream& os, bool terminated) const {
     os << "# entry " << idx << "\n";
     os << "# score " << c.eval.score.performance << " " << c.eval.score.trace
        << "\n";
-    const auto& d = c.eval.coverage.descriptor;
-    os << "# desc " << +d.state_transitions << " " << +d.rtt_spread << " "
-       << +d.max_backoff << " " << +d.cwnd_span << " " << +d.event_mask << " "
-       << +d.cca_states << "\n";
-    os << "# bits " << c.eval.coverage.bits << "\n";
+    os << "# desc";
+    state_io::write_descriptor(os, c.eval.coverage.descriptor);
+    os << "\n# bits " << c.eval.coverage.bits << "\n";
     os << "# map ";
-    write_hex_words(os, c.eval.coverage.bitmap);
+    record::write_hex(os, c.eval.coverage.bitmap.words);
     os << "\n";
     trace::write_trace(os, c.genome);
     os << "# end entry\n";
@@ -136,112 +116,45 @@ void EliteArchive::save_file(const std::string& path) const {
 }
 
 Result<EliteArchive> EliteArchive::try_load(std::istream& is) {
+  record::Reader r(is);
+  Result<EliteArchive> a = try_load(r, /*terminated=*/false);
+  r.eof();
+  if (!r.ok()) return r.error();
+  return a;
+}
+
+Result<EliteArchive> EliteArchive::try_load(record::Reader& r,
+                                            bool terminated) {
   EliteArchive a;
-  std::string line;
-  if (!std::getline(is, line)) {
-    return Error::truncated("archive: empty input");
-  }
-  if (line != kMagic) {
-    if (line.rfind("# ccfuzz-archive", 0) == 0) {
-      return Error::version("archive: unsupported format version: " + line);
+  std::size_t n_cells = 0;
+  r.header("ccfuzz-archive", "v1");
+  r.read("cells", n_cells);
+  if (n_cells > kCells) r.fail(Error::corrupt("archive: too many cells"));
+  r.read("union", record::Hex(a.union_map_.words));
+  for (std::size_t i = 0; i < n_cells && r.ok(); ++i) {
+    std::size_t idx = 0;
+    if (!r.read("entry", idx)) break;
+    if (idx >= kCells || a.cells_[idx].occupied) {
+      r.fail(Error::corrupt("archive: cell index out of range or repeated"));
+      break;
     }
-    return Error::parse("archive: missing magic header");
-  }
-
-  bool in_entry = false;
-  std::size_t entry_idx = 0;
-  Evaluation entry_eval;
-  std::ostringstream trace_buf;
-
-  // Returns kOk or the parse failure of the embedded trace block.
-  const auto finish_entry = [&]() -> Error {
-    std::istringstream ts(trace_buf.str());
-    Result<trace::Trace> genome = trace::try_read_trace(ts);
-    if (!genome) return genome.error();
-    if (entry_idx >= kCells) {
-      return Error::corrupt("archive: cell index out of range");
-    }
-    Cell& c = a.cells_[entry_idx];
-    if (c.occupied) return Error::corrupt("archive: duplicate cell");
+    Cell& c = a.cells_[idx];
     c.occupied = true;
-    c.genome = std::move(*genome);
-    c.eval = entry_eval;
-    a.occupied_.push_back(static_cast<std::uint16_t>(entry_idx));
+    c.eval.coverage.valid = true;
+    r.read("score", c.eval.score.performance, c.eval.score.trace);
+    state_io::read_descriptor(r.expect("desc"), c.eval.coverage.descriptor);
+    r.done();
+    r.read("bits", c.eval.coverage.bits);
+    r.read("map", record::Hex(c.eval.coverage.bitmap.words));
+    if (Result<trace::Trace> genome = trace::try_read_trace(r)) {
+      c.genome = std::move(*genome);
+    }
+    r.end("entry");
+    a.occupied_.push_back(static_cast<std::uint16_t>(idx));
     a.union_map_.merge_count_new(c.eval.coverage.bitmap);
-    return Error::success();
-  };
-
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string hash, key;
-    if (line[0] == '#') {
-      ls >> hash >> key;
-    }
-    if (key == "cells" || key == "union") {
-      if (key == "union" && !read_hex_words(ls, a.union_map_)) {
-        return Error::parse("archive: bad union bitmap line");
-      }
-      continue;
-    }
-    if (key == "entry") {
-      if (in_entry) return Error::corrupt("archive: nested entry");
-      if (!(ls >> entry_idx)) {
-        return Error::parse("archive: bad entry header");
-      }
-      in_entry = true;
-      entry_eval = Evaluation{};
-      entry_eval.coverage.valid = true;
-      trace_buf.str("");
-      trace_buf.clear();
-      continue;
-    }
-    if (key == "end") {
-      std::string what;
-      ls >> what;
-      if (what == "archive") {
-        // Embedded-block terminator (checkpoints). Stops here, leaving the
-        // enclosing stream positioned after this line.
-        if (in_entry) return Error::truncated("archive: truncated entry");
-        a.union_bits_ = a.union_map_.count();
-        return a;
-      }
-      if (!in_entry) return Error::corrupt("archive: stray end marker");
-      if (Error e = finish_entry()) return e;
-      in_entry = false;
-      continue;
-    }
-    if (!in_entry) return Error::corrupt("archive: content outside entry");
-    if (key == "score") {
-      if (!(ls >> entry_eval.score.performance >> entry_eval.score.trace)) {
-        return Error::parse("archive: bad score line");
-      }
-    } else if (key == "desc") {
-      unsigned v[6];
-      if (!(ls >> v[0] >> v[1] >> v[2] >> v[3] >> v[4] >> v[5])) {
-        return Error::parse("archive: bad descriptor line");
-      }
-      auto& d = entry_eval.coverage.descriptor;
-      d.state_transitions = static_cast<std::uint8_t>(v[0]);
-      d.rtt_spread = static_cast<std::uint8_t>(v[1]);
-      d.max_backoff = static_cast<std::uint8_t>(v[2]);
-      d.cwnd_span = static_cast<std::uint8_t>(v[3]);
-      d.event_mask = static_cast<std::uint8_t>(v[4]);
-      d.cca_states = static_cast<std::uint8_t>(v[5]);
-    } else if (key == "bits") {
-      if (!(ls >> entry_eval.coverage.bits)) {
-        return Error::parse("archive: bad bits line");
-      }
-    } else if (key == "map") {
-      if (!read_hex_words(ls, entry_eval.coverage.bitmap)) {
-        return Error::parse("archive: bad bitmap line");
-      }
-    } else {
-      // Anything else belongs to the embedded trace_io block.
-      trace_buf << line << "\n";
-    }
   }
-  if (in_entry) return Error::truncated("archive: truncated entry");
+  if (terminated) r.end("archive");
+  if (!r.ok()) return r.error();
   a.union_bits_ = a.union_map_.count();
   return a;
 }

@@ -28,6 +28,7 @@
 #include "fuzz/evaluator.h"
 #include "trace/trace.h"
 #include "util/error.h"
+#include "util/record.h"
 #include "util/rng.h"
 
 namespace ccfuzz::fuzz {
@@ -92,20 +93,25 @@ class EliteArchive {
   const Cell& sample(Rng& rng) const;
 
   // ---- Persistence (archives survive across campaigns) ----
-  /// Writes the archive; elite genomes are embedded trace_io blocks. With
-  /// `terminated`, appends a `# end archive` line so the block can be
-  /// embedded inside a larger stream (checkpoints) — try_load stops there
-  /// instead of consuming to EOF. Standalone files omit it (and stay
-  /// byte-compatible with pre-terminator archives).
+  /// Writes the archive: magic, `# cells <n>`, the union map, then n
+  /// entries in fill order, each `# entry`, `# score`, `# desc`, `# bits`,
+  /// `# map`, a trace_io block and `# end entry`. With `terminated`,
+  /// appends `# end archive` so the block can be embedded inside a larger
+  /// stream (checkpoints); standalone files omit it.
   void save(std::ostream& os, bool terminated = false) const;
   void save_file(const std::string& path) const;
-  /// Parses an archive written by save() without throwing. Restores genomes,
-  /// scores, descriptors, coverage bitmaps and the union map; transport
-  /// counters of the persisted evaluations read as zero. Error codes:
-  /// kVersion for a recognized-but-unsupported format, kTruncated for a file
-  /// cut off mid-entry (the crash artifact), kParse/kCorrupt for mangled
-  /// content. Reads to EOF or to a `# end archive` terminator.
+  /// Parses a standalone archive written by save() without throwing; the
+  /// stream must end after the last entry. Restores genomes, scores,
+  /// descriptors, coverage bitmaps and the union map; transport counters of
+  /// the persisted evaluations read as zero. Error codes: kVersion for a
+  /// recognized-but-unsupported format, kTruncated for input cut off before
+  /// the last entry ends (the crash artifact), kParse for a record out of
+  /// its fixed order or malformed, kCorrupt for a cell index out of range
+  /// or repeated.
   static Result<EliteArchive> try_load(std::istream& is);
+  /// The same, reading in place from an enclosing record stream; with
+  /// `terminated`, through the `# end archive` line save(os, true) writes.
+  static Result<EliteArchive> try_load(record::Reader& r, bool terminated);
   static Result<EliteArchive> try_load_file(const std::string& path);
   /// Throwing wrappers (std::runtime_error on malformed input).
   static EliteArchive load(std::istream& is);

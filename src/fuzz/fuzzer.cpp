@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "fuzz/selection.h"
@@ -282,9 +280,9 @@ void Fuzzer::save_state(std::ostream& os) const {
   os << "# islands " << islands_.size() << "\n";
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     const Island& isl = islands_[i];
-    const auto s = isl.rng.state();
-    os << "# island " << i << " " << std::hex << s[0] << " " << s[1] << " "
-       << s[2] << " " << s[3] << std::dec << " " << isl.members.size() << "\n";
+    os << "# island " << i << " ";
+    record::write_hex(os, isl.rng.state());
+    os << " " << isl.members.size() << "\n";
     for (const Member& m : isl.members) state_io::write_member(os, m);
     os << "# end island\n";
   }
@@ -294,117 +292,57 @@ void Fuzzer::save_state(std::ostream& os) const {
 }
 
 Error Fuzzer::restore_state(std::istream& is) {
-  std::string line;
-  const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      if (!line.empty()) return true;
-    }
-    return false;
-  };
-  const auto expect = [&](const char* key,
-                          std::istringstream& ls) -> Error {
-    if (!next_line()) {
-      return Error::truncated(std::string("fuzzer state: missing '") + key +
-                              "'");
-    }
-    ls.str(line);
-    ls.clear();
-    std::string hash, k;
-    ls >> hash >> k;
-    if (hash != "#" || k != key) {
-      return Error::parse(std::string("fuzzer state: expected '# ") + key +
-                          "', got: " + line);
-    }
-    return Error::success();
-  };
+  record::Reader r(is);
+  return restore_state(r);
+}
 
-  if (!next_line()) return Error::truncated("fuzzer state: empty input");
-  if (line != "# ccfuzz-fuzzer v1") {
-    if (line.rfind("# ccfuzz-fuzzer", 0) == 0) {
-      return Error::version("fuzzer state: unsupported version: " + line);
-    }
-    return Error::parse("fuzzer state: missing magic header");
-  }
-
-  std::istringstream ls;
-  if (Error e = expect("generation", ls)) return e;
-  if (!(ls >> generation_)) {
-    return Error::parse("fuzzer state: bad generation line");
-  }
-  if (Error e = expect("total_evaluations", ls)) return e;
-  if (!(ls >> total_evaluations_)) {
-    return Error::parse("fuzzer state: bad total_evaluations line");
-  }
-  if (Error e = expect("best", ls)) return e;
-  int has_best = 0;
-  if (!(ls >> has_best)) return Error::parse("fuzzer state: bad best line");
-  if (has_best != 0) {
-    if (Error e = state_io::read_member(is, best_ever_)) return e;
-  } else {
-    best_ever_ = Member{};
-  }
-
-  if (Error e = expect("history", ls)) return e;
-  std::size_t n_hist = 0;
-  if (!(ls >> n_hist)) return Error::parse("fuzzer state: bad history line");
+Error Fuzzer::restore_state(record::Reader& r) {
+  bool has_best = false, has_archive = false;
+  std::size_t n_hist = 0, n_islands = 0;
+  r.header("ccfuzz-fuzzer", "v1");
+  r.read("generation", generation_);
+  r.read("total_evaluations", total_evaluations_);
+  r.read("best", has_best);
+  best_ever_ = Member{};
+  if (has_best) state_io::read_member(r, best_ever_);
+  // Counts read from the stream size nothing up front: a mangled count
+  // fails at the first missing record instead of allocating.
+  r.read("history", n_hist);
   history_.clear();
-  history_.reserve(n_hist);
-  for (std::size_t i = 0; i < n_hist; ++i) {
-    if (!next_line()) return Error::truncated("fuzzer state: short history");
-    GenStats gs;
-    if (Error e = state_io::parse_genstats(line, gs)) return e;
-    history_.push_back(std::move(gs));
+  for (std::size_t i = 0; i < n_hist && r.ok(); ++i) {
+    state_io::read_genstats(r, history_.emplace_back());
   }
-
-  if (Error e = expect("islands", ls)) return e;
-  std::size_t n_islands = 0;
-  if (!(ls >> n_islands)) return Error::parse("fuzzer state: bad islands line");
+  r.read("islands", n_islands);
   if (n_islands != islands_.size()) {
-    return Error::mismatch("fuzzer state: island count mismatch (config has " +
+    r.fail(Error::mismatch("fuzzer state: island count mismatch (config has " +
                            std::to_string(islands_.size()) + ", state has " +
-                           std::to_string(n_islands) + ")");
+                           std::to_string(n_islands) + ")"));
   }
-  for (std::size_t i = 0; i < n_islands; ++i) {
-    if (Error e = expect("island", ls)) return e;
+  for (std::size_t i = 0; i < n_islands && r.ok(); ++i) {
     std::size_t idx = 0, n_members = 0;
     std::array<std::uint64_t, 4> s{};
-    if (!(ls >> idx >> std::hex >> s[0] >> s[1] >> s[2] >> s[3] >> std::dec >>
-          n_members) ||
-        idx != i) {
-      return Error::parse("fuzzer state: bad island header: " + line);
-    }
+    r.read("island", idx, record::Hex(s), n_members);
+    if (idx != i) r.fail(Error::corrupt("fuzzer state: island out of order"));
     Island& isl = islands_[i];
     isl.rng.set_state(s);
     isl.members.clear();
-    isl.members.reserve(n_members);
-    for (std::size_t m = 0; m < n_members; ++m) {
-      Member mem;
-      if (Error e = state_io::read_member(is, mem)) return e;
-      isl.members.push_back(std::move(mem));
+    for (std::size_t m = 0; m < n_members && r.ok(); ++m) {
+      state_io::read_member(r, isl.members.emplace_back());
     }
-    if (!next_line() || line != "# end island") {
-      return Error::truncated("fuzzer state: island block not terminated");
+    r.end("island");
+  }
+  r.read("archive", has_archive);
+  if (has_archive != (archive_ != nullptr)) {
+    r.fail(Error::mismatch(
+        "fuzzer state: archive presence mismatch (coverage setting changed?)"));
+  }
+  if (has_archive && r.ok()) {
+    if (Result<EliteArchive> a = EliteArchive::try_load(r, /*terminated=*/true)) {
+      *archive_ = std::move(*a);
     }
   }
-
-  if (Error e = expect("archive", ls)) return e;
-  int has_archive = 0;
-  if (!(ls >> has_archive)) {
-    return Error::parse("fuzzer state: bad archive line");
-  }
-  if ((has_archive != 0) != (archive_ != nullptr)) {
-    return Error::mismatch(
-        "fuzzer state: archive presence mismatch (coverage setting changed?)");
-  }
-  if (has_archive != 0) {
-    Result<EliteArchive> a = EliteArchive::try_load(is);
-    if (!a) return a.error();
-    *archive_ = std::move(*a);
-  }
-  if (!next_line() || line != "# end fuzzer") {
-    return Error::truncated("fuzzer state: block not terminated");
-  }
-  return Error::success();
+  r.end("fuzzer");
+  return r.error();
 }
 
 std::vector<Member> Fuzzer::top_members(std::size_t k) const {

@@ -186,8 +186,13 @@ class Fuzzer {
   /// Restores state written by save_state into this (identically
   /// configured) fuzzer. On error the fuzzer is left unusable for resume —
   /// callers must fall back to a fresh instance. kMismatch when the stream
-  /// disagrees with this fuzzer's shape (island count, archive presence).
+  /// disagrees with this fuzzer's shape (island count, archive presence);
+  /// framing errors (kParse, kVersion, kTruncated) come from util/record.
   Error restore_state(std::istream& is);
+  /// The same, for a block embedded in an enclosing record stream (campaign
+  /// checkpoints): members, history and the archive are read in place from
+  /// `r`, through this block's `# end fuzzer` line.
+  Error restore_state(record::Reader& r);
 
  private:
   // One cache line per island: islands breed on different threads, and

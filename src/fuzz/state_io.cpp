@@ -2,39 +2,22 @@
 
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "coverage/probe.h"
 #include "trace/trace_io.h"
 
 namespace ccfuzz::fuzz::state_io {
-namespace {
 
-void write_hex_words(std::ostream& os, const coverage::CoverageBitmap& map) {
-  os << std::hex;
-  for (std::size_t i = 0; i < coverage::CoverageBitmap::kWords; ++i) {
-    os << (i == 0 ? "" : " ") << map.words[i];
-  }
-  os << std::dec;
+void write_descriptor(std::ostream& os, const coverage::BehaviorDescriptor& d) {
+  os << " " << +d.state_transitions << " " << +d.rtt_spread << " "
+     << +d.max_backoff << " " << +d.cwnd_span << " " << +d.event_mask << " "
+     << +d.cca_states;
 }
 
-bool read_hex_words(std::istringstream& is, coverage::CoverageBitmap& map) {
-  is >> std::hex;
-  for (auto& w : map.words) {
-    if (!(is >> w)) return false;
-  }
-  return true;
+void read_descriptor(record::Reader& r, coverage::BehaviorDescriptor& d) {
+  r >> d.state_transitions >> d.rtt_spread >> d.max_backoff >> d.cwnd_span >>
+      d.event_mask >> d.cca_states;
 }
-
-/// Reads the next non-empty line; false at EOF.
-bool next_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    if (!line.empty()) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 void write_eval(std::ostream& os, const Evaluation& e) {
   os << std::setprecision(17);
@@ -48,85 +31,25 @@ void write_eval(std::ostream& os, const Evaluation& e) {
   for (const double g : e.flow_goodput_mbps) os << " " << g;
   os << "\n";
   const auto& c = e.coverage;
-  os << "# cov " << (c.valid ? 1 : 0) << " " << c.bits << " "
-     << +c.descriptor.state_transitions << " " << +c.descriptor.rtt_spread
-     << " " << +c.descriptor.max_backoff << " " << +c.descriptor.cwnd_span
-     << " " << +c.descriptor.event_mask << " " << +c.descriptor.cca_states
-     << "\n";
-  os << "# covmap ";
-  write_hex_words(os, c.bitmap);
+  os << "# cov " << (c.valid ? 1 : 0) << " " << c.bits;
+  write_descriptor(os, c.descriptor);
+  os << "\n# covmap ";
+  record::write_hex(os, c.bitmap.words);
   os << "\n";
 }
 
-Error read_eval(std::istream& is, Evaluation& e) {
-  std::string line;
-  if (!next_line(is, line)) return Error::truncated("state: missing eval line");
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != "eval") {
-      return Error::parse("state: expected '# eval', got: " + line);
-    }
-    int stalled = 0, truncated = 0, truncation = 0, quarantined = 0;
-    std::size_t nflows = 0;
-    if (!(ls >> e.score.performance >> e.score.trace >> e.goodput_mbps >>
-          e.cca_sent >> e.cca_delivered >> e.cca_drops >> e.cross_sent >>
-          e.cross_drops >> e.rto_count >> e.p10_delay_s >> stalled >>
-          truncated >> truncation >> quarantined >> e.jain_fairness >>
-          nflows)) {
-      return Error::parse("state: bad eval line: " + line);
-    }
-    e.stalled = stalled != 0;
-    e.truncated = truncated != 0;
-    e.truncation = static_cast<sim::TruncationReason>(truncation);
-    e.quarantined = quarantined != 0;
-    e.flow_goodput_mbps.clear();
-    e.flow_goodput_mbps.reserve(nflows);
-    for (std::size_t i = 0; i < nflows; ++i) {
-      double g = 0.0;
-      if (!(ls >> g)) return Error::parse("state: short eval line: " + line);
-      e.flow_goodput_mbps.push_back(g);
-    }
-  }
-  if (!next_line(is, line)) return Error::truncated("state: missing cov line");
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != "cov") {
-      return Error::parse("state: expected '# cov', got: " + line);
-    }
-    int valid = 0;
-    unsigned v[6];
-    if (!(ls >> valid >> e.coverage.bits >> v[0] >> v[1] >> v[2] >> v[3] >>
-          v[4] >> v[5])) {
-      return Error::parse("state: bad cov line: " + line);
-    }
-    e.coverage.valid = valid != 0;
-    auto& d = e.coverage.descriptor;
-    d.state_transitions = static_cast<std::uint8_t>(v[0]);
-    d.rtt_spread = static_cast<std::uint8_t>(v[1]);
-    d.max_backoff = static_cast<std::uint8_t>(v[2]);
-    d.cwnd_span = static_cast<std::uint8_t>(v[3]);
-    d.event_mask = static_cast<std::uint8_t>(v[4]);
-    d.cca_states = static_cast<std::uint8_t>(v[5]);
-  }
-  if (!next_line(is, line)) {
-    return Error::truncated("state: missing covmap line");
-  }
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != "covmap") {
-      return Error::parse("state: expected '# covmap', got: " + line);
-    }
-    if (!read_hex_words(ls, e.coverage.bitmap)) {
-      return Error::parse("state: bad covmap line: " + line);
-    }
-  }
-  return Error::success();
+Error read_eval(record::Reader& r, Evaluation& e) {
+  std::uint8_t truncation = 0;
+  r.read("eval", e.score.performance, e.score.trace, e.goodput_mbps,
+         e.cca_sent, e.cca_delivered, e.cca_drops, e.cross_sent, e.cross_drops,
+         e.rto_count, e.p10_delay_s, e.stalled, e.truncated, truncation,
+         e.quarantined, e.jain_fairness, e.flow_goodput_mbps);
+  e.truncation = static_cast<sim::TruncationReason>(truncation);
+  r.expect("cov") >> e.coverage.valid >> e.coverage.bits;
+  read_descriptor(r, e.coverage.descriptor);
+  r.done();
+  r.read("covmap", record::Hex(e.coverage.bitmap.words));
+  return r.error();
 }
 
 void write_member(std::ostream& os, const Member& m) {
@@ -137,39 +60,14 @@ void write_member(std::ostream& os, const Member& m) {
   os << "# end member\n";
 }
 
-Error read_member(std::istream& is, Member& m) {
-  std::string line;
-  if (!next_line(is, line)) {
-    return Error::truncated("state: missing member header");
+Error read_member(record::Reader& r, Member& m) {
+  r.read("member", m.evaluated, m.novelty);
+  read_eval(r, m.eval);
+  if (Result<trace::Trace> genome = trace::try_read_trace(r)) {
+    m.genome = std::move(*genome);
   }
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    int evaluated = 0;
-    if (hash != "#" || key != "member" || !(ls >> evaluated >> m.novelty)) {
-      return Error::parse("state: bad member header: " + line);
-    }
-    m.evaluated = evaluated != 0;
-  }
-  if (Error e = read_eval(is, m.eval)) return e;
-  // Genome: buffer lines until the `# end member` sentinel, then hand the
-  // block to the trace parser.
-  std::ostringstream trace_buf;
-  bool ended = false;
-  while (std::getline(is, line)) {
-    if (line == "# end member") {
-      ended = true;
-      break;
-    }
-    trace_buf << line << "\n";
-  }
-  if (!ended) return Error::truncated("state: member block not terminated");
-  std::istringstream ts(trace_buf.str());
-  Result<trace::Trace> genome = trace::try_read_trace(ts);
-  if (!genome) return genome.error();
-  m.genome = std::move(*genome);
-  return Error::success();
+  r.end("member");
+  return r.error();
 }
 
 void write_genstats(std::ostream& os, const GenStats& gs) {
@@ -184,29 +82,13 @@ void write_genstats(std::ostream& os, const GenStats& gs) {
   os << "\n";
 }
 
-Error parse_genstats(const std::string& line, GenStats& gs) {
-  std::istringstream ls(line);
-  std::string hash, key;
-  ls >> hash >> key;
-  if (hash != "#" || key != "gen") {
-    return Error::parse("state: expected '# gen', got: " + line);
-  }
-  std::size_t nflows = 0;
-  if (!(ls >> gs.generation >> gs.best_score >> gs.mean_score >>
-        gs.topk_mean_packets_sent >> gs.topk_mean_goodput_mbps >>
-        gs.topk_mean_jain_fairness >> gs.stalled_count >> gs.evaluations >>
-        gs.archive_cells >> gs.archive_new_cells >> gs.archive_improved >>
-        gs.coverage_bits >> nflows)) {
-    return Error::parse("state: bad gen line: " + line);
-  }
-  gs.topk_mean_flow_goodput_mbps.clear();
-  gs.topk_mean_flow_goodput_mbps.reserve(nflows);
-  for (std::size_t i = 0; i < nflows; ++i) {
-    double g = 0.0;
-    if (!(ls >> g)) return Error::parse("state: short gen line: " + line);
-    gs.topk_mean_flow_goodput_mbps.push_back(g);
-  }
-  return Error::success();
+Error read_genstats(record::Reader& r, GenStats& gs) {
+  r.read("gen", gs.generation, gs.best_score, gs.mean_score,
+         gs.topk_mean_packets_sent, gs.topk_mean_goodput_mbps,
+         gs.topk_mean_jain_fairness, gs.stalled_count, gs.evaluations,
+         gs.archive_cells, gs.archive_new_cells, gs.archive_improved,
+         gs.coverage_bits, gs.topk_mean_flow_goodput_mbps);
+  return r.error();
 }
 
 }  // namespace ccfuzz::fuzz::state_io

@@ -1,7 +1,6 @@
 #include "trace/trace_io.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ccfuzz::trace {
@@ -24,72 +23,53 @@ void save_trace(const std::string& path, const Trace& t) {
 
 namespace {
 
-/// True when everything left in `s` is whitespace — guards against number
-/// lines with trailing garbage ("123abc" must not parse as 123).
-bool rest_is_blank(std::istringstream& s) {
-  char c = 0;
-  return !(s >> c);
+constexpr std::string_view kMagic = "ccfuzz-trace";
+
+/// In standalone files any `#` line that is not one of the trace's own
+/// records is a comment.
+bool is_comment(std::string_view line) {
+  if (line[0] != '#') return false;
+  const std::string_view tag = record::tag_of(line);
+  return tag != kMagic && tag != "kind" && tag != "duration_ns";
+}
+
+/// The records after the magic: kind, duration, then one stamp per line up
+/// to the enclosing block's `# end` line (left for the caller) or the end
+/// of the stream.
+Result<Trace> read_body(record::Reader& r) {
+  Trace t;
+  std::size_t kind = 0;
+  std::int64_t ns = 0;
+  r.expect("kind").one_of({"traffic", "link"}, kind).done();
+  r.read("duration_ns", ns);
+  t.kind = kind == 0 ? TraceKind::kTraffic : TraceKind::kLink;
+  t.duration = TimeNs(ns);
+  for (std::string_view line; r.peek(line) && record::tag_of(line) != "end";) {
+    if ((r.bare() >> ns).done()) t.stamps.emplace_back(ns);
+  }
+  if (r.ok() && (t.duration < TimeNs::zero() || !t.well_formed())) {
+    r.fail(Error::corrupt(
+        "trace: negative duration, or stamps not sorted within [0, duration)"));
+  }
+  if (!r.ok()) return r.error();
+  return t;
 }
 
 }  // namespace
 
+Result<Trace> try_read_trace(record::Reader& r) {
+  r.header(kMagic, "v1");
+  return read_body(r);
+}
+
 Result<Trace> try_read_trace(std::istream& is) {
-  Trace t;
-  std::string line;
-  bool have_kind = false;
-  bool have_duration = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream hs(line.substr(1));
-      std::string key;
-      hs >> key;
-      if (key == "ccfuzz-trace") {
-        std::string v;
-        hs >> v;
-        if (v != "v1") {
-          return Error::version("trace: unsupported format version '" + v +
-                                "' (expected v1)");
-        }
-      } else if (key == "kind") {
-        std::string v;
-        hs >> v;
-        if (v == "link") {
-          t.kind = TraceKind::kLink;
-        } else if (v == "traffic") {
-          t.kind = TraceKind::kTraffic;
-        } else {
-          return Error::parse("trace: unknown kind '" + v + "'");
-        }
-        have_kind = true;
-      } else if (key == "duration_ns") {
-        std::int64_t ns = -1;
-        hs >> ns;
-        if (!hs || ns < 0 || !rest_is_blank(hs)) {
-          return Error::parse("trace: bad duration line: " + line);
-        }
-        t.duration = TimeNs(ns);
-        have_duration = true;
-      }
-      continue;
-    }
-    std::istringstream vs(line);
-    std::int64_t ns = 0;
-    vs >> ns;
-    if (!vs || !rest_is_blank(vs)) {
-      return Error::parse("trace: bad timestamp line: " + line);
-    }
-    t.stamps.emplace_back(ns);
+  record::Reader r(is, is_comment);
+  // Magic-less files (written before the magic existed) open with `kind`.
+  std::string_view first;
+  if (r.peek(first) && record::tag_of(first) == kMagic) {
+    return try_read_trace(r);
   }
-  if (!have_kind || !have_duration) {
-    // The classic crash artifact: a file cut off before (or inside) the
-    // header block.
-    return Error::truncated("trace: missing kind/duration header");
-  }
-  if (!t.well_formed()) {
-    return Error::corrupt("trace: stamps not sorted within [0, duration)");
-  }
-  return t;
+  return read_body(r);
 }
 
 Result<Trace> try_load_trace(const std::string& path) {

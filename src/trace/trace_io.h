@@ -1,8 +1,9 @@
 // Plain-text trace serialization, for saving adversarial traces found by
 // the fuzzer and replaying them later (regression tests, figure scripts).
 //
-// Format: a `# ccfuzz-trace v1` magic line, '#'-prefixed header lines
-// (kind, duration), then one integer nanosecond timestamp per line.
+// Format: a `# ccfuzz-trace v1` magic line, then the `# kind` and
+// `# duration_ns` records in that order, then one integer nanosecond
+// timestamp per line. Parsed through util/record.
 //
 // Two API tiers: the try_* functions return Result<Trace> with a typed
 // Error (kVersion for format skew, kParse/kCorrupt for mangled bytes) and
@@ -16,6 +17,7 @@
 
 #include "trace/trace.h"
 #include "util/error.h"
+#include "util/record.h"
 
 namespace ccfuzz::trace {
 
@@ -25,11 +27,18 @@ void write_trace(std::ostream& os, const Trace& t);
 /// Writes `t` to `path` (overwrites). Throws std::runtime_error on failure.
 void save_trace(const std::string& path, const Trace& t);
 
-/// Parses a trace from `is` without throwing. Error codes: kVersion for a
-/// `# ccfuzz-trace` magic naming an unsupported version, kParse for
+/// Parses a trace file from `is` without throwing. Error codes: kVersion for
+/// a `# ccfuzz-trace` magic naming an unsupported version, kParse for
 /// syntactically mangled lines, kTruncated for a missing header, kCorrupt
-/// for stamps outside [0, duration) or out of order.
+/// for stamps outside [0, duration) or out of order. The magic is optional
+/// (a file may open with `# kind`); after the first line, `#` lines that are
+/// not trace records are comments.
 Result<Trace> try_read_trace(std::istream& is);
+
+/// Parses a trace block embedded in an enclosing record stream: the magic
+/// is required, comments are not allowed, and the block ends at the
+/// enclosing format's `# end …` line, which is left for the caller.
+Result<Trace> try_read_trace(record::Reader& r);
 
 /// Loads a trace from `path` without throwing (kIo if unreadable).
 Result<Trace> try_load_trace(const std::string& path);

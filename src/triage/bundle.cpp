@@ -31,35 +31,6 @@ std::string quoted(const std::string& s) {
   return "\"" + campaign::json_escape(s) + "\"";
 }
 
-/// Reverse of campaign::json_escape for the escapes it emits.
-Result<std::string> unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (++i >= s.size()) return Error::parse("dangling escape in string");
-    switch (s[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= s.size()) return Error::parse("short \\u escape");
-        const std::string hex(s.substr(i + 1, 4));
-        out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
-        i += 4;
-        break;
-      }
-      default:
-        return Error::parse(std::string("unknown escape \\") + s[i]);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string bundle_id(const std::string& cell, std::uint64_t trace_hash) {
@@ -144,7 +115,8 @@ Result<BundleManifest> parse_manifest(const std::string& body) {
     if (v->size() < 2 || v->front() != '"' || v->back() != '"') {
       return Error::parse(std::string("manifest key not a string: ") + key);
     }
-    return unescape(std::string_view(*v).substr(1, v->size() - 2));
+    return campaign::json_unescape(
+        std::string_view(*v).substr(1, v->size() - 2));
   };
   const auto integer = [&](const char* key) -> Result<std::int64_t> {
     Result<std::string> v = raw(key);

@@ -54,6 +54,18 @@ void corrupt(const fs::path& p) {
   os << "# ccfuzz-checkpoint v1\ngarbage where cells should be\n";
 }
 
+/// Makes the last RNG word of the first island read `c-24…` (the `ca24…` →
+/// `c-24…` flip), which a stream parser once took as a member count of -24.
+void flip_island_word(const fs::path& p) {
+  std::string bytes = slurp(p);
+  std::size_t pos = bytes.find("# island 0 ");
+  ASSERT_NE(pos, std::string::npos);
+  pos += std::string("# island 0 ").size();
+  for (int word = 0; word < 3; ++word) pos = bytes.find(' ', pos) + 1;
+  bytes.replace(pos, 4, "c-24");
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 /// Raises the campaign stop flag after `n` generation events.
 class StopAfterObserver final : public CampaignObserver {
  public:
@@ -125,11 +137,16 @@ TEST_F(CheckpointRotationTest, RotationKeepsAValidPreviousSnapshot) {
 }
 
 TEST_F(CheckpointRotationTest, CorruptHeadResumesFromPrevBitIdentical) {
-  const std::string ref_dir = (base_ / "ref").string();
-  const std::string dir = (base_ / "out").string();
-  run_reference_and_interrupted(ref_dir, dir);
-  corrupt(head(dir));
-  resume_and_expect_reference(dir, ref_dir, /*expect_resumed=*/true);
+  // Garbage in place of the records, and a one-byte flip deep inside a
+  // cell's fuzzer state.
+  for (const auto mangle : {corrupt, flip_island_word}) {
+    const std::string ref_dir = (base_ / "ref").string();
+    const std::string dir = (base_ / "out").string();
+    fs::remove_all(base_);
+    run_reference_and_interrupted(ref_dir, dir);
+    mangle(head(dir));
+    resume_and_expect_reference(dir, ref_dir, /*expect_resumed=*/true);
+  }
 }
 
 TEST_F(CheckpointRotationTest, BothSnapshotsCorruptDegradesToFresh) {

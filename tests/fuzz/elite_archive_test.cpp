@@ -313,37 +313,18 @@ TEST(EliteArchiveErrors, MissingFileIsKIo) {
   EXPECT_EQ(r.error().code, Error::Code::kIo);
 }
 
-TEST(EliteArchiveErrors, EveryTruncationOfARealArchiveIsATypedError) {
+TEST(EliteArchiveErrors, RenamedScoreTagIsKParse) {
+  // `# score` → `# scorf` once loaded with the score silently zeroed.
   std::stringstream full;
   run_cell(coverage_cell()).archive->save(full);
-  const std::string bytes = full.str();
-  ASSERT_GT(bytes.size(), 200u);
-
-  int load_errors = 0;
-  for (std::size_t cut = 0; cut < bytes.size(); cut += 97) {
-    std::istringstream partial(bytes.substr(0, cut));
-    const auto r = EliteArchive::try_load(partial);
-    if (!r) {
-      ++load_errors;
-      EXPECT_NE(r.error().code, Error::Code::kOk) << "cut at " << cut;
-    }
-  }
-  // Cuts inside an entry must be flagged, not silently dropped.
-  EXPECT_GT(load_errors, 0);
-}
-
-TEST(EliteArchiveErrors, GarbageInsideAnEntryIsFlagged) {
-  campaign::CellConfig cell = coverage_cell();
-  cell.ga.max_generations = 1;
-  std::stringstream full;
-  run_cell(cell).archive->save(full);
   std::string bytes = full.str();
-  // Mangle the first numeric payload line after the header.
-  const auto pos = bytes.find('\n', bytes.find('\n') + 1);
+  const std::size_t pos = bytes.find("# score ");
   ASSERT_NE(pos, std::string::npos);
-  bytes.replace(pos + 1, 4, "zzzz");
-  std::istringstream mangled(bytes);
-  EXPECT_FALSE(static_cast<bool>(EliteArchive::try_load(mangled)));
+  bytes[pos + 6] = 'f';
+  std::istringstream is(bytes);
+  const auto r = EliteArchive::try_load(is);
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().code, Error::Code::kParse);
 }
 
 TEST(EliteArchiveErrors, ThrowingLoadersStillThrowOnCorruptInput) {

@@ -114,6 +114,13 @@ TEST(BundleManifest, GarbageIsParseError) {
   ASSERT_NE(pos, std::string::npos);
   body.replace(pos, 19, "\"duration_ms\": bogus");
   EXPECT_EQ(parse_manifest(body).error().code, Error::Code::kParse);
+  // A \u escape without four hex digits once loaded as a NUL byte.
+  std::string bad_escape = to_json(sample());
+  const std::string cell = "\"cell\": \"reno.traffic.low-utilization\"";
+  const std::size_t at = bad_escape.find(cell);
+  ASSERT_NE(at, std::string::npos);
+  bad_escape.replace(at, cell.size(), "\"cell\": \"a\\uzzzz\"");
+  EXPECT_EQ(parse_manifest(bad_escape).error().code, Error::Code::kParse);
 }
 
 TEST(BundleManifest, SemanticCorruptionIsTyped) {

@@ -1,7 +1,6 @@
 // Small real samples of the checkpoint family of on-disk formats (trace,
 // member, fuzzer state, elite archive, campaign checkpoint), shared by the
-// writer byte golden and the corruption sweep. Each is a few KB: population
-// of at most 4, tens of stamps per trace.
+// writer byte golden and the corruption sweep: population 4, tens of stamps.
 #pragma once
 
 #include <cstdint>
@@ -12,8 +11,6 @@
 #include <string>
 
 #include "campaign/campaign.h"
-#include "fuzz/elite_archive.h"
-#include "fuzz/fuzzer.h"
 #include "fuzz/score.h"
 #include "fuzz/state_io.h"
 #include "trace/hash.h"
@@ -31,27 +28,28 @@ inline std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-inline std::string slurp(const std::filesystem::path& p) {
-  std::ifstream is(p, std::ios::binary);
+inline std::string slurp(const std::string& path) {
   std::ostringstream ss;
-  ss << is.rdbuf();
+  ss << std::ifstream(path, std::ios::binary).rdbuf();
   return ss.str();
 }
 
-inline trace::Trace fixed_trace() {
+/// What `write` writes to a string stream.
+template <typename Write>
+std::string written(Write&& write) {
+  std::ostringstream os;
+  write(os);
+  return os.str();
+}
+
+inline std::string trace_bytes() {
   trace::Trace t;
   t.kind = trace::TraceKind::kTraffic;
   t.duration = TimeNs::seconds(2);
   for (std::int64_t i = 0; i < 24; ++i) {
     t.stamps.emplace_back(i * i * 3'000'017 + 12'345);
   }
-  return t;
-}
-
-inline std::string trace_bytes() {
-  std::ostringstream os;
-  trace::write_trace(os, fixed_trace());
-  return os.str();
+  return written([&](std::ostream& os) { trace::write_trace(os, t); });
 }
 
 /// One tiny cell: population 4 over 2 islands, traces of tens of stamps.
@@ -77,55 +75,53 @@ inline fuzz::Fuzzer evaluated_fuzzer() {
   fuzz::Fuzzer f(cell.ga, campaign::make_trace_model(cell), /*coverage=*/true,
                  /*parallel=*/false);
   const fuzz::TraceEvaluator ev = campaign::make_evaluator(cell);
-  std::int64_t n = 0;
-  for (fuzz::Member* m : f.pending_members()) {
+  const std::vector<fuzz::Member*> pending = f.pending_members();
+  for (fuzz::Member* m : pending) {
     ev.evaluate_into(m->genome, m->eval);
     m->evaluated = true;
-    ++n;
   }
-  f.note_external_evaluations(n);
+  f.note_external_evaluations(static_cast<std::int64_t>(pending.size()));
   f.advance_generation();
   return f;
 }
 
 inline std::string fuzzer_state_bytes() {
-  std::ostringstream os;
-  evaluated_fuzzer().save_state(os);
-  return os.str();
+  return written([](std::ostream& os) { evaluated_fuzzer().save_state(os); });
 }
 
-/// The best member of evaluated_fuzzer(), written as a member block.
+/// The best member of evaluated_fuzzer(), as a member block.
 inline std::string member_bytes() {
-  std::ostringstream os;
-  fuzz::state_io::write_member(os, evaluated_fuzzer().best());
-  return os.str();
+  return written([](std::ostream& os) {
+    fuzz::state_io::write_member(os, evaluated_fuzzer().best());
+  });
 }
 
 /// The archive of a one-cell coverage campaign.
 inline std::string archive_bytes() {
   campaign::CampaignConfig cfg;
-  cfg.add_cell(tiny_cell("reno", /*coverage=*/true));
-  cfg.parallel(false);
-  std::ostringstream os;
-  campaign::Campaign(cfg).run().cells.front().archive->save(os);
-  return os.str();
+  cfg.add_cell(tiny_cell("reno", /*coverage=*/true)).parallel(false);
+  return written([&](std::ostream& os) {
+    campaign::Campaign(cfg).run().cells.front().archive->save(os);
+  });
 }
 
 /// A two-cell campaign (reno, cubic; coverage off) that checkpoints every
 /// generation into `dir`.
 inline campaign::CampaignConfig checkpoint_campaign(const std::string& dir) {
   campaign::CampaignConfig cfg;
-  cfg.add_cell(tiny_cell("reno", /*coverage=*/false));
-  cfg.add_cell(tiny_cell("cubic", /*coverage=*/false));
-  cfg.parallel(false).output_dir(dir).checkpoint_every(1);
+  cfg.add_cell(tiny_cell("reno", /*coverage=*/false))
+      .add_cell(tiny_cell("cubic", /*coverage=*/false))
+      .parallel(false)
+      .output_dir(dir)
+      .checkpoint_every(1);
   return cfg;
 }
 
-/// Runs checkpoint_campaign(dir) and returns its final checkpoint bytes.
+/// Runs checkpoint_campaign(dir) afresh; returns its final checkpoint.
 inline std::string checkpoint_bytes(const std::string& dir) {
   std::filesystem::remove_all(dir);
   campaign::Campaign(checkpoint_campaign(dir)).run();
-  return slurp(std::filesystem::path(dir) / "checkpoint" / "campaign.ckpt");
+  return slurp(dir + "/checkpoint/campaign.ckpt");
 }
 
 }  // namespace ccfuzz::record_samples
