@@ -1,7 +1,5 @@
 #include "campaign/report.h"
 
-#include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,6 +8,7 @@
 #include "trace/hash.h"
 #include "trace/trace_io.h"
 #include "util/csv.h"
+#include "util/record.h"
 
 namespace ccfuzz::campaign {
 
@@ -51,11 +50,10 @@ Result<std::string> json_unescape(std::string_view s) {
       case 't': out += '\t'; break;
       case 'u': {
         unsigned v = 0;
-        const char* digits = s.data() + i + 1;
-        const char* end = s.data() + std::min(i + 5, s.size());
-        const auto [p, ec] = std::from_chars(digits, end, v, 16);
         // Exactly four hex digits naming a byte: what json_escape emits.
-        if (ec != std::errc{} || p != digits + 4 || v > 0xFF) {
+        const std::string_view digits = s.substr(i + 1, 4);
+        if (digits.size() != 4 || !record::parse_number(digits, v, 16) ||
+            v > 0xFF) {
           return Error::parse("bad \\u escape in string");
         }
         out += static_cast<char>(v);

@@ -1,10 +1,8 @@
 #include "dist/merge.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -12,166 +10,55 @@
 #include "fuzz/elite_archive.h"
 #include "util/fs.h"
 #include "util/logging.h"
+#include "util/record.h"
 
 namespace ccfuzz::dist {
-namespace {
 
 namespace fs = std::filesystem;
 
-Result<std::string> slurp(const fs::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Error::io("cannot open " + path.string());
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
+Result<ShardSummary> read_shard_summary(std::istream& csv,
+                                        std::istream& json) {
+  ShardSummary out;
+  record::Reader c(csv);
+  const std::string_view header = campaign::summary_csv_header();
+  c.line(header.substr(0, header.size() - 1));  // without its newline
+  for (std::string_view next; c.peek(next);) {
+    c.csv_row(out.csv_rows.emplace_back());
+    out.csv_rows.back() += '\n';
+  }
+  if (!c.ok()) return c.error();
+
+  // summary.json as campaign::to_json writes it: the campaign keys, then one
+  // block per cell, kept verbatim up to its close and keyed by its first
+  // line, the name.
+  record::Reader r(json);
+  r.open("{");
+  r.key("interrupted") >> out.interrupted;
+  r.done();
+  if (r.next_is("\"quarantined\": ")) {  // absent before triage existed
+    r.key("quarantined") >> out.quarantined;
+    r.done();
+  }
+  r.open("\"cells\": [");
+  while (r.ok() && !r.next_is("]")) {
+    r.open("{");
+    std::string block = "    {\n", cell;
+    // The name line as written, then its value.
+    if (std::string_view name; r.peek(name)) block.append(name) += '\n';
+    r.key("name") >> cell;
+    r.done();
+    while (r.ok() && !r.next_is("}")) r.verbatim(block);
+    r.close("}");
+    if (r.ok() && !out.json_blocks.emplace(cell, std::move(block)).second) {
+      r.fail(Error::corrupt("summary.json: duplicate cell: " + cell));
+    }
+  }
+  r.close("]");
+  r.close("}");
+  r.eof();
+  if (!r.ok()) return r.error();
+  return out;
 }
-
-/// One shard's parsed summary pair: cells addressable by name, with the raw
-/// text preserved so reassembly is byte-exact.
-struct ShardSummary {
-  bool interrupted = false;
-  /// Quarantined-genome count from the shard's summary header (0 for
-  /// summaries written before the field existed).
-  std::size_t quarantined = 0;
-  /// Cell name → its summary.csv data row (newline included).
-  std::map<std::string, std::string, std::less<>> csv_rows;
-  /// Cell name (escaped form) → its summary.json cell block, normalized to
-  /// end in "    }\n" (no trailing comma).
-  std::map<std::string, std::string, std::less<>> json_blocks;
-};
-
-/// Splits a shard's summary.csv into rows keyed by their first field. The
-/// first field of each row is matched against csv_field(name) later, so the
-/// raw row text is kept verbatim.
-Error parse_summary_csv(const std::string& body, std::uint32_t shard,
-                        ShardSummary& out) {
-  std::istringstream is(body);
-  std::string line;
-  if (!std::getline(is, line)) {
-    return Error::truncated("shard " + std::to_string(shard) +
-                            ": empty summary.csv");
-  }
-  if (line + "\n" != campaign::summary_csv_header()) {
-    return Error::parse("shard " + std::to_string(shard) +
-                        ": summary.csv header mismatch: " + line);
-  }
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    // First field: up to the first comma, or the full quoted field.
-    std::string first;
-    if (!line.empty() && line[0] == '"') {
-      std::size_t i = 1;
-      for (; i < line.size(); ++i) {
-        if (line[i] != '"') continue;
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          ++i;  // escaped quote
-          continue;
-        }
-        break;
-      }
-      if (i >= line.size()) {
-        return Error::parse("shard " + std::to_string(shard) +
-                            ": unterminated quoted cell in summary.csv: " +
-                            line);
-      }
-      first = line.substr(0, i + 1);
-    } else {
-      first = line.substr(0, line.find(','));
-    }
-    out.csv_rows[first] = line + "\n";
-  }
-  return Error::success();
-}
-
-/// Splits a shard's summary.json into per-cell blocks. The format is our own
-/// writer's (campaign::to_json): a 2-space-indented header with the
-/// "interrupted" flag, then one 4-space-indented object per cell. Anything
-/// that deviates is a typed parse error — summaries are machine-written, so
-/// deviation means corruption, not style.
-Error parse_summary_json(const std::string& body, std::uint32_t shard,
-                         ShardSummary& out) {
-  const std::string where = "shard " + std::to_string(shard);
-  std::istringstream is(body);
-  std::string line;
-  if (!std::getline(is, line) || line != "{") {
-    return Error::parse(where + ": summary.json missing '{'");
-  }
-  if (!std::getline(is, line) ||
-      line.rfind("  \"interrupted\": ", 0) != 0) {
-    return Error::parse(where + ": summary.json missing interrupted flag");
-  }
-  out.interrupted = line.find("true") != std::string::npos;
-  if (!std::getline(is, line)) {
-    return Error::parse(where + ": summary.json missing cells array");
-  }
-  // Optional (absent in pre-triage summaries): the campaign-wide
-  // quarantined-genome count, summed across shards at reassembly.
-  constexpr std::string_view kQuarantined = "  \"quarantined\": ";
-  if (line.rfind(kQuarantined, 0) == 0) {
-    out.quarantined = static_cast<std::size_t>(
-        std::strtoull(line.c_str() + kQuarantined.size(), nullptr, 10));
-    if (!std::getline(is, line)) {
-      return Error::parse(where + ": summary.json missing cells array");
-    }
-  }
-  if (line != "  \"cells\": [") {
-    return Error::parse(where + ": summary.json missing cells array");
-  }
-  std::string block, name;
-  bool in_block = false;
-  while (std::getline(is, line)) {
-    if (!in_block) {
-      if (line == "    {") {
-        in_block = true;
-        block = line + "\n";
-        name.clear();
-        continue;
-      }
-      if (line == "  ]") break;  // end of cells
-      return Error::parse(where + ": unexpected summary.json line: " + line);
-    }
-    if (line == "    }" || line == "    },") {
-      block += "    }\n";  // normalized: comma re-added at reassembly
-      if (name.empty()) {
-        return Error::corrupt(where + ": summary.json cell block without a "
-                              "name");
-      }
-      if (!out.json_blocks.emplace(name, std::move(block)).second) {
-        return Error::corrupt(where + ": summary.json duplicate cell: " + name);
-      }
-      block.clear();
-      in_block = false;
-      continue;
-    }
-    block += line + "\n";
-    constexpr std::string_view kName = "      \"name\": \"";
-    if (name.empty() && line.rfind(kName, 0) == 0) {
-      // Keep the *escaped* name text; lookups compare escaped forms.
-      const std::size_t end = line.rfind("\",");
-      if (end == std::string::npos || end < kName.size()) {
-        return Error::parse(where + ": bad name line: " + line);
-      }
-      name = line.substr(kName.size(), end - kName.size());
-    }
-  }
-  if (in_block) {
-    return Error::truncated(where + ": summary.json ends mid-cell");
-  }
-  return Error::success();
-}
-
-Error load_shard_summary(const std::string& root, std::uint32_t shard,
-                         ShardSummary& out) {
-  const fs::path dir(shard_dir(root, shard));
-  Result<std::string> csv = slurp(dir / "summary.csv");
-  if (!csv) return csv.error();
-  if (Error e = parse_summary_csv(*csv, shard, out)) return e;
-  Result<std::string> json = slurp(dir / "summary.json");
-  if (!json) return json.error();
-  return parse_summary_json(*json, shard, out);
-}
-
-}  // namespace
 
 std::string shard_dir(const std::string& root, std::uint32_t shard) {
   return root + "/shards/" + std::to_string(shard);
@@ -186,13 +73,21 @@ Result<MergeStats> merge_reports(const std::string& shards_root,
   std::map<std::uint32_t, ShardSummary> shards;
   for (const auto& entry : plan.entries) {
     if (shards.count(entry.shard)) continue;
-    ShardSummary summary;
-    if (Error e = load_shard_summary(shards_root, entry.shard, summary)) {
+    const fs::path dir(shard_dir(shards_root, entry.shard));
+    std::ifstream csv(dir / "summary.csv", std::ios::binary);
+    std::ifstream json(dir / "summary.json", std::ios::binary);
+    if (!csv || !json) {
+      return Error::io("cannot open the summaries in " + dir.string());
+    }
+    Result<ShardSummary> summary = read_shard_summary(csv, json);
+    if (!summary) {
+      Error e = summary.error();
+      e.message = dir.string() + ": " + e.message;
       return e;
     }
-    stats.interrupted = stats.interrupted || summary.interrupted;
-    stats.genomes_quarantined += summary.quarantined;
-    shards.emplace(entry.shard, std::move(summary));
+    stats.interrupted = stats.interrupted || summary->interrupted;
+    stats.genomes_quarantined += summary->quarantined;
+    shards.emplace(entry.shard, std::move(*summary));
   }
   stats.shards_read = shards.size();
 
@@ -206,8 +101,12 @@ Result<MergeStats> merge_reports(const std::string& shards_root,
   std::vector<const ShardPlan::Entry*> merged;
   for (const ShardPlan::Entry& entry : plan.entries) {
     const ShardSummary& shard = shards.at(entry.shard);
-    const auto row = shard.csv_rows.find(campaign::csv_field(entry.cell));
-    const auto block = shard.json_blocks.find(campaign::json_escape(entry.cell));
+    // A row starts with its cell as csv_field writes it, then a comma.
+    const std::string first = campaign::csv_field(entry.cell) + ',';
+    const auto row = std::find_if(
+        shard.csv_rows.begin(), shard.csv_rows.end(),
+        [&](const std::string& r) { return r.starts_with(first); });
+    const auto block = shard.json_blocks.find(entry.cell);
     if (row == shard.csv_rows.end() || block == shard.json_blocks.end()) {
       const fs::path marker = fs::path(shards_root) / "quarantine" / "cells" /
                               (campaign::sanitize_cell_name(entry.cell) +
@@ -222,7 +121,7 @@ Result<MergeStats> merge_reports(const std::string& shards_root,
       return Error::mismatch("cell '" + entry.cell + "' missing from shard " +
                              std::to_string(entry.shard) + "'s summary");
     }
-    csv += row->second;
+    csv += *row;
     blocks.push_back(block->second);
     merged.push_back(&entry);
   }
@@ -231,11 +130,7 @@ Result<MergeStats> merge_reports(const std::string& shards_root,
   json += ",\n  \"quarantined\": " + std::to_string(stats.genomes_quarantined);
   json += ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    json += blocks[i];
-    if (i + 1 < blocks.size()) {
-      json.back() = ',';  // "    }\n" → "    },\n"
-      json += '\n';
-    }
+    json += blocks[i] + (i + 1 < blocks.size() ? "    },\n" : "    }\n");
   }
   json += "  ]\n}\n";
   stats.cells = merged.size();

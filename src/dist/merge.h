@@ -20,7 +20,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "dist/shard_plan.h"
 #include "util/error.h"
@@ -46,13 +49,30 @@ struct MergeStats {
   std::size_t genomes_quarantined = 0;
 };
 
+/// One shard's summary pair, split into rows and cell blocks that keep the
+/// shard writer's bytes, so reassembly is byte-exact.
+struct ShardSummary {
+  bool interrupted = false;
+  std::size_t quarantined = 0;  ///< 0 when summary.json predates the key
+  /// summary.csv rows in file order, newline included.
+  std::vector<std::string> csv_rows;
+  /// Cell name → its summary.json block up to the line that closes it.
+  std::map<std::string, std::string> json_blocks;
+};
+
+/// Parses one shard's summaries through record::Reader: summary.csv as RFC
+/// 4180 rows, summary.json in its writer's fixed order (`interrupted`, the
+/// optional `quarantined`, `cells` blocks each led by its `name`). Errors:
+/// kParse (a wrong line, key or value, content after the end), kTruncated
+/// (input ends where a line is due), kCorrupt (a cell listed twice).
+Result<ShardSummary> read_shard_summary(std::istream& csv, std::istream& json);
+
 /// Merges `<shards_root>/shards/<k>/` trees into a report under `out_dir`
 /// (summary.csv, summary.json, per-cell directories, archive_merged.txt).
 /// `out_dir` may equal `shards_root` — the usual layout, putting the merged
 /// report at the campaign root. Error codes: kIo (missing/unreadable shard
-/// files), kParse (malformed summary content), kMismatch (a planned cell
-/// missing from its shard's report), kCorrupt (shard tree missing a cell's
-/// directory).
+/// files), read_shard_summary's, kMismatch (a planned cell missing from its
+/// shard's report), kCorrupt (shard tree missing a cell's directory).
 Result<MergeStats> merge_reports(const std::string& shards_root,
                                  const ShardPlan& plan,
                                  const std::string& out_dir);

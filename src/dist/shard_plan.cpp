@@ -7,6 +7,7 @@
 #include "campaign/report.h"
 #include "trace/hash.h"
 #include "util/fs.h"
+#include "util/record.h"
 
 namespace ccfuzz::dist {
 
@@ -75,73 +76,17 @@ Error ShardPlan::save_file(const std::string& path) const {
 }
 
 Result<ShardPlan> ShardPlan::try_load(std::istream& is) {
+  record::Reader r(is);
   ShardPlan plan;
-  plan.num_shards = 0;
-  std::string line;
-  const auto next = [&](std::string& out) {
-    while (std::getline(is, out)) {
-      // Trim surrounding whitespace; the writer indents with spaces.
-      const auto b = out.find_first_not_of(" \t\r");
-      if (b == std::string::npos) continue;
-      out = out.substr(b, out.find_last_not_of(" \t\r") - b + 1);
-      return true;
-    }
-    return false;
-  };
-
-  if (!next(line)) return Error::truncated("shard plan: empty file");
-  if (line != "{") return Error::parse("shard plan: expected '{', got: " + line);
-  if (!next(line)) return Error::truncated("shard plan: missing num_shards");
-  {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag >> plan.num_shards;
-    if (tag != "\"num_shards\":" || ls.fail() || plan.num_shards < 1) {
-      return Error::parse("shard plan: bad num_shards line: " + line);
-    }
-  }
-  if (!next(line)) return Error::truncated("shard plan: missing cells array");
-  if (line != "\"cells\": [") {
-    return Error::parse("shard plan: expected '\"cells\": [', got: " + line);
-  }
-  bool closed = false;
-  while (next(line)) {
-    if (line == "]") {
-      closed = true;
-      break;
-    }
-    // {"cell": "<escaped>", "shard": k} with an optional trailing comma.
-    constexpr std::string_view kPrefix = "{\"cell\": \"";
-    if (line.rfind(kPrefix, 0) != 0) {
-      return Error::parse("shard plan: bad cell entry: " + line);
-    }
-    // The name ends at the first quote not preceded by a backslash.
-    std::size_t end = std::string::npos;
-    for (std::size_t i = kPrefix.size(); i < line.size(); ++i) {
-      if (line[i] == '\\') {
-        ++i;
-      } else if (line[i] == '"') {
-        end = i;
-        break;
-      }
-    }
-    if (end == std::string::npos) {
-      return Error::parse("shard plan: unterminated cell name: " + line);
-    }
-    Result<std::string> cell = campaign::json_unescape(
-        std::string_view(line).substr(kPrefix.size(), end - kPrefix.size()));
-    if (!cell) {
-      return Error::parse("shard plan: bad escape in cell name: " + line);
-    }
+  r.open("{");
+  r.key("num_shards") >> plan.num_shards;
+  if (r.done() && plan.num_shards < 1) r.fail_parse("num_shards below 1");
+  r.open("\"cells\": [");
+  while (r.ok() && !r.next_is("]")) {
     Entry e;
-    e.cell = std::move(*cell);
-    std::istringstream rest(line.substr(end + 1));
-    std::string comma, tag;
-    long shard = -1;
-    rest >> comma >> tag >> shard;
-    if (comma != "," || tag != "\"shard\":" || rest.fail()) {
-      return Error::parse("shard plan: bad shard field: " + line);
-    }
+    std::int64_t shard = 0;
+    r.inline_object({{"cell", &e.cell}, {"shard", &shard}});
+    if (!r.ok()) break;
     if (shard < 0 || shard >= plan.num_shards) {
       return Error::corrupt("shard plan: shard " + std::to_string(shard) +
                             " out of range for " +
@@ -155,10 +100,10 @@ Result<ShardPlan> ShardPlan::try_load(std::istream& is) {
     e.shard = static_cast<std::uint32_t>(shard);
     plan.entries.push_back(std::move(e));
   }
-  if (!closed) return Error::truncated("shard plan: unterminated cells array");
-  if (!next(line) || line != "}") {
-    return Error::truncated("shard plan: missing closing '}'");
-  }
+  r.close("]");
+  r.close("}");
+  r.eof();
+  if (!r.ok()) return r.error();
   return plan;
 }
 

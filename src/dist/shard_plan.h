@@ -56,10 +56,10 @@ struct ShardPlan {
   std::string to_json() const;
   /// Atomic write of to_json() (write-temp + rename, like checkpoints).
   Error save_file(const std::string& path) const;
-  /// Parses a plan written by save_file without throwing. Error codes follow
-  /// the repo convention: kIo (unopenable), kParse (malformed), kCorrupt
-  /// (parsed but invalid: shard out of range, duplicate cell), kTruncated
-  /// (file ends mid-structure).
+  /// Parses a plan written by save_file, in its fixed order, through
+  /// record::Reader. Errors: kIo (unopenable), kParse (a wrong line or key,
+  /// a bad value, content after the `}`), kTruncated (input ends where a
+  /// line is due), kCorrupt (shard out of range, duplicate cell).
   static Result<ShardPlan> try_load_file(const std::string& path);
   static Result<ShardPlan> try_load(std::istream& is);
 };

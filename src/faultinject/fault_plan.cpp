@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "util/logging.h"
+#include "util/record.h"
 
 namespace ccfuzz::faultinject {
 namespace {
@@ -142,17 +143,14 @@ Result<FaultPlan> FaultPlan::parse(const std::string& spec) {
       return Error::parse("fault plan: cell_crash needs '=<cell name>' in '" +
                           elem + "'");
     }
-    std::string trig = body.substr(at + 1);
-    int count = 1;
-    if (const std::size_t star = trig.find('*'); star != std::string::npos) {
-      count = std::atoi(trig.substr(star + 1).c_str());
-      trig = trig.substr(0, star);
-    }
-    rule.trigger = std::atoi(trig.c_str());
-    rule.count = count;
-    if (rule.trigger < 1 || rule.count < 1) {
-      return Error::parse("fault plan: trigger/count must be >= 1 in '" +
-                          elem + "'");
+    const std::string_view trig = std::string_view(body).substr(at + 1);
+    const std::size_t star = trig.find('*');
+    if (!record::parse_number(trig.substr(0, star), rule.trigger) ||
+        (star != std::string_view::npos &&
+         !record::parse_number(trig.substr(star + 1), rule.count)) ||
+        rule.trigger < 1 || rule.count < 1) {
+      return Error::parse("fault plan: trigger/count must be integers >= 1 "
+                          "in '" + elem + "'");
     }
     plan.rules.push_back(std::move(rule));
   }

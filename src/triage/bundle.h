@@ -61,9 +61,11 @@ inline constexpr const char* kMinimizedTraceFile = "minimized.trace";
 /// Serializes the manifest (stable key order, one key per line).
 std::string to_json(const BundleManifest& m);
 
-/// Strict parse of to_json output. Errors: kParse (malformed line/value),
-/// kTruncated (missing closing brace or required key), kVersion (unsupported
-/// ccfuzz_finding version).
+/// Strict parse of to_json output, keys in any order, through
+/// record::Reader. Errors: kParse (a wrong line, an unknown or repeated key,
+/// a value out of its field's range, content after the `}`), kTruncated (a
+/// missing `}` or key), kVersion (ccfuzz_finding other than 1), kCorrupt (a
+/// bad id or duration_ms).
 Result<BundleManifest> parse_manifest(const std::string& body);
 
 /// Reads and parses `<dir>/manifest.json`. Adds kIo for unreadable files.

@@ -3,7 +3,17 @@
 #include <istream>
 #include <ostream>
 
+#include "campaign/report.h"
+
 namespace ccfuzz::record {
+namespace {
+
+std::string_view unindented(std::string_view line) {
+  line.remove_prefix(std::min(line.find_first_not_of(' '), line.size()));
+  return line;
+}
+
+}  // namespace
 
 void write_hex(std::ostream& os, std::span<const std::uint64_t> words) {
   os << std::hex;
@@ -31,13 +41,29 @@ void Reader::fail_parse(const std::string& what) {
   fail(Error::parse(at() + what + " in '" + line_ + "'"));
 }
 
+bool Reader::getline() {
+  if (is_) return static_cast<bool>(std::getline(*is_, line_));
+  if (text_.empty()) return false;
+  const std::size_t n = std::min(text_.find('\n'), text_.size());
+  line_.assign(text_.substr(0, n));
+  text_.remove_prefix(std::min(n + 1, text_.size()));
+  return true;
+}
+
 bool Reader::fetch() {
-  while (!held_ && std::getline(is_, line_)) {
+  while (!held_ && getline()) {
     ++line_no_;
     held_ = !line_.empty() && !(started_ && comment_ && comment_(line_));
   }
   started_ = started_ || held_;
   return held_;
+}
+
+bool Reader::due(const std::string& what) {
+  if (ok() && !fetch()) {
+    fail(Error::truncated(at() + "input ends where " + what + " is due"));
+  }
+  return ok();
 }
 
 bool Reader::peek(std::string_view& line) {
@@ -50,6 +76,7 @@ Reader& Reader::start(std::string_view rest, bool sep) {
   held_ = false;
   rest_ = ok() ? rest : std::string_view();
   sep_ = sep;
+  json_ = false;
   return *this;
 }
 
@@ -65,11 +92,7 @@ void Reader::header(std::string_view magic, std::string_view version) {
 }
 
 Reader& Reader::expect(std::string_view tag) {
-  if (ok() && !fetch()) {
-    fail(Error::truncated(at() + "input ends where '# " + std::string(tag) +
-                          "' is due"));
-  }
-  if (ok() && tag_of(line_) != tag) {
+  if (due("'# " + std::string(tag) + "'") && tag_of(line_) != tag) {
     fail_parse("expected '# " + std::string(tag) + "'");
   }
   return start(std::string_view(line_).substr(ok() ? 2 + tag.size() : 0),
@@ -77,21 +100,26 @@ Reader& Reader::expect(std::string_view tag) {
 }
 
 Reader& Reader::bare() {
-  if (ok() && !fetch()) {
-    fail(Error::truncated(at() + "input ends where a value is due"));
-  }
+  due("a value");
   return start(line_, false);
 }
 
 std::string_view Reader::take() {
   if (!ok()) return {};
-  if (rest_.empty()) {
-    fail_parse("missing field");
-    return {};
+  std::string_view f;
+  if (json_) {
+    // A JSON value runs to the `, ` before the next key or to the `}` of an
+    // inline object.
+    f = rest_.substr(0, rest_.find_first_of(",}"));
+  } else {
+    if (rest_.empty()) {
+      fail_parse("missing field");
+      return {};
+    }
+    if (sep_) rest_.remove_prefix(1);  // rest_ starts at the separator
+    sep_ = true;
+    f = rest_.substr(0, rest_.find(' '));
   }
-  if (sep_) rest_.remove_prefix(1);  // rest_ starts at the separator
-  sep_ = true;
-  const std::string_view f = rest_.substr(0, rest_.find(' '));
   rest_.remove_prefix(f.size());
   if (f.empty()) fail_parse("empty field");
   return f;
@@ -134,6 +162,119 @@ void Reader::footer(std::string_view what) {
 
 void Reader::eof() {
   if (ok() && fetch()) fail_parse("unexpected content after the end");
+}
+
+void Reader::line(std::string_view text) {
+  const std::string want = "'" + std::string(text) + "'";
+  if (due(want) && line_ != text) fail_parse("expected " + want);
+  start({}, false);
+}
+
+void Reader::csv_row(std::string& row) {
+  if (!due("a CSV row")) return;
+  held_ = false;
+  // An odd count of quotes leaves a quoted field open (RFC 4180).
+  for (row = line_; std::count(row.begin(), row.end(), '"') % 2;
+       row += line_) {
+    if (!getline()) {
+      fail(Error::truncated(at() + "input ends inside a quoted CSV field"));
+      return;
+    }
+    ++line_no_;
+    row += '\n';
+  }
+}
+
+bool Reader::json(Item item) {
+  due("a line");
+  std::string_view s = unindented(line_);
+  const bool comma = item != Item::kOpen && s.ends_with(',');
+  if (comma) s.remove_suffix(1);
+  const bool closing = item == Item::kClose;
+  if (ok() && item != Item::kVerbatim &&
+      comma_ == (closing ? Comma::kMore : Comma::kLast)) {
+    fail_parse(closing ? "',' before a close" : "no ',' on the line before");
+  }
+  start(s, false);
+  json_ = true;
+  comma_ = item == Item::kOpen ? Comma::kFirst
+           : comma             ? Comma::kMore
+                               : Comma::kLast;
+  return ok();
+}
+
+void Reader::lit(std::string_view text) {
+  if (ok() && !rest_.starts_with(text)) {
+    fail_parse("expected '" + std::string(text) + "'");
+  }
+  if (ok()) rest_.remove_prefix(text.size());
+}
+
+void Reader::string(std::string& out) {
+  // The closing quote is the first one no backslash escapes.
+  std::size_t end = rest_.starts_with('"') ? 1 : rest_.size();
+  while (end < rest_.size() && rest_[end] != '"') {
+    end += rest_[end] == '\\' ? 2 : 1;
+  }
+  Result<std::string> s =
+      end < rest_.size() ? campaign::json_unescape(rest_.substr(1, end - 1))
+                         : Error::parse("expected a string");
+  if (ok() && !s) fail_parse(s.error().message);
+  if (!ok()) return;
+  out = std::move(*s);
+  rest_.remove_prefix(end + 1);
+}
+
+bool Reader::next_is(std::string_view prefix) {
+  std::string_view l;
+  return peek(l) && unindented(l).starts_with(prefix);
+}
+
+void Reader::inline_object(std::initializer_list<Field> fields) {
+  json(Item::kValue);
+  lit("{");
+  for (const Field& f : fields) {
+    lit((&f == fields.begin() ? "\"" : ", \"") + std::string(f.key) + "\": ");
+    std::visit([this](auto* out) { *this >> *out; }, f.out);
+  }
+  lit("}");
+  done();
+}
+
+void Reader::object(std::initializer_list<Field> fields) {
+  open("{");
+  std::vector<bool> seen(fields.size());
+  while (ok() && !next_is("}")) {
+    json(Item::kValue);
+    const std::size_t end = rest_.find("\": ", 1);
+    if (ok() && (!rest_.starts_with('"') || end == std::string_view::npos)) {
+      fail_parse("expected a key");
+    }
+    if (!ok()) break;
+    const std::string_view k = rest_.substr(1, end - 1);
+    rest_.remove_prefix(end + 3);
+    std::size_t i = 0;
+    while (i < fields.size() && fields.begin()[i].key != k) ++i;
+    if (ok() && (i == fields.size() || seen[i])) {
+      fail_parse((i == fields.size() ? "unknown key '" : "repeated key '") +
+                 std::string(k) + "'");
+    }
+    if (!ok()) break;
+    seen[i] = true;
+    std::visit([this](auto* out) { *this >> *out; }, fields.begin()[i].out);
+    done();
+  }
+  close("}");
+  const auto i = std::find(seen.begin(), seen.end(), false) - seen.begin();
+  if (ok() && i < std::ssize(seen)) {
+    fail(Error::truncated(at() + "missing key '" +
+                          std::string(fields.begin()[i].key) + "'"));
+  }
+}
+
+void Reader::verbatim(std::string& out) {
+  if (json(Item::kVerbatim)) out.append(line_) += '\n';
+  rest_ = {};
 }
 
 }  // namespace ccfuzz::record

@@ -1,16 +1,19 @@
-// Line-oriented records for the checkpoint family of on-disk formats:
-// trace, population member, fuzzer state, elite archive and checkpoint.
-//
-// A record line is `# <tag>` plus fields, each after exactly one space. A
-// format opens with `# <magic> <version>`; a nested block closes with
-// `# end <what>`. Blank lines are skipped. One Reader is passed down the
-// nesting, so an embedded block is parsed in place.
+// Line-oriented readers for every on-disk format. The checkpoint family
+// (trace, member, fuzzer state, elite archive, checkpoint) is records:
+// `# <tag>` plus fields, each after one space, opened by `# <magic>
+// <version>`, a nested block closed by `# end <what>`. The JSON family (shard
+// plan, shard summary, finding manifest) is machine-written JSON, one key or
+// inline object per line; indentation is skipped, and a line ends in a comma
+// exactly when another item of its object or array follows. A shard
+// summary's CSV twin is read as RFC 4180 rows. Blank lines are skipped. One
+// Reader is passed down the nesting, so an embedded block parses in place.
 //
 // Errors are sticky: the Reader keeps the first one and every later read is
 // a no-op, so a block reads as straight-line code checked once. Every
-// framing error is built here: kParse (foreign magic, unexpected tag, wrong
-// field count, unparsable field), kVersion (known magic, other version),
-// kTruncated (input ends where a record is due). Callers add the semantic
+// framing error is built here: kParse (foreign magic, unexpected tag, line
+// or key, wrong field count, unparsable or out-of-range field, content after
+// the end), kVersion (known magic, other version), kTruncated (input ends
+// where a line is due, or an object lacks a key). Callers add the semantic
 // errors they own (kMismatch, kCorrupt) through fail().
 #pragma once
 
@@ -23,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "util/error.h"
@@ -38,21 +42,53 @@ using Hex = std::span<std::uint64_t>;
 /// The tag of a record line, or "" when `line` is not one.
 std::string_view tag_of(std::string_view line);
 
-/// Reads one stream, one record at a time: expect() (or bare()) starts a
-/// line, `>>` reads its fields left to right, done() checks none is left.
+/// Parses all of `text` as one number: the parser for every number the
+/// program reads from a file, flag or spec. Integers in base `base` (an
+/// unsigned type rejects a sign), doubles as %.17g writes them. False, with
+/// `out` untouched, on empty text, trailing junk or an out-of-range value.
+template <typename N>
+bool parse_number(std::string_view text, N& out, int base = 10) {
+  N v{};
+  const char* end = text.data() + text.size();
+  std::from_chars_result res;
+  if constexpr (std::is_floating_point_v<N>) {
+    res = std::from_chars(text.data(), end, v);
+  } else {
+    res = std::from_chars(text.data(), end, v, base);
+  }
+  if (res.ec != std::errc{} || res.ptr != end) return false;
+  out = v;
+  return true;
+}
+
+/// One key of a JSON object and where its value goes.
+struct Field {
+  std::string_view key;
+  std::variant<bool*, int*, std::int64_t*, std::uint64_t*, double*,
+               std::string*>
+      out;
+};
+
+/// Reads one stream, one line at a time. A record line starts with expect()
+/// (or bare()), `>>` reads its fields left to right, and done() checks none
+/// is left; a JSON `"<key>": <value>` line starts with key().
 class Reader {
  public:
   /// After the first line, which names the format, lines for which
   /// `comment` is true are skipped (standalone trace files).
   explicit Reader(std::istream& is,
                   bool (*comment)(std::string_view) = nullptr)
-      : is_(is), comment_(comment) {}
+      : is_(&is), comment_(comment) {}
+  /// Reads `text` instead of a stream.
+  explicit Reader(std::string_view text) : text_(text) {}
 
   /// The first error met; kOk while every read has succeeded.
   const Error& error() const { return error_; }
   bool ok() const { return error_.ok(); }
   /// Records `e` unless an earlier error stands.
   void fail(Error e);
+  /// Records kParse at the current line: a value out of its field's range.
+  void fail_parse(const std::string& what);
 
   /// Reads the `# <magic> <version>` line.
   void header(std::string_view magic, std::string_view version);
@@ -60,9 +96,9 @@ class Reader {
   Reader& expect(std::string_view tag);
   /// Starts the next line as untagged fields (trace stamps).
   Reader& bare();
-  /// The next field: bool as 0/1; integers in decimal, unsigned ones
-  /// rejecting a sign; doubles as written with 17 digits; Hex; a
-  /// vector<double> as a count, then its values.
+  /// The next field: bool as 0/1 (true/false in JSON); numbers through
+  /// parse_number(); Hex; a vector<double> as a count, then its values; a
+  /// std::string as a JSON string.
   template <typename T>
   Reader& operator>>(T&& out);
   /// The next field, which must be one of `words`; `index` is its place.
@@ -88,37 +124,67 @@ class Reader {
   /// The next line, left unread; false at the end or after an error.
   bool peek(std::string_view& line);
 
+  /// Reads the next line, which must be exactly `text` (a CSV header).
+  void line(std::string_view text);
+  /// Reads a CSV row, verbatim and without its final newline; a quoted field
+  /// may span lines.
+  void csv_row(std::string& row);
+
+  /// Read the lines that open and close an object or array: `{`, `]`.
+  void open(std::string_view text) { json(Item::kOpen); lit(text); done(); }
+  void close(std::string_view text) { json(Item::kClose); lit(text); done(); }
+  /// True when the next line, unindented, starts with `prefix`.
+  bool next_is(std::string_view prefix);
+  /// Starts a `"<name>": <value>` line; `>>` reads the value.
+  Reader& key(std::string_view name) {
+    json(Item::kValue);
+    lit('"' + std::string(name) + "\": ");
+    return *this;
+  }
+  /// Reads a one-line object of `fields` in order: `{"a": 1, "b": 2}`.
+  void inline_object(std::initializer_list<Field> fields);
+  /// Reads `{`, one key line per field in any order, `}`. A missing key is
+  /// kTruncated; an unknown or repeated one kParse.
+  void object(std::initializer_list<Field> fields);
+  /// Appends the next line, and a newline, to `out` as written.
+  void verbatim(std::string& out);
+
  private:
+  /// A JSON line's place in its object or array, for the comma rule.
+  enum class Item : std::uint8_t { kOpen, kValue, kClose, kVerbatim };
+  /// After an opening line, or an item that ends in a comma or not.
+  enum class Comma : std::uint8_t { kFirst, kMore, kLast };
+
+  bool getline();
   bool fetch();
+  bool due(const std::string& what);
   Reader& start(std::string_view rest, bool sep);
+  bool json(Item item);
+  void lit(std::string_view text);
+  void string(std::string& out);
   std::string_view take();
-  void fail_parse(const std::string& what);
   std::string at() const;
   template <typename N>
   void number(N& out, int base = 10);
 
-  std::istream& is_;
-  bool (*comment_)(std::string_view);
+  std::istream* is_ = nullptr;
+  std::string_view text_;  ///< unread input when reading a string
+  bool (*comment_)(std::string_view) = nullptr;
   std::string line_;
   std::size_t line_no_ = 0;
   bool started_ = false;  ///< the first non-blank line is fetched
   bool held_ = false;     ///< line_ is fetched and not yet read
   std::string_view rest_;  ///< unread fields of the current line
   bool sep_ = false;  ///< the next field follows a space (not a bare start)
+  bool json_ = false;  ///< the current line is JSON
+  Comma comma_ = Comma::kFirst;
   Error error_;
 };
 
 template <typename N>
 void Reader::number(N& out, int base) {
   const std::string_view f = take();
-  if (!ok()) return;
-  std::from_chars_result res;
-  if constexpr (std::is_floating_point_v<N>) {
-    res = std::from_chars(f.data(), f.data() + f.size(), out);
-  } else {
-    res = std::from_chars(f.data(), f.data() + f.size(), out, base);
-  }
-  if (res.ec != std::errc{} || res.ptr != f.data() + f.size()) {
+  if (ok() && !parse_number(f, out, base)) {
     fail_parse("bad field '" + std::string(f) + "'");
   }
 }
@@ -140,8 +206,10 @@ Reader& Reader::operator>>(T&& out) {
     for (double& d : out) number(d);
   } else if constexpr (std::is_same_v<V, bool>) {
     std::size_t v = 0;
-    one_of({"0", "1"}, v);
+    json_ ? one_of({"false", "true"}, v) : one_of({"0", "1"}, v);
     out = v == 1;
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    string(out);
   } else {
     number(out);
   }

@@ -129,6 +129,34 @@ TEST_F(MergeTest, TwoShardRunMergesByteIdenticalToSingleProcess) {
   EXPECT_EQ(merged->union_bits(), stats->coverage_bits);
 }
 
+TEST_F(MergeTest, NewlineInCellNameMergesByteIdenticalToSingleProcess) {
+  // csv_field quotes the name over two physical lines of summary.csv; the
+  // row splitter must keep them one row.
+  campaign::CellConfig cell = matrix().cells()[0];
+  cell.name = "a\nb";
+  campaign::CampaignConfig one;
+  one.add_cell(cell);
+  const std::string ref = (base_ / "ref").string();
+  {
+    campaign::CampaignConfig cfg = one;
+    cfg.output_dir(ref);
+    campaign::Campaign c(cfg);
+    ASSERT_FALSE(c.run().interrupted);
+  }
+  const std::string root = (base_ / "sharded").string();
+  WorkerOptions w;
+  w.root = root;
+  w.jsonl_stdout = false;
+  ASSERT_EQ(run_worker(one, w), 0);
+  const Result<MergeStats> stats =
+      merge_reports(root, ShardPlan::build(one.cells(), 1), root);
+  ASSERT_TRUE(stats) << stats.error().message;
+  EXPECT_EQ(stats->cells, 1u);
+  for (const char* rel : {"summary.csv", "summary.json"}) {
+    EXPECT_EQ(slurp(fs::path(root) / rel), slurp(fs::path(ref) / rel)) << rel;
+  }
+}
+
 TEST_F(MergeTest, EmptyShardIsACompleteShard) {
   // One cell, two shards: one shard owns nothing. The worker still writes a
   // well-formed (empty) report tree, and the merge never reads it.
@@ -192,6 +220,24 @@ TEST_F(MergeTest, MangledCsvHeaderIsKParse) {
                                (base_ / "out").string());
   ASSERT_FALSE(r);
   EXPECT_EQ(r.error().code, Error::Code::kParse);
+}
+
+TEST_F(MergeTest, BadSummaryJsonValuesAreKParse) {
+  for (const char* header : {"  \"interrupted\": nottrue,\n",
+                             "  \"interrupted\": false,\n"
+                             "  \"quarantined\": abc,\n",
+                             "  \"interrupted\": false,\n"
+                             "  \"quarantined\": -1,\n"}) {
+    write_tiny_shard(base_);
+    write_text(fs::path(shard_dir(base_.string(), 0)) / "summary.json",
+               std::string("{\n") + header +
+                   "  \"cells\": [\n    {\n      \"name\": \"a\",\n"
+                   "      \"winners\": [\n      ]\n    }\n  ]\n}\n");
+    const auto r = merge_reports(base_.string(), tiny_plan(),
+                                 (base_ / "out").string());
+    ASSERT_FALSE(r) << header;
+    EXPECT_EQ(r.error().code, Error::Code::kParse) << header;
+  }
 }
 
 TEST_F(MergeTest, TruncatedSummaryJsonIsKTruncated) {

@@ -138,6 +138,17 @@ TEST(ShardPlanErrors, MalformedContentIsKParse) {
            "not json at all\n",
            "{\n  \"num_shards\": zero,\n  \"cells\": [\n  ]\n}\n",
            "{\n  \"num_shards\": 2,\n  \"cells\": [\n    garbage\n  ]\n}\n",
+           "{\n  \"num_shards\": 2xyz,\n  \"cells\": [\n  ]\n}\n",
+           "{\n  \"num_shards\": 2,\n  \"cells\": [\n"
+           "    {\"cell\": \"a\", \"shard\": 1junk}\n  ]\n}\n",
+           "{\n  \"num_shards\": 2,\n  \"cells\": [\n"
+           "    {\"cell\": \"a\", \"shard\": 1}\n  ]\n}\ntrailing\n",
+           // The writer's commas: one after every item but the last.
+           "{\n  \"num_shards\": 2,\n  \"cells\": [\n"
+           "    {\"cell\": \"a\", \"shard\": 1}\n"
+           "    {\"cell\": \"b\", \"shard\": 0}\n  ]\n}\n",
+           "{\n  \"num_shards\": 2,\n  \"cells\": [\n"
+           "    {\"cell\": \"a\", \"shard\": 1},\n  ]\n}\n",
        }) {
     std::istringstream is(body);
     const auto r = ShardPlan::try_load(is);

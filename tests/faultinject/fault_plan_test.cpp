@@ -65,6 +65,9 @@ TEST_F(FaultPlanTest, MalformedSpecsAreTypedParseErrors) {
       "enospc@0",              // trigger < 1
       "enospc@1*0",            // count < 1
       "latch=",                // empty latch dir
+      "enospc@1x",             // trailing junk after the trigger
+      "enospc@2*3junk",        // trailing junk after the count
+      "enospc@99999999999",    // trigger overflows int
   };
   for (const char* spec : bad) {
     Result<FaultPlan> plan = FaultPlan::parse(spec);

@@ -40,9 +40,7 @@ BundleManifest sample() {
   return m;
 }
 
-TEST(BundleManifest, RoundTripsExactly) {
-  const BundleManifest in = sample();
-  Result<BundleManifest> out = parse_manifest(to_json(in));
+void expect_same(const BundleManifest& in, const Result<BundleManifest>& out) {
   ASSERT_TRUE(out) << out.error().message;
   EXPECT_EQ(out->id, in.id);
   EXPECT_EQ(out->source, in.source);
@@ -65,6 +63,72 @@ TEST(BundleManifest, RoundTripsExactly) {
   EXPECT_EQ(out->invariant_violations, in.invariant_violations);
   // Serialization is canonical: a round-trip re-serializes byte-identically.
   EXPECT_EQ(to_json(*out), to_json(in));
+}
+
+TEST(BundleManifest, RoundTripsExactly) {
+  const BundleManifest in = sample();
+  expect_same(in, parse_manifest(to_json(in)));
+}
+
+// sample() as the first (v1) writer wrote it. A writer and reader that drift
+// together still pass RoundTripsExactly; bundles already on disk would not
+// load. The reordered copy holds the reader to free key order.
+constexpr const char* kV1Manifest = R"({
+  "ccfuzz_finding": 1,
+  "id": "0123456789abcdef",
+  "source": "winner",
+  "cell": "reno.traffic.low-utilization",
+  "cca": "reno",
+  "mode": "traffic",
+  "score": "low-utilization",
+  "scenario_hash": "fedcba9876543210",
+  "duration_ms": 2000,
+  "original_events": 1500,
+  "minimized_events": 12,
+  "original_score": 0.73124999999999996,
+  "expected_score": 0.71999371234567888,
+  "tolerance": 0.014625000000000001,
+  "expect_quarantined": false,
+  "confirm_runs": 3,
+  "flaky": false,
+  "truncated": false,
+  "classification": "cca-weakness",
+  "invariant_violations": 0
+}
+)";
+constexpr const char* kV1ManifestReordered = R"({
+  "invariant_violations": 0,
+  "classification": "cca-weakness",
+  "scenario_hash": "fedcba9876543210",
+  "tolerance": 0.014625000000000001,
+  "id": "0123456789abcdef",
+  "truncated": false,
+  "cca": "reno",
+  "minimized_events": 12,
+  "expected_score": 0.71999371234567888,
+  "source": "winner",
+  "flaky": false,
+  "mode": "traffic",
+  "original_events": 1500,
+  "confirm_runs": 3,
+  "score": "low-utilization",
+  "duration_ms": 2000,
+  "expect_quarantined": false,
+  "cell": "reno.traffic.low-utilization",
+  "original_score": 0.73124999999999996,
+  "ccfuzz_finding": 1
+}
+)";
+
+TEST(BundleManifest, LiteralV1ManifestLoadsInAnyKeyOrder) {
+  for (const char* body : {kV1Manifest, kV1ManifestReordered}) {
+    SCOPED_TRACE(body);
+    const Result<BundleManifest> out = parse_manifest(body);
+    expect_same(sample(), out);
+    if (out) {
+      EXPECT_EQ(to_json(*out), kV1Manifest);
+    }
+  }
 }
 
 TEST(BundleManifest, EscapedCellNamesSurvive) {
@@ -121,6 +185,23 @@ TEST(BundleManifest, GarbageIsParseError) {
   ASSERT_NE(at, std::string::npos);
   bad_escape.replace(at, cell.size(), "\"cell\": \"a\\uzzzz\"");
   EXPECT_EQ(parse_manifest(bad_escape).error().code, Error::Code::kParse);
+  // Each of these once loaded: confirm_runs narrowed to 1, a repeated key
+  // whose last value won, an unknown key, and bytes after the closing brace.
+  const std::string good = to_json(sample());
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string out = good;
+    const std::size_t where = out.find(from);
+    EXPECT_NE(where, std::string::npos) << from;
+    if (where != std::string::npos) out.replace(where, from.size(), to);
+    return out;
+  };
+  for (const std::string& bad :
+       {with("\"confirm_runs\": 3,", "\"confirm_runs\": 4294967297,"),
+        with("  \"cca\"", "  \"cell\": \"other\",\n  \"cca\""),
+        with("  \"cca\"", "  \"colour\": \"red\",\n  \"cca\""),
+        good + "trailing\n"}) {
+    EXPECT_EQ(parse_manifest(bad).error().code, Error::Code::kParse) << bad;
+  }
 }
 
 TEST(BundleManifest, SemanticCorruptionIsTyped) {

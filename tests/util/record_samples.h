@@ -1,6 +1,8 @@
-// Small real samples of the checkpoint family of on-disk formats (trace,
-// member, fuzzer state, elite archive, campaign checkpoint), shared by the
-// writer byte golden and the corruption sweep: population 4, tens of stamps.
+// Small real samples of the on-disk formats, shared by the writer byte golden
+// and the corruption sweep. The checkpoint family (trace, member, fuzzer
+// state, elite archive, campaign checkpoint): population 4, tens of stamps.
+// The JSON family: a shard plan, a finding manifest, and a two-cell shard
+// summary (summary.json and its summary.csv twin).
 #pragma once
 
 #include <cstdint>
@@ -9,12 +11,17 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign.h"
+#include "campaign/report.h"
+#include "dist/shard_plan.h"
 #include "fuzz/score.h"
 #include "fuzz/state_io.h"
 #include "trace/hash.h"
 #include "trace/trace_io.h"
+#include "triage/bundle.h"
 
 namespace ccfuzz::record_samples {
 
@@ -122,6 +129,56 @@ inline std::string checkpoint_bytes(const std::string& dir) {
   std::filesystem::remove_all(dir);
   campaign::Campaign(checkpoint_campaign(dir)).run();
   return slurp(dir + "/checkpoint/campaign.ckpt");
+}
+
+/// Three cells over two shards, one name needing escapes.
+inline std::string shard_plan_bytes() {
+  std::vector<campaign::CellConfig> cells(3);
+  cells[0].name = "reno.traffic.low-utilization";
+  cells[1].name = "cubic \"q\"\tx";
+  cells[2].name = "bbr.link";
+  return dist::ShardPlan::build(cells, 2).to_json();
+}
+
+/// A finding manifest with every key set.
+inline std::string manifest_bytes() {
+  triage::BundleManifest m;
+  m.id = "0123456789abcdef";
+  m.source = "quarantine";
+  m.cell = "reno \"q\"";
+  m.cca = "reno";
+  m.mode = "link";
+  m.score = "low-utilization";
+  m.scenario_hash = "fedcba9876543210";
+  m.duration_ms = 1500;
+  m.original_events = 40;
+  m.minimized_events = 7;
+  m.original_score = 0.73125;
+  m.expected_score = -2.5e-7;
+  m.tolerance = 0.0146;
+  m.expect_quarantined = true;
+  m.confirm_runs = 3;
+  m.truncated = true;
+  m.classification = "cca-weakness";
+  m.invariant_violations = 2;
+  return triage::to_json(m);
+}
+
+/// summary.json and summary.csv of a two-cell campaign with one winner per
+/// cell, written under `dir`. The first cell's name needs CSV quoting over
+/// two lines and JSON escapes.
+inline std::pair<std::string, std::string> summary_bytes(
+    const std::string& dir) {
+  campaign::CellConfig hostile = tiny_cell("reno", /*coverage=*/true);
+  hostile.name = "reno \"q\",\nx";
+  campaign::CampaignConfig cfg;
+  cfg.add_cell(hostile)
+      .add_cell(tiny_cell("cubic", /*coverage=*/false))
+      .winners(1)
+      .parallel(false);
+  std::filesystem::remove_all(dir);
+  campaign::write_report(campaign::Campaign(cfg).run(), dir);
+  return {slurp(dir + "/summary.json"), slurp(dir + "/summary.csv")};
 }
 
 }  // namespace ccfuzz::record_samples

@@ -1,14 +1,15 @@
-// One corruption sweep over the checkpoint family of on-disk formats.
+// One corruption sweep over every on-disk format.
 //
 // Each format's loader gets every mangling of a small real sample: every
 // truncation prefix, every byte replaced by each character of a fixed
 // substitute set, every line duplicated, and every adjacent pair of lines
 // swapped. The contract: a typed Error or a successful load, never an
 // exception (or, in the sanitizer build, a sanitizer report). Two stricter
-// rules: where the format says where it ends (a footer, or the archive's
-// `# cells` count) every prefix that drops a non-blank byte is an error, and
-// a substitution inside a record tag (`# <tag>`, or a whole `# end <what>`
-// line) is always an error.
+// rules: where the format says where it ends (a footer, the archive's
+// `# cells` count, the closing `}` of a JSON file) every prefix that drops a
+// non-blank byte is an error, and a substitution inside a framing word is
+// always an error: a record tag (`# <tag>`, or a whole `# end <what>` line)
+// or a JSON key the reader checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dist/merge.h"
 #include "record_samples.h"
 #include "util/logging.h"
 
@@ -34,7 +36,38 @@ std::string joined(const std::vector<std::string>& lines) {
   return out;
 }
 
-void sweep(const std::string& sample, bool cuts_fail, const Loader& load) {
+/// Marks the bytes of record tags: `# <tag>`, or a whole `# end <what>` line.
+std::vector<bool> record_tags(const std::string& sample) {
+  std::vector<bool> tag;
+  for (std::size_t b = 0; b < sample.size(); b = sample.find('\n', b) + 1) {
+    const std::string_view line =
+        std::string_view(sample).substr(b, sample.find('\n', b) + 1 - b);
+    std::size_t n = 0;
+    if (line.starts_with("# ")) n = std::min(line.find(' ', 2), line.size() - 1);
+    if (line.starts_with("# end ")) n = line.size() - 1;
+    for (std::size_t k = 0; k < line.size(); ++k) tag.push_back(k < n);
+  }
+  return tag;
+}
+
+/// Marks the bytes of every `<key>` in `"<key>": ` for the given keys.
+std::vector<bool> json_keys(const std::string& sample,
+                            std::initializer_list<std::string_view> keys) {
+  std::vector<bool> marked(sample.size());
+  for (const std::string_view key : keys) {
+    const std::string pattern = '"' + std::string(key) + "\": ";
+    for (std::size_t at = sample.find(pattern); at != std::string::npos;
+         at = sample.find(pattern, at + 1)) {
+      std::fill_n(marked.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                  key.size(), true);
+    }
+  }
+  return marked;
+}
+
+/// `framing` marks the bytes whose substitution must fail.
+void sweep(const std::string& sample, bool cuts_fail,
+           const std::vector<bool>& framing, const Loader& load) {
   int failures = 0;
   const auto check = [&](const std::string& bytes, bool must_fail,
                          const char* kind, std::size_t at) {
@@ -57,16 +90,9 @@ void sweep(const std::string& sample, bool cuts_fail, const Loader& load) {
     check(sample.substr(0, n), cuts_fail && drops_content, "prefix", n);
   }
 
-  // Lines with their newlines; tag[i] marks the bytes of record tags.
-  std::vector<std::string> lines;
-  std::vector<bool> tag;
+  std::vector<std::string> lines;  // with their newlines
   for (std::size_t b = 0; b < sample.size(); b = sample.find('\n', b) + 1) {
     lines.push_back(sample.substr(b, sample.find('\n', b) + 1 - b));
-    const std::string_view line = lines.back();
-    std::size_t n = 0;
-    if (line.starts_with("# ")) n = std::min(line.find(' ', 2), line.size() - 1);
-    if (line.starts_with("# end ")) n = line.size() - 1;
-    for (std::size_t k = 0; k < line.size(); ++k) tag.push_back(k < n);
   }
 
   std::string bytes = sample;
@@ -75,7 +101,7 @@ void sweep(const std::string& sample, bool cuts_fail, const Loader& load) {
     for (const char c : {'-', '9', 'x', ' ', '\n', '#', flipped}) {
       if (c == sample[i]) continue;
       bytes[i] = c;
-      check(bytes, tag[i], "substitution", i);
+      check(bytes, framing[i], "substitution", i);
     }
     bytes[i] = sample[i];
   }
@@ -93,7 +119,8 @@ void sweep(const std::string& sample, bool cuts_fail, const Loader& load) {
 }
 
 TEST(RecordSweep, Trace) {
-  sweep(record_samples::trace_bytes(), /*cuts_fail=*/false,
+  const std::string sample = record_samples::trace_bytes();
+  sweep(sample, /*cuts_fail=*/false, record_tags(sample),
         [](const std::string& b) {
           std::istringstream is(b);
           return trace::try_read_trace(is).ok();
@@ -101,7 +128,8 @@ TEST(RecordSweep, Trace) {
 }
 
 TEST(RecordSweep, Member) {
-  sweep(record_samples::member_bytes(), /*cuts_fail=*/true,
+  const std::string sample = record_samples::member_bytes();
+  sweep(sample, /*cuts_fail=*/true, record_tags(sample),
         [](const std::string& b) {
           std::istringstream is(b);
           record::Reader r(is);
@@ -114,7 +142,8 @@ TEST(RecordSweep, FuzzerState) {
   // One target serves every case: a restore overwrites all of the state it
   // reads, and island count and archive presence come from the config.
   fuzz::Fuzzer target = record_samples::evaluated_fuzzer();
-  sweep(record_samples::fuzzer_state_bytes(), /*cuts_fail=*/true,
+  const std::string sample = record_samples::fuzzer_state_bytes();
+  sweep(sample, /*cuts_fail=*/true, record_tags(sample),
         [&](const std::string& b) {
           std::istringstream is(b);
           return !target.restore_state(is);
@@ -124,7 +153,8 @@ TEST(RecordSweep, FuzzerState) {
 TEST(RecordSweep, Archive) {
   // No footer, but the `# cells` count flags every cut, one inside an entry
   // included.
-  sweep(record_samples::archive_bytes(), /*cuts_fail=*/true,
+  const std::string sample = record_samples::archive_bytes();
+  sweep(sample, /*cuts_fail=*/true, record_tags(sample),
         [](const std::string& b) {
           std::istringstream is(b);
           return fuzz::EliteArchive::try_load(is).ok();
@@ -142,12 +172,57 @@ TEST(RecordSweep, Checkpoint) {
   const fs::path head = dir / "checkpoint" / "campaign.ckpt";
   fs::remove(head.string() + ".prev");
   set_log_level(LogLevel::kError);
-  sweep(sample, /*cuts_fail=*/true, [&](const std::string& b) {
-    std::ofstream(head, std::ios::binary | std::ios::trunc) << b;
-    return campaign::Campaign(cfg).resumed();
-  });
+  sweep(sample, /*cuts_fail=*/true, record_tags(sample),
+        [&](const std::string& b) {
+          std::ofstream(head, std::ios::binary | std::ios::trunc) << b;
+          return campaign::Campaign(cfg).resumed();
+        });
   set_log_level(LogLevel::kWarn);
   fs::remove_all(dir);
+}
+
+TEST(RecordSweep, ShardPlan) {
+  const std::string sample = record_samples::shard_plan_bytes();
+  sweep(sample, /*cuts_fail=*/true,
+        json_keys(sample, {"num_shards", "cells", "cell", "shard"}),
+        [](const std::string& b) {
+          std::istringstream is(b);
+          return dist::ShardPlan::try_load(is).ok();
+        });
+}
+
+TEST(RecordSweep, Manifest) {
+  const std::string sample = record_samples::manifest_bytes();
+  sweep(sample, /*cuts_fail=*/true,
+        json_keys(sample,
+                  {"ccfuzz_finding", "id", "source", "cell", "cca", "mode",
+                   "score", "scenario_hash", "duration_ms", "original_events",
+                   "minimized_events", "original_score", "expected_score",
+                   "tolerance", "expect_quarantined", "confirm_runs", "flaky",
+                   "truncated", "classification", "invariant_violations"}),
+        [](const std::string& b) { return triage::parse_manifest(b).ok(); });
+}
+
+TEST(RecordSweep, ShardSummary) {
+  // Both halves of a shard summary through the parse merge_reports runs,
+  // each mangled while the other stays intact. Cell blocks are spliced
+  // verbatim, so only `name` inside them is framing; a cut summary.csv can
+  // lose whole rows and still parse.
+  const fs::path dir = fs::temp_directory_path() / "ccfuzz_record_sweep_summary";
+  const auto [json, csv] = record_samples::summary_bytes(dir.string());
+  fs::remove_all(dir);
+  const auto load = [](const std::string& c, const std::string& j) {
+    std::istringstream csv_is(c);
+    std::istringstream json_is(j);
+    return dist::read_shard_summary(csv_is, json_is).ok();
+  };
+  sweep(json, /*cuts_fail=*/true,
+        json_keys(json, {"interrupted", "quarantined", "cells", "name"}),
+        [&](const std::string& b) { return load(csv, b); });
+  std::vector<bool> header(csv.size());  // the CSV header is exact
+  std::fill_n(header.begin(), csv.find('\n'), true);
+  sweep(csv, /*cuts_fail=*/false, header,
+        [&](const std::string& b) { return load(b, json); });
 }
 
 }  // namespace

@@ -31,6 +31,9 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -48,6 +51,7 @@
 #include "triage/bundle.h"
 #include "triage/triage.h"
 #include "util/fs.h"
+#include "util/record.h"
 #include "util/time.h"
 
 using namespace ccfuzz;
@@ -252,6 +256,27 @@ std::string self_binary(const char* argv0) {
 bool parse_args(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
+  // Numeric flags parse strictly: trailing junk, overflow or a sign on an
+  // unsigned value is a usage error, not a silent 0.
+  const std::pair<std::string_view,
+                  std::variant<int*, long long*, unsigned long long*, double*>>
+      numeric[] = {{"--generations", &opt.generations},
+                   {"--population", &opt.population},
+                   {"--islands", &opt.islands},
+                   {"--seed", &opt.seed},
+                   {"--duration-ms", &opt.duration_ms},
+                   {"--max-events", &opt.max_events},
+                   {"--winners", &opt.winners},
+                   {"--checkpoint-every", &opt.checkpoint_every},
+                   {"--throttle-ms", &opt.throttle_ms},
+                   {"--workers", &opt.workers},
+                   {"--heartbeat-timeout-s", &opt.heartbeat_timeout_s},
+                   {"--max-restarts", &opt.max_restarts},
+                   {"--restart-window-s", &opt.restart_window_s},
+                   {"--min-free-mb", &opt.min_free_mb},
+                   {"--confirm", &opt.confirm_runs},
+                   {"--tolerance", &opt.tolerance},
+                   {"--minimize-evals", &opt.minimize_evals}};
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") {
@@ -267,7 +292,21 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
     const std::string val = argv[++i];
-    if (flag == "--ccas") {
+    auto num = std::begin(numeric);
+    while (num != std::end(numeric) && num->first != flag) ++num;
+    const auto parse = [&](auto* out) {
+      return record::parse_number(val, *out);
+    };
+    if (num != std::end(numeric)) {
+      if (!std::visit(parse, num->second)) {
+        std::fprintf(stderr, "ccfuzz: %s needs %s, got '%s'\n", flag.c_str(),
+                     std::holds_alternative<double*>(num->second)
+                         ? "a number"
+                         : "an integer",
+                     val.c_str());
+        return false;
+      }
+    } else if (flag == "--ccas") {
       opt.ccas = split_csv(val);
     } else if (flag == "--modes") {
       opt.modes = split_csv(val);
@@ -275,46 +314,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.presets = split_csv(val);
     } else if (flag == "--score") {
       opt.score = val;
-    } else if (flag == "--generations") {
-      opt.generations = std::atoi(val.c_str());
-    } else if (flag == "--population") {
-      opt.population = std::atoi(val.c_str());
-    } else if (flag == "--islands") {
-      opt.islands = std::atoi(val.c_str());
-    } else if (flag == "--seed") {
-      opt.seed = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (flag == "--duration-ms") {
-      opt.duration_ms = std::atoll(val.c_str());
-    } else if (flag == "--max-events") {
-      opt.max_events = std::atoll(val.c_str());
-    } else if (flag == "--winners") {
-      opt.winners = std::atoi(val.c_str());
-    } else if (flag == "--checkpoint-every") {
-      opt.checkpoint_every = std::atoi(val.c_str());
-    } else if (flag == "--throttle-ms") {
-      opt.throttle_ms = std::atoi(val.c_str());
     } else if (flag == "--output") {
       opt.output = val;
-    } else if (flag == "--workers") {
-      opt.workers = std::atoi(val.c_str());
     } else if (flag == "--shard") {
       opt.shard = val;
     } else if (flag == "--skip-cells") {
       opt.skip_cells = split_csv(val);
-    } else if (flag == "--heartbeat-timeout-s") {
-      opt.heartbeat_timeout_s = std::atof(val.c_str());
-    } else if (flag == "--max-restarts") {
-      opt.max_restarts = std::atoi(val.c_str());
-    } else if (flag == "--restart-window-s") {
-      opt.restart_window_s = std::atof(val.c_str());
-    } else if (flag == "--min-free-mb") {
-      opt.min_free_mb = std::atoll(val.c_str());
-    } else if (flag == "--confirm") {
-      opt.confirm_runs = std::atoi(val.c_str());
-    } else if (flag == "--tolerance") {
-      opt.tolerance = std::atof(val.c_str());
-    } else if (flag == "--minimize-evals") {
-      opt.minimize_evals = std::atoi(val.c_str());
     } else {
       std::fprintf(stderr, "ccfuzz: unknown flag %s\n", flag.c_str());
       return false;
@@ -337,9 +342,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 }
 
 int cmd_worker(const Options& opt) {
+  const std::size_t slash = opt.shard.find('/');
   int shard = -1;
   int num_shards = -1;
-  if (std::sscanf(opt.shard.c_str(), "%d/%d", &shard, &num_shards) != 2 ||
+  if (slash == std::string::npos ||
+      !record::parse_number(opt.shard.substr(0, slash), shard) ||
+      !record::parse_number(opt.shard.substr(slash + 1), num_shards) ||
       num_shards < 1 || shard < 0 || shard >= num_shards) {
     std::fprintf(stderr, "ccfuzz worker: --shard must be k/N, got '%s'\n",
                  opt.shard.c_str());
