@@ -257,6 +257,39 @@ TEST(Campaign, GoldenGenStatsHistory) {
   }
 }
 
+// Pins campaign::scenario_key, which checkpoints record in their cache keys
+// and finding bundles record as scenario_hash: a change to how a scenario is
+// described must leave every key a campaign builds unchanged.
+TEST(Campaign, ScenarioKeysArePinned) {
+  const scenario::ScenarioConfig traffic;
+  scenario::ScenarioConfig link;
+  link.mode = scenario::FuzzMode::kLink;
+  scenario::ScenarioConfig armed;
+  armed.coverage = true;
+  armed.invariants = true;
+
+  const struct {
+    const char* name;
+    scenario::ScenarioConfig cfg;
+    const char* want;
+  } cases[] = {
+      {"default traffic", traffic, "3ad82737835d9902"},
+      {"default link", link, "8e2d8daf85a8851b"},
+      {"incast", scenario::apply_preset("incast", traffic),
+       "0c4f6d736a89c5a6"},
+      {"late_starter", scenario::apply_preset("late_starter", traffic),
+       "8741fd687307b0f9"},
+      {"rtt_unfair", scenario::apply_preset("rtt_unfair", traffic),
+       "dede485dec698034"},
+      {"inter_protocol", scenario::apply_preset("inter_protocol", traffic),
+       "c61543ad5410e0de"},
+      {"coverage+invariants", armed, "2192723f5afcae22"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(trace::hash_hex(scenario_key(c.cfg)), c.want) << c.name;
+  }
+}
+
 TEST(Campaign, DeterministicAcrossRuns) {
   const auto run_once = [] {
     CampaignConfig cfg;

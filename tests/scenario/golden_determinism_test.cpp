@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "cca/registry.h"
+#include "scenario/crafted.h"
 #include "scenario/runner.h"
 #include "trace/dist_packets.h"
 #include "util/rng.h"
@@ -164,6 +165,50 @@ TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
     EXPECT_EQ(run.primary().drops, 37);
     EXPECT_EQ(run.primary().rto_count, 2);
     EXPECT_EQ(fingerprint(run), 0xd350048e40190f88ULL);
+  }
+}
+
+TEST(GoldenDeterminism, SingleFlowShapesArePinned) {
+  // The single-flow runs that move the flow's start or its data volume:
+  // BBR starting into a standing queue (the Fig 4e setup), a late Reno
+  // start, and a Reno transfer of 100 segments.
+  ScenarioConfig fig4e;
+  fig4e.duration = TimeNs::seconds(5);
+  fig4e.record_mode = RecordMode::kFullEvents;
+  fig4e.flow_start = TimeNs::millis(200);
+  ScenarioConfig late;
+  late.duration = TimeNs::seconds(3);
+  late.record_mode = RecordMode::kFullEvents;
+  late.flow_start = TimeNs::seconds(1);
+  ScenarioConfig short_transfer;
+  short_transfer.duration = TimeNs::seconds(3);
+  short_transfer.record_mode = RecordMode::kFullEvents;
+  short_transfer.total_segments = 100;
+
+  const struct {
+    const char* name;
+    const char* cca;
+    ScenarioConfig cfg;
+    std::vector<TimeNs> trace;
+    std::int64_t delivered;
+    std::int64_t sent;
+    std::uint64_t hash;
+  } cases[] = {
+      {"fig4e", "bbr", fig4e,
+       crafted::standing_queue_trace(TimeNs::millis(200),
+                                     fig4e.net.queue_capacity,
+                                     DurationNs::millis(2), 1, fig4e.duration),
+       1999, 2125, 0x41b8d2513729a768ULL},
+      {"late start", "reno", late, {}, 1923, 1989, 0xd4a653fd520d37d1ULL},
+      {"100 segments", "reno", short_transfer, {}, 100, 100,
+       0xc2fedd311bb2bc3dULL},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto run = run_scenario(c.cfg, cca::make_factory(c.cca), c.trace);
+    EXPECT_EQ(run.primary().segments_delivered, c.delivered);
+    EXPECT_EQ(run.primary().sent, c.sent);
+    EXPECT_EQ(fingerprint(run), c.hash);
   }
 }
 
