@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "util/logging.h"
+#include "util/record.h"
+
 namespace ccfuzz {
 namespace {
 
@@ -81,14 +84,20 @@ void ThreadPool::parallel_for(std::size_t n,
   cv_done_.wait(lk, [this] { return in_flight_ == 0; });
 }
 
+std::size_t parse_thread_count(const char* value) {
+  if (value == nullptr) return 0;
+  std::size_t n = 0;
+  if (!record::parse_number(value, n)) {
+    CCFUZZ_LOG_WARN("CCFUZZ_THREADS='%s' is not a thread count; using all "
+                    "cores",
+                    value);
+    return 0;
+  }
+  return n;
+}
+
 ThreadPool& global_thread_pool() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("CCFUZZ_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{0};
-  }());
+  static ThreadPool pool(parse_thread_count(std::getenv("CCFUZZ_THREADS")));
   return pool;
 }
 

@@ -47,8 +47,14 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Worker count named by a CCFUZZ_THREADS value: a plain decimal count, 0
+/// or null (unset) meaning all cores. Anything else (`4x`, `abc`, `-2`, an
+/// overflow) logs one warning naming the value and also means all cores.
+std::size_t parse_thread_count(const char* value);
+
 /// Global pool shared by fuzzing drivers (lazily constructed).
-/// Thread count can be capped via the CCFUZZ_THREADS environment variable.
+/// Thread count can be capped via the CCFUZZ_THREADS environment variable
+/// (parse_thread_count).
 ThreadPool& global_thread_pool();
 
 /// Runs fn(i) for every i in [0, n): on the global pool when `parallel`,

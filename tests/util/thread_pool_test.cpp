@@ -93,5 +93,17 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   }
 }
 
+TEST(ThreadPool, ParsesThreadCountStrictly) {
+  EXPECT_EQ(parse_thread_count(nullptr), 0u);
+  EXPECT_EQ(parse_thread_count("0"), 0u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("16"), 16u);
+  // Rejected values mean all cores (0), never a prefix of the text.
+  for (const char* bad : {"4x", "abc", "-2", "", " 4", "+4", "4.0",
+                          "99999999999999999999999"}) {
+    EXPECT_EQ(parse_thread_count(bad), 0u) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace ccfuzz
