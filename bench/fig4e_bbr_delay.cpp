@@ -19,12 +19,12 @@ int main() {
   bench::banner("Figure 4e", "traffic vector inducing high BBR delay");
   scenario::ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(5);
-  cfg.flow_start = TimeNs::millis(200);
+  cfg.flows = {scenario::FlowSpec{.start = TimeNs::millis(200)}};
   cfg.net.queue_capacity = 50;
   cfg.record_mode = scenario::RecordMode::kFullEvents;  // figure reads events
 
   const auto trace = scenario::crafted::standing_queue_trace(
-      cfg.flow_start, cfg.net.queue_capacity, DurationNs::millis(2), 1,
+      cfg.flows[0].start, cfg.net.queue_capacity, DurationNs::millis(2), 1,
       cfg.duration);
   const auto attacked =
       scenario::run_scenario(cfg, cca::make_factory("bbr"), trace);

@@ -13,7 +13,8 @@ double utilization_of(const scenario::ScenarioConfig& cfg,
   scenario::ScenarioConfig run_cfg = cfg;
   run_cfg.mode = scenario::FuzzMode::kLink;
   run_cfg.duration = t.duration;
-  const auto run = scenario::run_scenario(run_cfg, cca, t.stamps);
+  const scenario::RunResult& run =
+      scenario::thread_run_context().run(run_cfg, cca, t.stamps);
   // Utilization relative to what the trace itself offered.
   const double offered_mbps =
       t.average_rate_bps(run_cfg.net.packet_bytes) * 1e-6;

@@ -47,15 +47,6 @@ std::uint64_t fnv_double(std::uint64_t h, double v) {
   return trace::fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
 }
 
-/// True when any flow carries an opaque factory — such scenarios have no
-/// stable identity, so their cells must not share cached evaluations.
-bool has_custom_flow_factory(const scenario::ScenarioConfig& s) {
-  for (const auto& f : s.flows) {
-    if (f.factory) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::uint64_t scenario_key(const scenario::ScenarioConfig& s) {
@@ -63,6 +54,8 @@ std::uint64_t scenario_key(const scenario::ScenarioConfig& s) {
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.mode));
   // The flow set is part of the evaluation identity: presets with the same
   // transport knobs but different topologies must not share cache entries.
+  // It is hashed as written, so an empty list keeps its own key (size 0)
+  // rather than that of the one-flow list it stands for.
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.flows.size()));
   for (const auto& f : s.flows) {
     h = fnv_str(h, f.cca);
@@ -73,8 +66,11 @@ std::uint64_t scenario_key(const scenario::ScenarioConfig& s) {
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.total_segments));
   }
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.duration.ns()));
-  h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.flow_start.ns()));
-  h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.total_segments));
+  // Retired single-flow fields (start, data volume), hashed at their only
+  // remaining values so every key recorded in checkpoints and bundles holds.
+  h = trace::fnv1a_u64(h, 0);
+  h = trace::fnv1a_u64(
+      h, static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()));
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.min_rto.ns()));
   h = trace::fnv1a_u64(h, s.delayed_ack ? 1 : 0);
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.ack_every));
@@ -117,7 +113,7 @@ namespace {
 /// Cells with an opaque custom factory never share.
 std::uint64_t eval_key(const CellConfig& cell, std::size_t cell_index) {
   std::uint64_t h = trace::kFnvOffset;
-  if (cell.factory || has_custom_flow_factory(cell.scenario)) {
+  if (cell.factory) {
     h = trace::fnv1a_u64(h, 0x1 + cell_index);
   } else {
     h = fnv_str(h, cell.cca);
@@ -147,8 +143,8 @@ void validate_cell(const CellConfig& cell) {
   if (cell.scenario.duration <= TimeNs::zero()) {
     fail("scenario.duration must be positive");
   }
-  for (const auto& flow : cell.scenario.flows) {
-    if (!flow.factory && !flow.cca.empty() && !cca::is_known_cca(flow.cca)) {
+  for (const auto& flow : cell.scenario.flow_specs()) {
+    if (!flow.cca.empty() && !cca::is_known_cca(flow.cca)) {
       cca::make_factory(flow.cca);  // throws, listing the known names
     }
     if (flow.start < TimeNs::zero() || flow.start >= cell.scenario.duration) {

@@ -30,11 +30,9 @@ Evaluation TraceEvaluator::evaluate(const trace::Trace& t) const {
 
 void TraceEvaluator::evaluate_into(const trace::Trace& t,
                                    Evaluation& e) const {
-  // Run on this thread's warm per-evaluator context and summarize straight
-  // from the context-owned result — no RunResult copy, no per-packet scans,
-  // and no buffer reshaping when a cross-cell batch interleaves evaluators
-  // with different scenario shapes on this worker.
-  evaluate_on(scenario::thread_run_context(context_key_), t, e);
+  // Run on this thread's warm context and summarize straight from the
+  // context-owned result — no RunResult copy, no per-packet scans.
+  evaluate_on(scenario::thread_run_context(), t, e);
 }
 
 void TraceEvaluator::evaluate_on(scenario::RunContext& ctx,

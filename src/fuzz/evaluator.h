@@ -1,5 +1,10 @@
 // Trace fitness evaluation: run the simulation, apply the scoring function,
 // keep a compact per-trace summary for GA bookkeeping and reporting.
+//
+// Evaluations run on the thread's one warm scenario::RunContext and score
+// its RunResult by reference. That `const RunResult&` is valid only until
+// the next run on the thread, so a ScoreFunction must not start another
+// simulation on that thread while it reads the result.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +71,10 @@ class TraceEvaluator {
     score_->validate(scenario_);
   }
 
-  /// Runs the simulation for `t` and scores it. Evaluations run on a
-  /// per-evaluator warm context on each worker thread (see
-  /// scenario::thread_run_context), so cross-cell campaign batches that
-  /// interleave evaluators with different FlowSpec shapes never reshape a
-  /// shared context's buffers between runs. Copies of an evaluator share
-  /// its context slot (they evaluate the same scenario).
+  /// Runs the simulation for `t` and scores it, on this thread's warm
+  /// context (scenario::thread_run_context). The context's RunResult is
+  /// read by reference and summarized before evaluate returns, so nothing
+  /// here outlives the next run on the thread.
   Evaluation evaluate(const trace::Trace& t) const;
 
   /// Like evaluate(), but reuses `out`'s storage (per-flow vectors) — with a
@@ -80,7 +83,7 @@ class TraceEvaluator {
   void evaluate_into(const trace::Trace& t, Evaluation& out) const;
 
   /// Like evaluate_into(), but on a caller-owned context instead of this
-  /// thread's warm per-evaluator slot. The triage confirmation path uses
+  /// thread's warm one. The triage confirmation path uses
   /// this with fresh RunContexts to prove a finding does not depend on warm
   /// state carried over from the campaign.
   void evaluate_on(scenario::RunContext& ctx, const trace::Trace& t,
@@ -108,8 +111,6 @@ class TraceEvaluator {
   std::shared_ptr<const ScoreFunction> score_;
   TraceScoreWeights trace_weights_;
   std::shared_ptr<Quarantine> quarantine_;
-  /// Names this evaluator's per-thread warm RunContext cache slot.
-  scenario::ContextKey context_key_ = scenario::allocate_context_key();
 };
 
 /// One unit of a heterogeneous evaluation batch: a trace to run under a

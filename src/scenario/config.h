@@ -3,15 +3,19 @@
 // Defaults follow §4's setup: 12 Mbps bottleneck (average bandwidth in link
 // mode), 20 ms propagation delay, TCP SACK + delayed ACKs enabled, and
 // min-RTO = 1 s (RFC 6298 §2.4; the paper notes Linux uses 200 ms).
+//
+// Flows are described in one place, ScenarioConfig::flows: a single-flow run
+// with a late start or a bounded transfer is a one-element list, and an
+// empty list is one default flow running the primary CCA (flow_specs()).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "sim/budget.h"
-#include "tcp/congestion_control.h"
 #include "util/time.h"
 
 namespace ccfuzz::scenario {
@@ -82,10 +86,9 @@ struct FlowSpec {
   /// Registry name of this flow's CCA (cca::make_factory). Empty means "the
   /// scenario's primary CCA" — the factory handed to run_scenario, i.e. the
   /// algorithm under test.
-  std::string cca;
-  /// Explicit factory overriding `cca` (flows outside the registry).
-  tcp::CcaFactory factory;
-  /// When the flow starts transmitting.
+  std::string cca = {};
+  /// When the flow starts transmitting (cross traffic may precede it,
+  /// Fig 4e).
   TimeNs start = TimeNs::zero();
   /// When the flow halts; infinite = runs to the end of the scenario.
   TimeNs stop = TimeNs::infinite();
@@ -105,16 +108,10 @@ struct ScenarioConfig {
 
   /// Simulated run length; traces live in [0, duration).
   TimeNs duration = TimeNs::seconds(5);
-  /// When the CCA flow starts (cross traffic may precede it, Fig 4e).
-  /// Single-flow shorthand: consulted only when `flows` is empty.
-  TimeNs flow_start = TimeNs::zero();
-  /// Application data volume in segments (default: unbounded source).
-  /// Single-flow shorthand: consulted only when `flows` is empty.
-  std::int64_t total_segments = std::numeric_limits<std::int64_t>::max();
 
   /// The competing flows sharing the bottleneck, in flow-index order. Empty
-  /// declares the classic single-flow dumbbell built from the shorthand
-  /// fields above (flow_start / total_segments, primary CCA).
+  /// declares the classic single-flow dumbbell: one default FlowSpec running
+  /// the primary CCA (see flow_specs()).
   std::vector<FlowSpec> flows;
 
   // --- Transport knobs (paper §4 defaults) ---
@@ -162,10 +159,16 @@ struct ScenarioConfig {
   /// of hanging a worker. Default: unlimited (bit-identical to no guard).
   sim::Budget budget{};
 
-  /// Number of CCA flows this scenario simulates (>= 1; the empty `flows`
-  /// shorthand is one flow). The shorthand itself is resolved
-  /// allocation-free by Dumbbell::resolve_spec.
-  std::size_t flow_count() const { return flows.empty() ? 1 : flows.size(); }
+  /// The flows this scenario simulates: `flows`, or one default FlowSpec
+  /// when `flows` is empty. Never empty; allocation-free.
+  std::span<const FlowSpec> flow_specs() const {
+    static const FlowSpec kPrimary{};
+    return flows.empty() ? std::span<const FlowSpec>(&kPrimary, 1)
+                         : std::span<const FlowSpec>(flows);
+  }
+
+  /// Number of CCA flows this scenario simulates (>= 1).
+  std::size_t flow_count() const { return flow_specs().size(); }
 };
 
 }  // namespace ccfuzz::scenario

@@ -109,7 +109,7 @@ std::vector<TimeNs> shrew_trace(TimeNs first_burst, DurationNs period,
   return trace;
 }
 
-std::vector<TimeNs> standing_queue_trace(TimeNs flow_start,
+std::vector<TimeNs> standing_queue_trace(TimeNs start,
                                          std::size_t queue_capacity,
                                          DurationNs refill_period,
                                          int refill_packets, TimeNs until) {
@@ -117,8 +117,7 @@ std::vector<TimeNs> standing_queue_trace(TimeNs flow_start,
   // Fill the queue just before the flow starts: the SYN-time RTT already
   // includes one full queue of delay.
   const TimeNs fill_at =
-      flow_start > TimeNs::millis(1) ? flow_start - DurationNs::millis(1)
-                                     : TimeNs::zero();
+      start > TimeNs::millis(1) ? start - DurationNs::millis(1) : TimeNs::zero();
   trace.insert(trace.end(), queue_capacity, fill_at);
   for (TimeNs t = fill_at + refill_period; t < until; t += refill_period) {
     trace.insert(trace.end(), static_cast<std::size_t>(refill_packets), t);

@@ -63,10 +63,10 @@ CraftResult craft_retransmission_killer(const ScenarioConfig& cfg,
 std::vector<TimeNs> shrew_trace(TimeNs first_burst, DurationNs period,
                                 int burst_packets, TimeNs until);
 
-/// Fig 4e's pattern: fill the queue just before the flow starts (so the
-/// CCA never sees the true minimum RTT), then re-fill periodically to
-/// keep a standing queue.
-std::vector<TimeNs> standing_queue_trace(TimeNs flow_start,
+/// Fig 4e's pattern: fill the queue just before the flow starts at `start`
+/// (so the CCA never sees the true minimum RTT), then re-fill periodically
+/// to keep a standing queue.
+std::vector<TimeNs> standing_queue_trace(TimeNs start,
                                          std::size_t queue_capacity,
                                          DurationNs refill_period,
                                          int refill_packets, TimeNs until);

@@ -1,62 +1,19 @@
 #include "scenario/dumbbell.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "cca/registry.h"
 
 namespace ccfuzz::scenario {
 
-Dumbbell::Dumbbell(sim::Simulator& sim, net::PacketPool* pool,
-                   net::BottleneckRecorder* recorder,
-                   analysis::StreamingMetrics* metrics)
-    : sim_(sim),
-      pool_(pool != nullptr ? pool : &own_pool_),
-      recorder_(recorder != nullptr ? recorder : &own_recorder_),
-      metrics_(metrics != nullptr ? metrics : &own_metrics_) {}
+Dumbbell::Dumbbell(sim::Simulator& sim, net::PacketPool& pool,
+                   net::BottleneckRecorder& recorder,
+                   analysis::StreamingMetrics& metrics)
+    : sim_(sim), pool_(pool), recorder_(recorder), metrics_(metrics) {}
 
-Dumbbell::Dumbbell(sim::Simulator& sim, const ScenarioConfig& cfg,
-                   const tcp::CcaFactory& primary,
-                   std::vector<TimeNs> trace_times, net::PacketPool* pool,
-                   net::BottleneckRecorder* recorder,
-                   analysis::StreamingMetrics* metrics)
-    : Dumbbell(sim, pool, recorder, metrics) {
-  setup(cfg, primary, trace_times);
-}
-
-Dumbbell::Dumbbell(sim::Simulator& sim, const ScenarioConfig& cfg,
-                   std::unique_ptr<tcp::CongestionControl> cca,
-                   std::vector<TimeNs> trace_times, net::PacketPool* pool,
-                   net::BottleneckRecorder* recorder,
-                   analysis::StreamingMetrics* metrics)
-    : Dumbbell(sim, cfg,
-               // std::function requires a copyable callable, so the single
-               // instance rides in a shared box and is surrendered on the
-               // first (and only) invocation. A second invocation means the
-               // scenario declares more than one primary-CCA flow, which
-               // this convenience constructor cannot satisfy.
-               [box = std::make_shared<std::unique_ptr<tcp::CongestionControl>>(
-                    std::move(cca))]() {
-                 if (!*box) {
-                   throw std::invalid_argument(
-                       "the single-instance Dumbbell constructor supports "
-                       "exactly one flow; use the CcaFactory constructor for "
-                       "multi-flow scenarios");
-                 }
-                 return std::move(*box);
-               },
-               std::move(trace_times), pool, recorder, metrics) {}
-
-void Dumbbell::resolve_spec(std::size_t i, FlowSpec& out) const {
-  if (cfg_.flows.empty()) {
-    // Legacy single-flow shorthand.
-    out = FlowSpec{};
-    out.start = cfg_.flow_start;
-    out.total_segments = cfg_.total_segments;
-  } else {
-    out = cfg_.flows[i];
-  }
+void Dumbbell::resolve_spec(const FlowSpec& spec, FlowSpec& out) const {
+  out = spec;
   if (out.access_delay < DurationNs::zero()) {
     out.access_delay = cfg_.net.access_delay;
   }
@@ -73,10 +30,11 @@ void Dumbbell::resolve_spec(std::size_t i, FlowSpec& out) const {
 void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
                      std::span<const TimeNs> trace_times) {
   cfg_ = cfg;
-  flow_count_ = cfg_.flows.empty() ? 1 : cfg_.flows.size();
+  const std::span<const FlowSpec> specs = cfg_.flow_specs();
+  flow_count_ = specs.size();
 
   const bool events = cfg_.record_mode == RecordMode::kFullEvents;
-  recorder_->set_record_events(events);
+  recorder_.set_record_events(events);
   if (events) {
     // Expected bottleneck traversals: one per trace stamp plus ~one CCA
     // packet per serialization slot over the run (the flows share the
@@ -87,17 +45,17 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
         trace_times.size() +
         static_cast<std::size_t>(
             std::max<std::int64_t>(cfg_.duration.ns() / 1'000'000, 0));
-    recorder_->reserve(expected_packets);
+    recorder_.reserve(expected_packets);
   }
-  recorder_->set_flow_count(flow_count_ + 1);  // CCA flows + cross traffic
-  pool_->reserve(cfg_.net.queue_capacity + 64 * flow_count_);
-  metrics_->begin_run(flow_count_, cfg_.metrics_window, cfg_.duration);
+  recorder_.set_flow_count(flow_count_ + 1);  // CCA flows + cross traffic
+  pool_.reserve(cfg_.net.queue_capacity + 64 * flow_count_);
+  metrics_.begin_run(flow_count_, cfg_.metrics_window, cfg_.duration);
 
   // Gateway queue. The drop notifier is installed once and survives resets.
   if (!queue_) {
     queue_ = std::make_unique<net::DropTailQueue>(cfg_.net.queue_capacity);
     queue_->set_drop_notifier([this](const net::Packet& p, TimeNs now) {
-      recorder_->record_drop(p, now);
+      recorder_.record_drop(p, now);
     });
   } else {
     queue_->reset(cfg_.net.queue_capacity);
@@ -105,8 +63,8 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
 
   const auto install_link_callbacks = [this](net::BottleneckLink& lnk) {
     lnk.set_egress_observer([this](const net::Packet& p, TimeNs now) {
-      recorder_->record_egress(p, now);
-      metrics_->on_egress(p, now, now - p.enqueued_at);
+      recorder_.record_egress(p, now);
+      metrics_.on_egress(p, now, now - p.enqueued_at);
     });
     // Sink side of the bottleneck: each CCA flow's data reaches its own
     // receiver; cross traffic terminates (its job was done in the queue).
@@ -127,7 +85,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
     if (!trace_link_) {
       trace_link_ = std::make_unique<net::TraceDrivenLink>(
           sim_, *queue_, cfg_.net.bottleneck_delay,
-          std::vector<TimeNs>(trace_times.begin(), trace_times.end()), pool_);
+          std::vector<TimeNs>(trace_times.begin(), trace_times.end()), &pool_);
       install_link_callbacks(*trace_link_);
     } else {
       trace_link_->reset(cfg_.net.bottleneck_delay, trace_times);
@@ -137,7 +95,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
     if (!fixed_link_) {
       fixed_link_ = std::make_unique<net::FixedRateLink>(
           sim_, *queue_, cfg_.net.bottleneck_delay, cfg_.net.bottleneck_rate,
-          pool_);
+          &pool_);
       install_link_callbacks(*fixed_link_);
     } else {
       // reset() also re-registers the queue non-empty notifier.
@@ -154,7 +112,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
       // arrivals at the gateway) but is still recorded as bottleneck
       // ingress.
       cross_->set_inject_observer([this](const net::Packet& p, TimeNs now) {
-        recorder_->record_ingress(p, now);
+        recorder_.record_ingress(p, now);
       });
     } else {
       cross_->reset(trace_times, cfg_.net.packet_bytes,
@@ -170,7 +128,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
   for (std::size_t i = 0; i < flow_count_; ++i) {
     if (i >= flows_.size()) flows_.emplace_back();
     Flow& f = flows_[i];
-    resolve_spec(i, f.spec);
+    resolve_spec(specs[i], f.spec);
 
     tcp::TcpReceiver::Config rcfg;
     rcfg.delayed_ack = cfg_.delayed_ack;
@@ -189,18 +147,15 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
     scfg.flow_index = static_cast<net::FlowIndex>(i);
     scfg.stop = f.spec.stop < cfg_.duration ? f.spec.stop : TimeNs::infinite();
 
-    auto cca_instance = f.spec.factory
-                            ? f.spec.factory()
-                            : (f.spec.cca.empty()
-                                   ? primary()
-                                   : cca::make_factory(f.spec.cca)());
+    auto cca_instance = f.spec.cca.empty() ? primary()
+                                           : cca::make_factory(f.spec.cca)();
 
     if (!f.sender) {
       // ACK return path: receiver → sender, uncongested.
       f.ack = std::make_unique<net::DelayPipe>(
           sim_, f.spec.ack_path_delay,
           [this, i](net::Packet&& p) { flows_[i].sender->on_ack_packet(p); },
-          pool_);
+          &pool_);
       f.receiver = std::make_unique<tcp::TcpReceiver>(
           sim_, rcfg,
           [this, i](net::Packet&& p) { flows_[i].ack->send(std::move(p)); });
@@ -208,10 +163,10 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
       f.access = std::make_unique<net::DelayPipe>(
           sim_, f.spec.access_delay,
           [this](net::Packet&& p) {
-            recorder_->record_ingress(p, sim_.now());
+            recorder_.record_ingress(p, sim_.now());
             queue_->try_enqueue(std::move(p), sim_.now());
           },
-          pool_);
+          &pool_);
       f.sender = std::make_unique<tcp::TcpSender>(
           sim_, scfg, std::move(cca_instance),
           [this, i](net::Packet&& p) { flows_[i].access->send(std::move(p)); });
@@ -228,7 +183,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
       f.sender->set_behavior_sink(probe_);
     }
 
-    metrics_->set_flow_interval(i, f.spec.start);
+    metrics_.set_flow_interval(i, f.spec.start);
   }
 }
 

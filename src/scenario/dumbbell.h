@@ -14,13 +14,15 @@
 // fed by the fuzzed service curve; in traffic mode it is a FixedRateLink and
 // the fuzzed trace drives the CrossTrafficInjector.
 //
-// The Dumbbell is a *reusable harness*: construct the shell once (one per
-// scenario::RunContext) and call setup() per run. Components — queue, links,
-// pipes, senders, receivers — are created on first use and thereafter reset
-// in place, so a steady-state GA evaluation rebuilds the whole topology
-// without a single heap allocation (CCA instances recycle through
-// util::Recycled). Results are bit-identical to a freshly built dumbbell:
-// every component's reset() restores exactly its post-construction state.
+// The Dumbbell is a *reusable harness* with one way in: construct the shell
+// once over caller-owned storage (simulator, packet pool, recorder, metrics —
+// scenario::RunContext owns all four) and call setup() per run. The flows
+// come from ScenarioConfig::flow_specs(). Components — queue, links, pipes,
+// senders, receivers — are created on first use and thereafter reset in
+// place, so a steady-state GA evaluation rebuilds the whole topology without
+// a single heap allocation (CCA instances recycle through util::Recycled).
+// Results are bit-identical to a freshly built dumbbell: every component's
+// reset() restores exactly its post-construction state.
 #pragma once
 
 #include <memory>
@@ -43,48 +45,28 @@
 
 namespace ccfuzz::scenario {
 
-/// Owns every component of a simulation run and wires their callbacks.
-/// Either construct the empty shell and call setup() per run (reusable
-/// harness), or use a one-shot convenience constructor; then start() and
+/// Owns every component of a simulation run and wires their callbacks:
+/// construct the shell, then per run setup(), start() and
 /// Simulator::run_until(duration).
 class Dumbbell {
  public:
-  /// Reusable-harness shell: binds warm storage, builds nothing yet.
-  /// `pool` / `recorder` / `metrics` may be null (private ones are used).
-  Dumbbell(sim::Simulator& sim, net::PacketPool* pool = nullptr,
-           net::BottleneckRecorder* recorder = nullptr,
-           analysis::StreamingMetrics* metrics = nullptr);
-
-  /// One-shot convenience: shell + setup(). `trace_times` is the link
-  /// service curve (link mode) or the cross-traffic injection schedule
-  /// (traffic mode); must be sorted ascending.
-  ///
-  /// `primary` builds the CCA instance for every flow whose FlowSpec names
-  /// no algorithm of its own (and for the legacy single-flow shorthand);
-  /// named flows resolve through cca::make_factory.
-  Dumbbell(sim::Simulator& sim, const ScenarioConfig& cfg,
-           const tcp::CcaFactory& primary, std::vector<TimeNs> trace_times,
-           net::PacketPool* pool = nullptr,
-           net::BottleneckRecorder* recorder = nullptr,
-           analysis::StreamingMetrics* metrics = nullptr);
-
-  /// Single-flow convenience: wraps one ready-made CCA instance. Only valid
-  /// for scenarios with one flow.
-  Dumbbell(sim::Simulator& sim, const ScenarioConfig& cfg,
-           std::unique_ptr<tcp::CongestionControl> cca,
-           std::vector<TimeNs> trace_times,
-           net::PacketPool* pool = nullptr,
-           net::BottleneckRecorder* recorder = nullptr,
-           analysis::StreamingMetrics* metrics = nullptr);
+  /// Binds warm storage, builds nothing yet. All four outlive the Dumbbell.
+  Dumbbell(sim::Simulator& sim, net::PacketPool& pool,
+           net::BottleneckRecorder& recorder,
+           analysis::StreamingMetrics& metrics);
 
   Dumbbell(const Dumbbell&) = delete;
   Dumbbell& operator=(const Dumbbell&) = delete;
 
   /// (Re)builds the topology for one run. The simulator must be freshly
   /// reset and the pool/recorder/metrics cleared by the caller
-  /// (scenario::RunContext does all of this). Components from a previous
-  /// setup are reset in place; only shape growth (more flows than ever
-  /// before, a first use of a link type) allocates.
+  /// (scenario::RunContext does all of this). `trace_times` is the link
+  /// service curve (link mode) or the cross-traffic injection schedule
+  /// (traffic mode), sorted ascending. `primary` builds the CCA instance of
+  /// every flow whose FlowSpec names no algorithm of its own; named flows
+  /// resolve through cca::make_factory. Components from a previous setup are
+  /// reset in place; only shape growth (more flows than ever before, a first
+  /// use of a link type) allocates.
   void setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
              std::span<const TimeNs> trace_times);
 
@@ -111,8 +93,8 @@ class Dumbbell {
   }
   net::DropTailQueue& queue() { return *queue_; }
   const net::DropTailQueue& queue() const { return *queue_; }
-  const net::BottleneckRecorder& recorder() const { return *recorder_; }
-  const analysis::StreamingMetrics& metrics() const { return *metrics_; }
+  const net::BottleneckRecorder& recorder() const { return recorder_; }
+  const analysis::StreamingMetrics& metrics() const { return metrics_; }
   const net::CrossTrafficInjector* cross_traffic() const {
     return active_cross_;
   }
@@ -134,18 +116,15 @@ class Dumbbell {
     std::unique_ptr<tcp::TcpSender> sender;
   };
 
-  /// Resolves FlowSpec `i` of cfg_ (inherit delays, clamp stop) into `out`.
-  void resolve_spec(std::size_t i, FlowSpec& out) const;
+  /// Resolves `spec` against cfg_ (inherit delays, clamp stop) into `out`.
+  void resolve_spec(const FlowSpec& spec, FlowSpec& out) const;
 
   sim::Simulator& sim_;
   ScenarioConfig cfg_;
 
-  net::PacketPool own_pool_;
-  net::BottleneckRecorder own_recorder_;
-  analysis::StreamingMetrics own_metrics_;
-  net::PacketPool* pool_;
-  net::BottleneckRecorder* recorder_;
-  analysis::StreamingMetrics* metrics_;
+  net::PacketPool& pool_;
+  net::BottleneckRecorder& recorder_;
+  analysis::StreamingMetrics& metrics_;
   coverage::BehaviorProbe* probe_ = nullptr;
 
   std::unique_ptr<net::DropTailQueue> queue_;

@@ -1,8 +1,5 @@
 #include "scenario/runner.h"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 
 #include "util/stats.h"
@@ -25,7 +22,7 @@ const FlowResult& RunResult::flow(std::size_t i) const {
 FlowResult& RunResult::ensure_primary() {
   if (flows.empty()) {
     FlowResult f;
-    f.start = config.flow_start;
+    f.start = config.flow_specs().front().start;
     f.stop = config.duration;
     f.packet_bytes = config.net.packet_bytes;
     flows.push_back(std::move(f));
@@ -272,81 +269,13 @@ void RunContext::check_conservation() {
   }
 }
 
-ContextKey allocate_context_key() {
-  // 0 is reserved for the shared default context.
-  static std::atomic<ContextKey> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+RunContext& thread_run_context() {
+  thread_local RunContext ctx;
+  return ctx;
 }
-
-namespace {
-
-/// Per-thread LRU-bounded context cache. One warm context per (thread, key):
-/// GA batches fan out over the shared pool, and every worker reuses its own
-/// slab/pool/component capacity per evaluation configuration. Contexts are
-/// built lazily, so the slot table stays a vector of empty slots for keys
-/// this thread never runs; the table grows only when a new key first
-/// evaluates here (never in a warm generation). The LRU cap keeps a
-/// many-cell campaign (one key per evaluator) from pinning unbounded warm
-/// state per worker: materializing a context past the cap destroys the
-/// least-recently-touched one.
-struct ContextCache {
-  struct Slot {
-    std::unique_ptr<RunContext> ctx;
-    std::uint64_t last_use = 0;
-  };
-  std::vector<Slot> slots;
-  std::uint64_t tick = 0;
-  std::size_t live = 0;
-  std::size_t capacity = kDefaultThreadContextCapacity;
-
-  void evict_lru() {
-    Slot* victim = nullptr;
-    for (Slot& s : slots) {
-      if (s.ctx && (victim == nullptr || s.last_use < victim->last_use)) {
-        victim = &s;
-      }
-    }
-    if (victim != nullptr) {
-      victim->ctx.reset();
-      --live;
-    }
-  }
-};
-
-ContextCache& context_cache() {
-  thread_local ContextCache cache;
-  return cache;
-}
-
-}  // namespace
-
-RunContext& thread_run_context(ContextKey key) {
-  ContextCache& cache = context_cache();
-  if (cache.slots.size() <= key) {
-    cache.slots.resize(static_cast<std::size_t>(key) + 1);
-  }
-  ContextCache::Slot& slot = cache.slots[key];
-  if (!slot.ctx) {
-    while (cache.live >= cache.capacity) cache.evict_lru();
-    slot.ctx = std::make_unique<RunContext>();
-    ++cache.live;
-  }
-  slot.last_use = ++cache.tick;
-  return *slot.ctx;
-}
-
-void set_thread_context_capacity(std::size_t cap) {
-  ContextCache& cache = context_cache();
-  cache.capacity = std::max<std::size_t>(cap, 1);
-  while (cache.live > cache.capacity) cache.evict_lru();
-}
-
-std::size_t thread_context_capacity() { return context_cache().capacity; }
-
-std::size_t thread_context_count() { return context_cache().live; }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const tcp::CcaFactory& cca,
-                       std::vector<TimeNs> trace_times) {
+                       std::span<const TimeNs> trace_times) {
   return thread_run_context().run(cfg, cca, trace_times);
 }
 

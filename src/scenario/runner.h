@@ -5,14 +5,17 @@
 // run_scenario() is a pure function of (config, cca factory, trace): the
 // result depends on nothing but its arguments, which is what makes the GA's
 // parallel evaluation deterministic (paper §3.6). Under the hood each thread
-// reuses one RunContext, so back-to-back evaluations run on warm buffers —
-// the event-slot slab, packet pool, dumbbell components (queue, links,
-// pipes, senders, receivers) and metric bins reach their high-water mark on
-// the first run, after which a steady-state evaluation performs zero heap
-// allocations end to end, result handoff included (the warm RunResult lives
-// inside the context; RunContext::run returns a reference). Warm state is
-// invisible in the results: the golden determinism test pins bit-identical
-// RunResults across repeats and against pre-refactor fingerprints.
+// reuses one RunContext (thread_run_context), so back-to-back evaluations run
+// on warm buffers — the event-slot slab, packet pool, dumbbell components
+// (queue, links, pipes, senders, receivers) and metric bins reach their
+// high-water mark on the first run, after which a steady-state evaluation
+// performs zero heap allocations end to end, result handoff included (the
+// warm RunResult lives inside the context; RunContext::run returns a
+// reference). A `const RunResult&` from a thread's context is therefore valid
+// only until the next run on that thread; run_scenario hands out a copy for
+// callers that keep results. Warm state is invisible in the results: the
+// golden determinism test pins bit-identical RunResults across repeats and
+// against pre-refactor fingerprints.
 //
 // Observation modes (ScenarioConfig::record_mode): fuzzing runs keep only
 // the streaming per-flow summaries (analysis::StreamingMetrics) — windowed
@@ -180,13 +183,13 @@ struct RunResult {
 /// senders, receivers) and the warm RunResult the recorder/metrics write
 /// into, recycling all of it across runs — including across runs with
 /// different flow counts or modes. One RunContext per thread
-/// (run_scenario keeps a thread-local one; fuzz::evaluate_batch therefore
-/// reuses one per worker) turns the GA's unit of work from allocator-bound
-/// to simulation-bound: a steady-state metrics-only evaluation performs no
-/// heap allocations at all.
+/// (thread_run_context; fuzz::evaluate_batch therefore reuses one per
+/// worker) turns the GA's unit of work from allocator-bound to
+/// simulation-bound: a steady-state metrics-only evaluation performs no heap
+/// allocations at all.
 class RunContext {
  public:
-  RunContext() : db_(sim_, &pool_, &result_.recorder, &result_.metrics) {}
+  RunContext() : db_(sim_, pool_, result_.recorder, result_.metrics) {}
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
@@ -213,47 +216,18 @@ class RunContext {
   Dumbbell db_;
 };
 
-/// Default per-thread cap on cached RunContexts (see thread_run_context).
-inline constexpr std::size_t kDefaultThreadContextCapacity = 64;
+/// This thread's warm RunContext, created on first use. Every run on this
+/// thread — run_scenario, fuzz::TraceEvaluator — goes through it, so a
+/// reference into its result is valid only until the next run on the thread.
+RunContext& thread_run_context();
 
-/// Keys a per-thread cache of RunContexts. Key 0 is the shared default
-/// context (what run_scenario uses); every other key is handed out once by
-/// allocate_context_key() and names a dedicated warm context on each thread
-/// that evaluates under it. fuzz::TraceEvaluator allocates one key per
-/// evaluator, so a campaign's cross-cell batches stop funnelling wildly
-/// different ScenarioConfig shapes (flow counts, FlowSpec vectors, metric
-/// windows) through one shared context: each cell's buffers are reshaped
-/// exactly once per worker and stay warm for that cell from then on.
-using ContextKey = std::uint32_t;
-
-/// Reserves a fresh context-cache key. Process-wide monotone; cheap.
-ContextKey allocate_context_key();
-
-/// This thread's warm RunContext for `key` — created on first use, reused
-/// until evicted. The cache is LRU-bounded per thread (default
-/// kDefaultThreadContextCapacity): campaigns allocate one key per evaluator,
-/// so hundreds of cells would otherwise pin hundreds of warm contexts per
-/// worker forever. Touching a key refreshes it; creating one past the cap
-/// destroys the least-recently-used context (references to evicted contexts
-/// are invalidated — hot callers must not hold one across evaluations of
-/// other keys). Hot callers (fuzz::TraceEvaluator) run through the context
-/// directly to skip the RunResult copy that the by-value run_scenario hands
-/// out.
-RunContext& thread_run_context(ContextKey key = 0);
-
-/// Caps this thread's RunContext cache (min 1), evicting LRU contexts
-/// immediately if over the new cap. Per thread; affects future lookups.
-void set_thread_context_capacity(std::size_t cap);
-/// This thread's current cache cap.
-std::size_t thread_context_capacity();
-/// Live (materialized) contexts currently cached on this thread.
-std::size_t thread_context_count();
-
-/// Runs one simulation. `trace_times` is the link service curve (link mode)
-/// or cross-traffic schedule (traffic mode), sorted ascending. `cca` builds
-/// the primary CCA — the instance used by every flow that names no
-/// algorithm of its own. Reuses a thread-local RunContext.
+/// Runs one simulation and returns a copy of the result. `trace_times` is the
+/// link service curve (link mode) or cross-traffic schedule (traffic mode),
+/// sorted ascending. `cca` builds the primary CCA — the instance used by
+/// every flow that names no algorithm of its own. Runs on
+/// thread_run_context(); hot callers read thread_run_context().run()'s result
+/// by reference instead.
 RunResult run_scenario(const ScenarioConfig& cfg, const tcp::CcaFactory& cca,
-                       std::vector<TimeNs> trace_times);
+                       std::span<const TimeNs> trace_times);
 
 }  // namespace ccfuzz::scenario

@@ -146,11 +146,11 @@ TEST(Finding43_Shrew, OpenLoopPeriodicBurstsDegradeReno) {
 TEST(Fig4e_Delay, StandingQueueInflatesBbrDelayFloor) {
   scenario::ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(5);
-  cfg.flow_start = TimeNs::millis(200);
+  cfg.flows = {scenario::FlowSpec{.start = TimeNs::millis(200)}};
   cfg.record_mode = scenario::RecordMode::kFullEvents;  // raw delay samples
   const auto clean = scenario::run_scenario(cfg, cca::make_factory("bbr"), {});
   const auto trace = scenario::crafted::standing_queue_trace(
-      cfg.flow_start, cfg.net.queue_capacity, DurationNs::millis(2), 1,
+      cfg.flows[0].start, cfg.net.queue_capacity, DurationNs::millis(2), 1,
       cfg.duration);
   const auto attacked =
       scenario::run_scenario(cfg, cca::make_factory("bbr"), trace);

@@ -171,19 +171,21 @@ TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
 TEST(GoldenDeterminism, SingleFlowShapesArePinned) {
   // The single-flow runs that move the flow's start or its data volume:
   // BBR starting into a standing queue (the Fig 4e setup), a late Reno
-  // start, and a Reno transfer of 100 segments.
+  // start, and a Reno transfer of 100 segments. Recorded when these were
+  // written through a single-flow shorthand on ScenarioConfig; the one-flow
+  // lists must reproduce them bit for bit.
   ScenarioConfig fig4e;
   fig4e.duration = TimeNs::seconds(5);
   fig4e.record_mode = RecordMode::kFullEvents;
-  fig4e.flow_start = TimeNs::millis(200);
+  fig4e.flows = {FlowSpec{.start = TimeNs::millis(200)}};
   ScenarioConfig late;
   late.duration = TimeNs::seconds(3);
   late.record_mode = RecordMode::kFullEvents;
-  late.flow_start = TimeNs::seconds(1);
+  late.flows = {FlowSpec{.start = TimeNs::seconds(1)}};
   ScenarioConfig short_transfer;
   short_transfer.duration = TimeNs::seconds(3);
   short_transfer.record_mode = RecordMode::kFullEvents;
-  short_transfer.total_segments = 100;
+  short_transfer.flows = {FlowSpec{.total_segments = 100}};
 
   const struct {
     const char* name;

@@ -1,16 +1,14 @@
 // Multi-flow scenario tests: competing CCA flows over the shared bottleneck
 // (FlowSpec topologies), per-flow results, presets, and the RunResult edge
-// cases around flow_start / short runs / RunContext reuse.
+// cases around late flow starts / short runs / RunContext reuse.
 #include <cstdint>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "cca/registry.h"
-#include "scenario/dumbbell.h"
 #include "scenario/presets.h"
 #include "scenario/runner.h"
-#include "sim/simulator.h"
 
 namespace ccfuzz::scenario {
 namespace {
@@ -145,16 +143,6 @@ TEST(MultiFlow, DegenerateStopBeforeStartNeverRuns) {
   EXPECT_GT(run.goodput_mbps(0), 8.0);
 }
 
-TEST(MultiFlow, SingleInstanceDumbbellRejectsMultiFlowConfigs) {
-  // The unique_ptr convenience constructor has one CCA instance to give; a
-  // two-flow scenario must throw (in every build type, not just asserts).
-  sim::Simulator sim;
-  ScenarioConfig cfg = two_flow_config();
-  EXPECT_THROW(Dumbbell(sim, cfg, cca::make_factory("reno")(),
-                        std::vector<TimeNs>{}),
-               std::invalid_argument);
-}
-
 TEST(MultiFlow, RttHeterogeneityBiasesSharing) {
   // Same CCA, one flow with 4× path delays: the short-RTT flow wins (the
   // classic RTT-unfairness of loss-based control).
@@ -241,7 +229,7 @@ TEST(RunResultEdge, StalledWithLateFlowStart) {
   // covering the whole run must still not report a stall.
   ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(2);
-  cfg.flow_start = TimeNs::seconds(1);
+  cfg.flows = {FlowSpec{.start = TimeNs::seconds(1)}};
   const auto run = run_scenario(cfg, cca::make_factory("reno"), {});
   ASSERT_GT(run.primary().sent, 0);
   EXPECT_FALSE(run.stalled(DurationNs::millis(500)));

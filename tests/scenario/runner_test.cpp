@@ -81,7 +81,7 @@ TEST(Runner, StalledDetectsDeadTail) {
 
 TEST(Runner, GoodputAccountsForLateFlowStart) {
   ScenarioConfig cfg = base_config();
-  cfg.flow_start = TimeNs::seconds(1);
+  cfg.flows = {FlowSpec{.start = TimeNs::seconds(1)}};
   const auto r = run_scenario(cfg, cca::make_factory("reno"), {});
   // Goodput normalized over the 2 s of actual flow time.
   EXPECT_GT(r.goodput_mbps(), 8.0);
@@ -89,7 +89,7 @@ TEST(Runner, GoodputAccountsForLateFlowStart) {
 
 TEST(Runner, TotalSegmentsLimitsTransfer) {
   ScenarioConfig cfg = base_config();
-  cfg.total_segments = 100;
+  cfg.flows = {FlowSpec{.total_segments = 100}};
   const auto r = run_scenario(cfg, cca::make_factory("reno"), {});
   EXPECT_EQ(r.primary().segments_delivered, 100);
   EXPECT_LE(r.primary().sent, 120);  // a few retransmissions at most

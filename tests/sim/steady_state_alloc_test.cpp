@@ -19,7 +19,7 @@
 #include "fuzz/score.h"
 #include "net/delay_pipe.h"
 #include "net/packet_pool.h"
-#include "scenario/dumbbell.h"
+#include "../scenario/dumbbell_rig.h"
 #include "scenario/runner.h"
 #include "sim/simulator.h"
 #include "tcp/receiver.h"
@@ -168,33 +168,28 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
 TEST(SteadyStateAllocation, FourFlowScenarioSteadyStateIsAllocationFree) {
   // A 4-flow dumbbell on warm RunContext-style buffers: after one full run
   // (slab/pool/recorder high-water marks) and the new run's slow-start
-  // transient (fresh senders grow their segment rings once), the multi-flow
-  // simulation loop proper allocates nothing.
+  // transient, the multi-flow simulation loop proper allocates nothing.
   scenario::ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(3);
   cfg.net.queue_capacity = 500;  // 4 × rwnd (87) fits: lossless steady state
   cfg.flows.resize(4);
   const auto factory = cca::make_factory("reno");
 
-  Simulator sim;
-  net::PacketPool pool;
-  net::BottleneckRecorder recorder;
-
+  scenario::DumbbellRig rig;
   auto run_once = [&](TimeNs measure_from) {
-    sim.reset();
+    rig.sim.reset();
     // Arm every run guard (generously — no golden run hits them): the
     // budget checks must stay branch-only, never allocating per event.
     Budget budget;
     budget.max_events = 1'000'000'000ull;
     budget.max_wall_time = DurationNs::seconds(300);
-    sim.arm_budget(budget);
-    pool.clear();
-    recorder.clear();
-    scenario::Dumbbell db(sim, cfg, factory, {}, &pool, &recorder);
-    db.start();
-    sim.run_until(measure_from);
+    rig.sim.arm_budget(budget);
+    rig.pool.clear();
+    rig.recorder.clear();
+    const scenario::Dumbbell& db = rig.start(cfg, factory);
+    rig.sim.run_until(measure_from);
     const std::size_t before = g_allocations.load();
-    sim.run_until(cfg.duration);
+    rig.sim.run_until(cfg.duration);
     const std::size_t after = g_allocations.load();
     std::int64_t delivered = 0;
     for (std::size_t i = 0; i < db.flow_count(); ++i) {
@@ -270,9 +265,9 @@ TEST(SteadyStateAllocation, AlternatingCellBatchIsAllocationFreeWhenWarm) {
   // The cross-cell campaign pattern: one worker thread alternates between
   // cells whose ScenarioConfigs have wildly different shapes — single-flow
   // vs 4-flow with staggered starts, different CCAs, a different metrics
-  // window. Each evaluator owns a per-thread context cache slot
-  // (scenario::allocate_context_key), so interleaving them must never
-  // reshape a shared context's buffers: a warm mixed generation performs
+  // window. Both evaluators share the worker's one warm RunContext, whose
+  // buffers keep the high-water mark of every shape they have held, so
+  // interleaving them reshapes nothing: a warm mixed generation performs
   // zero heap allocations, exactly like a homogeneous one.
   if (!util::kRecycleEnabled) {
     GTEST_SKIP() << "CCA recycling is bypassed in sanitized builds";
