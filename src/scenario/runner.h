@@ -50,8 +50,7 @@ namespace ccfuzz::scenario {
 /// over. Series live on RunResult, which owns the streaming summaries (and,
 /// in full-events mode, the recorder).
 struct FlowResult {
-  /// Registry name of the flow's CCA; empty for the scenario's primary CCA
-  /// or a custom factory.
+  /// Registry name of the flow's CCA; empty for the scenario's primary CCA.
   std::string cca;
   /// Active interval [start, stop): start time and (clamped) stop time.
   TimeNs start = TimeNs::zero();
