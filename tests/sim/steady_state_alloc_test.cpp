@@ -168,7 +168,8 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
 TEST(SteadyStateAllocation, FourFlowScenarioSteadyStateIsAllocationFree) {
   // A 4-flow dumbbell on warm RunContext-style buffers: after one full run
   // (slab/pool/recorder high-water marks) and the new run's slow-start
-  // transient, the multi-flow simulation loop proper allocates nothing.
+  // transient (fresh senders grow their segment rings once), the multi-flow
+  // simulation loop proper allocates nothing.
   scenario::ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(3);
   cfg.net.queue_capacity = 500;  // 4 × rwnd (87) fits: lossless steady state
@@ -186,7 +187,12 @@ TEST(SteadyStateAllocation, FourFlowScenarioSteadyStateIsAllocationFree) {
     rig.sim.arm_budget(budget);
     rig.pool.clear();
     rig.recorder.clear();
-    const scenario::Dumbbell& db = rig.start(cfg, factory);
+    // A fresh Dumbbell (queue, links, pipes, senders, metrics) per run, over
+    // the rig's warm simulator, pool and recorder.
+    analysis::StreamingMetrics metrics;
+    scenario::Dumbbell db(rig.sim, rig.pool, rig.recorder, metrics);
+    db.setup(cfg, factory, {});
+    db.start();
     rig.sim.run_until(measure_from);
     const std::size_t before = g_allocations.load();
     rig.sim.run_until(cfg.duration);
