@@ -5,6 +5,7 @@
 
 #include "cca/registry.h"
 #include "fuzz/evaluator.h"
+#include "trace/hash.h"
 
 namespace ccfuzz::fuzz {
 namespace {
@@ -204,6 +205,41 @@ TEST(TraceScoreWeights, ZeroWeightsAreNeutral) {
   r.cross_sent = 1000;
   TraceScoreWeights w{};
   EXPECT_DOUBLE_EQ(w.trace_score(r), 0.0);
+}
+
+TEST(Score, IdentitiesArePinned) {
+  // identity() keys the campaign evaluation cache and every checkpointed
+  // cache entry, so its values must not move across refactors.
+  const struct {
+    const char* name;
+    std::shared_ptr<const ScoreFunction> score;
+    const char* want;
+  } cases[] = {
+      {"low-utilization", std::make_shared<LowUtilizationScore>(),
+       "41c02aaff893e59f"},
+      {"low-utilization 0.1",
+       std::make_shared<LowUtilizationScore>(DurationNs::millis(500), 0.1),
+       "41f02aaff893e59f"},
+      {"high-delay", std::make_shared<HighDelayScore>(), "430b0f1ff069ed53"},
+      {"high-delay 50", std::make_shared<HighDelayScore>(50.0),
+       "43260f1ff069ed53"},
+      {"high-loss", std::make_shared<HighLossScore>(), "70e3473783a33cff"},
+      {"low-goodput", std::make_shared<LowGoodputScore>(),
+       "adc1baaa86d2dc3a"},
+      {"low-send-rate", std::make_shared<LowSendRateScore>(),
+       "d08ab7a8dc1533d7"},
+      {"jain-unfairness", std::make_shared<JainFairnessScore>(),
+       "536e18683860c978"},
+      {"throughput-ratio", std::make_shared<ThroughputRatioScore>(),
+       "81829966f68a9a96"},
+      {"throughput-ratio 1,0", std::make_shared<ThroughputRatioScore>(1, 0),
+       "81829966f68a9a96"},
+      {"throughput-ratio 0,1", std::make_shared<ThroughputRatioScore>(0, 1),
+       "81829966f68a9ad6"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(trace::hash_hex(c.score->identity()), c.want) << c.name;
+  }
 }
 
 TEST(Score, TotalIsSumOfComponents) {
