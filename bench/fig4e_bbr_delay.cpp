@@ -42,11 +42,9 @@ int main() {
     csv.row("cross", {cross_delay.time_s[i], cross_delay.delay_ms[i]});
   }
 
-  const auto attacked_delays = attacked.queue_delays_s(0);
-  const auto clean_delays = clean.queue_delays_s(0);
   std::printf("# summary: p10 delay attacked=%.1f ms clean=%.1f ms "
               "(score function: 10th-percentile delay)\n",
-              percentile(attacked_delays, 10) * 1e3,
-              percentile(clean_delays, 10) * 1e3);
+              percentile(analysis::flow_delay_series(attacked, 0).delay_ms, 10),
+              percentile(analysis::flow_delay_series(clean, 0).delay_ms, 10));
   return 0;
 }

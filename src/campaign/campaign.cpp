@@ -17,7 +17,6 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -35,14 +34,6 @@
 namespace ccfuzz::campaign {
 namespace {
 
-std::uint64_t fnv_str(std::uint64_t h, std::string_view s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= trace::kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t fnv_double(std::uint64_t h, double v) {
   return trace::fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
 }
@@ -58,7 +49,7 @@ std::uint64_t scenario_key(const scenario::ScenarioConfig& s) {
   // rather than that of the one-flow list it stands for.
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.flows.size()));
   for (const auto& f : s.flows) {
-    h = fnv_str(h, f.cca);
+    h = trace::fnv1a_str(h, f.cca);
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.start.ns()));
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.stop.ns()));
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.access_delay.ns()));
@@ -116,7 +107,7 @@ std::uint64_t eval_key(const CellConfig& cell, std::size_t cell_index) {
   if (cell.factory) {
     h = trace::fnv1a_u64(h, 0x1 + cell_index);
   } else {
-    h = fnv_str(h, cell.cca);
+    h = trace::fnv1a_str(h, cell.cca);
   }
   h = trace::fnv1a_u64(h, scenario_key(cell.scenario));
   h = trace::fnv1a_u64(h, cell.score->identity());
@@ -142,6 +133,11 @@ void validate_cell(const CellConfig& cell) {
   }
   if (cell.scenario.duration <= TimeNs::zero()) {
     fail("scenario.duration must be positive");
+  }
+  // A non-positive window leaves the streaming bins empty, so every trace
+  // would score 0 under LowUtilizationScore.
+  if (cell.scenario.metrics_window <= DurationNs::zero()) {
+    fail("scenario.metrics_window must be positive");
   }
   for (const auto& flow : cell.scenario.flow_specs()) {
     if (!flow.cca.empty() && !cca::is_known_cca(flow.cca)) {
@@ -216,7 +212,6 @@ std::vector<CellConfig> CampaignConfig::cells() const {
           cell.score = score.score;
           cell.trace_weights = score.weights;
           cell.ga = ga_;
-          cell.link_model = link_model_;
           cell.traffic_model = traffic_model_;
           cell.winners = winners_;
           cell.name = cca;

@@ -131,10 +131,6 @@ class CampaignConfig {
     ga_ = cfg;
     return *this;
   }
-  CampaignConfig& link_model(trace::LinkTraceModel m) {
-    link_model_ = m;
-    return *this;
-  }
   CampaignConfig& traffic_model(trace::TrafficTraceModel m) {
     traffic_model_ = m;
     return *this;
@@ -229,7 +225,6 @@ class CampaignConfig {
   std::vector<NamedPreset> presets_;
   std::vector<NamedScore> scores_;
   fuzz::GaConfig ga_{};
-  trace::LinkTraceModel link_model_{.total_packets = -1};
   trace::TrafficTraceModel traffic_model_{.max_packets = 3000,
                                           .initial_packets = 1500};
   std::size_t winners_ = 5;

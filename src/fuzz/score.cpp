@@ -1,23 +1,16 @@
 #include "fuzz/score.h"
 
 #include <bit>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
+#include "trace/hash.h"
 #include "util/stats.h"
 
 namespace ccfuzz::fuzz {
 
 std::uint64_t ScoreFunction::identity_base() const {
-  // FNV-1a over name(): stable across processes and builds, unlike the
-  // object's address.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char* p = name(); *p != '\0'; ++p) {
-    h ^= static_cast<unsigned char>(*p);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  // Stable across processes and builds, unlike the object's address.
+  return trace::fnv1a_str(trace::kFnvOffset, name());
 }
 
 std::uint64_t ScoreFunction::mix_identity(std::uint64_t h, std::uint64_t v) {
@@ -27,7 +20,10 @@ std::uint64_t ScoreFunction::mix_identity(std::uint64_t h, std::uint64_t v) {
 
 std::uint64_t LowUtilizationScore::identity() const {
   std::uint64_t h = identity_base();
-  h = mix_identity(h, static_cast<std::uint64_t>(window_.ns()));
+  // The retired window parameter, hashed at its only value in use, so every
+  // evaluation-cache key and checkpointed entry holds.
+  h = mix_identity(h, static_cast<std::uint64_t>(
+                          DurationNs::millis(500).ns()));
   h = mix_identity(h, std::bit_cast<std::uint64_t>(fraction_));
   return h;
 }
@@ -43,36 +39,13 @@ std::uint64_t ThroughputRatioScore::identity() const {
   return h;
 }
 
-void LowUtilizationScore::validate(
-    const scenario::ScenarioConfig& scenario) const {
-  // A custom window only exists post-hoc in the raw events; in a
-  // metrics-only run it would silently read as zero throughput for every
-  // trace and degenerate the GA. Caught here, at evaluator construction.
-  if (scenario.record_mode != scenario::RecordMode::kFullEvents &&
-      window_ != scenario.metrics_window) {
-    throw std::logic_error(
-        "LowUtilizationScore window (" + std::to_string(window_.to_seconds()) +
-        " s) does not match the scenario's metrics_window (" +
-        std::to_string(scenario.metrics_window.to_seconds()) +
-        " s) and metrics-only runs keep no raw events; align the two or use "
-        "RecordMode::kFullEvents");
-  }
-}
-
 double LowUtilizationScore::performance_score(
     const scenario::RunResult& run) const {
-  // Same misconfiguration guard for direct (non-evaluator) callers. Runs
-  // whose recorder actually holds events — full-events mode or hand-built
-  // results — can serve any window post hoc.
-  if (window_ != run.config.metrics_window && !run.has_events() &&
-      run.recorder.egress().empty()) {
-    validate(run.config);
-  }
   // Scoring runs on the GA's zero-allocation path: the windowed series is
   // materialized into per-thread scratch (warm after the first evaluation)
   // and the lowest-fraction mean is computed in place.
   thread_local std::vector<double> scratch;
-  run.windowed_throughput_mbps_into(window_, 0, scratch);
+  run.windowed_throughput_mbps_into(0, scratch);
   if (scratch.empty()) return 0.0;
   return -mean_of_lowest_fraction_inplace(scratch, fraction_);
 }

@@ -37,10 +37,9 @@ class ScoreFunction {
   /// differently-tuned instances would wrongly share cache entries.
   virtual std::uint64_t identity() const { return identity_base(); }
   /// Throws std::logic_error when the score cannot work on runs of this
-  /// scenario (e.g. a windowed score whose window the metrics-only mode
-  /// cannot serve). TraceEvaluator calls it at construction, so
-  /// misconfiguration surfaces on the driver thread instead of as an
-  /// exception escaping a thread-pool worker.
+  /// scenario. TraceEvaluator calls it at construction, so misconfiguration
+  /// surfaces on the driver thread instead of as an exception escaping a
+  /// thread-pool worker. No built-in score overrides it.
   virtual void validate(const scenario::ScenarioConfig& scenario) const {
     (void)scenario;
   }
@@ -55,33 +54,26 @@ class ScoreFunction {
 /// §3.4: windowed throughput, averaged over the lowest `fraction` of
 /// windows, negated (low utilization ⇒ high score). Using the lowest-20%
 /// windows instead of overall throughput avoids favouring traces that only
-/// hurt the flow early, improving trace diversity.
-///
-/// Reads the streaming windowed bins when `window` matches the scenario's
-/// metrics_window (both default to 500 ms) — keep the two in sync when
-/// customizing either, or the metrics-only fuzzing mode sees zero
-/// throughput (RunResult::windowed_throughput_mbps).
+/// hurt the flow early, improving trace diversity. The window is the
+/// scenario's metrics_window (default 500 ms): the score reads the
+/// streaming windowed bins, identical in both record modes.
 class LowUtilizationScore final : public ScoreFunction {
  public:
-  explicit LowUtilizationScore(DurationNs window = DurationNs::millis(500),
-                               double fraction = 0.2)
-      : window_(window), fraction_(fraction) {}
+  explicit LowUtilizationScore(double fraction = 0.2) : fraction_(fraction) {}
 
   double performance_score(const scenario::RunResult& run) const override;
   const char* name() const override { return "low-utilization"; }
   std::uint64_t identity() const override;
-  void validate(const scenario::ScenarioConfig& scenario) const override;
 
  private:
-  DurationNs window_;
   double fraction_;
 };
 
 /// §4.3 (Fig 4e): the p-th percentile of CCA queueing delay. A high low
 /// percentile means the queue never drains — a persistent standing queue.
-/// Estimated from the streaming delay digest (1 ms histogram buckets,
-/// exact extremes), so it needs no per-packet records and is identical in
-/// metrics-only and full-events runs.
+/// Estimated from the streaming delay digest (log-scale buckets of about
+/// 3 % relative resolution, exact extremes), so it needs no per-packet
+/// records and is identical in metrics-only and full-events runs.
 class HighDelayScore final : public ScoreFunction {
  public:
   explicit HighDelayScore(double pct = 10.0) : pct_(pct) {}

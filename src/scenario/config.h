@@ -133,9 +133,9 @@ struct ScenarioConfig {
   /// events (analysis::rate_series etc.) must opt into kFullEvents.
   RecordMode record_mode = RecordMode::kMetricsOnly;
 
-  /// Bin width of the streaming windowed-throughput series. Scores that
-  /// consume windowed throughput (LowUtilizationScore) read these bins when
-  /// their window matches; keep the two in sync for metrics-only runs.
+  /// Bin width of the streaming windowed-throughput series — the one window
+  /// every windowed query and score (LowUtilizationScore) reads. Must be
+  /// positive; campaign cells with a non-positive window are rejected.
   DurationNs metrics_window = DurationNs::millis(500);
 
   /// Arm the behavioral coverage probe (coverage::BehaviorProbe) on the

@@ -1,9 +1,5 @@
 #include "scenario/runner.h"
 
-#include <utility>
-
-#include "util/stats.h"
-
 namespace ccfuzz::scenario {
 
 double FlowResult::goodput_mbps() const {
@@ -19,93 +15,26 @@ const FlowResult& RunResult::flow(std::size_t i) const {
   return i < flows.size() ? flows[i] : kEmpty;
 }
 
-FlowResult& RunResult::ensure_primary() {
-  if (flows.empty()) {
-    FlowResult f;
-    f.start = config.flow_specs().front().start;
-    f.stop = config.duration;
-    f.packet_bytes = config.net.packet_bytes;
-    flows.push_back(std::move(f));
-  }
-  return flows.front();
-}
-
-void RunResult::windowed_throughput_mbps_into(DurationNs window,
-                                              std::size_t i,
+void RunResult::windowed_throughput_mbps_into(std::size_t i,
                                               std::vector<double>& out) const {
-  // The streaming bins hold exactly this series for the configured window —
-  // any record mode, no per-packet scan.
-  if (window == config.metrics_window && i < metrics.flow_count()) {
-    metrics.windowed_throughput_mbps_into(i, config.net.packet_bytes, out);
-    return;
-  }
-  // Other windows re-bin the raw egress events (kFullEvents, or hand-built
-  // recorders); without events this reads as zero throughput.
-  const auto idx = static_cast<net::FlowIndex>(i);
-  std::vector<double> egress_times;
-  egress_times.reserve(recorder.egress().size());
-  for (const auto& e : recorder.egress()) {
-    if (e.flow == net::FlowId::kCcaData && e.flow_index == idx) {
-      egress_times.push_back(e.time.to_seconds());
-    }
-  }
-  const auto rates =
-      windowed_rate(egress_times, flow(i).start.to_seconds(),
-                    config.duration.to_seconds(), window.to_seconds());
-  out.clear();
-  out.reserve(rates.size());
-  const double bits = static_cast<double>(config.net.packet_bytes) * 8.0;
-  for (std::size_t k = 0; k < rates.size(); ++k) {
-    out.push_back(rates[k] * bits * 1e-6);
-  }
+  metrics.windowed_throughput_mbps_into(i, config.net.packet_bytes, out);
 }
 
-std::vector<double> RunResult::windowed_throughput_mbps(DurationNs window,
-                                                        std::size_t i) const {
+std::vector<double> RunResult::windowed_throughput_mbps(std::size_t i) const {
   std::vector<double> out;
-  windowed_throughput_mbps_into(window, i, out);
+  windowed_throughput_mbps_into(i, out);
   return out;
 }
 
 double RunResult::queue_delay_percentile_s(double pct, std::size_t i) const {
-  if (i < metrics.flow_count()) {
-    return metrics.flow(i).delay.percentile_s(pct);
-  }
-  // Hand-built results: exact percentile over whatever delays were recorded.
-  const auto delays = queue_delays_s(i);
-  if (delays.empty()) return 0.0;
-  return percentile(delays, pct);
-}
-
-std::vector<double> RunResult::queue_delays_s(std::size_t i) const {
-  const auto idx = static_cast<net::FlowIndex>(i);
-  std::vector<double> out;
-  out.reserve(recorder.delays().size());
-  for (const auto& d : recorder.delays()) {
-    if (d.flow == net::FlowId::kCcaData && d.flow_index == idx) {
-      out.push_back(d.queue_delay.to_seconds());
-    }
-  }
-  return out;
+  return metrics.flow(i).delay.percentile_s(pct);
 }
 
 bool RunResult::stalled(DurationNs tail, std::size_t i) const {
   const FlowResult& f = flow(i);
   if (f.sent == 0) return false;  // never started: not "stuck", just idle
-  const TimeNs cutoff = f.stop - tail;
-  if (i < metrics.flow_count()) {
-    const analysis::FlowSeries& s = metrics.flow(i);
-    return !(s.last_egress >= TimeNs::zero() && s.last_egress >= cutoff);
-  }
-  // Hand-built results: scan whatever events exist.
-  const auto idx = static_cast<net::FlowIndex>(i);
-  for (const auto& e : recorder.egress()) {
-    if (e.flow == net::FlowId::kCcaData && e.flow_index == idx &&
-        e.time >= cutoff) {
-      return false;
-    }
-  }
-  return true;
+  const TimeNs last = metrics.flow(i).last_egress;
+  return !(last >= TimeNs::zero() && last >= f.stop - tail);
 }
 
 double RunResult::jain_fairness() const {

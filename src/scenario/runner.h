@@ -19,10 +19,11 @@
 //
 // Observation modes (ScenarioConfig::record_mode): fuzzing runs keep only
 // the streaming per-flow summaries (analysis::StreamingMetrics) — windowed
-// egress bins, delay digests, last-progress stamps — which is everything
-// scoring reads. Figure/timeline/replay consumers opt into
-// RecordMode::kFullEvents to additionally keep the raw per-packet
-// BottleneckRecorder streams. Scores are bit-identical across modes.
+// egress bins, delay digests, last-progress stamps. Every score and every
+// RunResult query reads these and nothing else. Figure/timeline/replay
+// consumers opt into RecordMode::kFullEvents to additionally keep the raw
+// per-packet BottleneckRecorder streams, which only the analysis/ series
+// read. Scores are bit-identical across modes.
 #pragma once
 
 #include <cstdint>
@@ -142,39 +143,29 @@ struct RunResult {
   /// Average goodput of flow `i` over its active interval, in Mbps.
   double goodput_mbps(std::size_t i = 0) const { return flow(i).goodput_mbps(); }
 
-  /// Flow `i`'s egress throughput per window (Mbps) over [start, duration).
-  /// Served from the streaming bins when `window` matches
-  /// config.metrics_window (always available, any record mode); other
-  /// windows are recomputed from raw events and therefore read as zero
-  /// throughput in metrics-only runs.
-  std::vector<double> windowed_throughput_mbps(DurationNs window,
-                                               std::size_t i = 0) const;
+  // The series queries below read only the streaming summaries, so they are
+  // identical in both record modes; a flow the metrics never saw (hand-built
+  // results, out-of-range index) reads as empty.
+
+  /// Flow `i`'s egress throughput per config.metrics_window (Mbps) over
+  /// [start, duration); the last window may be partial.
+  std::vector<double> windowed_throughput_mbps(std::size_t i = 0) const;
   /// Same, reusing caller storage (allocation-free when warm).
-  void windowed_throughput_mbps_into(DurationNs window, std::size_t i,
+  void windowed_throughput_mbps_into(std::size_t i,
                                      std::vector<double>& out) const;
 
   /// Histogram-estimated percentile of flow `i`'s queueing delay in seconds
-  /// (exact at the extremes). From the streaming delay digest; identical in
-  /// both record modes. 0 when the flow saw no egress.
+  /// (exact at the extremes). 0 when the flow saw no egress.
   double queue_delay_percentile_s(double pct, std::size_t i = 0) const;
-
-  /// Queueing-delay samples (seconds) experienced by flow `i`'s packets, in
-  /// egress order. Needs kFullEvents (empty in metrics-only runs) — use
-  /// queue_delay_percentile_s for scoring.
-  std::vector<double> queue_delays_s(std::size_t i) const;
 
   /// True when flow `i` made no bottleneck progress over the trailing `tail`
   /// of its active interval despite having started — the paper's "stuck"
-  /// signal. From the streaming last-progress stamp (any record mode).
+  /// signal.
   bool stalled(DurationNs tail, std::size_t i = 0) const;
 
   /// Jain's fairness index over the flows' goodputs: 1 = perfectly fair,
   /// 1/n = one flow has everything. 1 for single-flow or all-idle runs.
   double jain_fairness() const;
-
-  /// The primary flow, created on demand — for tests that assemble a
-  /// RunResult by hand.
-  FlowResult& ensure_primary();
 };
 
 /// Reusable simulation harness: owns the simulator (event-slot slab), the

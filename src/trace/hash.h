@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "trace/trace.h"
 
@@ -21,6 +22,15 @@ inline constexpr std::uint64_t kFnvPrime = 0x00000100000001B3ULL;
 constexpr std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t word) {
   for (int i = 0; i < 8; ++i) {
     h ^= (word >> (8 * i)) & 0xFF;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// Folds the bytes of `s` into an FNV-1a state.
+constexpr std::uint64_t fnv1a_str(std::uint64_t h, std::string_view s) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;
   }
   return h;

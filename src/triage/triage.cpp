@@ -117,11 +117,11 @@ void triage_one(const Candidate& cand, const TriageConfig& cfg,
       evals_left);
   evals_left -= minimized.evals;
 
-  // Optional duration shrink: halve the scenario until the finding leaves
-  // its behavior-descriptor cell. Score bands are not comparable across
+  // Duration shrink: halve the scenario until the finding leaves its
+  // behavior-descriptor cell. Score bands are not comparable across
   // durations, so this pass needs the coverage predicate.
   campaign::CellConfig final_cell = cell;
-  if (cfg.shrink_duration && pred.use_descriptor && !expect_quarantined) {
+  if (pred.use_descriptor && !expect_quarantined) {
     while (evals_left > 0) {
       const TimeNs half = TimeNs(final_cell.scenario.duration.ns() / 2);
       const TimeNs floor = TimeNs::millis(200);
@@ -234,8 +234,7 @@ Result<TriageStats> triage_report(
   if (!fs::exists(report_dir)) {
     return Error::io("no campaign report at " + report_dir);
   }
-  const std::string findings_dir =
-      cfg.findings_dir.empty() ? report_dir + "/findings" : cfg.findings_dir;
+  const std::string findings_dir = report_dir + "/findings";
 
   // Cell winners: `<report>/<cell>/winner_<k>.trace`, best first.
   for (const campaign::CellConfig& cell : cells) {

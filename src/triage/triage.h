@@ -42,10 +42,6 @@ struct TriageConfig {
   /// Simulation budget for minimization per finding (ddmin + duration
   /// shrink). 0 disables minimization (bundles ship the original trace).
   int max_minimize_evals = 200;
-  /// Attempt scenario-duration halving for coverage-armed cells.
-  bool shrink_duration = true;
-  /// Bundle output directory; defaults to `<report_dir>/findings`.
-  std::string findings_dir;
   /// Progress stream (one line per candidate); null = silent.
   std::FILE* log = nullptr;
 };
@@ -79,9 +75,9 @@ struct TriageStats {
 
 /// Triages every winner trace and quarantined genome under `report_dir`
 /// (a campaign output tree) against the matrix `cells`, writing bundles to
-/// `<report_dir>/findings/` (or cfg.findings_dir). The cells must be the
-/// matrix the campaign ran — cell names are matched against the report's
-/// directory layout. Errors: kIo when the report tree is unreadable.
+/// `<report_dir>/findings/`. The cells must be the matrix the campaign ran —
+/// cell names are matched against the report's directory layout. Errors:
+/// kIo when the report tree is unreadable.
 Result<TriageStats> triage_report(const std::vector<campaign::CellConfig>& cells,
                                   const std::string& report_dir,
                                   const TriageConfig& cfg);

@@ -110,6 +110,16 @@ TEST(CampaignConfig, DegenerateGaConfigThrowsInsteadOfCorruptingTheGa) {
   CampaignConfig cfg2;
   cfg2.add_cell(lopsided);
   EXPECT_THROW(cfg2.cells(), std::invalid_argument);
+
+  // A non-positive metrics window leaves the windowed bins empty, so every
+  // trace would score 0.
+  for (const DurationNs window : {DurationNs::zero(), DurationNs::millis(-1)}) {
+    CellConfig windowless = tiny_cell();
+    windowless.scenario.metrics_window = window;
+    CampaignConfig cfg3;
+    cfg3.add_cell(windowless);
+    EXPECT_THROW(cfg3.cells(), std::invalid_argument) << window.ns();
+  }
 }
 
 TEST(CampaignConfig, NamesCollidingAfterSanitizationAreUniquified) {

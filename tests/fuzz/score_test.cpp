@@ -49,42 +49,9 @@ TEST(LowUtilizationScore, UsesLowestWindows) {
   // A narrower "lowest fraction" must score >= the default (its mean can
   // only drop when averaging fewer, smaller windows).
   const auto run = clean_run();
-  LowUtilizationScore narrow(DurationNs::millis(500), 0.1);
-  LowUtilizationScore wide(DurationNs::millis(500), 0.9);
+  LowUtilizationScore narrow(0.1);
+  LowUtilizationScore wide(0.9);
   EXPECT_GE(narrow.performance_score(run), wide.performance_score(run));
-}
-
-TEST(LowUtilizationScore, MismatchedWindowWithoutEventsThrows) {
-  // A metrics-only run cannot serve a window other than metrics_window; a
-  // silent all-zero series would degenerate the GA, so it must fail loudly.
-  const auto run = clean_run();  // metrics-only default
-  LowUtilizationScore custom(DurationNs::millis(100));
-  EXPECT_THROW(custom.performance_score(run), std::logic_error);
-  // With raw events recorded the custom window is re-binned post hoc.
-  scenario::ScenarioConfig cfg = base_config();
-  cfg.record_mode = scenario::RecordMode::kFullEvents;
-  const auto full = scenario::run_scenario(cfg, cca::make_factory("reno"), {});
-  EXPECT_LT(custom.performance_score(full), -4.0);
-}
-
-TEST(LowUtilizationScore, EvaluatorRejectsMismatchedWindowAtConstruction) {
-  // The misconfiguration must surface on the driver thread at evaluator
-  // construction, not as an exception escaping a pool worker mid-GA.
-  scenario::ScenarioConfig cfg = base_config();  // metrics-only default
-  EXPECT_THROW(TraceEvaluator(cfg, cca::make_factory("reno"),
-                              std::make_shared<LowUtilizationScore>(
-                                  DurationNs::millis(100))),
-               std::logic_error);
-  // Aligned window or full-events mode both construct fine.
-  cfg.metrics_window = DurationNs::millis(100);
-  TraceEvaluator aligned(cfg, cca::make_factory("reno"),
-                         std::make_shared<LowUtilizationScore>(
-                             DurationNs::millis(100)));
-  scenario::ScenarioConfig full = base_config();
-  full.record_mode = scenario::RecordMode::kFullEvents;
-  TraceEvaluator events(full, cca::make_factory("reno"),
-                        std::make_shared<LowUtilizationScore>(
-                            DurationNs::millis(100)));
 }
 
 TEST(HighDelayScore, QueueBuildupScoresHigher) {
@@ -117,7 +84,10 @@ TEST(HighDelayScore, NoEgressIsNeutral) {
 TEST(HighLossScore, CountsCcaDropsPerSecond) {
   scenario::RunResult r;
   r.config = base_config();
-  r.ensure_primary().drops = 30;
+  scenario::FlowResult primary;
+  primary.stop = r.config.duration;
+  primary.drops = 30;
+  r.flows.push_back(std::move(primary));
   HighLossScore score;
   EXPECT_DOUBLE_EQ(score.performance_score(r), 10.0);  // 30 drops / 3 s
 }
@@ -218,7 +188,7 @@ TEST(Score, IdentitiesArePinned) {
       {"low-utilization", std::make_shared<LowUtilizationScore>(),
        "41c02aaff893e59f"},
       {"low-utilization 0.1",
-       std::make_shared<LowUtilizationScore>(DurationNs::millis(500), 0.1),
+       std::make_shared<LowUtilizationScore>(0.1),
        "41f02aaff893e59f"},
       {"high-delay", std::make_shared<HighDelayScore>(), "430b0f1ff069ed53"},
       {"high-delay 50", std::make_shared<HighDelayScore>(50.0),

@@ -5,6 +5,7 @@
 // in seconds and fail loudly if any transport/CCA mechanism regresses.
 #include <gtest/gtest.h>
 
+#include "analysis/flow_metrics.h"
 #include "analysis/timeline.h"
 #include "cca/registry.h"
 #include "scenario/crafted.h"
@@ -155,9 +156,9 @@ TEST(Fig4e_Delay, StandingQueueInflatesBbrDelayFloor) {
   const auto attacked =
       scenario::run_scenario(cfg, cca::make_factory("bbr"), trace);
   const auto p10 = [](const scenario::RunResult& r) {
-    auto d = r.queue_delays_s(0);
+    auto d = analysis::flow_delay_series(r, 0).delay_ms;
     std::sort(d.begin(), d.end());
-    return d.empty() ? 0.0 : d[d.size() / 10];
+    return d.empty() ? 0.0 : d[d.size() / 10] * 1e-3;  // seconds
   };
   // The queue is pre-filled before BBR starts, so BBR never observes the
   // true min RTT and its delay floor rises by an order of magnitude.

@@ -249,12 +249,11 @@ TEST(RunResultEdge, StalledWithLateFlowStart) {
 TEST(RunResultEdge, WindowedThroughputWithWindowLongerThanRun) {
   ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(2);
-  // A window other than metrics_window re-bins the raw egress events.
-  cfg.record_mode = RecordMode::kFullEvents;
+  cfg.metrics_window = DurationNs::seconds(10);  // metrics-only default
   const auto run = run_scenario(cfg, cca::make_factory("reno"), {});
   // One partial window normalized by the true span: it equals the overall
   // egress throughput.
-  const auto w = run.windowed_throughput_mbps(DurationNs::seconds(10));
+  const auto w = run.windowed_throughput_mbps();
   ASSERT_EQ(w.size(), 1u);
   const double expected = static_cast<double>(run.primary().egress_packets) *
                           1500.0 * 8.0 / 2.0 * 1e-6;
@@ -269,9 +268,11 @@ TEST(RunResultEdge, EmptyResultAccessorsAreNeutral) {
   EXPECT_FALSE(r.stalled(DurationNs::seconds(1)));
   EXPECT_DOUBLE_EQ(r.jain_fairness(), 1.0);
   r.config.duration = TimeNs::seconds(3);
-  FlowResult& primary = r.ensure_primary();
-  EXPECT_EQ(r.flow_count(), 1u);
+  FlowResult primary;
+  primary.stop = r.config.duration;
   primary.segments_delivered = 1000;
+  r.flows.push_back(std::move(primary));
+  EXPECT_EQ(r.flow_count(), 1u);
   EXPECT_GT(r.goodput_mbps(), 0.0);
 }
 

@@ -43,8 +43,7 @@ std::uint64_t scoring_fingerprint(const RunResult& r) {
     h = fnv1a(h, static_cast<std::uint64_t>(f.retransmissions));
     h = fnv1a(h, static_cast<std::uint64_t>(f.drops));
     h = fnv1a(h, static_cast<std::uint64_t>(f.rto_count));
-    for (const double w :
-         r.windowed_throughput_mbps(r.config.metrics_window, i)) {
+    for (const double w : r.windowed_throughput_mbps(i)) {
       h = fnv_double(h, w);
     }
     h = fnv_double(h, r.queue_delay_percentile_s(10.0, i));
@@ -131,7 +130,7 @@ TEST(RecordMode, StreamingBinsMatchLegacyEventRecomputation) {
                                    cfg.duration.to_seconds(),
                                    cfg.metrics_window.to_seconds());
   const double bits = static_cast<double>(cfg.net.packet_bytes) * 8.0;
-  const auto streamed = run.windowed_throughput_mbps(cfg.metrics_window);
+  const auto streamed = run.windowed_throughput_mbps();
   ASSERT_EQ(streamed.size(), rates.size());
   for (std::size_t k = 0; k < rates.size(); ++k) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(streamed[k]),

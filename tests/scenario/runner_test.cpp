@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/flow_metrics.h"
 #include "cca/registry.h"
 
 namespace ccfuzz::scenario {
@@ -35,7 +36,7 @@ TEST(Runner, DeterministicAcrossCalls) {
 
 TEST(Runner, WindowedThroughputSeries) {
   const auto r = run_scenario(base_config(), cca::make_factory("reno"), {});
-  const auto w = r.windowed_throughput_mbps(DurationNs::millis(500));
+  const auto w = r.windowed_throughput_mbps();  // 500 ms metrics_window
   ASSERT_EQ(w.size(), 6u);
   // Post slow-start windows run near link rate.
   EXPECT_GT(w.back(), 9.0);
@@ -58,10 +59,11 @@ TEST(Runner, QueueDelaysPopulated) {
   ScenarioConfig cfg = base_config();
   cfg.record_mode = RecordMode::kFullEvents;  // raw delay samples
   const auto r = run_scenario(cfg, cca::make_factory("reno"), {});
-  const auto delays = r.queue_delays_s(0);
-  EXPECT_EQ(delays.size(),
+  const auto delays_ms = analysis::flow_delay_series(r, 0).delay_ms;
+  EXPECT_EQ(delays_ms.size(),
             static_cast<std::size_t>(r.primary().egress_packets));
-  for (double d : delays) {
+  for (const double ms : delays_ms) {
+    const double d = ms * 1e-3;
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 0.06);  // 50-packet queue ≈ 50 ms max
   }
@@ -112,8 +114,8 @@ TEST(Runner, BbrKeepsQueueShorterThanCubic) {
   cfg.record_mode = RecordMode::kFullEvents;  // raw delay samples
   const auto bbr = run_scenario(cfg, cca::make_factory("bbr"), {});
   const auto cubic = run_scenario(cfg, cca::make_factory("cubic"), {});
-  const auto bbr_delays = bbr.queue_delays_s(0);
-  const auto cubic_delays = cubic.queue_delays_s(0);
+  const auto bbr_delays = analysis::flow_delay_series(bbr, 0).delay_ms;
+  const auto cubic_delays = analysis::flow_delay_series(cubic, 0).delay_ms;
   ASSERT_FALSE(bbr_delays.empty());
   ASSERT_FALSE(cubic_delays.empty());
   double bbr_mean = 0, cubic_mean = 0;
