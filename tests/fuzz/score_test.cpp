@@ -187,8 +187,7 @@ TEST(Score, IdentitiesArePinned) {
   } cases[] = {
       {"low-utilization", std::make_shared<LowUtilizationScore>(),
        "41c02aaff893e59f"},
-      {"low-utilization 0.1",
-       std::make_shared<LowUtilizationScore>(0.1),
+      {"low-utilization 0.1", std::make_shared<LowUtilizationScore>(0.1),
        "41f02aaff893e59f"},
       {"high-delay", std::make_shared<HighDelayScore>(), "430b0f1ff069ed53"},
       {"high-delay 50", std::make_shared<HighDelayScore>(50.0),
