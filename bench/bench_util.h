@@ -10,14 +10,22 @@
 #include <cstdlib>
 #include <string>
 
+#include "util/logging.h"
+#include "util/record.h"
+
 namespace ccfuzz::bench {
 
+/// The integer in environment variable `name`, or `fallback` when it is
+/// unset or empty. A value that is not wholly a number warns and falls back.
 inline long env_long(const char* name, long fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return end != v ? parsed : fallback;
+  long parsed = 0;
+  if (!record::parse_number(v, parsed)) {
+    CCFUZZ_LOG_WARN("%s='%s' is not a number; using %ld", name, v, fallback);
+    return fallback;
+  }
+  return parsed;
 }
 
 /// Prints the standard bench banner with scaling hints.

@@ -293,12 +293,18 @@ std::vector<CellConfig> CampaignConfig::cells() const {
 
 // --- Cell wiring ------------------------------------------------------------
 
+tcp::CcaFactory cell_factory(const CellConfig& cell) {
+  return cell.factory ? cell.factory : cca::make_factory(cell.cca);
+}
+
+const char* score_name(const CellConfig& cell) {
+  return cell.score ? cell.score->name() : "low-utilization";
+}
+
 fuzz::TraceEvaluator make_evaluator(const CellConfig& cell) {
-  tcp::CcaFactory factory =
-      cell.factory ? cell.factory : cca::make_factory(cell.cca);
   std::shared_ptr<const fuzz::ScoreFunction> score =
       cell.score ? cell.score : std::make_shared<fuzz::LowUtilizationScore>();
-  return fuzz::TraceEvaluator(cell.scenario, std::move(factory),
+  return fuzz::TraceEvaluator(cell.scenario, cell_factory(cell),
                               std::move(score), cell.trace_weights);
 }
 
@@ -396,12 +402,13 @@ JsonlObserver::~JsonlObserver() {
   if (fp_ != nullptr) std::fclose(fp_);
 }
 
-void JsonlObserver::emit_line(const std::string& json) {
+void JsonlObserver::emit_line(std::string_view json) {
   // One write per event line (newline included, stream unbuffered): a crash
   // (or a tail -f reader) between events sees only whole lines, never a
   // torn one.
   if (fp_ != nullptr) {
-    const std::string line = json + '\n';
+    std::string line(json);
+    line += '\n';
     std::fwrite(line.data(), 1, line.size(), fp_);
     return;
   }
@@ -552,8 +559,8 @@ Campaign::Campaign(const CampaignConfig& cfg)
       checkpoint_every_(cfg.checkpoint_every()),
       parallel_(cfg.parallel()) {
   if (!output_dir_.empty()) {
-    quarantine_ = std::make_shared<fuzz::Quarantine>(
-        output_dir_ + "/quarantine", cfg.quarantine_capacity());
+    quarantine_ =
+        std::make_shared<fuzz::Quarantine>(output_dir_ + "/quarantine");
   }
   build_cells();
   // Full mid-campaign resume: restore populations, RNG streams, counters,

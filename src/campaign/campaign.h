@@ -26,6 +26,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -178,13 +179,6 @@ class CampaignConfig {
     checkpoint_every_ = n;
     return *this;
   }
-  /// Caps the quarantine recorder for NaN/inf-scoring genomes (see
-  /// fuzz::Quarantine): at most `n` distinct genomes are written to
-  /// `<output_dir>/quarantine/` before further ones are silently dropped.
-  CampaignConfig& quarantine_capacity(std::size_t n) {
-    quarantine_capacity_ = n;
-    return *this;
-  }
   /// Appends one explicit cell (validated, but not crossed with the axes).
   CampaignConfig& add_cell(CellConfig cell) {
     explicit_cells_.push_back(std::move(cell));
@@ -201,7 +195,6 @@ class CampaignConfig {
   const std::string& resume_dir() const { return resume_dir_; }
   int checkpoint_every() const { return checkpoint_every_; }
   bool parallel() const { return parallel_; }
-  std::size_t quarantine_capacity() const { return quarantine_capacity_; }
 
  private:
   struct NamedScenario {
@@ -232,7 +225,6 @@ class CampaignConfig {
   std::string output_dir_;
   std::string resume_dir_;
   int checkpoint_every_ = 0;
-  std::size_t quarantine_capacity_ = 64;
   std::vector<CellConfig> explicit_cells_;
 };
 
@@ -370,8 +362,12 @@ class JsonlObserver final : public CampaignObserver {
   void on_cell_end(const CellResult& result) override;
   void on_campaign_end(const CampaignReport& report) override;
 
+  /// Writes `json` and a newline as one write: the one way a progress feed
+  /// gains a line (the supervisor forwards worker lines and adds its own
+  /// events through it).
+  void emit_line(std::string_view json);
+
  private:
-  void emit_line(const std::string& json);
   /// fsync at an event boundary (no-op for stream-backed observers or when
   /// `sync` is off).
   void sync_boundary();
@@ -390,6 +386,13 @@ class JsonlObserver final : public CampaignObserver {
 /// restore_checkpoint's: kIo (unreadable), kParse (bad magic), kVersion
 /// (unsupported version), kTruncated (missing terminator — a torn write).
 Error validate_checkpoint_file(const std::string& path);
+
+/// The cell's CCA factory: `factory` when set, else the registry's `cca`.
+tcp::CcaFactory cell_factory(const CellConfig& cell);
+
+/// The cell's score name as reports and bundles print it; an unset `score`
+/// is the default LowUtilizationScore.
+const char* score_name(const CellConfig& cell);
 
 /// Builds the evaluator for one cell — the single place scenario wiring
 /// (factory, score, weights) happens. Micro benches that exercise the inner

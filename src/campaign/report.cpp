@@ -69,10 +69,6 @@ Result<std::string> json_unescape(std::string_view s) {
 
 namespace {
 
-const char* score_name(const CellConfig& cell) {
-  return cell.score ? cell.score->name() : "low-utilization";
-}
-
 /// Per-flow goodputs joined by `sep` — the one place their formatting lives.
 std::string join_flow_goodputs(const fuzz::Evaluation& e, char sep) {
   std::string out;

@@ -12,11 +12,7 @@
 namespace ccfuzz::dist {
 
 std::uint32_t ShardPlan::shard_of(std::string_view cell_name, int num_shards) {
-  std::uint64_t h = trace::kFnvOffset;
-  for (char c : cell_name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= trace::kFnvPrime;
-  }
+  std::uint64_t h = trace::fnv1a_str(trace::kFnvOffset, cell_name);
   // FNV-1a's low bit is linear in the input bytes (the prime is odd, so the
   // multiply preserves parity) — taken mod a small power of two it collapses
   // whole families of names onto one shard. Finalize with a full-width mixer

@@ -10,6 +10,8 @@
 #include <csignal>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -26,6 +28,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Deaths of one worker at the same cell before that cell is quarantined.
+constexpr int kPoisonThreshold = 2;
+
 /// `"delay_s":0.25`-style fixed-point formatting for feed events.
 std::string format_s(double v) {
   char buf[32];
@@ -33,8 +38,8 @@ std::string format_s(double v) {
   return buf;
 }
 
-/// The worker's current cell, if this feed line names one (heartbeat and
-/// generation events both carry `"cell":"<name>"`).
+/// The worker's current cell, if this feed line names one (every
+/// `generation` event carries `"cell":"<name>"`).
 void note_cell(std::string_view line, std::string& last_cell) {
   constexpr std::string_view kTag = "\"cell\":\"";
   const std::size_t at = line.find(kTag);
@@ -79,13 +84,6 @@ double Supervisor::now_s() const {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void Supervisor::emit_event(const std::string& json) {
-  if (!feed_) return;
-  std::fwrite(json.data(), 1, json.size(), feed_);
-  std::fputc('\n', feed_);
-  std::fflush(feed_);
 }
 
 bool Supervisor::reclaim_pid_file(const Worker& w) {
@@ -179,13 +177,14 @@ bool Supervisor::spawn(Worker& w, int restart) {
   // The pid file lets external tooling (kill tests, ops) target the live
   // worker; each restart rewrites it.
   write_file_atomic(dir + "/worker.pid", std::to_string(pid) + "\n");
-  emit_event("{\"event\":\"worker_start\",\"shard\":" +
-             std::to_string(w.shard) + ",\"pid\":" + std::to_string(pid) +
-             ",\"restart\":" + std::to_string(restart) + "}");
+  feed_->emit_line("{\"event\":\"worker_start\",\"shard\":" +
+                   std::to_string(w.shard) + ",\"pid\":" + std::to_string(pid) +
+                   ",\"restart\":" + std::to_string(restart) + "}");
   if (restart > 0) {
-    emit_event("{\"event\":\"worker_restart\",\"shard\":" +
-               std::to_string(w.shard) + ",\"pid\":" + std::to_string(pid) +
-               ",\"restart\":" + std::to_string(restart) + "}");
+    feed_->emit_line("{\"event\":\"worker_restart\",\"shard\":" +
+                     std::to_string(w.shard) +
+                     ",\"pid\":" + std::to_string(pid) +
+                     ",\"restart\":" + std::to_string(restart) + "}");
   }
   std::fprintf(log_stream(), "[supervisor] shard %u: worker pid %d%s\n",
                w.shard, static_cast<int>(pid),
@@ -202,11 +201,11 @@ bool Supervisor::drain(Worker& w) {
       w.last_activity = now_s();
       std::size_t pos;
       while ((pos = w.buffer.find('\n')) != std::string::npos) {
-        note_cell(std::string_view(w.buffer.data(), pos), w.last_cell);
-        if (feed_) std::fwrite(w.buffer.data(), 1, pos + 1, feed_);
+        const std::string_view line(w.buffer.data(), pos);
+        note_cell(line, w.last_cell);
+        feed_->emit_line(line);
         w.buffer.erase(0, pos + 1);
       }
-      if (feed_) std::fflush(feed_);
       continue;
     }
     if (n == 0) return false;  // EOF: worker gone
@@ -230,10 +229,10 @@ void Supervisor::quarantine_cell(Worker& w, const std::string& cell) {
   w.skip_cells.push_back(cell);
   // The crash's cause is isolated; the survivors deserve a clean slate.
   w.policy.reset_backoff();
-  emit_event("{\"event\":\"cell_quarantined\",\"shard\":" +
-             std::to_string(w.shard) + ",\"cell\":\"" +
-             campaign::json_escape(cell) +
-             "\",\"deaths\":" + std::to_string(w.cell_deaths[cell]) + "}");
+  feed_->emit_line("{\"event\":\"cell_quarantined\",\"shard\":" +
+                   std::to_string(w.shard) + ",\"cell\":\"" +
+                   campaign::json_escape(cell) + "\",\"deaths\":" +
+                   std::to_string(w.cell_deaths[cell]) + "}");
   std::fprintf(log_stream(),
                "[supervisor] shard %u: cell '%s' killed its worker %d "
                "times — quarantined to %s; continuing without it\n",
@@ -254,10 +253,10 @@ void Supervisor::handle_exit(Worker& w, int wait_status) {
   int sig = 0;
   if (WIFEXITED(wait_status)) code = WEXITSTATUS(wait_status);
   if (WIFSIGNALED(wait_status)) sig = WTERMSIG(wait_status);
-  emit_event("{\"event\":\"worker_exit\",\"shard\":" +
-             std::to_string(w.shard) + ",\"pid\":" + std::to_string(pid) +
-             ",\"code\":" + std::to_string(code) +
-             ",\"signal\":" + std::to_string(sig) + "}");
+  feed_->emit_line("{\"event\":\"worker_exit\",\"shard\":" +
+                   std::to_string(w.shard) + ",\"pid\":" + std::to_string(pid) +
+                   ",\"code\":" + std::to_string(code) +
+                   ",\"signal\":" + std::to_string(sig) + "}");
 
   if (code == 0) {
     w.done = true;
@@ -275,9 +274,9 @@ void Supervisor::handle_exit(Worker& w, int wait_status) {
 
   // Poison attribution: repeated deaths at the same cell point at the cell,
   // not the machine — quarantine it so the rest of the shard completes.
-  if (opt_.poison_threshold > 0 && !w.last_cell.empty()) {
+  if (!w.last_cell.empty()) {
     const int deaths = ++w.cell_deaths[w.last_cell];
-    if (deaths >= opt_.poison_threshold) quarantine_cell(w, w.last_cell);
+    if (deaths >= kPoisonThreshold) quarantine_cell(w, w.last_cell);
   }
 
   const double now = now_s();
@@ -288,15 +287,15 @@ void Supervisor::handle_exit(Worker& w, int wait_status) {
                  "[supervisor] shard %u: worker died (code %d, signal %d), "
                  "restart budget exhausted (%d in %.0fs window)\n",
                  w.shard, code, sig, w.policy.in_window(now),
-                 opt_.restart_window_s);
+                 opt_.restart.window_s);
     return;
   }
   ++w.restarts;
   w.respawn_at = now + delay;
-  emit_event("{\"event\":\"worker_backoff\",\"shard\":" +
-             std::to_string(w.shard) +
-             ",\"restart\":" + std::to_string(w.restarts) +
-             ",\"delay_s\":" + format_s(delay) + "}");
+  feed_->emit_line("{\"event\":\"worker_backoff\",\"shard\":" +
+                   std::to_string(w.shard) +
+                   ",\"restart\":" + std::to_string(w.restarts) +
+                   ",\"delay_s\":" + format_s(delay) + "}");
   std::fprintf(log_stream(),
                "[supervisor] shard %u: worker died (code %d, signal %d), "
                "restart %d in %.3fs\n",
@@ -328,31 +327,15 @@ int Supervisor::run() {
 
   // Resume-aware feed: appending (after repairing a torn tail) keeps the
   // full campaign history in one file across supervisor restarts.
-  const std::string feed_path = opt_.root + "/progress.jsonl";
-  const bool resuming_feed = fs::exists(feed_path);
-  if (resuming_feed) {
-    if (Result<std::uint64_t> dropped = truncate_torn_tail(feed_path);
-        dropped && *dropped > 0) {
-      std::fprintf(log_stream(),
-                   "[supervisor] repaired %s: dropped a torn final line "
-                   "(%llu bytes)\n",
-                   feed_path.c_str(),
-                   static_cast<unsigned long long>(*dropped));
-    }
-  }
-  feed_ = std::fopen(feed_path.c_str(), resuming_feed ? "a" : "w");
-  if (!feed_) {
-    CCFUZZ_LOG_ERROR("supervisor: cannot open %s", feed_path.c_str());
+  try {
+    feed_ = std::make_unique<campaign::JsonlObserver>(
+        opt_.root + "/progress.jsonl", /*sync=*/false, /*append=*/true);
+  } catch (const std::runtime_error& e) {
+    CCFUZZ_LOG_ERROR("supervisor: %s", e.what());
     return 1;
   }
 
-  RestartPolicyConfig rcfg;
-  rcfg.base_delay_s = opt_.restart_base_delay_s;
-  rcfg.max_delay_s = opt_.restart_max_delay_s;
-  rcfg.budget = opt_.max_restarts;
-  rcfg.window_s = opt_.restart_window_s;
-  rcfg.jitter = opt_.restart_jitter;
-
+  RestartPolicyConfig rcfg = opt_.restart;
   workers_.clear();
   for (int k = 0; k < plan_.num_shards; ++k) {
     if (plan_.cell_count(static_cast<std::uint32_t>(k)) == 0) {
@@ -370,8 +353,7 @@ int Supervisor::run() {
   bool any_failed = false;
   for (auto& w : workers_) {
     if (!reclaim_pid_file(w)) {
-      std::fclose(feed_);
-      feed_ = nullptr;
+      feed_.reset();
       return 1;
     }
     if (!spawn(w, 0)) {
@@ -451,8 +433,8 @@ int Supervisor::run() {
       last_disk_check = now;
       if (Result<std::uint64_t> free = free_bytes(opt_.root);
           free && *free < opt_.min_free_bytes) {
-        emit_event("{\"event\":\"low_disk\",\"free_bytes\":" +
-                   std::to_string(*free) + "}");
+        feed_->emit_line("{\"event\":\"low_disk\",\"free_bytes\":" +
+                         std::to_string(*free) + "}");
         std::fprintf(log_stream(),
                      "[supervisor] only %llu bytes free under %s — draining "
                      "gracefully (rerun after freeing space to resume)\n",
@@ -467,9 +449,9 @@ int Supervisor::run() {
         if (w.pid < 0) continue;
         const double silence = now - w.last_activity;
         if (silence <= opt_.heartbeat_timeout_s) continue;
-        emit_event("{\"event\":\"worker_stall\",\"shard\":" +
-                   std::to_string(w.shard) +
-                   ",\"pid\":" + std::to_string(w.pid) + "}");
+        feed_->emit_line("{\"event\":\"worker_stall\",\"shard\":" +
+                         std::to_string(w.shard) +
+                         ",\"pid\":" + std::to_string(w.pid) + "}");
         std::fprintf(log_stream(),
                      "[supervisor] shard %u: no output for %.1fs, killing "
                      "pid %d\n",
@@ -480,8 +462,7 @@ int Supervisor::run() {
     }
   }
 
-  std::fclose(feed_);
-  feed_ = nullptr;
+  feed_.reset();
   for (const auto& w : workers_) any_failed = any_failed || w.failed;
   return any_failed ? 1 : 0;
 }

@@ -2,16 +2,19 @@
 //
 // The supervisor fork/execs one `ccfuzz worker` process per nonempty shard,
 // multiplexes their shard-tagged JSONL stdout streams into one aggregate
-// feed (`<root>/progress.jsonl` — whole lines only, so the feed is valid
-// JSONL even while workers race), and watches for worker death: a nonzero
-// exit, a termination signal, or a missed heartbeat (no output for longer
-// than the timeout → SIGKILL). A dead worker is restarted with the same
-// argv; because workers checkpoint every generation into their own shard
-// directory (PR 7's crash-safe campaign machinery, reused verbatim), the
-// restart resumes where the victim died and the finished shard tree — and
-// therefore the merged report — is bit-identical to an undisturbed run.
+// feed (`<root>/progress.jsonl`, written through campaign::JsonlObserver —
+// whole lines only, so the feed is valid JSONL even while workers race),
+// and watches for worker death: a nonzero exit, a termination signal, or
+// silence. Any byte from a worker counts as life, and a working worker
+// writes a `generation` line per active cell every generation, so output
+// missing for longer than the heartbeat timeout means a hang → SIGKILL. A
+// dead worker is restarted with the same argv; because workers checkpoint
+// every generation into their own shard directory (the crash-safe campaign
+// machinery, reused verbatim), the restart resumes where the victim died
+// and the finished shard tree — and therefore the merged report — is
+// bit-identical to an undisturbed run.
 //
-// Self-hardening (PR 9):
+// Self-hardening:
 //   * Restarts are paced by RestartPolicy — exponential backoff with
 //     deterministic jitter, budgeted per sliding window — and scheduled as
 //     deadlines, so the supervisor keeps draining healthy workers while a
@@ -38,9 +41,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "dist/restart_policy.h"
 #include "dist/shard_plan.h"
 
@@ -57,30 +62,19 @@ struct SupervisorOptions {
   /// Campaign root: shard trees under `<root>/shards/<k>/`, the aggregate
   /// feed at `<root>/progress.jsonl`, the plan at `<root>/shard_plan.json`.
   std::string root;
-  /// Restart budget per shard *per sliding window* (see restart_window_s);
-  /// a worker dying more often marks the run failed. A long campaign may
-  /// crash occasionally forever; a crash loop exhausts the window.
-  int max_restarts = 3;
-  /// Length of the sliding restart-budget window.
-  double restart_window_s = 300.0;
-  /// Backoff before the 1st restart; doubles per consecutive restart.
-  double restart_base_delay_s = 0.25;
-  /// Backoff ceiling.
-  double restart_max_delay_s = 30.0;
-  /// Jitter fraction on top of the backoff (deterministic per shard).
-  double restart_jitter = 0.25;
+  /// Backoff and per-window restart budget of every shard; a worker dying
+  /// more often than `restart.budget` times in `restart.window_s` marks the
+  /// run failed. run() sets `restart.seed` to the shard index.
+  RestartPolicyConfig restart;
   /// Seconds of worker silence before it is presumed hung and SIGKILLed
   /// (restart path). 0 disables the watchdog.
   double heartbeat_timeout_s = 0.0;
-  /// Deaths at the same cell before that cell is quarantined. <= 0 disables
-  /// quarantine.
-  int poison_threshold = 2;
   /// Minimum free bytes on the campaign filesystem: preflighted before
   /// spawning (refuse to start) and re-checked while running (graceful
   /// drain). 0 disables both checks.
   std::uint64_t min_free_bytes = std::uint64_t{16} << 20;
   /// Monotonic seconds for every scheduling decision (backoff deadlines,
-  /// budget windows, heartbeats). Null uses steady_clock; tests inject a
+  /// budget windows, silence watchdog). Null uses steady_clock; tests inject a
   /// fake clock to observe backoff timing without waiting it out.
   std::function<double()> clock;
   /// Human progress notes (worker starts/exits/restarts); null for stderr.
@@ -90,7 +84,7 @@ struct SupervisorOptions {
 /// Runs the campaign's workers to completion. Returns 0 when every shard
 /// completed (or the run was gracefully interrupted — check interrupted()),
 /// 1 when any shard exhausted its restart budget, could not be spawned, or
-/// the preflight refused to start.
+/// the preflight refused to start (including an unopenable feed).
 class Supervisor {
  public:
   Supervisor(SupervisorOptions opt, ShardPlan plan);
@@ -116,14 +110,13 @@ class Supervisor {
   /// Triage a pre-existing worker.pid before claiming the shard. False when
   /// a live sibling worker owns it (refuse to double-run).
   bool reclaim_pid_file(const Worker& w);
-  void emit_event(const std::string& json);
   std::FILE* log_stream() const;
   double now_s() const;
 
   SupervisorOptions opt_;
   ShardPlan plan_;
   std::vector<Worker> workers_;
-  std::FILE* feed_ = nullptr;  ///< owned while run() is live
+  std::unique_ptr<campaign::JsonlObserver> feed_;  ///< open while run() is live
   bool interrupted_ = false;
 };
 

@@ -16,27 +16,6 @@
 namespace ccfuzz::dist {
 namespace {
 
-/// Emits an explicit `heartbeat` line per generation event. The JSONL
-/// generation events already prove liveness, but a heartbeat is cheap and
-/// keeps the liveness contract explicit rather than an artifact of the
-/// progress format.
-class HeartbeatObserver final : public campaign::CampaignObserver {
- public:
-  HeartbeatObserver(std::ostream& out, int shard) : out_(out), shard_(shard) {}
-
-  void on_generation(const campaign::CellConfig& cell,
-                     const fuzz::GenStats& gs) override {
-    out_ << "{\"event\":\"heartbeat\",\"shard\":" << shard_ << ",\"cell\":\""
-         << campaign::json_escape(cell.name)
-         << "\",\"generation\":" << gs.generation << "}\n";
-    out_.flush();
-  }
-
- private:
-  std::ostream& out_;
-  int shard_;
-};
-
 /// Slows the lockstep loop down (supervisor-restart tests need a window to
 /// kill a worker mid-campaign).
 class ThrottleObserver final : public campaign::CampaignObserver {
@@ -117,21 +96,17 @@ int run_worker(const campaign::CampaignConfig& full,
     // merge step finds a well-formed summary, and announce it on the feed.
     campaign::CampaignReport empty;
     campaign::write_report(empty, dir);
-    if (opt.jsonl_stdout) {
-      jsonl.on_campaign_begin({});
-      jsonl.on_campaign_end(empty);
-    }
+    jsonl.on_campaign_begin({});
+    jsonl.on_campaign_end(empty);
     return 0;
   }
 
   campaign::Campaign campaign(mine);
-  HeartbeatObserver heartbeat(std::cout, opt.shard);
   ThrottleObserver throttle(opt.throttle_ms);
   FaultObserver faults;
-  if (opt.jsonl_stdout) {
-    campaign.add_observer(&jsonl);
-    campaign.add_observer(&heartbeat);
-  }
+  // The supervisor's liveness signal: one `generation` line per cell per
+  // generation, each naming the cell for poison attribution.
+  campaign.add_observer(&jsonl);
   if (opt.throttle_ms > 0) campaign.add_observer(&throttle);
   // Last: a cell-crash must land *after* the cell's progress lines reached
   // stdout, so the supervisor attributes the death to the right cell.

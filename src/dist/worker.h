@@ -7,8 +7,10 @@
 // own resume_dir, so a restarted worker continues bit-identically), report
 // writing and all. Progress streams to stdout as JSONL with every line
 // tagged `"shard":<k>`, which is what the supervisor multiplexes into the
-// campaign-wide aggregate feed; per-generation heartbeat events keep the
-// stream flowing so a hung worker is distinguishable from a slow one.
+// campaign-wide aggregate feed. That stream is also the liveness signal:
+// every generation writes a `generation` line per active cell, so a worker
+// silent for longer than the supervisor's heartbeat timeout is hung, not
+// slow.
 #pragma once
 
 #include <string>
@@ -36,8 +38,6 @@ struct WorkerOptions {
   /// Sleep after every generation event (test hook — lets kill-mid-campaign
   /// tests land reliably; 0 for real use).
   int throttle_ms = 0;
-  /// Stream shard-tagged JSONL progress (and heartbeats) to stdout.
-  bool jsonl_stdout = true;
   /// Cells this worker owns but must not run — quarantined by the
   /// supervisor after repeated deaths. Dropping a cell invalidates the
   /// shard checkpoint's cell count, so the survivors restart fresh; that is

@@ -65,13 +65,8 @@ Result<BundleManifest> read_manifest(record::Reader& r) {
 }  // namespace
 
 std::string bundle_id(const std::string& cell, std::uint64_t trace_hash) {
-  std::uint64_t h = trace::kFnvOffset;
-  for (char c : cell) {
-    h ^= static_cast<unsigned char>(c);
-    h *= trace::kFnvPrime;
-  }
-  h = trace::fnv1a_u64(h, trace_hash);
-  return trace::hash_hex(h);
+  return trace::hash_hex(
+      trace::fnv1a_u64(trace::fnv1a_str(trace::kFnvOffset, cell), trace_hash));
 }
 
 std::string to_json(const BundleManifest& m) {

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "campaign/report.h"
-#include "cca/registry.h"
 #include "fuzz/elite_archive.h"
 #include "scenario/runner.h"
 #include "trace/hash.h"
@@ -28,14 +27,6 @@ void logf(std::FILE* log, const char* fmt, ...) {
   std::vfprintf(log, fmt, ap);
   va_end(ap);
   std::fflush(log);
-}
-
-tcp::CcaFactory cell_factory(const campaign::CellConfig& cell) {
-  return cell.factory ? cell.factory : cca::make_factory(cell.cca);
-}
-
-const char* cell_score_name(const campaign::CellConfig& cell) {
-  return cell.score ? cell.score->name() : "low-utilization";
 }
 
 /// Two fresh-context scores differing at all means broken determinism; keep
@@ -157,7 +148,7 @@ void triage_one(const Candidate& cand, const TriageConfig& cfg,
   armed.invariants = true;
   scenario::RunContext ctx;
   const scenario::RunResult& armed_run =
-      ctx.run(armed, cell_factory(final_cell), minimized.trace.stamps);
+      ctx.run(armed, campaign::cell_factory(final_cell), minimized.trace.stamps);
   const std::int64_t violations = armed_run.invariants.total();
   if (violations > 0) {
     ++stats.simulator_bugs;
@@ -173,7 +164,7 @@ void triage_one(const Candidate& cand, const TriageConfig& cfg,
   m.cell = cell.name;
   m.cca = cell.cca;
   m.mode = scenario::to_string(cell.scenario.mode);
-  m.score = cell_score_name(cell);
+  m.score = campaign::score_name(cell);
   m.scenario_hash = trace::hash_hex(campaign::scenario_key(cell.scenario));
   m.duration_ms = final_cell.scenario.duration.ns() / 1'000'000;
   m.original_events = cand.genome.size();

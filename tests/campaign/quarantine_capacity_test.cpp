@@ -1,6 +1,6 @@
-// Satellite coverage for the quarantine plumbing: the campaign-level
-// capacity knob, Quarantine::stored() (the resume-surviving on-disk count),
-// and the `quarantined` field both report serializations now carry.
+// Coverage for the quarantine plumbing: Quarantine's capacity cap and
+// stored() (the resume-surviving on-disk count), and the `quarantined`
+// field both report serializations carry.
 #include <filesystem>
 #include <sstream>
 
@@ -27,13 +27,6 @@ CellConfig quick_cell() {
   cell.ga.islands = 2;
   cell.ga.max_generations = 1;
   return cell;
-}
-
-TEST(QuarantineCapacity, ConfigurableThroughCampaignConfig) {
-  CampaignConfig cfg;
-  EXPECT_EQ(cfg.quarantine_capacity(), 64u);  // the old hard-coded default
-  cfg.quarantine_capacity(7);
-  EXPECT_EQ(cfg.quarantine_capacity(), 7u);
 }
 
 TEST(QuarantineCapacity, StoredCountsTraceFilesOnDisk) {

@@ -97,7 +97,6 @@ TEST_F(MergeTest, TwoShardRunMergesByteIdenticalToSingleProcess) {
     w.shard = k;
     w.num_shards = 2;
     w.root = root;
-    w.jsonl_stdout = false;
     ASSERT_EQ(run_worker(matrix(), w), 0) << "shard " << k;
   }
 
@@ -146,7 +145,6 @@ TEST_F(MergeTest, NewlineInCellNameMergesByteIdenticalToSingleProcess) {
   const std::string root = (base_ / "sharded").string();
   WorkerOptions w;
   w.root = root;
-  w.jsonl_stdout = false;
   ASSERT_EQ(run_worker(one, w), 0);
   const Result<MergeStats> stats =
       merge_reports(root, ShardPlan::build(one.cells(), 1), root);
@@ -170,7 +168,6 @@ TEST_F(MergeTest, EmptyShardIsACompleteShard) {
     w.shard = k;
     w.num_shards = 2;
     w.root = root;
-    w.jsonl_stdout = false;
     ASSERT_EQ(run_worker(one, w), 0);
   }
   const Result<MergeStats> stats = merge_reports(root, plan, root);

@@ -39,6 +39,25 @@ TEST(ShardPlan, ShardOfIsDeterministicAndInRange) {
   }
 }
 
+TEST(ShardPlan, ShardOfValuesArePinned) {
+  // Every worker and every saved shard_plan.json agree on these owners; a
+  // change to the hash would reshuffle live campaigns.
+  const struct {
+    const char* name;
+    std::uint32_t at2, at3, at5;
+  } pinned[] = {
+      {"reno.traffic.low-utilization", 0, 2, 1},
+      {"cubic.traffic.low-utilization", 1, 0, 3},
+      {"bbr.link.low-utilization", 1, 0, 2},
+      {"bbr.traffic.incast.fairness", 0, 2, 4},
+  };
+  for (const auto& p : pinned) {
+    EXPECT_EQ(ShardPlan::shard_of(p.name, 2), p.at2) << p.name;
+    EXPECT_EQ(ShardPlan::shard_of(p.name, 3), p.at3) << p.name;
+    EXPECT_EQ(ShardPlan::shard_of(p.name, 5), p.at5) << p.name;
+  }
+}
+
 TEST(ShardPlan, AssignmentIgnoresOtherCells) {
   // The load-bearing property: a cell's owner depends only on its own name,
   // so a worker that expands the full matrix and a plan built from any

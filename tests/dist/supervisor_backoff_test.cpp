@@ -2,8 +2,10 @@
 // that dies instantly (/bin/false) is respawned on an exponential schedule
 // (base doubling, jitter disabled) until the sliding-window budget runs out,
 // at which point the shard is marked failed and run() returns 1. Also pins
-// the pid-triage refusal: a live worker pid running the supervisor's own
-// worker binary blocks a double-run before anything is spawned.
+// the pid-triage refusal (a live worker pid running the supervisor's own
+// worker binary blocks a double-run before anything is spawned) and the
+// feed: a torn final line is dropped before appending, and a feed that
+// cannot be opened stops the run before any worker starts.
 #include "dist/supervisor.h"
 
 #include <sys/wait.h>
@@ -16,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -24,6 +27,64 @@ namespace ccfuzz::dist {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Advances `i` past one JSON value in `s`; false if there is none there.
+bool skip_json_value(std::string_view s, std::size_t& i) {
+  const auto ws = [&] {
+    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
+  };
+  const auto string = [&] {
+    if (i >= s.size() || s[i] != '"') return false;
+    for (++i; i < s.size(); ++i) {
+      if (s[i] == '\\') {
+        ++i;
+      } else if (s[i] == '"') {
+        ++i;
+        return true;
+      }
+    }
+    return false;
+  };
+  ws();
+  if (i >= s.size()) return false;
+  const char open = s[i];
+  if (open == '"') return string();
+  if (open == '{' || open == '[') {
+    const char close = open == '{' ? '}' : ']';
+    ++i;
+    ws();
+    if (i < s.size() && s[i] == close) return ++i, true;
+    while (true) {
+      if (open == '{') {
+        ws();
+        if (!string()) return false;
+        ws();
+        if (i >= s.size() || s[i++] != ':') return false;
+      }
+      if (!skip_json_value(s, i)) return false;
+      ws();
+      if (i >= s.size()) return false;
+      if (s[i] == close) return ++i, true;
+      if (s[i++] != ',') return false;
+    }
+  }
+  for (const std::string_view word : {"true", "false", "null"}) {
+    if (s.substr(i, word.size()) == word) return i += word.size(), true;
+  }
+  const std::size_t start = i;
+  while (i < s.size() && std::string_view("+-.0123456789eE").find(s[i]) !=
+                             std::string_view::npos) {
+    ++i;
+  }
+  return i > start;
+}
+
+/// True when `line` is exactly one JSON object.
+bool is_json_object(std::string_view line) {
+  std::size_t i = 0;
+  return !line.empty() && line.front() == '{' &&
+         skip_json_value(line, i) && i == line.size();
+}
 
 class SupervisorBackoffTest : public ::testing::Test {
  protected:
@@ -49,11 +110,11 @@ class SupervisorBackoffTest : public ::testing::Test {
     SupervisorOptions opt;
     opt.binary = "/bin/false";  // execs fine, exits 1 instantly
     opt.root = base_.string();
-    opt.max_restarts = 3;
-    opt.restart_base_delay_s = 0.25;
-    opt.restart_max_delay_s = 30.0;
-    opt.restart_window_s = 300.0;
-    opt.restart_jitter = 0.0;  // exact delays, no [1, 1.25) scaling
+    opt.restart.budget = 3;
+    opt.restart.base_delay_s = 0.25;
+    opt.restart.max_delay_s = 30.0;
+    opt.restart.window_s = 300.0;
+    opt.restart.jitter = 0.0;  // exact delays, no [1, 1.25) scaling
     opt.heartbeat_timeout_s = 0.0;
     opt.min_free_bytes = 0;  // keep the test off the real disk state
     // Fake clock: every scheduling read advances virtual time, so backoff
@@ -126,6 +187,40 @@ TEST_F(SupervisorBackoffTest, CrashLoopBacksOffExponentiallyThenFails) {
   EXPECT_EQ(feed_count("\"event\":\"worker_exit\""), 4);
 }
 
+TEST_F(SupervisorBackoffTest, TornFeedTailIsDroppedBeforeAppending) {
+  // A previous supervisor died mid-line: two whole lines, then a fragment.
+  const std::vector<std::string> kept = {
+      R"({"event":"campaign_begin","shard":0,"cells":[]})",
+      R"({"event":"generation","shard":0,"cell":"cell-a","generation":0})"};
+  const std::string torn = R"({"event":"generation","shard":0,"ce)";
+  ASSERT_FALSE(is_json_object(torn));
+  std::ofstream(base_ / "progress.jsonl")
+      << kept[0] << "\n" << kept[1] << "\n" << torn;
+
+  Supervisor s(crash_loop_options(), one_cell_plan());
+  EXPECT_EQ(s.run(), 1);
+
+  std::ifstream is(base_ / "progress.jsonl");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  ASSERT_GT(lines.size(), kept.size());
+  EXPECT_EQ(lines[0], kept[0]);
+  EXPECT_EQ(lines[1], kept[1]);
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(is_json_object(line)) << line;
+  }
+  // The appended run is the whole crash loop, not a fragment of it.
+  EXPECT_EQ(feed_count("\"event\":\"worker_start\""), 4);
+  EXPECT_EQ(backoff_delays().size(), 3u);
+}
+
+TEST_F(SupervisorBackoffTest, UnopenableFeedRefusesToStart) {
+  fs::create_directories(base_ / "progress.jsonl");  // a directory, not a file
+  Supervisor s(crash_loop_options(), one_cell_plan());
+  EXPECT_EQ(s.run(), 1);
+  EXPECT_FALSE(fs::exists(base_ / "shards")) << "a worker was spawned";
+}
+
 TEST_F(SupervisorBackoffTest, LiveSiblingWorkerPidBlocksDoubleRun) {
   // A long-lived /bin/sleep stands in for the sibling campaign's worker.
   const pid_t sibling = ::fork();
@@ -133,6 +228,15 @@ TEST_F(SupervisorBackoffTest, LiveSiblingWorkerPidBlocksDoubleRun) {
   if (sibling == 0) {
     ::execl("/bin/sleep", "sleep", "600", static_cast<char*>(nullptr));
     ::_exit(127);
+  }
+  // Until the child has exec'd, its exe is this test binary and pid triage
+  // rightly calls it stale; wait for the exec (bounded) before planting it.
+  const fs::path sleep_exe = fs::weakly_canonical("/bin/sleep");
+  const fs::path proc_exe = "/proc/" + std::to_string(sibling) + "/exe";
+  for (int i = 0; i < 500; ++i) {
+    std::error_code ec;
+    if (fs::read_symlink(proc_exe, ec) == sleep_exe) break;
+    ::usleep(10'000);
   }
   const fs::path shard_dir = base_ / "shards" / "0";
   fs::create_directories(shard_dir);

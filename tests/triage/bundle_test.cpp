@@ -219,6 +219,7 @@ TEST(BundleManifest, SemanticCorruptionIsTyped) {
 TEST(BundleId, StableAndCollisionResistant) {
   const std::string a = bundle_id("reno.traffic.low-utilization", 42);
   EXPECT_EQ(a.size(), 16u);
+  EXPECT_EQ(a, "f712fff463fc7033");  // bundle directories on disk use it
   EXPECT_EQ(a, bundle_id("reno.traffic.low-utilization", 42));
   EXPECT_NE(a, bundle_id("cubic.traffic.low-utilization", 42));
   EXPECT_NE(a, bundle_id("reno.traffic.low-utilization", 43));

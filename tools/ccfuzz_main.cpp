@@ -80,8 +80,7 @@ struct Options {
   std::string shard;  // "k/N"
   std::vector<std::string> skip_cells;
   double heartbeat_timeout_s = 0.0;
-  int max_restarts = 3;
-  double restart_window_s = 300.0;
+  dist::RestartPolicyConfig restart;  // --max-restarts, --restart-window-s
   long long min_free_mb = 16;
   // Triage flags.
   int confirm_runs = 3;
@@ -271,8 +270,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
                    {"--throttle-ms", &opt.throttle_ms},
                    {"--workers", &opt.workers},
                    {"--heartbeat-timeout-s", &opt.heartbeat_timeout_s},
-                   {"--max-restarts", &opt.max_restarts},
-                   {"--restart-window-s", &opt.restart_window_s},
+                   {"--max-restarts", &opt.restart.budget},
+                   {"--restart-window-s", &opt.restart.window_s},
                    {"--min-free-mb", &opt.min_free_mb},
                    {"--confirm", &opt.confirm_runs},
                    {"--tolerance", &opt.tolerance},
@@ -697,8 +696,7 @@ int cmd_run(const Options& opt, const char* argv0) {
   sopt.binary = self_binary(argv0);
   sopt.worker_flags = matrix_flags(opt);
   sopt.root = opt.output;
-  sopt.max_restarts = opt.max_restarts;
-  sopt.restart_window_s = opt.restart_window_s;
+  sopt.restart = opt.restart;
   sopt.heartbeat_timeout_s = opt.heartbeat_timeout_s;
   sopt.min_free_bytes =
       opt.min_free_mb > 0
