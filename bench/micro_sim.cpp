@@ -8,6 +8,7 @@
 #include "scenario/runner.h"
 #include "sim/simulator.h"
 #include "trace/dist_packets.h"
+#include "util/rng.h"
 #include "util/windowed_filter.h"
 
 using namespace ccfuzz;
@@ -144,6 +145,25 @@ void BM_Dumbbell16FlowSimulatedSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dumbbell16FlowSimulatedSecond);
+
+void BM_DumbbellCrossTrafficSimulatedSecond(benchmark::State& state) {
+  // Traffic fuzzing's unit of work: Reno against a fixed-seed DistPackets
+  // cross-traffic trace at the campaign's initial density (1500 packets per
+  // 5 s), so the injection lane and the bursts it leaves in the bottleneck
+  // queue are timed. Every other dumbbell bench runs an empty trace.
+  scenario::ScenarioConfig cfg;
+  cfg.duration = TimeNs::seconds(1);
+  cfg.mode = scenario::FuzzMode::kTraffic;
+  Rng rng(7);
+  const auto trace =
+      trace::dist_packets(300, TimeNs::zero(), cfg.duration, rng);
+  const auto factory = cca::make_factory("reno");
+  for (auto _ : state) {
+    const auto run = scenario::run_scenario(cfg, factory, trace);
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
+  }
+}
+BENCHMARK(BM_DumbbellCrossTrafficSimulatedSecond);
 
 void BM_DumbbellFullEventsSimulatedSecond(benchmark::State& state) {
   // The figure/replay configuration: identical run with the raw per-packet

@@ -5,8 +5,16 @@
 // find the queue full are dropped and counted — the trace score uses both the
 // total injected and the drops to steer the GA toward minimal traffic
 // vectors (§3.4).
+//
+// The injector is an event lane (sim::Lane): start() reserves one block of
+// FIFO seqs for the whole schedule — the seqs a loop of schedule_at() calls
+// would have taken — and the stamp list itself is the lane's storage, so the
+// event queue holds one handle for the next injection instead of one per
+// stamp.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -19,8 +27,8 @@
 
 namespace ccfuzz::net {
 
-/// Schedules injection of one packet per trace timestamp into a queue.
-class CrossTrafficInjector {
+/// Injects one packet per trace timestamp into a queue.
+class CrossTrafficInjector final : private sim::Lane {
  public:
   /// `times` must be sorted ascending. Packets use `packet_bytes` frames and
   /// carry `flow_index` (the scenario assigns the aggregate the index after
@@ -29,19 +37,25 @@ class CrossTrafficInjector {
                        std::vector<TimeNs> times,
                        std::int32_t packet_bytes = kDefaultPacketBytes,
                        FlowIndex flow_index = 1)
-      : sim_(sim), queue_(queue), times_(std::move(times)),
-        packet_bytes_(packet_bytes), flow_index_(flow_index) {}
+      : sim::Lane(sim.events()), sim_(sim), queue_(queue),
+        times_(std::move(times)), packet_bytes_(packet_bytes),
+        flow_index_(flow_index) {}
 
-  /// Schedules all injections. Call once before running the simulation.
+  /// Queues every injection. Call once per run, before running the
+  /// simulation. Stamps before the current time fire now, as
+  /// Simulator::schedule_at would fire them.
   void start() {
-    for (const TimeNs t : times_) {
-      sim_.schedule_at(t, [this] { inject_one(); });
-    }
+    assert(pending() == 0 && "start() once per run");
+    assert(std::is_sorted(times_.begin(), times_.end()));
+    next_ = 0;
+    start_ = sim_.now();
+    if (times_.empty()) return;
+    base_seq_ = push_block(stamp(0), static_cast<std::uint32_t>(times_.size()));
   }
 
   /// Rearms the injector for a fresh run with a new schedule, reusing the
-  /// schedule storage's capacity. Previously scheduled injections must be
-  /// gone (Simulator::reset first); the observer callback is kept.
+  /// schedule storage's capacity. Simulator::reset must already have dropped
+  /// any pending injections; the observer callback is kept.
   void reset(std::span<const TimeNs> times, std::int32_t packet_bytes,
              FlowIndex flow_index) {
     times_.assign(times.begin(), times.end());
@@ -62,6 +76,21 @@ class CrossTrafficInjector {
   }
 
  private:
+  /// Due time of stamp `i`, clamped to the start time.
+  TimeNs stamp(std::size_t i) const { return std::max(times_[i], start_); }
+
+  void fire() override {
+    ++next_;
+    if (next_ < times_.size()) {
+      rekey(stamp(next_), base_seq_ + static_cast<std::uint32_t>(next_));
+    } else {
+      drained();
+    }
+    inject_one();
+  }
+
+  void clear() override { next_ = times_.size(); }
+
   void inject_one() {
     Packet p;
     p.id = 0x8000000000000000ULL + static_cast<std::uint64_t>(sent_);
@@ -77,6 +106,9 @@ class CrossTrafficInjector {
   sim::Simulator& sim_;
   DropTailQueue& queue_;
   std::vector<TimeNs> times_;
+  std::size_t next_ = 0;         ///< index of the pending head stamp
+  TimeNs start_;                 ///< clock at start()
+  std::uint32_t base_seq_ = 0;   ///< seq of stamp 0
   std::int32_t packet_bytes_;
   FlowIndex flow_index_;
   std::function<void(const Packet&, TimeNs)> on_inject_;

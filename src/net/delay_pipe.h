@@ -1,63 +1,104 @@
 // Fixed-delay, infinite-capacity pipe: models uncongested paths (source →
-// gateway access links, and the ACK return path in the paper's dumbbell).
+// gateway access links, the ACK return path in the paper's dumbbell, and the
+// bottleneck's propagation stage).
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "net/packet.h"
-#include "net/packet_pool.h"
 #include "sim/simulator.h"
 #include "util/time.h"
 
 namespace ccfuzz::net {
 
-/// Delivers every packet exactly `delay` after send(); preserves ordering
-/// (FIFO tie-break in the event queue keeps equal-time packets ordered).
+/// Delivers every packet exactly `delay` after send(), in send order.
 ///
-/// In-flight packets park in a PacketPool and the delivery event captures
-/// only the pool index, so send() never heap-allocates in steady state. Pass
-/// a shared pool to reuse its warm slab across components/runs; by default
-/// the pipe owns a private one.
-class DelayPipe {
+/// The pipe is an event lane (sim::Lane): in-flight packets wait in its own
+/// ring of {at, seq, Packet} entries, and only the head entry has a handle
+/// in the event queue. Each entry takes its FIFO seq at send() time, so
+/// deliveries interleave with every other event exactly as if each had been
+/// scheduled on its own. The ring grows to the pipe's in-flight high-water
+/// mark and is then reused, so send() never allocates in steady state.
+class DelayPipe final : private sim::Lane {
  public:
   DelayPipe(sim::Simulator& sim, DurationNs delay,
-            std::function<void(Packet&&)> deliver, PacketPool* pool = nullptr)
-      : sim_(sim), delay_(delay), deliver_(std::move(deliver)),
-        pool_(pool != nullptr ? pool : &own_pool_) {}
-
-  // pool_ may point at own_pool_; a compiler-generated copy would dangle.
-  DelayPipe(const DelayPipe&) = delete;
-  DelayPipe& operator=(const DelayPipe&) = delete;
+            std::function<void(Packet&&)> deliver)
+      : sim::Lane(sim.events()), sim_(sim), delay_(delay),
+        deliver_(std::move(deliver)) {}
 
   /// Sends a packet into the pipe at the current simulation time.
   void send(Packet&& p) {
-    ++in_flight_;
-    const PacketPool::Index idx = pool_->put(std::move(p));
-    sim_.schedule_in(delay_, [this, idx] {
-      --in_flight_;
-      deliver_(pool_->take(idx));
-    });
+    if (count_ == ring_.size()) grow();
+    Entry& e = ring_[(head_ + count_) & (ring_.size() - 1)];
+    e.at = sim_.now() + delay_;
+    e.seq = push(e.at);
+    e.packet = std::move(p);
+    ++count_;
   }
 
-  /// Reinitializes the pipe for a fresh run (possibly with a new delay). Any
-  /// scheduled deliveries must already be gone (Simulator::reset); the
-  /// delivery callback is kept.
+  /// Reinitializes the pipe for a fresh run (possibly with a new delay).
+  /// Simulator::reset must already have emptied it; the delivery callback
+  /// is kept.
   void reset(DurationNs delay) {
+    assert(count_ == 0 && "Simulator::reset empties every pipe");
     delay_ = delay;
-    in_flight_ = 0;
   }
 
   DurationNs delay() const { return delay_; }
-  std::int64_t in_flight() const { return in_flight_; }
+  std::int64_t in_flight() const { return static_cast<std::int64_t>(count_); }
+  /// Packets of one kind in flight (a ring scan; for audits, not hot paths).
+  std::int64_t in_flight(FlowId kind) const {
+    std::int64_t n = 0;
+    for (std::size_t i = 0; i < count_; ++i) {
+      n += ring_[(head_ + i) & (ring_.size() - 1)].packet.flow == kind;
+    }
+    return n;
+  }
 
  private:
+  struct Entry {
+    TimeNs at;
+    std::uint32_t seq = 0;
+    Packet packet;
+  };
+
+  void fire() override {
+    Packet p = std::move(ring_[head_].packet);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    if (count_ != 0) {
+      rekey(ring_[head_].at, ring_[head_].seq);
+    } else {
+      drained();
+    }
+    deliver_(std::move(p));
+  }
+
+  void clear() override {
+    head_ = 0;
+    count_ = 0;
+  }
+
+  /// Doubles the ring (power-of-two sizes), keeping entries in order.
+  void grow() {
+    std::vector<Entry> bigger(ring_.empty() ? 16 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
   sim::Simulator& sim_;
   DurationNs delay_;
   std::function<void(Packet&&)> deliver_;
-  PacketPool own_pool_;
-  PacketPool* pool_;
-  std::int64_t in_flight_ = 0;
+  std::vector<Entry> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace ccfuzz::net

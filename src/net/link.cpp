@@ -4,22 +4,17 @@
 
 namespace ccfuzz::net {
 
-void BottleneckLink::complete_transmission(Packet&& p, TimeNs egress) {
+void BottleneckLink::complete_transmission(Packet&& p) {
   ++served_;
-  if (egress_) egress_(p, egress);
-  if (deliver_) {
-    // Park the packet in the pool; the delivery event carries only the index.
-    const PacketPool::Index idx = pool_->put(std::move(p));
-    sim_.schedule_at(egress + prop_delay_,
-                     [this, idx] { deliver_(pool_->take(idx)); });
-  }
+  if (egress_) egress_(p, sim_.now());
+  // Without a sink there is nothing to deliver, and no event to spend.
+  if (deliver_) prop_.send(std::move(p));
 }
 
 TraceDrivenLink::TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
                                  DurationNs prop_delay,
-                                 std::vector<TimeNs> service_times,
-                                 PacketPool* pool)
-    : BottleneckLink(sim, queue, prop_delay, pool),
+                                 std::vector<TimeNs> service_times)
+    : BottleneckLink(sim, queue, prop_delay),
       times_(std::move(service_times)) {
 #ifndef NDEBUG
   for (std::size_t i = 1; i < times_.size(); ++i) {
@@ -48,9 +43,8 @@ void TraceDrivenLink::start() {
 }
 
 void TraceDrivenLink::on_opportunity() {
-  const TimeNs now = sim_.now();
   if (auto p = queue_.dequeue()) {
-    complete_transmission(std::move(*p), now);
+    complete_transmission(std::move(*p));
   } else {
     ++wasted_;
   }
@@ -61,9 +55,8 @@ void TraceDrivenLink::on_opportunity() {
 }
 
 FixedRateLink::FixedRateLink(sim::Simulator& sim, DropTailQueue& queue,
-                             DurationNs prop_delay, DataRate rate,
-                             PacketPool* pool)
-    : BottleneckLink(sim, queue, prop_delay, pool), rate_(rate) {
+                             DurationNs prop_delay, DataRate rate)
+    : BottleneckLink(sim, queue, prop_delay), rate_(rate) {
   queue_.set_nonempty_notifier([this] { maybe_begin_service(); });
 }
 
@@ -78,15 +71,14 @@ void FixedRateLink::start() { maybe_begin_service(); }
 
 void FixedRateLink::maybe_begin_service() {
   if (busy_ || queue_.empty()) return;
-  auto p = queue_.dequeue();
+  in_service_ = std::move(*queue_.dequeue());
   busy_ = true;
-  const DurationNs tx = rate_.transfer_time(p->size_bytes);
-  const PacketPool::Index idx = pool().put(std::move(*p));
-  sim_.schedule_in(tx, [this, idx] { on_transmit_done(pool().take(idx)); });
+  sim_.schedule_in(rate_.transfer_time(in_service_.size_bytes),
+                   [this] { on_transmit_done(); });
 }
 
-void FixedRateLink::on_transmit_done(Packet&& p) {
-  complete_transmission(std::move(p), sim_.now());
+void FixedRateLink::on_transmit_done() {
+  complete_transmission(std::move(in_service_));
   busy_ = false;
   maybe_begin_service();
 }

@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "net/delay_pipe.h"
 #include "net/packet.h"
-#include "net/packet_pool.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
 #include "util/time.h"
@@ -34,7 +34,7 @@ using EgressFn = std::function<void(const Packet&, TimeNs)>;
 class BottleneckLink {
  public:
   virtual ~BottleneckLink() = default;
-  // pool_ may point at own_pool_; a compiler-generated copy would dangle.
+  // The propagation pipe's callback captures `this`.
   BottleneckLink(const BottleneckLink&) = delete;
   BottleneckLink& operator=(const BottleneckLink&) = delete;
 
@@ -49,35 +49,37 @@ class BottleneckLink {
   /// Packets transmitted so far.
   std::int64_t packets_served() const { return served_; }
 
+  /// The packet being serialized, if any (nullptr between packets and for
+  /// links that transmit instantly).
+  virtual const Packet* in_service() const { return nullptr; }
+  /// Transmitted packets still propagating towards the sink.
+  const DelayPipe& propagation() const { return prop_; }
+
  protected:
-  /// Packets in flight on the link park in `pool` (shared warm slab across
-  /// runs via scenario::RunContext); a private pool is used when null.
   BottleneckLink(sim::Simulator& sim, DropTailQueue& queue,
-                 DurationNs prop_delay, PacketPool* pool)
-      : sim_(sim), queue_(queue), prop_delay_(prop_delay),
-        pool_(pool != nullptr ? pool : &own_pool_) {}
+                 DurationNs prop_delay)
+      : sim_(sim), queue_(queue),
+        prop_(sim, prop_delay, [this](Packet&& p) { deliver_(std::move(p)); }) {}
 
-  /// Transmits one packet (already dequeued) at time `egress`: notifies the
-  /// egress observer and schedules sink delivery after propagation.
-  void complete_transmission(Packet&& p, TimeNs egress);
-
-  PacketPool& pool() { return *pool_; }
+  /// Transmits one packet (already dequeued) at the current time: notifies
+  /// the egress observer and sends the packet down the propagation pipe.
+  void complete_transmission(Packet&& p);
 
   /// Shared part of the per-run reset: zeroed counters, new delay. The
   /// observer/delivery callbacks are kept (they outlive runs in a reusable
   /// harness).
   void reset_base(DurationNs prop_delay) {
-    prop_delay_ = prop_delay;
+    prop_.reset(prop_delay);
     served_ = 0;
   }
 
   sim::Simulator& sim_;
   DropTailQueue& queue_;
-  DurationNs prop_delay_;
   DeliveryFn deliver_;
   EgressFn egress_;
-  PacketPool own_pool_;
-  PacketPool* pool_;
+  /// Propagation stage: an event lane, one queue handle for all packets on
+  /// the wire.
+  DelayPipe prop_;
   std::int64_t served_ = 0;
 };
 
@@ -87,8 +89,7 @@ class TraceDrivenLink final : public BottleneckLink {
   /// `service_times` must be sorted ascending. Opportunities before start()
   /// is called are honoured as long as they are >= the current sim time.
   TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
-                  DurationNs prop_delay, std::vector<TimeNs> service_times,
-                  PacketPool* pool = nullptr);
+                  DurationNs prop_delay, std::vector<TimeNs> service_times);
 
   void start() override;
 
@@ -112,10 +113,13 @@ class TraceDrivenLink final : public BottleneckLink {
 class FixedRateLink final : public BottleneckLink {
  public:
   FixedRateLink(sim::Simulator& sim, DropTailQueue& queue,
-                DurationNs prop_delay, DataRate rate,
-                PacketPool* pool = nullptr);
+                DurationNs prop_delay, DataRate rate);
 
   void start() override;
+
+  const Packet* in_service() const override {
+    return busy_ ? &in_service_ : nullptr;
+  }
 
   /// Rearms the link for a fresh run (possibly with a new rate) and
   /// re-registers its queue non-empty notifier — a reusable harness may have
@@ -124,10 +128,11 @@ class FixedRateLink final : public BottleneckLink {
 
  private:
   void maybe_begin_service();
-  void on_transmit_done(Packet&& p);
+  void on_transmit_done();
 
   DataRate rate_;
   bool busy_ = false;
+  Packet in_service_;  ///< valid while busy_
 };
 
 }  // namespace ccfuzz::net

@@ -7,10 +7,9 @@
 
 namespace ccfuzz::scenario {
 
-Dumbbell::Dumbbell(sim::Simulator& sim, net::PacketPool& pool,
-                   net::BottleneckRecorder& recorder,
+Dumbbell::Dumbbell(sim::Simulator& sim, net::BottleneckRecorder& recorder,
                    analysis::StreamingMetrics& metrics)
-    : sim_(sim), pool_(pool), recorder_(recorder), metrics_(metrics) {}
+    : sim_(sim), recorder_(recorder), metrics_(metrics) {}
 
 void Dumbbell::resolve_spec(const FlowSpec& spec, FlowSpec& out) const {
   out = spec;
@@ -48,7 +47,6 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
     recorder_.reserve(expected_packets);
   }
   recorder_.set_flow_count(flow_count_ + 1);  // CCA flows + cross traffic
-  pool_.reserve(cfg_.net.queue_capacity + 64 * flow_count_);
   metrics_.begin_run(flow_count_, cfg_.metrics_window, cfg_.duration);
 
   // Gateway queue. The drop notifier is installed once and survives resets.
@@ -85,7 +83,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
     if (!trace_link_) {
       trace_link_ = std::make_unique<net::TraceDrivenLink>(
           sim_, *queue_, cfg_.net.bottleneck_delay,
-          std::vector<TimeNs>(trace_times.begin(), trace_times.end()), &pool_);
+          std::vector<TimeNs>(trace_times.begin(), trace_times.end()));
       install_link_callbacks(*trace_link_);
     } else {
       trace_link_->reset(cfg_.net.bottleneck_delay, trace_times);
@@ -94,8 +92,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
   } else {
     if (!fixed_link_) {
       fixed_link_ = std::make_unique<net::FixedRateLink>(
-          sim_, *queue_, cfg_.net.bottleneck_delay, cfg_.net.bottleneck_rate,
-          &pool_);
+          sim_, *queue_, cfg_.net.bottleneck_delay, cfg_.net.bottleneck_rate);
       install_link_callbacks(*fixed_link_);
     } else {
       // reset() also re-registers the queue non-empty notifier.
@@ -154,8 +151,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
       // ACK return path: receiver → sender, uncongested.
       f.ack = std::make_unique<net::DelayPipe>(
           sim_, f.spec.ack_path_delay,
-          [this, i](net::Packet&& p) { flows_[i].sender->on_ack_packet(p); },
-          &pool_);
+          [this, i](net::Packet&& p) { flows_[i].sender->on_ack_packet(p); });
       f.receiver = std::make_unique<tcp::TcpReceiver>(
           sim_, rcfg,
           [this, i](net::Packet&& p) { flows_[i].ack->send(std::move(p)); });
@@ -165,8 +161,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
           [this](net::Packet&& p) {
             recorder_.record_ingress(p, sim_.now());
             queue_->try_enqueue(std::move(p), sim_.now());
-          },
-          &pool_);
+          });
       f.sender = std::make_unique<tcp::TcpSender>(
           sim_, scfg, std::move(cca_instance),
           [this, i](net::Packet&& p) { flows_[i].access->send(std::move(p)); });
@@ -195,6 +190,24 @@ void Dumbbell::start() {
     if (f.spec.stop <= f.spec.start) continue;  // degenerate: never runs
     f.sender->start(f.spec.start);
   }
+}
+
+PacketLedger Dumbbell::packet_ledger() const {
+  constexpr auto kData = net::FlowId::kCcaData;
+  PacketLedger l;
+  for (std::size_t i = 0; i < flow_count_; ++i) {
+    l.sent += flows_[i].sender->total_sent();
+    l.in_access += flows_[i].access->in_flight();
+    l.arrived += flows_[i].receiver->packets_arrived();
+  }
+  const net::QueueStats& qs = queue_->stats();
+  const auto k = static_cast<std::size_t>(kData);
+  l.queued = qs.enqueued[k] - qs.dequeued[k];
+  l.dropped = qs.dropped[k];
+  const net::Packet* serving = link_->in_service();
+  l.in_service = serving != nullptr && serving->flow == kData ? 1 : 0;
+  l.propagating = link_->propagation().in_flight(kData);
+  return l;
 }
 
 }  // namespace ccfuzz::scenario

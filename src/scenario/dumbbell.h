@@ -15,8 +15,8 @@
 // the fuzzed trace drives the CrossTrafficInjector.
 //
 // The Dumbbell is a *reusable harness* with one way in: construct the shell
-// once over caller-owned storage (simulator, packet pool, recorder, metrics —
-// scenario::RunContext owns all four) and call setup() per run. The flows
+// once over caller-owned storage (simulator, recorder, metrics —
+// scenario::RunContext owns all three) and call setup() per run. The flows
 // come from ScenarioConfig::flow_specs(). Components — queue, links, pipes,
 // senders, receivers — are created on first use and thereafter reset in
 // place, so a steady-state GA evaluation rebuilds the whole topology without
@@ -34,7 +34,6 @@
 #include "net/cross_traffic.h"
 #include "net/delay_pipe.h"
 #include "net/link.h"
-#include "net/packet_pool.h"
 #include "net/queue.h"
 #include "net/recorder.h"
 #include "sim/simulator.h"
@@ -45,21 +44,37 @@
 
 namespace ccfuzz::scenario {
 
+/// Where every CCA data packet the senders transmitted is at one instant.
+/// Packet conservation says the six places account for every transmission.
+struct PacketLedger {
+  std::int64_t sent = 0;         ///< Σ sender transmissions, retx included
+  std::int64_t in_access = 0;    ///< Σ access-pipe packets in flight
+  std::int64_t queued = 0;       ///< resident in the gateway queue
+  std::int64_t in_service = 0;   ///< being serialized by the bottleneck
+  std::int64_t dropped = 0;      ///< dropped at the gateway queue
+  std::int64_t propagating = 0;  ///< in the bottleneck's propagation pipe
+  std::int64_t arrived = 0;      ///< Σ receiver arrivals
+
+  bool balanced() const {
+    return sent ==
+           in_access + queued + in_service + dropped + propagating + arrived;
+  }
+};
+
 /// Owns every component of a simulation run and wires their callbacks:
 /// construct the shell, then per run setup(), start() and
 /// Simulator::run_until(duration).
 class Dumbbell {
  public:
-  /// Binds warm storage, builds nothing yet. All four outlive the Dumbbell.
-  Dumbbell(sim::Simulator& sim, net::PacketPool& pool,
-           net::BottleneckRecorder& recorder,
+  /// Binds warm storage, builds nothing yet. All three outlive the Dumbbell.
+  Dumbbell(sim::Simulator& sim, net::BottleneckRecorder& recorder,
            analysis::StreamingMetrics& metrics);
 
   Dumbbell(const Dumbbell&) = delete;
   Dumbbell& operator=(const Dumbbell&) = delete;
 
   /// (Re)builds the topology for one run. The simulator must be freshly
-  /// reset and the pool/recorder/metrics cleared by the caller
+  /// reset and the recorder/metrics cleared by the caller
   /// (scenario::RunContext does all of this). `trace_times` is the link
   /// service curve (link mode) or the cross-traffic injection schedule
   /// (traffic mode), sorted ascending. `primary` builds the CCA instance of
@@ -100,6 +115,8 @@ class Dumbbell {
   }
   const net::BottleneckLink& link() const { return *link_; }
   const ScenarioConfig& config() const { return cfg_; }
+  /// The CCA data packet ledger of the current run (see PacketLedger).
+  PacketLedger packet_ledger() const;
   /// Flow index carried by cross-traffic packets (one past the CCA flows).
   net::FlowIndex cross_flow_index() const {
     return static_cast<net::FlowIndex>(flow_count_);
@@ -122,7 +139,6 @@ class Dumbbell {
   sim::Simulator& sim_;
   ScenarioConfig cfg_;
 
-  net::PacketPool& pool_;
   net::BottleneckRecorder& recorder_;
   analysis::StreamingMetrics& metrics_;
   coverage::BehaviorProbe* probe_ = nullptr;

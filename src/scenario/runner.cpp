@@ -1,5 +1,8 @@
 #include "scenario/runner.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace ccfuzz::scenario {
 
 double FlowResult::goodput_mbps() const {
@@ -53,10 +56,14 @@ double RunResult::jain_fairness() const {
 const RunResult& RunContext::run(const ScenarioConfig& cfg,
                                  const tcp::CcaFactory& cca,
                                  std::span<const TimeNs> trace_times) {
-  // Reset every piece of reused state; capacities (slab, pool, component
-  // buffers, metric bins) survive, contents don't.
+  // The link and the cross-traffic lane consume the stamps in order; an
+  // unsorted trace would misorder events rather than fail.
+  if (!std::is_sorted(trace_times.begin(), trace_times.end())) {
+    throw std::invalid_argument("run: trace_times must be sorted ascending");
+  }
+  // Reset every piece of reused state; capacities (slab, component buffers,
+  // metric bins) survive, contents don't.
   sim_.reset();
-  pool_.clear();
   result_.recorder.clear();
   result_.probe.reset(cfg.coverage);
   result_.invariants.reset(cfg.invariants);
@@ -166,13 +173,20 @@ void RunContext::audit_live_state() {
   }
   inv.check(db_.queue().size() <= db_.queue().capacity(), now,
             "queue: occupancy exceeds capacity");
-  inv.check(pool_.in_use() <= pool_.capacity(), now,
-            "packet conservation: pool in_use exceeds slab capacity");
+  check_packet_ledger(now);
+}
+
+void RunContext::check_packet_ledger(TimeNs now) {
+  result_.invariants.check(db_.packet_ledger().balanced(), now,
+                           "packet conservation: CCA data sent != in access + "
+                           "queued + in service + dropped + propagating + "
+                           "arrived");
 }
 
 void RunContext::check_conservation() {
   sim::Invariants& inv = result_.invariants;
   const TimeNs end = sim_.now();
+  check_packet_ledger(end);
   const net::QueueStats& qs = db_.queue().stats();
   std::int64_t dequeued = 0;
   for (std::size_t k = 0; k < net::kFlowCount; ++k) {

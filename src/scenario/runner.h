@@ -6,9 +6,9 @@
 // result depends on nothing but its arguments, which is what makes the GA's
 // parallel evaluation deterministic (paper §3.6). Under the hood each thread
 // reuses one RunContext (thread_run_context), so back-to-back evaluations run
-// on warm buffers — the event-slot slab, packet pool, dumbbell components
-// (queue, links, pipes, senders, receivers) and metric bins reach their
-// high-water mark on the first run, after which a steady-state evaluation
+// on warm buffers — the event-slot slab, dumbbell components (queue, links,
+// pipes with their in-flight rings, senders, receivers) and metric bins reach
+// their high-water mark on the first run, after which a steady-state evaluation
 // performs zero heap allocations end to end, result handoff included (the
 // warm RunResult lives inside the context; RunContext::run returns a
 // reference). A `const RunResult&` from a thread's context is therefore valid
@@ -33,7 +33,6 @@
 
 #include "analysis/streaming_metrics.h"
 #include "coverage/probe.h"
-#include "net/packet_pool.h"
 #include "net/queue.h"
 #include "net/recorder.h"
 #include "scenario/config.h"
@@ -169,8 +168,8 @@ struct RunResult {
 };
 
 /// Reusable simulation harness: owns the simulator (event-slot slab), the
-/// in-flight packet pool, the reusable Dumbbell (queue, links, pipes,
-/// senders, receivers) and the warm RunResult the recorder/metrics write
+/// reusable Dumbbell (queue, links, pipes, senders, receivers) and the warm
+/// RunResult the recorder/metrics write
 /// into, recycling all of it across runs — including across runs with
 /// different flow counts or modes. One RunContext per thread
 /// (thread_run_context; fuzz::evaluate_batch therefore reuses one per
@@ -179,29 +178,31 @@ struct RunResult {
 /// allocations at all.
 class RunContext {
  public:
-  RunContext() : db_(sim_, pool_, result_.recorder, result_.metrics) {}
+  RunContext() : db_(sim_, result_.recorder, result_.metrics) {}
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
   /// Runs one simulation on warm buffers and returns the context-owned
   /// result. Results are bit-identical to a cold run: every piece of reused
   /// state is reset up front. The reference stays valid (and stable) until
-  /// the next run() on this context.
+  /// the next run() on this context. Throws std::invalid_argument when
+  /// `trace_times` is not sorted ascending.
   const RunResult& run(const ScenarioConfig& cfg, const tcp::CcaFactory& cca,
                        std::span<const TimeNs> trace_times);
 
  private:
   /// Armed-invariants support: schedules the next periodic audit and runs
-  /// the live-state checks (sender scoreboards, cwnd, queue occupancy).
-  /// Never called on disarmed runs.
+  /// the live-state checks (sender scoreboards, cwnd, queue occupancy, the
+  /// packet ledger). Never called on disarmed runs.
   void schedule_audit(DurationNs period);
   void audit_live_state();
-  /// Post-run conservation checks (packet pool, queue accounting, per-flow
-  /// counters). Never called on disarmed runs.
+  /// Post-run conservation checks (packet ledger, queue accounting,
+  /// per-flow counters). Never called on disarmed runs.
   void check_conservation();
+  /// Records a violation unless Dumbbell::packet_ledger() balances.
+  void check_packet_ledger(TimeNs now);
 
   sim::Simulator sim_;
-  net::PacketPool pool_;
   RunResult result_;
   Dumbbell db_;
 };
@@ -213,7 +214,7 @@ RunContext& thread_run_context();
 
 /// Runs one simulation and returns a copy of the result. `trace_times` is the
 /// link service curve (link mode) or cross-traffic schedule (traffic mode),
-/// sorted ascending. `cca` builds the primary CCA — the instance used by
+/// sorted ascending (std::invalid_argument otherwise). `cca` builds the primary CCA — the instance used by
 /// every flow that names no algorithm of its own. Runs on
 /// thread_run_context(); hot callers read thread_run_context().run()'s result
 /// by reference instead.

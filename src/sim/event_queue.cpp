@@ -21,12 +21,7 @@ EventId EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
   ++s.generation;
   s.seq = seq;
   s.live = true;
-  const std::int64_t epoch = epoch_of(at.ns());
-  if (epoch <= horizon_) {
-    heap_push(HeapHandle{at.ns(), seq, slot});
-  } else {
-    far_push(HeapHandle{at.ns(), seq, slot}, epoch);
-  }
+  insert(HeapHandle{at.ns(), seq, slot});
   ++live_;
   // slot+1 keeps 0 out of the valid-id range.
   return (static_cast<EventId>(slot + 1) << 32) | s.generation;
@@ -49,6 +44,72 @@ void EventQueue::cancel(EventId id) {
   // when it surfaces (heap) or migrates (far band).
 }
 
+void EventQueue::insert(HeapHandle h) {
+  const std::int64_t epoch = epoch_of(h.at_ns);
+  if (epoch <= horizon_) {
+    heap_push(h);
+  } else {
+    far_push(h, epoch);
+  }
+}
+
+std::uint32_t EventQueue::lane_register(Lane* lane) {
+  std::uint32_t id;
+  if (free_lane_ != kNil) {
+    id = free_lane_;
+    free_lane_ = lanes_[id].next_free;
+  } else {
+    id = static_cast<std::uint32_t>(lanes_.size());
+    lanes_.emplace_back();
+  }
+  lanes_[id] = LaneEntry{lane, 0, 0, kNil};
+  return id;
+}
+
+void EventQueue::lane_unregister(std::uint32_t id) {
+  LaneEntry& e = lanes_[id];
+  // Any handle left in a band turns stale: pending is zero now, and a lane
+  // that later reuses this id gives its heads fresh seqs.
+  live_ -= e.pending;
+  e = LaneEntry{nullptr, 0, 0, free_lane_};
+  free_lane_ = id;
+}
+
+std::uint32_t EventQueue::lane_push(std::uint32_t id, TimeNs at,
+                                    std::uint32_t n) {
+  assert(n > 0);
+  LaneEntry& e = lanes_[id];
+  const std::uint32_t seq = next_seq_;
+  next_seq_ += n;
+  live_ += n;
+  if (e.pending == 0) {
+    // An idle lane gains a head: it needs a handle again.
+    e.head_seq = seq;
+    insert(HeapHandle{at.ns(), seq, kLaneTag | id});
+  }
+  e.pending += n;
+  return seq;
+}
+
+void EventQueue::lane_rekey(std::uint32_t id, TimeNs at, std::uint32_t seq) {
+  assert(!heap_.empty() && heap_[0].slot == (kLaneTag | id));
+  lanes_[id].head_seq = seq;
+  const HeapHandle h{at.ns(), seq, kLaneTag | id};
+  const std::int64_t epoch = epoch_of(h.at_ns);
+  if (epoch <= horizon_) {
+    heap_replace_top(h);
+  } else {
+    heap_pop_top();
+    far_push(h, epoch);
+  }
+}
+
+void EventQueue::lane_drained(std::uint32_t id) {
+  assert(!heap_.empty() && heap_[0].slot == (kLaneTag | id));
+  (void)id;
+  heap_pop_top();
+}
+
 void EventQueue::heap_push(HeapHandle h) {
   std::size_t i = heap_.size();
   heap_.push_back(h);
@@ -64,8 +125,11 @@ void EventQueue::heap_push(HeapHandle h) {
 void EventQueue::heap_pop_top() {
   const HeapHandle last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) heap_replace_top(last);
+}
+
+void EventQueue::heap_replace_top(HeapHandle h) {
   const std::size_t n = heap_.size();
-  if (n == 0) return;
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = 4 * i + 1;
@@ -75,11 +139,11 @@ void EventQueue::heap_pop_top() {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], last)) break;
+    if (!earlier(heap_[best], h)) break;
     heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = last;
+  heap_[i] = h;
 }
 
 void EventQueue::far_push(HeapHandle h, std::int64_t epoch) {
@@ -207,7 +271,9 @@ void EventQueue::prune() {
     if (horizon_ < target) horizon_ = target;
     break;
   }
-  if (!heap_.empty()) __builtin_prefetch(&slots_[heap_[0].slot]);
+  if (!heap_.empty() && heap_[0].slot < kLaneTag) {
+    __builtin_prefetch(&slots_[heap_[0].slot]);
+  }
 }
 
 TimeNs EventQueue::next_time() {
@@ -222,6 +288,16 @@ bool EventQueue::run_next_due(TimeNs deadline, TimeNs& clock) {
   // After prune() every far handle fires later than the heap top, so the
   // top is the global minimum across both bands.
   if (TimeNs(top.at_ns) > deadline) return false;
+  --live_;
+  clock = TimeNs(top.at_ns);
+  if (top.slot >= kLaneTag) {
+    // The owner detaches its head and re-keys (or drops) this very handle,
+    // which is still the heap top, before the head runs.
+    LaneEntry& e = lanes_[top.slot - kLaneTag];
+    --e.pending;
+    e.lane->fire();
+    return true;
+  }
   heap_pop_top();
   Slot& s = slots_[top.slot];
   // Move the callback out before freeing the slot: the callback may schedule
@@ -230,8 +306,6 @@ bool EventQueue::run_next_due(TimeNs deadline, TimeNs& clock) {
   s.live = false;
   s.next_free = free_head_;
   free_head_ = top.slot;
-  --live_;
-  clock = TimeNs(top.at_ns);
   fn();
   return true;
 }
@@ -254,6 +328,11 @@ void EventQueue::reset() {
     free_head_ = i;
   }
   heap_.clear();
+  for (LaneEntry& e : lanes_) {
+    if (e.lane == nullptr) continue;
+    e.lane->clear();
+    e.pending = 0;
+  }
   live_ = 0;
   next_seq_ = 0;
   if (far_size_ != 0) {

@@ -5,12 +5,12 @@
 // simulation bit-reproducible, which the GA depends on for convergence
 // (paper §3.6).
 //
-// Design — slab + generation tags + a two-band timer core (zero steady-state
-// allocations):
+// Design — slab + generation tags + a two-band timer core + FIFO lanes (zero
+// steady-state allocations):
 //
 //   * Callbacks live in a slab of fixed-size slots holding an
 //     InlineCallback<kEventCallbackCapacity> (32-byte inline budget,
-//     compile-time asserted — capture pool indices, not payloads). A
+//     compile-time asserted — capture owners, not payloads). A
 //     free list recycles slots, so after the high-water mark is reached
 //     schedule()/cancel()/run_next() never touch the allocator.
 //   * The ordering structure is split in two bands. The *near band* is a
@@ -54,6 +54,26 @@
 //     single heap. seq restarts on reset() (both bands are empty then),
 //     bounding the tie-break at 2^32 schedules per run — orders of magnitude
 //     above any simulation (scenario::RunContext resets per run).
+//
+// Lanes — a third path beside the two bands:
+//
+//   * Most events have a simpler shape than "arbitrary callback at arbitrary
+//     time": a fixed-delay packet path delivers in send order, and the
+//     cross-traffic schedule is one pre-sorted stamp list. A Lane is such a
+//     FIFO source: its entries arrive in non-decreasing time order and its
+//     owner stores them (payload included) in its own storage, so they
+//     never touch the slot slab. The lane keeps exactly one handle — for its
+//     head entry — in the heap or far band, tagged with kLaneTag.
+//   * Ordering is unchanged by construction: an entry takes its seq from the
+//     queue's counter at push time, the moment a schedule() would have, so
+//     every (time, seq) pair and tie-break is the one a plain event would
+//     get. When a lane head fires, the owner detaches it and the queue
+//     re-keys the top handle in place with the next head (one sift-down
+//     instead of a pop and a push), then the detached head runs.
+//   * Lane entries count in size() and fire through run_next_due() like any
+//     other event. reset() empties every lane. A destroyed lane deregisters;
+//     its table entry (and id) is reused, and its leftover handle is stale
+//     because no live head carries its seq any more.
 #pragma once
 
 #include <array>
@@ -71,15 +91,18 @@ using EventId = std::uint64_t;
 
 /// Inline-storage budget for event callbacks. 32 bytes keeps one event slot
 /// to exactly one cache line and fits every closure in the simulator (the
-/// largest are [this, pool-index] pairs) plus typical test lambdas;
-/// oversized captures fail to compile — route payloads through a pool and
-/// capture the index instead.
+/// largest are [this, period] pairs) plus typical test lambdas; oversized
+/// captures fail to compile — keep payloads in their owner (packets in
+/// flight ride a Lane) and capture `this` instead.
 inline constexpr std::size_t kEventCallbackCapacity = 32;
 using EventCallback = InlineCallback<kEventCallbackCapacity>;
 
+class Lane;
+
 /// Two-band min-queue of (time, seq) → callback: O(log near) push/pop for
 /// near events, O(1) amortized parking for far-future ones, O(1)
-/// generation-based cancellation, and no steady-state allocations.
+/// generation-based cancellation, FIFO lanes that share one handle per
+/// lane, and no steady-state allocations.
 class EventQueue {
  public:
   /// Schedules `fn` at absolute time `at`; returns a cancellation handle.
@@ -112,12 +135,21 @@ class EventQueue {
   /// simulation driver's hot loop.
   bool run_next_due(TimeNs deadline, TimeNs& clock);
 
-  /// Discards all pending events but keeps slab/heap/bucket capacity, so a
-  /// reused queue (scenario::RunContext) schedules without allocating.
+  /// Discards all pending events, emptying every registered lane, but keeps
+  /// slab/heap/bucket capacity, so a reused queue (scenario::RunContext)
+  /// schedules without allocating.
   void reset();
 
+  /// Size of the lane table: registered lanes plus free entries. Ids are
+  /// reused, so it is the high-water count of simultaneously live lanes.
+  std::size_t lane_slots() const { return lanes_.size(); }
+
  private:
+  friend class Lane;
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Handles whose slot field carries this bit stand for a lane's head; the
+  /// low bits are the lane id. Slab slots stay far below it.
+  static constexpr std::uint32_t kLaneTag = 0x80000000u;
   // --- Two-band geometry ---
   /// Virtual-time width of one far-band epoch: 2^22 ns ≈ 4.19 ms.
   static constexpr int kEpochShift = 22;
@@ -142,6 +174,12 @@ class EventQueue {
     bool live = false;
   };
   static_assert(sizeof(Slot) <= 64, "one event slot should fit a cache line");
+  struct LaneEntry {
+    Lane* lane = nullptr;          ///< nullptr while the entry is free
+    std::uint32_t head_seq = 0;    ///< seq of the lane's current head
+    std::uint32_t pending = 0;     ///< entries pushed and not yet fired
+    std::uint32_t next_free = kNil;
+  };
   struct HeapHandle {  // 16 bytes; what sift operations actually move
     std::int64_t at_ns;
     std::uint32_t seq;
@@ -161,13 +199,33 @@ class EventQueue {
     return a.seq < b.seq;
   }
   bool stale(const HeapHandle& h) const {
+    if (h.slot >= kLaneTag) {
+      const LaneEntry& e = lanes_[h.slot - kLaneTag];
+      return e.pending == 0 || e.head_seq != h.seq;
+    }
     const Slot& s = slots_[h.slot];
     return !s.live || s.seq != h.seq;
   }
 
   EventId schedule_impl(TimeNs at, EventCallback fn);
+  /// Files a new handle in the heap or, beyond the horizon, the far band.
+  void insert(HeapHandle h);
   void heap_push(HeapHandle h);
   void heap_pop_top();
+  /// Replaces the heap top with `h` and sifts it down. Requires !empty.
+  void heap_replace_top(HeapHandle h);
+
+  // --- Lane protocol (called by sim::Lane) ---
+  std::uint32_t lane_register(Lane* lane);
+  void lane_unregister(std::uint32_t id);
+  /// Appends `n` entries with consecutive seqs, the first due at `at`;
+  /// returns the first seq.
+  std::uint32_t lane_push(std::uint32_t id, TimeNs at, std::uint32_t n);
+  /// The firing lane's head was detached; its handle (the heap top) takes
+  /// the next head's key.
+  void lane_rekey(std::uint32_t id, TimeNs at, std::uint32_t seq);
+  /// The firing lane's head was its last entry; its handle leaves the heap.
+  void lane_drained(std::uint32_t id);
   /// Parks a handle in the far band (wheel bucket or overflow).
   void far_push(HeapHandle h, std::int64_t epoch);
   /// Migrates the earliest far epoch's handles into the heap (stale handles
@@ -185,6 +243,8 @@ class EventQueue {
 
   std::vector<Slot> slots_;
   std::vector<HeapHandle> heap_;  // 4-ary min-heap; may hold stale handles
+  std::vector<LaneEntry> lanes_;
+  std::uint32_t free_lane_ = kNil;
   std::uint32_t free_head_ = kNil;
   std::uint32_t next_seq_ = 0;
   std::size_t live_ = 0;
@@ -202,6 +262,50 @@ class EventQueue {
   std::array<std::vector<HeapHandle>, kWheelSize> wheel_;
   std::array<std::uint64_t, kWheelWords> wheel_bits_{};  ///< non-empty map
   std::vector<HeapHandle> overflow_;
+};
+
+/// A FIFO event source registered with an EventQueue (see "Lanes" above).
+/// The owner derives from Lane, keeps its entries in push order, and
+/// implements fire() and clear(). A lane must not outlive its queue.
+class Lane {
+ public:
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+ protected:
+  explicit Lane(EventQueue& queue)
+      : queue_(queue), id_(queue.lane_register(this)) {}
+  /// Deregisters; entries still pending are discarded.
+  ~Lane() { queue_.lane_unregister(id_); }
+
+  /// Appends one entry due at `at`, which must not precede the lane's last
+  /// entry (nor the current time); returns the entry's FIFO seq.
+  std::uint32_t push(TimeNs at) { return queue_.lane_push(id_, at, 1); }
+  /// Appends `n` (> 0) entries at once with consecutive seqs, the first due
+  /// at `first`; returns the first seq. Later entries' times are the
+  /// owner's, handed over one at a time through rekey().
+  std::uint32_t push_block(TimeNs first, std::uint32_t n) {
+    return queue_.lane_push(id_, first, n);
+  }
+  /// Entries pushed and not yet fired.
+  std::size_t pending() const { return queue_.lanes_[id_].pending; }
+
+  /// Called from fire() once the head is detached: hands the queue the new
+  /// head's (time, seq), or reports that the lane is now empty. Exactly one
+  /// of the two, before the detached entry runs.
+  void rekey(TimeNs at, std::uint32_t seq) { queue_.lane_rekey(id_, at, seq); }
+  void drained() { queue_.lane_drained(id_); }
+
+ private:
+  friend class EventQueue;
+  /// The head entry is due now (the clock already reads its time): detach
+  /// it, call rekey() or drained(), then run it.
+  virtual void fire() = 0;
+  /// EventQueue::reset(): forget every entry.
+  virtual void clear() = 0;
+
+  EventQueue& queue_;
+  const std::uint32_t id_;
 };
 
 }  // namespace ccfuzz::sim

@@ -17,8 +17,8 @@ namespace ccfuzz::sim {
 
 /// Move-only callable of signature void() with `Capacity` bytes of inline
 /// storage. Closures larger than `Capacity` fail a static_assert — shrink
-/// the capture (e.g. route bulky payloads through a pool and capture the
-/// index) rather than raising the budget.
+/// the capture (e.g. keep bulky payloads in the owner — an event lane — and
+/// capture `this`) rather than raising the budget.
 template <std::size_t Capacity>
 class InlineCallback {
  public:
@@ -31,7 +31,7 @@ class InlineCallback {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= Capacity,
                   "closure exceeds the inline callback budget; capture less "
-                  "(pool indices instead of payloads)");
+                  "(an owner pointer instead of payloads)");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned closures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,

@@ -1,6 +1,6 @@
 // Runtime invariant oracle: an armed-flag violation recorder that the
 // scenario runner consults during and after a simulation (packet
-// conservation across pool/queue/pipes, cwnd >= 1 MSS, non-negative
+// conservation across pipes/queue/link/receivers, cwnd >= 1 MSS, non-negative
 // inflight/timestamps, SACK scoreboard consistency).
 //
 // The recorder lives inside scenario::RunResult so triage can read it off a

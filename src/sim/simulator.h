@@ -41,6 +41,10 @@ class Simulator {
   /// Cancels a pending event (no-op if already fired).
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// The event queue, for registering FIFO event sources (sim::Lane). Lane
+  /// owners push entries no earlier than now().
+  EventQueue& events() { return queue_; }
+
   /// Runs events until the queue is exhausted or the clock would pass
   /// `deadline`; the clock is left at min(deadline, last event time).
   /// Returns the number of events executed.
@@ -65,9 +69,9 @@ class Simulator {
   TruncationReason truncation() const { return truncation_; }
 
   /// Returns the simulator to its initial state (clock at zero, no pending
-  /// events, budget disarmed) while keeping the event queue's slab/heap
-  /// capacity, so a reused simulator (scenario::RunContext) runs without
-  /// allocator traffic.
+  /// events, every lane empty, budget disarmed) while keeping the event
+  /// queue's slab/heap capacity, so a reused simulator
+  /// (scenario::RunContext) runs without allocator traffic.
   void reset() {
     queue_.reset();
     now_ = TimeNs::zero();

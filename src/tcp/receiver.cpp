@@ -21,6 +21,7 @@ void TcpReceiver::reset(const Config& cfg) {
   ooo_.clear();
   recent_blocks_.clear();
   pending_ack_segments_ = 0;
+  packets_arrived_ = 0;
   segments_received_ = 0;
   duplicates_ = 0;
   acks_sent_ = 0;
@@ -62,6 +63,7 @@ void TcpReceiver::forget_recent(SeqNr start) {
 void TcpReceiver::on_data_packet(const net::Packet& p) {
   const SeqNr seq = p.tcp.seq;
   assert(seq >= 0 && "data packet without sequence number");
+  ++packets_arrived_;
 
   if (seq < rcv_nxt_) {
     // Old/duplicate segment (e.g. a spurious retransmission arriving after

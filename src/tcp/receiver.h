@@ -67,6 +67,9 @@ class TcpReceiver {
                                   0);
   }
 
+  /// Data segments that reached the receiver, duplicates and out-of-order
+  /// arrivals included.
+  std::int64_t packets_arrived() const { return packets_arrived_; }
   /// Total in-order segments delivered to the "application".
   std::int64_t segments_received() const { return segments_received_; }
   /// Duplicate segments seen (spurious retransmissions arriving late).
@@ -112,6 +115,7 @@ class TcpReceiver {
   // SACK block starts, most recently updated first (bounded like ooo_).
   std::vector<SeqNr> recent_blocks_;
   int pending_ack_segments_ = 0;  // in-order segments not yet ACKed
+  std::int64_t packets_arrived_ = 0;
   std::int64_t segments_received_ = 0;
   std::int64_t duplicates_ = 0;
   std::int64_t acks_sent_ = 0;

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "analysis/streaming_metrics.h"
-#include "net/packet_pool.h"
 #include "net/recorder.h"
 #include "scenario/config.h"
 #include "scenario/dumbbell.h"
@@ -16,10 +15,9 @@ namespace ccfuzz::scenario {
 
 struct DumbbellRig {
   sim::Simulator sim;
-  net::PacketPool pool;
   net::BottleneckRecorder recorder;
   analysis::StreamingMetrics metrics;
-  Dumbbell db{sim, pool, recorder, metrics};
+  Dumbbell db{sim, recorder, metrics};
 
   /// Builds `cfg` (every flow without a CCA name runs `cca`) over `trace`
   /// and schedules it, leaving the clock at zero.

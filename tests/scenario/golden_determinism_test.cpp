@@ -4,7 +4,8 @@
 // (a) bit-identical RunResults across repeated runs — including runs sharing
 // one warm RunContext — and (b) the exact event counts and FNV fingerprints
 // recorded from the event core as it existed BEFORE the zero-allocation
-// rewrite (slab/generation EventQueue, PacketPool, RunContext). Any change
+// rewrite (slab/generation EventQueue, pooled packets, RunContext), and
+// kept through every later one (event lanes included). Any change
 // to event ordering, packet bookkeeping or clock behavior trips these.
 #include <cstdint>
 
@@ -262,7 +263,7 @@ TEST(GoldenDeterminism, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(GoldenDeterminism, WarmRunContextMatchesColdContext) {
-  // One context run back-to-back (warm slab/pool/recorder) must equal a
+  // One context run back-to-back (warm slab/rings/recorder) must equal a
   // freshly constructed context's result exactly.
   const ScenarioConfig cfg = golden_config(FuzzMode::kTraffic);
   const auto factory = cca::make_factory("bbr");

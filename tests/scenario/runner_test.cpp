@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "analysis/flow_metrics.h"
 #include "cca/registry.h"
 
@@ -53,6 +57,33 @@ TEST(Runner, CrossTrafficCountsReported) {
   const auto r = run_scenario(cfg, cca::make_factory("reno"), trace);
   EXPECT_EQ(r.cross_sent, 100);
   EXPECT_GE(r.cross_drops, 0);
+}
+
+// Both trace consumers walk the stamps in order, so an unsorted trace is
+// refused up front in every build type. The same thread's context then runs
+// the sorted trace (duplicates are bursts, and allowed) normally.
+void expect_unsorted_trace_rejected(FuzzMode mode) {
+  ScenarioConfig cfg = base_config();
+  cfg.mode = mode;
+  std::vector<TimeNs> trace;
+  for (int i = 0; i < 200; ++i) trace.emplace_back(TimeNs::millis(10 + i));
+  trace.emplace_back(TimeNs::millis(100));  // one stamp out of order
+  const auto factory = cca::make_factory("reno");
+  EXPECT_THROW(run_scenario(cfg, factory, trace), std::invalid_argument);
+  std::sort(trace.begin(), trace.end());
+  const auto r = run_scenario(cfg, factory, trace);
+  EXPECT_GT(r.primary().segments_delivered, 0);
+  if (mode == FuzzMode::kTraffic) {
+    EXPECT_EQ(r.cross_sent, 201);
+  }
+}
+
+TEST(Runner, UnsortedLinkTraceIsRejected) {
+  expect_unsorted_trace_rejected(FuzzMode::kLink);
+}
+
+TEST(Runner, UnsortedTrafficTraceIsRejected) {
+  expect_unsorted_trace_rejected(FuzzMode::kTraffic);
 }
 
 TEST(Runner, QueueDelaysPopulated) {

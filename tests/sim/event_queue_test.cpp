@@ -6,6 +6,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -400,6 +404,214 @@ TEST(EventQueue, StressManyEventsStayOrdered) {
   for (std::size_t i = 1; i < times.size(); ++i) {
     ASSERT_LE(times[i - 1], times[i]);
   }
+}
+
+// --- Lanes --------------------------------------------------------------------
+//
+// A lane is a FIFO event source whose entries take their seq at push time;
+// these tests pin that lane entries and plain events fire in exactly the
+// (time, seq) order plain schedule() calls would give, in every band.
+
+/// Test lane: a FIFO of (time, label) entries; firing hands the label to a
+/// sink (by default, appends it to a vector).
+class FifoLane final : public Lane {
+ public:
+  FifoLane(EventQueue& q, std::function<void(int)> sink)
+      : Lane(q), sink_(std::move(sink)) {}
+  FifoLane(EventQueue& q, std::vector<int>& out)
+      : FifoLane(q, [&out](int label) { out.push_back(label); }) {}
+
+  void push_entry(TimeNs at, int label) {
+    entries_.push_back({at, push(at), label});
+  }
+  using Lane::pending;
+
+ private:
+  struct Entry {
+    TimeNs at;
+    std::uint32_t seq;
+    int label;
+  };
+  void fire() override {
+    const Entry head = entries_.front();
+    entries_.pop_front();
+    if (entries_.empty()) {
+      drained();
+    } else {
+      rekey(entries_.front().at, entries_.front().seq);
+    }
+    sink_(head.label);
+  }
+  void clear() override { entries_.clear(); }
+
+  std::function<void(int)> sink_;
+  std::deque<Entry> entries_;
+};
+
+void drain(EventQueue& q) {
+  while (!q.empty()) q.run_next();
+}
+
+TEST(EventQueueLane, EqualTimestampsFireInPushOrderAcrossLanesAndEvents) {
+  EventQueue q;
+  std::vector<int> order;
+  FifoLane a(q, order);
+  FifoLane b(q, order);
+  const TimeNs t = TimeNs::millis(5);
+  q.schedule(t, [&] { order.push_back(0); });
+  a.push_entry(t, 1);
+  b.push_entry(t, 2);
+  q.schedule(t, [&] { order.push_back(3); });
+  a.push_entry(t, 4);
+  q.schedule(TimeNs::millis(1), [&] { order.push_back(-1); });
+  b.push_entry(t, 5);
+  a.push_entry(TimeNs::millis(6), 7);
+  q.schedule(t, [&] { order.push_back(6); });
+  EXPECT_EQ(q.size(), 9u);
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(a.pending(), 0u);
+}
+
+TEST(EventQueueLane, HeadBeyondTheWheelSpanKeepsFifoTies) {
+  // The lane's first head sits in the overflow band (> 1.07 s out), and a
+  // later head is re-keyed from the heap straight back into the far band.
+  EventQueue q;
+  std::vector<int> order;
+  FifoLane lane(q, order);
+  const TimeNs far = TimeNs::seconds(3);
+  q.schedule(far, [&] { order.push_back(0); });
+  lane.push_entry(far, 1);
+  q.schedule(far, [&] { order.push_back(2); });
+  lane.push_entry(far, 3);
+  lane.push_entry(TimeNs::seconds(5), 5);
+  q.schedule(TimeNs::seconds(5), [&] { order.push_back(6); });
+  q.schedule(TimeNs::millis(2), [&] {
+    order.push_back(-1);
+    q.schedule(TimeNs::seconds(5), [&] { order.push_back(7); });
+  });
+  // A second lane whose next head is far when its first one fires.
+  FifoLane hop(q, order);
+  hop.push_entry(TimeNs::millis(1), -2);
+  hop.push_entry(far, 4);
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{-2, -1, 0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventQueueLane, NextTimeAndDeadlineSeeLaneHeads) {
+  EventQueue q;
+  std::vector<int> order;
+  FifoLane lane(q, order);
+  lane.push_entry(TimeNs::millis(4), 1);
+  q.schedule(TimeNs::millis(9), [&] { order.push_back(2); });
+  EXPECT_EQ(q.next_time(), TimeNs::millis(4));
+  TimeNs clock = TimeNs::zero();
+  EXPECT_FALSE(q.run_next_due(TimeNs::millis(3), clock));
+  EXPECT_TRUE(q.run_next_due(TimeNs::millis(4), clock));
+  EXPECT_EQ(clock, TimeNs::millis(4));
+  EXPECT_EQ(q.next_time(), TimeNs::millis(9));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+}
+
+TEST(EventQueueLane, ResetEmptiesEveryLane) {
+  EventQueue q;
+  std::vector<int> order;
+  FifoLane lane(q, order);
+  lane.push_entry(TimeNs::millis(1), 1);
+  lane.push_entry(TimeNs::seconds(4), 2);  // overflow band
+  q.schedule(TimeNs::millis(2), [&] { order.push_back(3); });
+  EXPECT_EQ(q.size(), 3u);
+  q.reset();
+  EXPECT_EQ(lane.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.next_time().is_infinite());
+  // The lane works again after the reset, FIFO ties included.
+  q.schedule(TimeNs::millis(3), [&] { order.push_back(10); });
+  lane.push_entry(TimeNs::millis(3), 11);
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{10, 11}));
+}
+
+TEST(EventQueueLane, DestroyedLaneDropsItsEntriesAndFreesItsId) {
+  EventQueue q;
+  std::vector<int> order;
+  FifoLane keep(q, order);
+  for (int i = 0; i < 100; ++i) {
+    FifoLane temp(q, order);
+    temp.push_entry(TimeNs::millis(i + 1), -1);  // pending at destruction
+    temp.push_entry(TimeNs::seconds(3), -2);
+  }
+  EXPECT_EQ(q.lane_slots(), 2u);
+  EXPECT_TRUE(q.empty());
+  keep.push_entry(TimeNs::millis(50), 1);
+  q.schedule(TimeNs::millis(60), [&] { order.push_back(2); });
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// Differential harness: a closed system of packet "sends" in which every
+// fired send spawns sends and plain timers at quantized times, so exact-time
+// ties between lanes and events are common. Sends are plain schedule() calls
+// or pushes onto one of four fixed-delay lanes; one delay is past the wheel
+// span.
+constexpr int kDifferentialLabels = 10'000;
+
+class SendSystem {
+ public:
+  explicit SendSystem(bool lanes) : lanes_(lanes) {
+    for (int i = 0; i < 4; ++i) {
+      pipes_.push_back(std::make_unique<FifoLane>(
+          q_, [this](int label) { on_fire(label); }));
+    }
+  }
+
+  /// Runs to quiescence; returns every (time, label) in firing order.
+  std::vector<std::pair<std::int64_t, int>> run() {
+    for (int i = 0; i < 50; ++i) timer(TimeNs::millis(i % 7), next_label_++);
+    while (q_.run_next_due(TimeNs::infinite(), now_)) {
+    }
+    return log_;
+  }
+
+ private:
+  void timer(TimeNs at, int label) {
+    q_.schedule(at, [this, label] { on_fire(label); });
+  }
+  void send(std::size_t pipe, int label) {
+    static constexpr std::int64_t kDelayMs[4] = {0, 1, 20, 1500};
+    const TimeNs at = now_ + DurationNs::millis(kDelayMs[pipe]);
+    if (lanes_) {
+      pipes_[pipe]->push_entry(at, label);
+    } else {
+      timer(at, label);
+    }
+  }
+  void on_fire(int label) {
+    log_.emplace_back(now_.ns(), label);
+    const unsigned spawns = rng_() % 3;
+    for (unsigned k = 0; k < spawns && next_label_ < kDifferentialLabels; ++k) {
+      send(rng_() % 4, next_label_++);
+    }
+    if (rng_() % 4 == 0 && next_label_ < kDifferentialLabels) {
+      const auto ms = static_cast<std::int64_t>(rng_() % 5);
+      timer(now_ + DurationNs::millis(ms), next_label_++);
+    }
+  }
+
+  const bool lanes_;
+  EventQueue q_;
+  TimeNs now_ = TimeNs::zero();
+  std::mt19937 rng_{12345};
+  int next_label_ = 0;
+  std::vector<std::pair<std::int64_t, int>> log_;
+  std::vector<std::unique_ptr<FifoLane>> pipes_;
+};
+
+TEST(EventQueueLane, RandomizedSendsMatchPlainSchedules) {
+  const auto want = SendSystem(/*lanes=*/false).run();
+  const auto got = SendSystem(/*lanes=*/true).run();
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(kDifferentialLabels));
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

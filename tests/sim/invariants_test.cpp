@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "../scenario/dumbbell_rig.h"
 #include "cca/registry.h"
 #include "scenario/runner.h"
 #include "trace/dist_packets.h"
@@ -93,6 +97,44 @@ TEST(InvariantsOracle, ArmedGoldenScenariosAreClean) {
                   : run.invariants.violations().front().what);
     }
   }
+}
+
+TEST(InvariantsOracle, PacketLedgerBalancesThroughoutGoldenScenarios) {
+  // The conservation ledger the audits check, read every millisecond of
+  // every golden scenario: each CCA data transmission is in an access pipe,
+  // queued, in service, dropped, propagating or arrived — exactly one of
+  // them, at every instant. Every place must actually hold packets somewhere
+  // in the sweep, or the balance would prove nothing about it.
+  PacketLedger most;
+  for (const char* cca : {"reno", "cubic", "bbr"}) {
+    for (const FuzzMode mode : {FuzzMode::kLink, FuzzMode::kTraffic}) {
+      SCOPED_TRACE(std::string(cca) + "/" + to_string(mode));
+      const ScenarioConfig cfg = armed_config(mode);
+      const auto trace = probe_trace(mode, cfg.duration);
+      DumbbellRig rig;
+      rig.start(cfg, cca::make_factory(cca), trace);
+      std::int64_t unbalanced = 0;
+      for (TimeNs t = TimeNs::zero(); t <= cfg.duration;
+           t = t + DurationNs::millis(1)) {
+        rig.sim.run_until(t);
+        const PacketLedger l = rig.db.packet_ledger();
+        if (!l.balanced()) ++unbalanced;
+        most.in_access = std::max(most.in_access, l.in_access);
+        most.queued = std::max(most.queued, l.queued);
+        most.in_service = std::max(most.in_service, l.in_service);
+        most.dropped = std::max(most.dropped, l.dropped);
+        most.propagating = std::max(most.propagating, l.propagating);
+        most.arrived = std::max(most.arrived, l.arrived);
+      }
+      EXPECT_EQ(unbalanced, 0);
+    }
+  }
+  EXPECT_GT(most.in_access, 0);
+  EXPECT_GT(most.queued, 0);
+  EXPECT_EQ(most.in_service, 1);  // the fixed-rate link serializes one
+  EXPECT_GT(most.dropped, 0);
+  EXPECT_GT(most.propagating, 0);
+  EXPECT_GT(most.arrived, 0);
 }
 
 TEST(InvariantsOracle, ArmedAuditsDoNotPerturbTheRun) {

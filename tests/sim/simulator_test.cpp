@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#include "net/delay_pipe.h"
 
 namespace ccfuzz::sim {
 namespace {
@@ -128,6 +131,90 @@ TEST(Simulator, DeterministicReplay) {
     return order;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Lanes through the Simulator (net::DelayPipe is the lane) ---------------
+
+TEST(SimulatorLane, ResetEmptiesEveryPipe) {
+  Simulator sim;
+  int delivered = 0;
+  net::DelayPipe pipe(sim, DurationNs::millis(10),
+                      [&](net::Packet&&) { ++delivered; });
+  for (int i = 0; i < 5; ++i) pipe.send(net::Packet{});
+  sim.schedule_in(DurationNs::millis(1), [] {});
+  EXPECT_EQ(pipe.in_flight(), 5);
+  sim.reset();
+  EXPECT_EQ(pipe.in_flight(), 0);
+  EXPECT_EQ(sim.run_all(), 0u);
+  EXPECT_EQ(delivered, 0);
+  pipe.reset(DurationNs::millis(3));
+  pipe.send(net::Packet{});
+  sim.run_all();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(sim.now(), TimeNs::millis(3));
+}
+
+TEST(SimulatorLane, ThousandShortLivedPipesGrowNothing) {
+  // Pipes come and go (a fresh Dumbbell per run): each deregisters its lane
+  // on destruction, dropping whatever it still carries, and the next pipe
+  // reuses the lane id.
+  Simulator sim;
+  int delivered = 0;
+  net::DelayPipe keep(sim, DurationNs::millis(1),
+                      [&](net::Packet&&) { ++delivered; });
+  for (int i = 0; i < 1000; ++i) {
+    net::DelayPipe temp(sim, DurationNs::millis(2),
+                        [&](net::Packet&&) { ++delivered; });
+    temp.send(net::Packet{});
+    temp.send(net::Packet{});
+    keep.send(net::Packet{});
+    if (i % 2 == 0) sim.run_until(sim.now() + DurationNs::micros(1500));
+  }
+  EXPECT_EQ(sim.events().lane_slots(), 2u);
+  sim.run_all();
+  EXPECT_EQ(delivered, 1000);  // keep's packets only: temp's died with it
+  EXPECT_EQ(sim.events().size(), 0u);
+}
+
+TEST(SimulatorLane, EventBudgetTruncatesAtTheSameEvent) {
+  // One schedule of sends and timers, delivered once through a pipe and once
+  // as plain events: an event budget must stop both after the same event.
+  struct Run {
+    explicit Run(bool l) : lane(l) {}
+    bool lane;
+    Simulator sim;
+    std::vector<int> fired;
+    net::DelayPipe pipe{sim, DurationNs::millis(2), [this](net::Packet&& p) {
+                          fired.push_back(static_cast<int>(p.id));
+                        }};
+  };
+  auto run = [](bool lane, std::uint64_t max_events) {
+    Run r(lane);
+    for (int i = 0; i < 40; ++i) {
+      r.sim.schedule_at(TimeNs::millis(i % 5), [&r, i] {
+        r.fired.push_back(-i);
+        if (r.lane) {
+          net::Packet p;
+          p.id = static_cast<std::uint64_t>(i);
+          r.pipe.send(std::move(p));
+        } else {
+          r.sim.schedule_in(DurationNs::millis(2),
+                            [&r, i] { r.fired.push_back(i); });
+        }
+      });
+    }
+    Budget b;
+    b.max_events = max_events;
+    r.sim.arm_budget(b);
+    r.sim.run_all();
+    EXPECT_EQ(r.sim.truncation(), TruncationReason::kEventLimit);
+    EXPECT_EQ(r.sim.events_executed(), max_events);
+    return std::make_pair(r.fired, r.sim.now());
+  };
+  for (const std::uint64_t limit : {1u, 37u, 41u, 79u}) {
+    SCOPED_TRACE(limit);
+    EXPECT_EQ(run(true, limit), run(false, limit));
+  }
 }
 
 }  // namespace

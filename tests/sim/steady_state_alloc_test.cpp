@@ -1,6 +1,7 @@
 // Proves the simulation hot path is allocation-free in steady state: once
-// the event slab, heap and packet pool have reached their high-water marks,
-// schedule/cancel/run and pooled packet movement never touch the allocator.
+// the event slab, heap and the delay pipes' in-flight rings have reached
+// their high-water marks, schedule/cancel/run and packet movement through
+// the pipe lanes never touch the allocator.
 //
 // The global operator new/delete replacements below count every allocation
 // in this test binary; gtest runs each TEST in its own process under ctest,
@@ -18,7 +19,6 @@
 #include "fuzz/evaluator.h"
 #include "fuzz/score.h"
 #include "net/delay_pipe.h"
-#include "net/packet_pool.h"
 #include "../scenario/dumbbell_rig.h"
 #include "scenario/runner.h"
 #include "sim/simulator.h"
@@ -88,12 +88,11 @@ TEST(SteadyStateAllocation, EventQueueScheduleNeverAllocatesWhenWarm) {
       << "warm schedule/cancel/run_until must not allocate";
 }
 
-TEST(SteadyStateAllocation, PacketPoolAndDelayPipeReuseSlots) {
+TEST(SteadyStateAllocation, DelayPipeReusesRingSlots) {
   Simulator sim;
-  net::PacketPool pool;
   std::int64_t delivered = 0;
   net::DelayPipe pipe(sim, DurationNs::millis(1),
-                      [&delivered](net::Packet&&) { ++delivered; }, &pool);
+                      [&delivered](net::Packet&&) { ++delivered; });
 
   auto round = [&] {
     for (int i = 0; i < 200; ++i) {
@@ -104,37 +103,33 @@ TEST(SteadyStateAllocation, PacketPoolAndDelayPipeReuseSlots) {
     }
     sim.run_all();
   };
-  round();  // warm pool + slab
+  round();  // warm ring + slab
   sim.reset();
-  pool.clear();
 
   const std::size_t before = g_allocations.load();
   round();
   EXPECT_EQ(g_allocations.load(), before)
-      << "pooled packet flight must not allocate when warm";
+      << "packet flight through a warm pipe must not allocate";
   EXPECT_EQ(delivered, 400);
-  EXPECT_EQ(pool.in_use(), 0u);
+  EXPECT_EQ(pipe.in_flight(), 0);
 }
 
 TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
-  // A sender wired straight to a receiver through pool-backed pipes: once
+  // A sender wired straight to a receiver through two delay pipes: once
   // the seq-keyed segment ring has grown to the flow's in-flight high-water
-  // mark (and the event slab/pool are warm), continued ack-clocked sending
+  // mark (and the event slab and pipe rings are warm), continued ack-clocked sending
   // must not touch the allocator — the deque predecessor allocated a chunk
   // every few segments forever.
   Simulator sim;
-  net::PacketPool pool;
   tcp::TcpReceiver* receiver_ptr = nullptr;
   tcp::TcpSender* sender_ptr = nullptr;
 
   net::DelayPipe data_pipe(
       sim, DurationNs::millis(10),
-      [&receiver_ptr](net::Packet&& p) { receiver_ptr->on_data_packet(p); },
-      &pool);
+      [&receiver_ptr](net::Packet&& p) { receiver_ptr->on_data_packet(p); });
   net::DelayPipe ack_pipe(
       sim, DurationNs::millis(10),
-      [&sender_ptr](net::Packet&& p) { sender_ptr->on_ack_packet(p); },
-      &pool);
+      [&sender_ptr](net::Packet&& p) { sender_ptr->on_ack_packet(p); });
 
   tcp::TcpReceiver receiver(
       sim, tcp::TcpReceiver::Config{},
@@ -146,7 +141,7 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
   sender_ptr = &sender;
 
   sender.start(TimeNs::zero());
-  // Ring/slab/pool high-water mark. This flow is perfectly periodic (ACK
+  // Segment ring/slab/pipe ring high-water mark. This flow is perfectly periodic (ACK
   // bursts every ~21 ms ≈ 5 far-band epochs), so its re-armed RTO/delack
   // timers park in every 5th epoch bucket only — and because one wheel
   // revolution (256 epochs) shifts that residue class by one, the buckets
@@ -167,7 +162,7 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
 
 TEST(SteadyStateAllocation, FourFlowScenarioSteadyStateIsAllocationFree) {
   // A 4-flow dumbbell on warm RunContext-style buffers: after one full run
-  // (slab/pool/recorder high-water marks) and the new run's slow-start
+  // (slab/recorder high-water marks) and the new run's slow-start
   // transient (fresh senders grow their segment rings once), the multi-flow
   // simulation loop proper allocates nothing.
   scenario::ScenarioConfig cfg;
@@ -185,12 +180,11 @@ TEST(SteadyStateAllocation, FourFlowScenarioSteadyStateIsAllocationFree) {
     budget.max_events = 1'000'000'000ull;
     budget.max_wall_time = DurationNs::seconds(300);
     rig.sim.arm_budget(budget);
-    rig.pool.clear();
     rig.recorder.clear();
     // A fresh Dumbbell (queue, links, pipes, senders, metrics) per run, over
-    // the rig's warm simulator, pool and recorder.
+    // the rig's warm simulator and recorder.
     analysis::StreamingMetrics metrics;
-    scenario::Dumbbell db(rig.sim, rig.pool, rig.recorder, metrics);
+    scenario::Dumbbell db(rig.sim, rig.recorder, metrics);
     db.setup(cfg, factory, {});
     db.start();
     rig.sim.run_until(measure_from);
@@ -206,7 +200,7 @@ TEST(SteadyStateAllocation, FourFlowScenarioSteadyStateIsAllocationFree) {
     return after - before;
   };
 
-  run_once(cfg.duration);  // warm everything: slab, pool, recorder vectors
+  run_once(cfg.duration);  // warm everything: slab, recorder vectors
   const std::size_t steady = run_once(TimeNs::seconds(1));
   EXPECT_EQ(steady, 0u)
       << "4-flow steady state (post slow-start) must not allocate";
@@ -248,7 +242,7 @@ TEST(SteadyStateAllocation, EvaluateBatchGenerationIsAllocationFree) {
     items[i] = {&evaluator, &traces[i], &out[i]};
   }
 
-  // Two warm-up generations: the first takes every buffer (slab, pool,
+  // Two warm-up generations: the first takes every buffer (slab, pipe rings,
   // segment rings, reorder buffers, metric bins, Evaluation vectors) to its
   // high-water mark across the whole batch.
   fuzz::evaluate_batch(items, /*parallel=*/false);
