@@ -4,6 +4,8 @@
 // (paper §3.6).
 #include <benchmark/benchmark.h>
 
+#include <deque>
+
 #include "cca/registry.h"
 #include "scenario/runner.h"
 #include "sim/simulator.h"
@@ -64,12 +66,12 @@ void BM_EventQueueChurnCold(benchmark::State& state) {
 BENCHMARK(BM_EventQueueChurnCold);
 
 void BM_EventQueueRtoHeavy(benchmark::State& state) {
-  // The far-band stress: every simulated "ACK" re-arms one of 16 flows'
-  // RTO-style timers a full second out (cancel + schedule), on top of the
-  // steady near-event churn. Virtually none of the far timers survive to
-  // their expiry — the armed-then-cancelled pattern that used to fill the
-  // heap with stale far handles and now parks them in epoch buckets that
-  // are discarded wholesale at migration.
+  // Raw cancel + schedule re-arms: every simulated "ACK" re-arms one of 16
+  // flows' RTO-style timers a full second out, on top of the steady
+  // near-event churn. Virtually none of the far timers survive to their
+  // expiry, and each cancel leaves a stale handle in the heap until the
+  // clock reaches it a second later. Only tests re-arm this way; the
+  // simulator's timers are sim::Timer (BM_TimerRearmHeavy).
   sim::Simulator sim;
   constexpr int kFlows = 16;
   for (auto _ : state) {
@@ -92,6 +94,32 @@ void BM_EventQueueRtoHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_EventQueueRtoHeavy);
+
+void BM_TimerRearmHeavy(benchmark::State& state) {
+  // BM_EventQueueRtoHeavy's shape, re-armed the way TcpSender re-arms its
+  // RTO: through sim::Timer::arm. A re-arm a second out only moves the
+  // timer's key, so the heap holds the near events plus one handle per flow.
+  sim::Simulator sim;
+  constexpr int kFlows = 16;
+  std::int64_t fired = 0;
+  std::deque<sim::Timer> rto;
+  for (int f = 0; f < kFlows; ++f) rto.emplace_back(sim, [&fired] { ++fired; });
+  for (auto _ : state) {
+    sim.reset();
+    for (int i = 0; i < 100; ++i) {
+      sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
+    }
+    for (int i = 0; i < 9'800; ++i) {
+      sim.run_until(sim.now() + DurationNs::micros(1));
+      sim.schedule_in(DurationNs::micros(100), [&fired] { ++fired; });
+      rto[i % kFlows].arm(DurationNs::seconds(1));
+    }
+    sim.run_all();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * 10'000);
+}
+BENCHMARK(BM_TimerRearmHeavy);
 
 void BM_DumbbellSimulatedSecond(benchmark::State& state) {
   // Cost of one simulated second of a full Reno-over-dumbbell run — the
@@ -132,9 +160,9 @@ void BM_Dumbbell4FlowSimulatedSecond(benchmark::State& state) {
 BENCHMARK(BM_Dumbbell4FlowSimulatedSecond);
 
 void BM_Dumbbell16FlowSimulatedSecond(benchmark::State& state) {
-  // Incast-scale far-band pressure: sixteen competing flows keep sixteen
-  // RTO timers cycling through the far band while the shared bottleneck
-  // multiplies the near-event churn.
+  // Incast-scale timer pressure: sixteen competing flows re-arm sixteen RTO
+  // timers on every ACK while the shared bottleneck multiplies the
+  // near-event churn.
   scenario::ScenarioConfig cfg;
   cfg.duration = TimeNs::seconds(1);
   cfg.flows.resize(16);

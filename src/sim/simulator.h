@@ -90,50 +90,38 @@ class Simulator {
   TruncationReason truncation_ = TruncationReason::kNone;
 };
 
-/// A restartable one-shot timer bound to a Simulator. Re-arming cancels any
-/// pending expiry. Used for RTO, delayed-ACK, pacing release, etc.
+/// A restartable one-shot timer bound to a Simulator. Re-arming replaces
+/// any pending expiry. Used for RTO, delayed-ACK, pacing release, etc.
 ///
-/// Re-arm cost note: cancel() is an O(1) generation bump and a far-future
-/// arm() is an O(1) bucket push — the event core's far band is designed
-/// around exactly this armed-then-cancelled pattern (tcp_rearm_rto fires on
-/// every cumulative ACK), so high-frequency re-arming of far timers never
-/// touches the near heap. Each arm() still assigns a fresh FIFO sequence
-/// number, which is what keeps equal-timestamp execution order — and thus
-/// the golden fingerprints — identical to an eagerly re-scheduled timer.
-class Timer {
+/// The timer is a one-entry event lane (see "Timers" in event_queue.h): each
+/// arm() takes a fresh FIFO seq, so equal-timestamp execution order — and
+/// thus the golden fingerprints — is that of a timer re-scheduled with
+/// cancel() + schedule_in(), while a re-arm to a later time (the RTO,
+/// restarted on every cumulative ACK) files no new heap handle. A destroyed
+/// timer deregisters, so a pending expiry never fires into a dead owner.
+class Timer final : private Lane {
  public:
   Timer(Simulator& sim, std::function<void()> on_fire)
-      : sim_(sim), on_fire_(std::move(on_fire)) {}
+      : Lane(sim.events()), sim_(sim), on_fire_(std::move(on_fire)) {}
 
-  /// (Re)arms the timer to fire `delay` from now.
-  void arm(DurationNs delay) {
-    cancel();
-    expiry_ = sim_.now() + delay;
-    id_ = sim_.schedule_in(delay, [this] {
-      id_ = 0;
-      on_fire_();
-    });
-  }
+  /// (Re)arms the timer to fire `delay` (>= 0) from now.
+  void arm(DurationNs delay) { rearm(sim_.now() + delay); }
 
   /// Stops the timer if pending.
-  void cancel() {
-    if (id_ != 0) {
-      sim_.cancel(id_);
-      id_ = 0;
-    }
-  }
+  void cancel() { discard(); }
 
   /// True if armed and not yet fired.
-  bool pending() const { return id_ != 0; }
-
-  /// Absolute expiry time of the last arm() (valid only while pending).
-  TimeNs expiry() const { return expiry_; }
+  bool pending() const { return Lane::pending() != 0; }
 
  private:
+  void fire() override {
+    drained();
+    on_fire_();
+  }
+  void clear() override {}  // the queue holds all of the timer's state
+
   Simulator& sim_;
   std::function<void()> on_fire_;
-  EventId id_ = 0;
-  TimeNs expiry_ = TimeNs::zero();
 };
 
 }  // namespace ccfuzz::sim

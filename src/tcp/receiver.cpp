@@ -15,7 +15,8 @@ TcpReceiver::TcpReceiver(sim::Simulator& sim, const Config& cfg,
 
 void TcpReceiver::reset(const Config& cfg) {
   cfg_ = cfg;
-  // A pre-reset timer id: cancelling is a guaranteed no-op.
+  // In a reused context Simulator::reset has already emptied the timer;
+  // cancelling also stops it when the simulator was not reset.
   delack_timer_.cancel();
   rcv_nxt_ = 0;
   ooo_.clear();
@@ -91,8 +92,8 @@ void TcpReceiver::on_data_packet(const net::Packet& p) {
       pending_ack_segments_ = 0;
       send_ack_now(p.tcp.tx_id);
     } else if (!delack_timer_.pending()) {
-      // 200 ms out: parks in the event core's far band and is usually
-      // cancelled by the next full segment long before migrating.
+      // 200 ms out, and usually cancelled by the next full segment long
+      // before it is due; its queue handle is dropped when it surfaces.
       delack_timer_.arm(cfg_.delack_timeout);
     }
     return;

@@ -28,8 +28,8 @@ void TcpSender::reset(const Config& cfg, std::unique_ptr<CongestionControl> cca)
   assert(cca_ && "sender requires a congestion control instance");
   rtt_ = RttEstimator(cfg_.rtt);
   log_.reset(cfg_.log_events);
-  // Timer handles from a previous run are pre-reset ids; cancelling them is
-  // a guaranteed no-op in the generation-tagged event queue.
+  // In a reused context Simulator::reset has already emptied both timers;
+  // cancelling also stops them when the simulator was not reset.
   rto_timer_.cancel();
   pacing_timer_.cancel();
 
@@ -217,10 +217,10 @@ void TcpSender::arm_rto(bool force) {
     return;
   }
   if (force || !rto_timer_.pending()) {
-    // Restarted on every cumulative ACK (tcp_rearm_rto): with min_rto >=
-    // 200 ms the expiry always lands in the event core's far band, so this
-    // per-ACK cancel + re-arm is O(1) and leaves no stale handle in the
-    // near heap — the pattern BM_EventQueueRtoHeavy tracks.
+    // Restarted on every cumulative ACK (tcp_rearm_rto). A re-arm to a
+    // later time changes only the timer's key; its one queue handle is
+    // re-keyed when it surfaces, and no stale handle is left behind — the
+    // pattern BM_TimerRearmHeavy tracks.
     rto_timer_.arm(rtt_.rto_backed_off(backoff_));
   }
 }

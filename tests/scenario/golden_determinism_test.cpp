@@ -119,13 +119,13 @@ TEST(GoldenDeterminism, MatchesPreRefactorFingerprints) {
 }
 
 TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
-  // Forces the two-band event core through every band transition mid-run:
-  // RTO expiries with exponential backoff park multi-second timers in the
-  // overflow band (case A: service burst, 3 s dead air, service burst),
-  // staggered flow stop times schedule far-future events at start (case B),
-  // and both run long enough (6 s) for the far wheel to wrap several times.
-  // Expected values recorded from the single-heap core as it existed before
-  // the two-band rewrite; execution order must be bit-identical.
+  // Long-horizon timer traffic: RTO expiries with exponential backoff arm
+  // multi-second timers (case A: service burst, 3 s dead air, service
+  // burst), and staggered flow stop times schedule far-future events at
+  // start (case B), over 6 s. Expected values were recorded from a plain
+  // single-heap core, before the event queue grew (and later lost again) a
+  // far band for distant events; each timer is now a re-keyed one-entry
+  // lane, and execution order must still be bit-identical.
   {
     ScenarioConfig cfg;
     cfg.duration = TimeNs::seconds(6);

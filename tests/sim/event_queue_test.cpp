@@ -209,19 +209,19 @@ TEST(EventQueue, CancelDuringDrainKeepsOrder) {
   }
 }
 
-// --- Two-band boundary behavior ---------------------------------------------
+// --- Far-future events --------------------------------------------------------
 //
-// The queue parks far-future events (beyond ~67 ms of the current heap top)
-// in epoch buckets and migrates them into the near heap lazily. These tests
-// pin the band boundary: FIFO ties across migration, cancellation in every
-// band state, reset with a populated far band, and the overflow band beyond
-// the wheel span (~1.07 s).
+// Events from microseconds to many seconds out, mixed in one queue: FIFO ties
+// between events scheduled long before and just before their time,
+// cancellation early and late, the RTO-style cancel + reschedule chain, and
+// reset with distant events pending. (The queue once parked distant events
+// in a separate far band; these tests pinned its boundaries and now guard
+// the same behaviour on the single heap.)
 
 TEST(EventQueue, MixedBandEventsFireInTimeOrder) {
   EventQueue q;
   std::vector<std::int64_t> fired;
-  // Interleave near (µs..ms), wheel-far (hundreds of ms) and overflow-far
-  // (seconds) schedules.
+  // Interleave schedules from milliseconds to seconds out.
   const std::int64_t times_ms[] = {5000, 1, 700, 12, 2300, 90, 450,
                                    8000, 3,  160, 999, 30,  1500};
   for (const std::int64_t t : times_ms) {
@@ -235,17 +235,15 @@ TEST(EventQueue, MixedBandEventsFireInTimeOrder) {
 }
 
 TEST(EventQueue, EqualTimestampFifoSurvivesBandMigration) {
-  // A is scheduled while its timestamp is far future (parks in a bucket);
-  // the clock then walks close enough that the horizon passes A's epoch and
-  // A migrates into the heap; B is scheduled at the *same* timestamp
-  // directly into the near band. FIFO order (A first) must hold: migration
-  // preserves the original sequence number.
+  // A is scheduled while its timestamp is far in the future; the clock then
+  // walks close to it and B is scheduled at the *same* timestamp. FIFO order
+  // (A first) must hold: A keeps its original sequence number.
   EventQueue q;
   std::vector<int> order;
   const TimeNs t = TimeNs::millis(500);
   q.schedule(t, [&] { order.push_back(1) ; });      // far at schedule time
   q.schedule(TimeNs::millis(490), [&] { order.push_back(0); });
-  q.run_next();  // clock reaches 490 ms; A's epoch is now inside the horizon
+  q.run_next();  // clock reaches 490 ms
   q.schedule(t, [&] { order.push_back(2); });       // near at schedule time
   while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
@@ -256,22 +254,21 @@ TEST(EventQueue, CancelFarEventBeforeMigration) {
   bool fired = false;
   const EventId id = q.schedule(TimeNs::millis(800), [&] { fired = true; });
   EXPECT_EQ(q.size(), 1u);
-  q.cancel(id);  // still parked in its epoch bucket
+  q.cancel(id);  // long before it is due
   EXPECT_TRUE(q.empty());
   EXPECT_TRUE(q.next_time().is_infinite());
   EXPECT_FALSE(fired);
 }
 
 TEST(EventQueue, CancelFarEventAfterMigration) {
-  // Drive the clock to just short of the far event so it migrates into the
-  // heap, then cancel by the id handed out at schedule time: the id must
-  // stay valid across the band transition.
+  // Drive the clock to just short of the far event, then cancel by the id
+  // handed out at schedule time: the id stays valid while the event waits.
   EventQueue q;
   bool fired = false;
   const EventId id = q.schedule(TimeNs::millis(500), [&] { fired = true; });
   int fillers = 0;
   q.schedule(TimeNs::millis(496), [&] { ++fillers; });
-  q.run_next();  // clock at 496 ms: the 500 ms epoch has been migrated
+  q.run_next();  // clock at 496 ms
   EXPECT_EQ(q.size(), 1u);
   q.cancel(id);
   EXPECT_TRUE(q.empty());
@@ -280,7 +277,7 @@ TEST(EventQueue, CancelFarEventAfterMigration) {
 }
 
 TEST(EventQueue, RescheduleAcrossTheMigrationHorizon) {
-  // The RTO re-arm pattern: cancel the parked far timer and schedule a
+  // The RTO re-arm pattern: cancel the pending far timer and schedule a
   // replacement — far again, then finally near. Only the last incarnation
   // fires, exactly once, at its own time.
   EventQueue q;
@@ -300,12 +297,12 @@ TEST(EventQueue, RescheduleAcrossTheMigrationHorizon) {
 TEST(EventQueue, ResetWithPopulatedFarBand) {
   EventQueue q;
   bool fired = false;
-  // Populate heap, wheel and overflow bands, with some cancels in between.
+  // Events from 1 ms to 100 s out, with a cancel in between.
   q.schedule(TimeNs::millis(1), [&] { fired = true; });
   q.schedule(TimeNs::millis(300), [&] { fired = true; });
   const EventId far_id = q.schedule(TimeNs::millis(700), [&] { fired = true; });
-  q.schedule(TimeNs::seconds(5), [&] { fired = true; });     // overflow band
-  q.schedule(TimeNs::seconds(100), [&] { fired = true; });   // deep overflow
+  q.schedule(TimeNs::seconds(5), [&] { fired = true; });
+  q.schedule(TimeNs::seconds(100), [&] { fired = true; });
   q.cancel(far_id);
   EXPECT_EQ(q.size(), 4u);
 
@@ -315,8 +312,8 @@ TEST(EventQueue, ResetWithPopulatedFarBand) {
   EXPECT_TRUE(q.next_time().is_infinite());
   EXPECT_FALSE(fired);
 
-  // Pre-reset ids (including far-band ones) must not cancel new events,
-  // and the recycled queue keeps full two-band behavior with FIFO intact.
+  // Pre-reset ids (including far-future ones) must not cancel new events,
+  // and the recycled queue keeps FIFO ties intact.
   std::vector<int> order;
   q.schedule(TimeNs::millis(600), [&order] { order.push_back(2); });
   q.schedule(TimeNs::millis(600), [&order] { order.push_back(3); });
@@ -327,9 +324,8 @@ TEST(EventQueue, ResetWithPopulatedFarBand) {
 }
 
 TEST(EventQueue, OverflowBandRedistributesAndFires) {
-  // Events far beyond the wheel span must survive the overflow →  wheel →
-  // heap journey; one of them is cancelled while still parked deep in the
-  // overflow band.
+  // Events seconds out fire in time order; one of them is cancelled long
+  // before it is due.
   EventQueue q;
   std::vector<int> order;
   q.schedule(TimeNs::seconds(2), [&] { order.push_back(2); });
@@ -345,18 +341,18 @@ TEST(EventQueue, OverflowBandRedistributesAndFires) {
 }
 
 TEST(EventQueue, CancelledOverflowMinimumDoesNotDisturbLaterEvents) {
-  // The earliest overflow-band event is cancelled while parked (the RTO
+  // The earliest far event is cancelled long before it is due (the RTO
   // backoff pattern): when the clock passes its would-be expiry, the stale
-  // handle is dropped during redistribution and the queue must carry on —
-  // near events keep scheduling cheaply and the surviving deep-overflow
-  // event still fires at its own time, exactly once.
+  // handle is dropped and the queue must carry on — near events keep
+  // firing and the surviving later event still fires at its own time,
+  // exactly once.
   EventQueue q;
   std::vector<int> order;
   const EventId dead = q.schedule(TimeNs::seconds(3), [&] { order.push_back(-1); });
   q.schedule(TimeNs::seconds(9), [&] { order.push_back(9); });
   q.cancel(dead);
-  // Walk the clock across 3 s in small steps so the cancelled epoch is
-  // reached and redistributed away mid-run.
+  // Walk the clock across 3 s in small steps so the cancelled event's time
+  // is passed mid-run.
   for (int i = 1; i <= 80; ++i) {
     q.schedule(TimeNs::millis(50 * i), [&order, i] {
       if (i % 20 == 0) order.push_back(i / 20);
@@ -367,8 +363,8 @@ TEST(EventQueue, CancelledOverflowMinimumDoesNotDisturbLaterEvents) {
 }
 
 TEST(EventQueue, StressMixedBandsWithCancellations) {
-  // Pseudo-random times across all three bands (0..8 s), every third event
-  // cancelled up front: survivors must fire in exact (time, seq) order.
+  // Pseudo-random times over 0..8 s, every third event cancelled up front:
+  // survivors must fire in exact (time, seq) order.
   EventQueue q;
   std::vector<std::pair<std::int64_t, int>> fired;
   std::vector<EventId> ids;
@@ -410,7 +406,8 @@ TEST(EventQueue, StressManyEventsStayOrdered) {
 //
 // A lane is a FIFO event source whose entries take their seq at push time;
 // these tests pin that lane entries and plain events fire in exactly the
-// (time, seq) order plain schedule() calls would give, in every band.
+// (time, seq) order plain schedule() calls would give, heads far in the
+// future included.
 
 /// Test lane: a FIFO of (time, label) entries; firing hands the label to a
 /// sink (by default, appends it to a vector).
@@ -474,8 +471,8 @@ TEST(EventQueueLane, EqualTimestampsFireInPushOrderAcrossLanesAndEvents) {
 }
 
 TEST(EventQueueLane, HeadBeyondTheWheelSpanKeepsFifoTies) {
-  // The lane's first head sits in the overflow band (> 1.07 s out), and a
-  // later head is re-keyed from the heap straight back into the far band.
+  // The lane's first head is seconds out, and a later head is re-keyed from
+  // the heap top to seconds out again.
   EventQueue q;
   std::vector<int> order;
   FifoLane lane(q, order);
@@ -518,7 +515,7 @@ TEST(EventQueueLane, ResetEmptiesEveryLane) {
   std::vector<int> order;
   FifoLane lane(q, order);
   lane.push_entry(TimeNs::millis(1), 1);
-  lane.push_entry(TimeNs::seconds(4), 2);  // overflow band
+  lane.push_entry(TimeNs::seconds(4), 2);  // far in the future
   q.schedule(TimeNs::millis(2), [&] { order.push_back(3); });
   EXPECT_EQ(q.size(), 3u);
   q.reset();
@@ -552,8 +549,7 @@ TEST(EventQueueLane, DestroyedLaneDropsItsEntriesAndFreesItsId) {
 // Differential harness: a closed system of packet "sends" in which every
 // fired send spawns sends and plain timers at quantized times, so exact-time
 // ties between lanes and events are common. Sends are plain schedule() calls
-// or pushes onto one of four fixed-delay lanes; one delay is past the wheel
-// span.
+// or pushes onto one of four fixed-delay lanes; one delay is 1.5 s.
 constexpr int kDifferentialLabels = 10'000;
 
 class SendSystem {

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -74,10 +81,12 @@ TEST(Simulator, CancelledEventDoesNotFire) {
 TEST(Timer, FiresAfterDelay) {
   Simulator sim;
   int fired = 0;
-  Timer t(sim, [&] { ++fired; });
+  Timer t(sim, [&] {
+    ++fired;
+    EXPECT_EQ(sim.now(), TimeNs::millis(3));
+  });
   t.arm(DurationNs::millis(3));
   EXPECT_TRUE(t.pending());
-  EXPECT_EQ(t.expiry(), TimeNs::millis(3));
   sim.run_all();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(t.pending());
@@ -116,6 +125,187 @@ TEST(Timer, CanRearmFromItsOwnCallback) {
   sim.run_all();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sim.now(), TimeNs::millis(3));
+}
+
+TEST(Timer, DestroyedWhileArmedNeverFires) {
+  Simulator sim;
+  int dead = 0;
+  int live = 0;
+  {
+    Timer t(sim, [&] { ++dead; });
+    t.arm(DurationNs::millis(5));
+    EXPECT_EQ(sim.events().size(), 1u);
+  }
+  EXPECT_EQ(sim.events().size(), 0u);
+  // A timer constructed next reuses the dead one's lane id; only it fires.
+  Timer u(sim, [&] { ++live; });
+  u.arm(DurationNs::millis(10));
+  EXPECT_EQ(sim.run_all(), 1u);
+  EXPECT_EQ(dead, 0);
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(sim.now(), TimeNs::millis(10));
+}
+
+// Differential harness: random timer traffic driven once through sim::Timer
+// and once through a reference timer built from plain schedule + cancel, as
+// Timer was before it became a lane. Timers are re-armed later, earlier and
+// at the same time, cancelled, cancelled then re-armed, and re-armed from
+// their own callback, mixed with plain events and a delay pipe, across a
+// Simulator::reset. Times are whole milliseconds, so exact-time ties are
+// common; both runs must fire the same events in the same order with the
+// same queue size.
+
+/// Timer as cancel + schedule_in: every arm() files a new event.
+class ReferenceTimer {
+ public:
+  ReferenceTimer(Simulator& sim, std::function<void()> on_fire)
+      : sim_(sim), on_fire_(std::move(on_fire)) {}
+  void arm(DurationNs delay) {
+    cancel();
+    id_ = sim_.schedule_in(delay, [this] {
+      id_ = 0;
+      on_fire_();
+    });
+  }
+  void cancel() {
+    sim_.cancel(id_);
+    id_ = 0;
+  }
+  bool pending() const { return id_ != 0; }
+
+ private:
+  Simulator& sim_;
+  std::function<void()> on_fire_;
+  EventId id_ = 0;
+};
+
+template <typename T>
+class TimerSystem {
+ public:
+  /// (time ns, label, queue size when it fired)
+  using Fire = std::tuple<std::int64_t, int, std::size_t>;
+
+  TimerSystem() {
+    for (int i = 0; i < kTimers; ++i) {
+      timers_.push_back(std::make_unique<T>(sim_, [this, i] {
+        if (actions_ < kActions && rng_() % 3 == 0) {
+          ++actions_;
+          arm(i, DurationNs::millis(rng_() % 4));  // from its own callback
+        }
+        on_fire(kTimerLabel + i);
+      }));
+    }
+  }
+
+  /// Two phases split by a reset; returns every fire plus, per phase, the
+  /// events executed (as pseudo-fires labelled -1).
+  std::vector<Fire> run() {
+    seed();
+    sim_.run_until(TimeNs::millis(400));
+    log_.emplace_back(-1, -1, sim_.events_executed());
+    queued_at_reset_ = sim_.events().size();
+    sim_.reset();
+    pipe_.reset(DurationNs::millis(3));
+    // As TcpSender::reset does: the pending expiries died with the reset.
+    for (auto& t : timers_) t->cancel();
+    seed();
+    sim_.run_all();
+    log_.emplace_back(-1, -1, sim_.events_executed());
+    return log_;
+  }
+
+  int actions() const { return actions_; }
+  std::size_t queued_at_reset() const { return queued_at_reset_; }
+
+ private:
+  static constexpr int kTimers = 6;
+  static constexpr int kActions = 20'000;  // per system, over both phases
+  static constexpr int kTimerLabel = 1'000'000;
+
+  void seed() {
+    for (int i = 0; i < kTimers; ++i) arm(i, DurationNs::millis(i % 3));
+    for (int i = 0; i < 4; ++i) plain(DurationNs::millis(i));
+  }
+  void arm(int i, DurationNs delay) {
+    timers_[i]->arm(delay);
+    expiry_[i] = sim_.now() + delay;
+  }
+  void plain(DurationNs delay) {
+    const int label = next_label_++;
+    sim_.schedule_in(delay, [this, label] { on_fire(label); });
+  }
+  void on_fire(int label) {
+    log_.emplace_back(sim_.now().ns(), label, sim_.events().size());
+    for (unsigned k = 1 + rng_() % 3; k > 0 && actions_ < kActions; --k) {
+      ++actions_;
+      act();
+    }
+  }
+  void act() {
+    const int i = static_cast<int>(rng_() % kTimers);
+    T& t = *timers_[i];
+    // Time to the pending expiry (never negative, even for a queue that
+    // fires a timer late).
+    const DurationNs left =
+        t.pending() ? std::max(expiry_[i] - sim_.now(), DurationNs::zero())
+                    : DurationNs::millis(rng_() % 3);
+    const auto ms = [this](unsigned n) {
+      return DurationNs::millis(rng_() % n);
+    };
+    switch (rng_() % 8) {
+      case 0:  // later, now and then RTO-far
+        arm(i, left + (rng_() % 16 == 0 ? DurationNs::seconds(1) : ms(4)) +
+                   DurationNs::millis(1));
+        break;
+      case 1:  // earlier (or now)
+        arm(i, DurationNs::millis(rng_() % (left.ns() / 1'000'000 + 1)));
+        break;
+      case 2:  // the same time
+        arm(i, left);
+        break;
+      case 3:
+        t.cancel();
+        break;
+      case 4:
+        t.cancel();
+        arm(i, ms(5));
+        break;
+      case 5:
+        arm(i, ms(6));
+        break;
+      case 6:
+        plain(ms(5));
+        break;
+      default: {
+        net::Packet p;
+        p.id = static_cast<std::uint64_t>(next_label_++);
+        pipe_.send(std::move(p));
+      }
+    }
+  }
+
+  Simulator sim_;
+  std::mt19937 rng_{2024};
+  int actions_ = 0;
+  int next_label_ = 0;
+  std::size_t queued_at_reset_ = 0;
+  std::vector<Fire> log_;
+  std::array<TimeNs, kTimers> expiry_{};
+  net::DelayPipe pipe_{sim_, DurationNs::millis(2), [this](net::Packet&& p) {
+                         on_fire(static_cast<int>(p.id));
+                       }};
+  std::vector<std::unique_ptr<T>> timers_;
+};
+
+TEST(Timer, RandomizedRearmsMatchCancelAndSchedule) {
+  TimerSystem<ReferenceTimer> reference;
+  TimerSystem<Timer> lanes;
+  const auto want = reference.run();
+  const auto got = lanes.run();
+  ASSERT_GT(want.size(), 5000u);
+  EXPECT_GT(reference.queued_at_reset(), 0u);
+  EXPECT_EQ(reference.actions(), lanes.actions());
+  EXPECT_EQ(got, want);
 }
 
 TEST(Simulator, DeterministicReplay) {

@@ -141,15 +141,12 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
   sender_ptr = &sender;
 
   sender.start(TimeNs::zero());
-  // Segment ring/slab/pipe ring high-water mark. This flow is perfectly periodic (ACK
-  // bursts every ~21 ms ≈ 5 far-band epochs), so its re-armed RTO/delack
-  // timers park in every 5th epoch bucket only — and because one wheel
-  // revolution (256 epochs) shifts that residue class by one, the buckets
-  // reach their per-epoch high-water marks only after ~5 revolutions
-  // (~5.4 s) plus the 1 s RTO lead. Production contexts warm in one run
-  // (reset + rerun replays the same schedule); a single continuous flow
-  // needs the longer warm-up.
-  sim.run_until(TimeNs::seconds(7));
+  // Segment ring/slab/pipe ring high-water mark: the whole window leaves at
+  // once, so one one-way delay (10 ms, until the first ACKs enter their
+  // pipe) is the shortest whole-millisecond warm-up after which nothing
+  // allocates. A timer that filed a new heap handle on every delayed-ACK
+  // re-arm would grow the heap past this point and fail the test.
+  sim.run_until(TimeNs::millis(10));
 
   const std::size_t before = g_allocations.load();
   const std::int64_t sent_before = sender.total_sent();
