@@ -20,25 +20,23 @@ namespace {
 void BM_EventQueueChurn(benchmark::State& state) {
   // Steady-state event churn, matching how production drives the core since
   // scenario::RunContext landed: a warm simulator reused across runs, a
-  // bounded live set of near events (packet transmissions/deliveries), RTO-
-  // style far-future timers re-armed via cancel(), and run_until() stepping
-  // the clock. Before the reusable contexts, every run_scenario() hit a cold
-  // queue — that profile is kept as BM_EventQueueChurnCold below.
+  // bounded live set of near events (packet transmissions/deliveries), an
+  // RTO-style far-future sim::Timer re-armed every tenth step, and
+  // run_until() stepping the clock. Before the reusable contexts, every
+  // run_scenario() hit a cold queue — that profile is kept as
+  // BM_EventQueueChurnCold below.
   sim::Simulator sim;
+  std::int64_t fired = 0;
+  sim::Timer timer(sim, [&fired] { ++fired; });
   for (auto _ : state) {
     sim.reset();
-    std::int64_t fired = 0;
-    sim::EventId timer = 0;
     for (int i = 0; i < 100; ++i) {
       sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
     }
     for (int i = 0; i < 9'800; ++i) {
       sim.run_until(sim.now() + DurationNs::micros(1));
       sim.schedule_in(DurationNs::micros(100), [&fired] { ++fired; });
-      if (i % 10 == 0) {
-        sim.cancel(timer);
-        timer = sim.schedule_in(DurationNs::millis(1), [&fired] { ++fired; });
-      }
+      if (i % 10 == 0) timer.arm(DurationNs::millis(1));
     }
     sim.run_all();
     benchmark::DoNotOptimize(fired);
@@ -65,40 +63,13 @@ void BM_EventQueueChurnCold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurnCold);
 
-void BM_EventQueueRtoHeavy(benchmark::State& state) {
-  // Raw cancel + schedule re-arms: every simulated "ACK" re-arms one of 16
-  // flows' RTO-style timers a full second out, on top of the steady
-  // near-event churn. Virtually none of the far timers survive to their
-  // expiry, and each cancel leaves a stale handle in the heap until the
-  // clock reaches it a second later. Only tests re-arm this way; the
-  // simulator's timers are sim::Timer (BM_TimerRearmHeavy).
-  sim::Simulator sim;
-  constexpr int kFlows = 16;
-  for (auto _ : state) {
-    sim.reset();
-    std::int64_t fired = 0;
-    sim::EventId rto[kFlows] = {};
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
-    }
-    for (int i = 0; i < 9'800; ++i) {
-      sim.run_until(sim.now() + DurationNs::micros(1));
-      sim.schedule_in(DurationNs::micros(100), [&fired] { ++fired; });
-      const int f = i % kFlows;
-      sim.cancel(rto[f]);
-      rto[f] = sim.schedule_in(DurationNs::seconds(1), [&fired] { ++fired; });
-    }
-    sim.run_all();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_EventQueueRtoHeavy);
-
 void BM_TimerRearmHeavy(benchmark::State& state) {
-  // BM_EventQueueRtoHeavy's shape, re-armed the way TcpSender re-arms its
-  // RTO: through sim::Timer::arm. A re-arm a second out only moves the
-  // timer's key, so the heap holds the near events plus one handle per flow.
+  // RTO-heavy churn: every simulated "ACK" re-arms one of 16 flows' RTO
+  // timers a full second out, on top of the steady near-event churn, the way
+  // TcpSender re-arms its RTO through sim::Timer::arm. Virtually none of the
+  // far timers survive to their expiry. A re-arm a second out only moves
+  // the timer's key, so the heap holds the near events plus one handle per
+  // flow.
   sim::Simulator sim;
   constexpr int kFlows = 16;
   std::int64_t fired = 0;

@@ -46,14 +46,13 @@ OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 # The sim filter is explicit so new hot-path benches (the timer re-arm
-# benches BM_EventQueueRtoHeavy / BM_TimerRearmHeavy /
-# BM_Dumbbell16FlowSimulatedSecond and the cross-traffic lane's
-# BM_DumbbellCrossTrafficSimulatedSecond included) are a deliberate part of
-# the tracked trajectory, not an accident of whatever the binary happens to
-# contain.
+# bench BM_TimerRearmHeavy, BM_Dumbbell16FlowSimulatedSecond and the
+# cross-traffic lane's BM_DumbbellCrossTrafficSimulatedSecond included) are
+# a deliberate part of the tracked trajectory, not an accident of whatever
+# the binary happens to contain.
 "$BUILD_DIR/bench/micro_sim" \
   --benchmark_min_time="$MIN_TIME" \
-  --benchmark_filter='BM_EventQueueChurn|BM_EventQueueChurnCold|BM_EventQueueRtoHeavy|BM_TimerRearmHeavy|BM_DumbbellSimulatedSecond|BM_DumbbellBbrSimulatedSecond|BM_Dumbbell4FlowSimulatedSecond|BM_Dumbbell16FlowSimulatedSecond|BM_DumbbellCrossTrafficSimulatedSecond|BM_DumbbellFullEventsSimulatedSecond|BM_DistPackets5000|BM_WindowedMaxFilter' \
+  --benchmark_filter='BM_EventQueueChurn|BM_EventQueueChurnCold|BM_TimerRearmHeavy|BM_DumbbellSimulatedSecond|BM_DumbbellBbrSimulatedSecond|BM_Dumbbell4FlowSimulatedSecond|BM_Dumbbell16FlowSimulatedSecond|BM_DumbbellCrossTrafficSimulatedSecond|BM_DumbbellFullEventsSimulatedSecond|BM_DistPackets5000|BM_WindowedMaxFilter' \
   --benchmark_format=json >"$OUT/sim.json" 2>/dev/null
 "$BUILD_DIR/bench/micro_ga" \
   --benchmark_min_time="$MIN_TIME" \

@@ -1,5 +1,6 @@
 #include "net/link.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ccfuzz::net {
@@ -15,6 +16,7 @@ TraceDrivenLink::TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
                                  DurationNs prop_delay,
                                  std::vector<TimeNs> service_times)
     : BottleneckLink(sim, queue, prop_delay),
+      opportunity_(sim, [this] { on_opportunity(); }),
       times_(std::move(service_times)) {
 #ifndef NDEBUG
   for (std::size_t i = 1; i < times_.size(); ++i) {
@@ -36,9 +38,11 @@ void TraceDrivenLink::reset(DurationNs prop_delay,
   wasted_ = 0;
 }
 
-void TraceDrivenLink::start() {
+void TraceDrivenLink::start() { arm_next(); }
+
+void TraceDrivenLink::arm_next() {
   if (next_ < times_.size()) {
-    sim_.schedule_at(times_[next_], [this] { on_opportunity(); });
+    opportunity_.arm(std::max(times_[next_] - sim_.now(), DurationNs::zero()));
   }
 }
 
@@ -49,14 +53,14 @@ void TraceDrivenLink::on_opportunity() {
     ++wasted_;
   }
   ++next_;
-  if (next_ < times_.size()) {
-    sim_.schedule_at(times_[next_], [this] { on_opportunity(); });
-  }
+  arm_next();
 }
 
 FixedRateLink::FixedRateLink(sim::Simulator& sim, DropTailQueue& queue,
                              DurationNs prop_delay, DataRate rate)
-    : BottleneckLink(sim, queue, prop_delay), rate_(rate) {
+    : BottleneckLink(sim, queue, prop_delay),
+      transmit_done_(sim, [this] { on_transmit_done(); }),
+      rate_(rate) {
   queue_.set_nonempty_notifier([this] { maybe_begin_service(); });
 }
 
@@ -73,8 +77,7 @@ void FixedRateLink::maybe_begin_service() {
   if (busy_ || queue_.empty()) return;
   in_service_ = std::move(*queue_.dequeue());
   busy_ = true;
-  sim_.schedule_in(rate_.transfer_time(in_service_.size_bytes),
-                   [this] { on_transmit_done(); });
+  transmit_done_.arm(rate_.transfer_time(in_service_.size_bytes));
 }
 
 void FixedRateLink::on_transmit_done() {

@@ -9,6 +9,10 @@
 // FixedRateLink serializes packets back-to-back at a constant rate; it is the
 // bottleneck used in traffic fuzzing mode (§3.3), where the trace controls
 // cross traffic instead.
+//
+// Each link paces itself with one sim::Timer, re-armed from its own expiry
+// (the next opportunity, the next transmit-done), so its per-packet events
+// keep one queue handle and never touch the event slab.
 #pragma once
 
 #include <functional>
@@ -94,7 +98,7 @@ class TraceDrivenLink final : public BottleneckLink {
   void start() override;
 
   /// Rearms the link for a fresh run with a new service trace, reusing the
-  /// trace storage's capacity. No opportunity may still be scheduled
+  /// trace storage's capacity. No opportunity may still be pending
   /// (Simulator::reset first).
   void reset(DurationNs prop_delay, std::span<const TimeNs> service_times);
 
@@ -103,7 +107,11 @@ class TraceDrivenLink final : public BottleneckLink {
 
  private:
   void on_opportunity();
+  /// Arms the timer for the next opportunity, if any; a stamp already in the
+  /// past fires now.
+  void arm_next();
 
+  sim::Timer opportunity_;
   std::vector<TimeNs> times_;
   std::size_t next_ = 0;
   std::int64_t wasted_ = 0;
@@ -130,6 +138,7 @@ class FixedRateLink final : public BottleneckLink {
   void maybe_begin_service();
   void on_transmit_done();
 
+  sim::Timer transmit_done_;
   DataRate rate_;
   bool busy_ = false;
   Packet in_service_;  ///< valid while busy_

@@ -5,7 +5,7 @@
 
 namespace ccfuzz::sim {
 
-EventId EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
+void EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
   std::uint32_t slot;
   if (free_head_ != kNil) {
     slot = free_head_;
@@ -14,32 +14,9 @@ EventId EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  Slot& s = slots_[slot];
-  const std::uint32_t seq = next_seq_++;
-  s.fn = std::move(fn);
-  ++s.generation;
-  s.seq = seq;
-  s.live = true;
-  heap_push(HeapHandle{at.ns(), seq, slot});
+  slots_[slot].fn = std::move(fn);
+  heap_push(HeapHandle{at.ns(), next_seq_++, slot});
   ++live_;
-  // slot+1 keeps 0 out of the valid-id range.
-  return (static_cast<EventId>(slot + 1) << 32) | s.generation;
-}
-
-void EventQueue::cancel(EventId id) {
-  if (id == 0) return;
-  const std::uint32_t slot = static_cast<std::uint32_t>(id >> 32) - 1;
-  const std::uint32_t generation = static_cast<std::uint32_t>(id);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  // Already fired, already cancelled, recycled, or from before a reset().
-  if (!s.live || s.generation != generation) return;
-  s.fn.reset();
-  s.live = false;
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_;
-  // The handle stays behind in the heap; prune() drops it when it surfaces.
 }
 
 std::uint32_t EventQueue::lane_register(Lane* lane) {
@@ -162,28 +139,26 @@ void EventQueue::prune() {
   while (!heap_.empty()) {
     const HeapHandle top = heap_[0];
     if (top.slot < kLaneTag) {
-      const Slot& s = slots_[top.slot];
-      if (s.live && s.seq == top.seq) {
-        __builtin_prefetch(&s);
+      // A slab event leaves the heap only by firing or by reset(): its
+      // handle is always live.
+      __builtin_prefetch(&slots_[top.slot]);
+      return;
+    }
+    LaneEntry& e = lanes_[top.slot - kLaneTag];
+    if (e.handle_seq == top.seq) {
+      if (e.pending == 0) {
+        e.filed = false;  // a cancelled timer's handle
+      } else if (e.head_seq == top.seq) {
         return;
-      }
-    } else {
-      LaneEntry& e = lanes_[top.slot - kLaneTag];
-      if (e.handle_seq == top.seq) {
-        if (e.pending == 0) {
-          e.filed = false;  // a cancelled timer's handle
-        } else if (e.head_seq == top.seq) {
-          return;
-        } else {
-          // A timer re-armed to a later key since this handle was filed:
-          // the handle surfaced early and takes the entry's key in place.
-          e.handle_seq = e.head_seq;
-          heap_replace_top(HeapHandle{e.head_at, e.head_seq, top.slot});
-          continue;
-        }
+      } else {
+        // A timer re-armed to a later key since this handle was filed: the
+        // handle surfaced early and takes the entry's key in place.
+        e.handle_seq = e.head_seq;
+        heap_replace_top(HeapHandle{e.head_at, e.head_seq, top.slot});
+        continue;
       }
     }
-    heap_pop_top();  // stale: cancelled, orphaned or from a dead lane
+    heap_pop_top();  // stale: orphaned, cancelled or from a dead lane
   }
 }
 
@@ -213,7 +188,6 @@ bool EventQueue::run_next_due(TimeNs deadline, TimeNs& clock) {
   // Move the callback out before freeing the slot: the callback may schedule
   // new events, which can reuse this slot or grow the slab.
   EventCallback fn = std::move(s.fn);
-  s.live = false;
   s.next_free = free_head_;
   free_head_ = top.slot;
   fn();
@@ -228,12 +202,9 @@ TimeNs EventQueue::run_next() {
 }
 
 void EventQueue::reset() {
-  for (Slot& s : slots_) {
-    s.fn.reset();
-    s.live = false;
-  }
   free_head_ = kNil;
   for (std::uint32_t i = static_cast<std::uint32_t>(slots_.size()); i-- > 0;) {
+    slots_[i].fn.reset();
     slots_[i].next_free = free_head_;
     free_head_ = i;
   }

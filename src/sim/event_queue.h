@@ -5,29 +5,27 @@
 // simulation bit-reproducible, which the GA depends on for convergence
 // (paper §3.6).
 //
-// Design — slab + generation tags + one 4-ary heap + FIFO lanes (zero
-// steady-state allocations):
+// Design — slab + one 4-ary heap + FIFO lanes (zero steady-state
+// allocations):
 //
 //   * Callbacks live in a slab of fixed-size slots holding an
 //     InlineCallback<kEventCallbackCapacity> (32-byte inline budget,
 //     compile-time asserted — capture owners, not payloads). A
 //     free list recycles slots, so after the high-water mark is reached
-//     schedule()/cancel()/run_next() never touch the allocator.
+//     schedule()/run_next() never touch the allocator.
 //   * The ordering structure is a 4-ary index heap of 16-byte
 //     {time, seq, slot} handles (~half the depth of a binary heap,
 //     branch-predictable four-child scan). Its capacity is kept across
 //     reset(), so a reused queue schedules without allocating.
-//   * An EventId encodes (slot, generation). Each slot counts its
-//     occupancies in a generation counter that never resets, so cancel()
-//     is an O(1) generation compare — no cancelled-id set — and cancelling
-//     a fired, cancelled or pre-reset() id is a guaranteed no-op even after
-//     the slot has been recycled (a single slot would need 2^32 occupancies
-//     for an id to alias).
-//   * Heap handles carry a separate 32-bit FIFO sequence number; the slot
-//     remembers its current occupant's seq, so a handle whose seq no longer
-//     matches is stale and gets skipped when it surfaces. seq restarts on
+//   * Slab events cannot be cancelled: one leaves the heap only by firing
+//     or by reset(), so a slab handle is never stale and needs no tag. What
+//     is left on the slab is O(flows) per run — flow start and stop, and
+//     armed audits. Anything that is re-armed or cancelled is a sim::Timer,
+//     and per-packet events ride lanes and timers (both bottleneck links
+//     pace themselves with a timer).
+//   * Heap handles carry a 32-bit FIFO sequence number. seq restarts on
 //     reset() (the heap is empty then), bounding the tie-break at 2^32
-//     schedules per run — orders of magnitude above any simulation
+//     events per run — orders of magnitude above any simulation
 //     (scenario::RunContext resets per run).
 //
 // Lanes — FIFO sources with one heap handle each:
@@ -54,11 +52,10 @@
 // Timers — one-entry lanes that move:
 //
 //   * sim::Timer is a lane with at most one entry, which arm() moves. Each
-//     arm() takes a fresh seq, as a cancel() + schedule() would, so the
-//     (time, seq) of every expiry is the one an eagerly re-scheduled timer
-//     gets. The queue records the entry's current key and the seq of the one
-//     heap handle that stands for it; that handle's key may be earlier,
-//     never later.
+//     arm() takes a fresh seq, as a schedule() would, so the (time, seq) of
+//     every expiry is the one an eagerly re-scheduled timer gets. The queue
+//     records the entry's current key and the seq of the one heap handle
+//     that stands for it; that handle's key may be earlier, never later.
 //   * A re-arm to a later key only changes the entry's key: the handle
 //     already filed surfaces early and prune() re-keys it in place with one
 //     sift-down. A re-arm to an earlier key files a new handle; the old one
@@ -78,9 +75,6 @@
 
 namespace ccfuzz::sim {
 
-/// Opaque handle used to cancel a scheduled event. 0 is never a valid id.
-using EventId = std::uint64_t;
-
 /// Inline-storage budget for event callbacks. 32 bytes keeps one event slot
 /// to exactly one cache line and fits every closure in the simulator (the
 /// largest are [this, period] pairs) plus typical test lambdas; oversized
@@ -91,25 +85,21 @@ using EventCallback = InlineCallback<kEventCallbackCapacity>;
 
 class Lane;
 
-/// Min-queue of (time, seq) → callback: O(log n) push/pop, O(1)
-/// generation-based cancellation, FIFO lanes that keep one handle per lane,
-/// and no steady-state allocations.
+/// Min-queue of (time, seq) → callback: O(log n) push/pop, FIFO lanes that
+/// keep one handle per lane, and no steady-state allocations.
 class EventQueue {
  public:
-  /// Schedules `fn` at absolute time `at`; returns a cancellation handle.
+  /// Schedules `fn` at absolute time `at`. The event fires or is discarded
+  /// by reset(); to cancel or move an expiry, use a sim::Timer.
   template <typename F>
-  EventId schedule(TimeNs at, F&& fn) {
-    return schedule_impl(at, EventCallback(std::forward<F>(fn)));
+  void schedule(TimeNs at, F&& fn) {
+    schedule_impl(at, EventCallback(std::forward<F>(fn)));
   }
-
-  /// Cancels a pending event in O(1). Cancelling an already-fired or unknown
-  /// id is a no-op.
-  void cancel(EventId id);
 
   /// True if no live events remain.
   bool empty() const { return live_ == 0; }
 
-  /// Number of live (non-cancelled, not-yet-fired) events.
+  /// Number of live (pending, not-yet-fired) events.
   std::size_t size() const { return live_; }
 
   /// Timestamp of the earliest live event; TimeNs::infinite() if none.
@@ -143,10 +133,7 @@ class EventQueue {
   static constexpr std::uint32_t kLaneTag = 0x80000000u;
   struct Slot {
     EventCallback fn;
-    std::uint32_t generation = 0;  ///< occupancy count; never resets
-    std::uint32_t seq = 0;         ///< FIFO seq of the current occupant
     std::uint32_t next_free = kNil;
-    bool live = false;
   };
   static_assert(sizeof(Slot) <= 64, "one event slot should fit a cache line");
   struct LaneEntry {
@@ -172,7 +159,7 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  EventId schedule_impl(TimeNs at, EventCallback fn);
+  void schedule_impl(TimeNs at, EventCallback fn);
   void heap_push(HeapHandle h);
   void heap_pop_top();
   /// Replaces the heap top with `h` and sifts it down. Requires !empty.
@@ -195,12 +182,12 @@ class EventQueue {
   /// Drops every pending entry of the lane; its handle stays filed until it
   /// surfaces, so a re-arm may still reuse it.
   void lane_discard(std::uint32_t id);
-  /// Discards stale heap-top handles and re-keys a surfacing timer handle
+  /// Discards stale lane handles at the heap top and re-keys a surfacing timer handle
   /// whose timer was re-armed later, until the top is live and current.
   void prune();
 
   std::vector<Slot> slots_;
-  std::vector<HeapHandle> heap_;  // 4-ary min-heap; may hold stale handles
+  std::vector<HeapHandle> heap_;  // 4-ary min-heap; may hold stale lane handles
   std::vector<LaneEntry> lanes_;
   std::uint32_t free_lane_ = kNil;
   std::uint32_t free_head_ = kNil;
@@ -232,7 +219,7 @@ class Lane {
     return queue_.lane_push(id_, first, n);
   }
   /// For lanes of at most one entry: moves the entry to `at` with a fresh
-  /// FIFO seq (or pushes it), as cancel + schedule would order it.
+  /// FIFO seq (or pushes it), as a new schedule() would order it.
   void rearm(TimeNs at) { queue_.lane_rearm(id_, at); }
   /// For lanes of at most one entry: drops it if pending.
   void discard() { queue_.lane_discard(id_); }

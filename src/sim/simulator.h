@@ -24,22 +24,20 @@ class Simulator {
   TimeNs now() const { return now_; }
 
   /// Schedules `fn` after a relative delay (>= 0). The closure is stored
-  /// inline (see EventCallback) — scheduling never allocates.
+  /// inline (see EventCallback) — scheduling never allocates. The event
+  /// cannot be cancelled; an expiry that moves or is cancelled is a Timer.
   template <typename F>
-  EventId schedule_in(DurationNs delay, F&& fn) {
-    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+  void schedule_in(DurationNs delay, F&& fn) {
+    queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at an absolute time. Times in the past fire "now" but
   /// never move the clock backwards.
   template <typename F>
-  EventId schedule_at(TimeNs at, F&& fn) {
+  void schedule_at(TimeNs at, F&& fn) {
     if (at < now_) at = now_;
-    return queue_.schedule(at, std::forward<F>(fn));
+    queue_.schedule(at, std::forward<F>(fn));
   }
-
-  /// Cancels a pending event (no-op if already fired).
-  void cancel(EventId id) { queue_.cancel(id); }
 
   /// The event queue, for registering FIFO event sources (sim::Lane). Lane
   /// owners push entries no earlier than now().
@@ -91,14 +89,16 @@ class Simulator {
 };
 
 /// A restartable one-shot timer bound to a Simulator. Re-arming replaces
-/// any pending expiry. Used for RTO, delayed-ACK, pacing release, etc.
+/// any pending expiry. Used for RTO, delayed-ACK, pacing release, and the
+/// bottleneck links' next service opportunity or transmit-done.
 ///
 /// The timer is a one-entry event lane (see "Timers" in event_queue.h): each
 /// arm() takes a fresh FIFO seq, so equal-timestamp execution order — and
-/// thus the golden fingerprints — is that of a timer re-scheduled with
-/// cancel() + schedule_in(), while a re-arm to a later time (the RTO,
-/// restarted on every cumulative ACK) files no new heap handle. A destroyed
-/// timer deregisters, so a pending expiry never fires into a dead owner.
+/// thus the golden fingerprints — is that of an event scheduled with
+/// schedule_in() at the same moment, while a re-arm to a later time (the
+/// RTO, restarted on every cumulative ACK) files no new heap handle. A
+/// destroyed timer deregisters, so a pending expiry never fires into a dead
+/// owner.
 class Timer final : private Lane {
  public:
   Timer(Simulator& sim, std::function<void()> on_fire)

@@ -125,47 +125,56 @@ TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
   // start (case B), over 6 s. Expected values were recorded from a plain
   // single-heap core, before the event queue grew (and later lost again) a
   // far band for distant events; each timer is now a re-keyed one-entry
-  // lane, and execution order must still be bit-identical.
-  {
-    ScenarioConfig cfg;
-    cfg.duration = TimeNs::seconds(6);
-    cfg.mode = FuzzMode::kLink;
-    cfg.record_mode = RecordMode::kFullEvents;
-    std::vector<TimeNs> trace;
-    for (int i = 0; i < 400; ++i) trace.push_back(TimeNs(2'500'000ll * i));
-    for (int i = 0; i < 800; ++i) {
-      trace.push_back(TimeNs::seconds(4) + DurationNs(2'500'000ll * i));
+  // lane, and execution order must still be bit-identical. Both cases also
+  // run with the invariant oracle armed: its audits only read state, and
+  // the seqs they take reorder no other event.
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "armed" : "disarmed");
+    {
+      ScenarioConfig cfg;
+      cfg.duration = TimeNs::seconds(6);
+      cfg.mode = FuzzMode::kLink;
+      cfg.record_mode = RecordMode::kFullEvents;
+      std::vector<TimeNs> trace;
+      for (int i = 0; i < 400; ++i) trace.push_back(TimeNs(2'500'000ll * i));
+      for (int i = 0; i < 800; ++i) {
+        trace.push_back(TimeNs::seconds(4) + DurationNs(2'500'000ll * i));
+      }
+      cfg.invariants = armed;
+      const auto run =
+          run_scenario(cfg, cca::make_factory("reno"), std::move(trace));
+      EXPECT_TRUE(run.invariants.clean());
+      EXPECT_EQ(run.primary().segments_delivered, 986);
+      EXPECT_EQ(run.primary().sent, 1070);
+      EXPECT_EQ(run.primary().retransmissions, 58);
+      EXPECT_EQ(run.primary().drops, 38);
+      EXPECT_EQ(run.primary().rto_count, 2);
+      EXPECT_EQ(fingerprint(run), 0xde52f07b9e650cd2ULL);
     }
-    const auto run =
-        run_scenario(cfg, cca::make_factory("reno"), std::move(trace));
-    EXPECT_EQ(run.primary().segments_delivered, 986);
-    EXPECT_EQ(run.primary().sent, 1070);
-    EXPECT_EQ(run.primary().retransmissions, 58);
-    EXPECT_EQ(run.primary().drops, 38);
-    EXPECT_EQ(run.primary().rto_count, 2);
-    EXPECT_EQ(fingerprint(run), 0xde52f07b9e650cd2ULL);
-  }
-  {
-    ScenarioConfig cfg;
-    cfg.duration = TimeNs::seconds(6);
-    cfg.mode = FuzzMode::kTraffic;
-    cfg.record_mode = RecordMode::kFullEvents;
-    cfg.flows.resize(2);
-    cfg.flows[0].stop = TimeNs::millis(5500);
-    cfg.flows[1].cca = "cubic";
-    cfg.flows[1].start = TimeNs::millis(1500);
-    cfg.flows[1].stop = TimeNs::millis(4500);
-    Rng rng(202);
-    const auto run =
-        run_scenario(cfg, cca::make_factory("reno"),
-                     trace::dist_packets(3000, TimeNs::zero(), cfg.duration,
-                                         rng));
-    EXPECT_EQ(run.primary().segments_delivered, 1228);
-    EXPECT_EQ(run.primary().sent, 1265);
-    EXPECT_EQ(run.primary().retransmissions, 37);
-    EXPECT_EQ(run.primary().drops, 37);
-    EXPECT_EQ(run.primary().rto_count, 2);
-    EXPECT_EQ(fingerprint(run), 0xd350048e40190f88ULL);
+    {
+      ScenarioConfig cfg;
+      cfg.duration = TimeNs::seconds(6);
+      cfg.mode = FuzzMode::kTraffic;
+      cfg.record_mode = RecordMode::kFullEvents;
+      cfg.flows.resize(2);
+      cfg.flows[0].stop = TimeNs::millis(5500);
+      cfg.flows[1].cca = "cubic";
+      cfg.flows[1].start = TimeNs::millis(1500);
+      cfg.flows[1].stop = TimeNs::millis(4500);
+      cfg.invariants = armed;
+      Rng rng(202);
+      const auto run =
+          run_scenario(cfg, cca::make_factory("reno"),
+                       trace::dist_packets(3000, TimeNs::zero(), cfg.duration,
+                                           rng));
+      EXPECT_TRUE(run.invariants.clean());
+      EXPECT_EQ(run.primary().segments_delivered, 1228);
+      EXPECT_EQ(run.primary().sent, 1265);
+      EXPECT_EQ(run.primary().retransmissions, 37);
+      EXPECT_EQ(run.primary().drops, 37);
+      EXPECT_EQ(run.primary().rto_count, 2);
+      EXPECT_EQ(fingerprint(run), 0xd350048e40190f88ULL);
+    }
   }
 }
 
@@ -228,6 +237,22 @@ TEST(GoldenDeterminism, CoverageProbeIsPurelyPassive) {
     EXPECT_EQ(fingerprint(run), g.hash);
     EXPECT_TRUE(run.coverage_signature().valid);
     EXPECT_GT(run.coverage_signature().bits, 0u);
+  }
+}
+
+TEST(GoldenDeterminism, ArmedInvariantsAreCleanAndFingerprintNeutral) {
+  // The invariant oracle's periodic audits only read state, and the seqs
+  // they take reorder no other event: every golden run is clean and keeps
+  // its pre-refactor fingerprint with the oracle armed.
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(std::string(g.cca) + "/" + to_string(g.mode));
+    ScenarioConfig cfg = golden_config(g.mode);
+    cfg.invariants = true;
+    const auto run = run_scenario(cfg, cca::make_factory(g.cca),
+                                  golden_trace(g.mode, cfg.duration));
+    EXPECT_TRUE(run.invariants.clean())
+        << run.invariants.total() << " violation(s)";
+    EXPECT_EQ(fingerprint(run), g.hash);
   }
 }
 

@@ -193,6 +193,12 @@ TEST(MultiFlow, FourFlowIncastIsDeterministic) {
   const auto b = run_scenario(cfg, factory, {});
   ASSERT_EQ(a.flow_count(), 4u);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
+  // Armed audits only read state: the run is clean and bit-identical.
+  cfg.invariants = true;
+  const auto armed = run_scenario(cfg, factory, {});
+  EXPECT_TRUE(armed.invariants.clean())
+      << armed.invariants.total() << " violation(s)";
+  EXPECT_EQ(fingerprint(armed), fingerprint(a));
   std::int64_t total = 0;
   for (const auto& f : a.flows) total += f.segments_delivered;
   EXPECT_GT(total, 1000);  // the pack still fills most of the 2 s × 12 Mbps

@@ -1,5 +1,7 @@
 // Unit tests for the discrete-event queue, especially the determinism
-// contract (FIFO tie-break at equal timestamps).
+// contract (FIFO tie-break at equal timestamps). Plain events cannot be
+// cancelled; the cancellation tests drive sim::Timer, the queue's one-entry
+// lane, through a Simulator.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include <random>
 #include <utility>
 #include <vector>
+
+#include "sim/simulator.h"
 
 namespace ccfuzz::sim {
 namespace {
@@ -39,38 +43,37 @@ TEST(EventQueue, EqualTimestampsFireInInsertionOrder) {
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
+  Simulator sim;
   bool fired = false;
-  const EventId id = q.schedule(TimeNs::millis(1), [&] { fired = true; });
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
+  Timer t(sim, [&] { fired = true; });
+  t.arm(DurationNs::millis(1));
+  t.cancel();
+  EXPECT_TRUE(sim.events().empty());
+  sim.run_all();
   EXPECT_FALSE(fired);
 }
 
-TEST(EventQueue, CancelUnknownIdIsNoOp) {
-  EventQueue q;
-  q.cancel(123456);  // must not crash or affect anything
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, CancelMiddleEventSkipsOnlyIt) {
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
-  q.schedule(TimeNs::millis(1), [&] { order.push_back(1); });
-  const EventId id = q.schedule(TimeNs::millis(2), [&] { order.push_back(2); });
-  q.schedule(TimeNs::millis(3), [&] { order.push_back(3); });
-  q.cancel(id);
-  while (!q.empty()) q.run_next();
+  sim.schedule_in(DurationNs::millis(1), [&] { order.push_back(1); });
+  Timer t(sim, [&] { order.push_back(2); });
+  t.arm(DurationNs::millis(2));
+  sim.schedule_in(DurationNs::millis(3), [&] { order.push_back(3); });
+  t.cancel();
+  sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, NextTimeReportsEarliestLiveEvent) {
-  EventQueue q;
+  Simulator sim;
+  EventQueue& q = sim.events();
   EXPECT_TRUE(q.next_time().is_infinite());
-  const EventId id = q.schedule(TimeNs::millis(5), [] {});
+  Timer t(sim, [] {});
+  t.arm(DurationNs::millis(5));
   q.schedule(TimeNs::millis(9), [] {});
   EXPECT_EQ(q.next_time(), TimeNs::millis(5));
-  q.cancel(id);
+  t.cancel();  // its handle stays filed; next_time() must skip it
   EXPECT_EQ(q.next_time(), TimeNs::millis(9));
 }
 
@@ -92,48 +95,29 @@ TEST(EventQueue, EventsScheduledDuringExecutionRun) {
 }
 
 TEST(EventQueue, SizeExcludesCancelled) {
-  EventQueue q;
-  const EventId a = q.schedule(TimeNs::millis(1), [] {});
-  q.schedule(TimeNs::millis(2), [] {});
-  EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
+  Simulator sim;
+  Timer t(sim, [] {});
+  t.arm(DurationNs::millis(1));
+  sim.schedule_in(DurationNs::millis(2), [] {});
+  EXPECT_EQ(sim.events().size(), 2u);
+  t.cancel();
+  EXPECT_EQ(sim.events().size(), 1u);
 }
 
 TEST(EventQueue, SizeUnaffectedByCancellingFiredId) {
-  // Regression: cancel() accepts ids of already-fired events; the old
-  // heap-size-minus-cancelled-set accounting let size() wrap to huge values.
-  EventQueue q;
-  const EventId a = q.schedule(TimeNs::millis(1), [] {});
-  q.run_next();  // `a` fires
-  EXPECT_EQ(q.size(), 0u);
-  q.cancel(a);  // must be a no-op
-  EXPECT_EQ(q.size(), 0u);
-  q.schedule(TimeNs::millis(2), [] {});
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_FALSE(q.empty());
-}
-
-TEST(EventQueue, CancelTwiceIsNoOp) {
-  EventQueue q;
-  const EventId a = q.schedule(TimeNs::millis(1), [] {});
-  q.schedule(TimeNs::millis(2), [] {});
-  q.cancel(a);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, StaleIdDoesNotCancelRecycledSlot) {
-  // After an event fires, its slot is recycled for later events; the old id
-  // must not cancel the new occupant (generation tag mismatch).
-  EventQueue q;
-  const EventId a = q.schedule(TimeNs::millis(1), [] {});
-  q.run_next();
-  bool fired = false;
-  q.schedule(TimeNs::millis(2), [&] { fired = true; });
-  q.cancel(a);  // stale id, possibly aliasing the recycled slot
-  while (!q.empty()) q.run_next();
-  EXPECT_TRUE(fired);
+  // Regression: cancelling an expiry that already fired must not touch the
+  // count; an old heap-size-minus-cancelled-set accounting let size() wrap
+  // to huge values.
+  Simulator sim;
+  Timer t(sim, [] {});
+  t.arm(DurationNs::millis(1));
+  sim.run_all();  // the timer fires
+  EXPECT_EQ(sim.events().size(), 0u);
+  t.cancel();  // must be a no-op
+  EXPECT_EQ(sim.events().size(), 0u);
+  sim.schedule_in(DurationNs::millis(2), [] {});
+  EXPECT_EQ(sim.events().size(), 1u);
+  EXPECT_FALSE(sim.events().empty());
 }
 
 TEST(EventQueue, RunNextDueRespectsDeadline) {
@@ -169,54 +153,42 @@ TEST(EventQueue, ResetDiscardsPendingEvents) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(EventQueue, IdHeldAcrossResetCannotCancelNewEvent) {
-  // Regression: slot indices and FIFO seqs restart after reset(), so an id
-  // kept across reset() could alias the first event of the next run; the
-  // per-slot generation counter (which survives reset) must reject it.
-  EventQueue q;
-  const EventId a = q.schedule(TimeNs::millis(1), [] {});
-  q.run_next();
-  q.reset();
-  bool fired = false;
-  q.schedule(TimeNs::millis(1), [&] { fired = true; });
-  q.cancel(a);  // pre-reset id: guaranteed no-op
-  while (!q.empty()) q.run_next();
-  EXPECT_TRUE(fired);
-}
-
 TEST(EventQueue, CancelDuringDrainKeepsOrder) {
-  // Cancelling deep-in-heap events interleaved with pops must not disturb
+  // Cancelling deep-in-heap expiries interleaved with pops must not disturb
   // the firing order of live events.
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
-  std::vector<EventId> ids;
+  std::vector<std::unique_ptr<Timer>> timers;
   for (int i = 0; i < 100; ++i) {
-    ids.push_back(
-        q.schedule(TimeNs::millis(i), [&order, i] { order.push_back(i); }));
+    timers.push_back(
+        std::make_unique<Timer>(sim, [&order, i] { order.push_back(i); }));
+    timers.back()->arm(DurationNs::millis(i));
   }
-  // Cancel every third event up front and every seventh mid-drain.
-  for (int i = 0; i < 100; i += 3) q.cancel(ids[static_cast<std::size_t>(i)]);
+  // Cancel every third timer up front and every seventh mid-drain.
+  for (std::size_t i = 0; i < timers.size(); i += 3) timers[i]->cancel();
+  EventQueue& q = sim.events();
   int popped = 0;
   while (!q.empty()) {
     q.run_next();
     if (++popped % 5 == 0) {
-      const int victim = popped * 7 % 100;
-      q.cancel(ids[static_cast<std::size_t>(victim)]);
+      timers[static_cast<std::size_t>(popped * 7 % 100)]->cancel();
     }
   }
+  ASSERT_GT(order.size(), 40u);
   for (std::size_t i = 1; i < order.size(); ++i) {
     ASSERT_LT(order[i - 1], order[i]);
   }
+  for (const int i : order) ASSERT_NE(i % 3, 0);
 }
 
 // --- Far-future events --------------------------------------------------------
 //
 // Events from microseconds to many seconds out, mixed in one queue: FIFO ties
-// between events scheduled long before and just before their time,
-// cancellation early and late, the RTO-style cancel + reschedule chain, and
-// reset with distant events pending. (The queue once parked distant events
-// in a separate far band; these tests pinned its boundaries and now guard
-// the same behaviour on the single heap.)
+// between events scheduled long before and just before their time, timer
+// cancellation early and late, the RTO-style re-arm chain, and reset with
+// distant events pending. (The queue once parked distant events in a
+// separate far band; these tests pinned its boundaries and now guard the
+// same behaviour on the single heap.)
 
 TEST(EventQueue, MixedBandEventsFireInTimeOrder) {
   EventQueue q;
@@ -250,138 +222,145 @@ TEST(EventQueue, EqualTimestampFifoSurvivesBandMigration) {
 }
 
 TEST(EventQueue, CancelFarEventBeforeMigration) {
-  EventQueue q;
+  Simulator sim;
   bool fired = false;
-  const EventId id = q.schedule(TimeNs::millis(800), [&] { fired = true; });
-  EXPECT_EQ(q.size(), 1u);
-  q.cancel(id);  // long before it is due
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.next_time().is_infinite());
+  Timer t(sim, [&] { fired = true; });
+  t.arm(DurationNs::millis(800));
+  EXPECT_EQ(sim.events().size(), 1u);
+  t.cancel();  // long before it is due
+  EXPECT_TRUE(sim.events().empty());
+  EXPECT_TRUE(sim.events().next_time().is_infinite());
+  sim.run_all();
   EXPECT_FALSE(fired);
 }
 
 TEST(EventQueue, CancelFarEventAfterMigration) {
-  // Drive the clock to just short of the far event, then cancel by the id
-  // handed out at schedule time: the id stays valid while the event waits.
-  EventQueue q;
+  // Drive the clock to just short of the far expiry, then cancel it.
+  Simulator sim;
   bool fired = false;
-  const EventId id = q.schedule(TimeNs::millis(500), [&] { fired = true; });
+  Timer t(sim, [&] { fired = true; });
+  t.arm(DurationNs::millis(500));
   int fillers = 0;
-  q.schedule(TimeNs::millis(496), [&] { ++fillers; });
-  q.run_next();  // clock at 496 ms
-  EXPECT_EQ(q.size(), 1u);
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
+  sim.schedule_in(DurationNs::millis(496), [&] { ++fillers; });
+  sim.run_until(TimeNs::millis(496));
+  EXPECT_EQ(sim.events().size(), 1u);
+  t.cancel();
+  EXPECT_TRUE(sim.events().empty());
+  sim.run_all();
   EXPECT_FALSE(fired);
   EXPECT_EQ(fillers, 1);
 }
 
 TEST(EventQueue, RescheduleAcrossTheMigrationHorizon) {
-  // The RTO re-arm pattern: cancel the pending far timer and schedule a
-  // replacement — far again, then finally near. Only the last incarnation
-  // fires, exactly once, at its own time.
-  EventQueue q;
-  std::vector<int> order;
-  EventId rto = q.schedule(TimeNs::millis(900), [&] { order.push_back(-1); });
-  for (int i = 1; i <= 5; ++i) {
-    q.cancel(rto);
-    rto = q.schedule(TimeNs::millis(900 + i), [&] { order.push_back(-2); });
-  }
-  q.cancel(rto);
-  rto = q.schedule(TimeNs::millis(10), [&] { order.push_back(1); });
-  q.schedule(TimeNs::millis(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // The RTO re-arm pattern: move the pending far expiry — far again, then
+  // finally near. Only the last arm fires, exactly once, at its own time.
+  Simulator sim;
+  std::vector<std::int64_t> fired;
+  Timer rto(sim, [&] { fired.push_back(sim.now().to_millis()); });
+  rto.arm(DurationNs::millis(900));
+  for (int i = 1; i <= 5; ++i) rto.arm(DurationNs::millis(900 + i));
+  rto.arm(DurationNs::millis(10));
+  sim.schedule_in(DurationNs::millis(20),
+                  [&] { fired.push_back(-sim.now().to_millis()); });
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{10, -20}));
 }
 
 TEST(EventQueue, ResetWithPopulatedFarBand) {
-  EventQueue q;
+  Simulator sim;
   bool fired = false;
-  // Events from 1 ms to 100 s out, with a cancel in between.
-  q.schedule(TimeNs::millis(1), [&] { fired = true; });
-  q.schedule(TimeNs::millis(300), [&] { fired = true; });
-  const EventId far_id = q.schedule(TimeNs::millis(700), [&] { fired = true; });
-  q.schedule(TimeNs::seconds(5), [&] { fired = true; });
-  q.schedule(TimeNs::seconds(100), [&] { fired = true; });
-  q.cancel(far_id);
-  EXPECT_EQ(q.size(), 4u);
+  // Events from 1 ms to 100 s out, with a cancelled timer in between.
+  Timer far(sim, [&] { fired = true; });
+  sim.schedule_in(DurationNs::millis(1), [&] { fired = true; });
+  sim.schedule_in(DurationNs::millis(300), [&] { fired = true; });
+  far.arm(DurationNs::millis(700));
+  sim.schedule_in(DurationNs::seconds(5), [&] { fired = true; });
+  sim.schedule_in(DurationNs::seconds(100), [&] { fired = true; });
+  far.cancel();
+  EXPECT_EQ(sim.events().size(), 4u);
 
-  q.reset();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.next_time().is_infinite());
+  sim.reset();
+  EXPECT_TRUE(sim.events().empty());
+  EXPECT_EQ(sim.events().size(), 0u);
+  EXPECT_TRUE(sim.events().next_time().is_infinite());
   EXPECT_FALSE(fired);
 
-  // Pre-reset ids (including far-future ones) must not cancel new events,
-  // and the recycled queue keeps FIFO ties intact.
+  // The recycled queue keeps FIFO ties intact, and the timer's handle filed
+  // before the reset is gone with it.
   std::vector<int> order;
-  q.schedule(TimeNs::millis(600), [&order] { order.push_back(2); });
-  q.schedule(TimeNs::millis(600), [&order] { order.push_back(3); });
-  q.schedule(TimeNs::millis(2), [&order] { order.push_back(1); });
-  q.cancel(far_id);
-  while (!q.empty()) q.run_next();
+  sim.schedule_in(DurationNs::millis(600), [&order] { order.push_back(2); });
+  sim.schedule_in(DurationNs::millis(600), [&order] { order.push_back(3); });
+  sim.schedule_in(DurationNs::millis(2), [&order] { order.push_back(1); });
+  sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_FALSE(fired);
 }
 
 TEST(EventQueue, OverflowBandRedistributesAndFires) {
-  // Events seconds out fire in time order; one of them is cancelled long
-  // before it is due.
-  EventQueue q;
+  // Events seconds out fire in time order; a timer among them is cancelled
+  // long before it is due.
+  Simulator sim;
   std::vector<int> order;
-  q.schedule(TimeNs::seconds(2), [&] { order.push_back(2); });
-  const EventId dead = q.schedule(TimeNs::seconds(3), [&] { order.push_back(-1); });
-  q.schedule(TimeNs::seconds(4), [&] { order.push_back(4); });
-  q.schedule(TimeNs::seconds(10), [&] { order.push_back(10); });
-  q.schedule(TimeNs::millis(5), [&] { order.push_back(0); });
-  q.cancel(dead);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.next_time(), TimeNs::millis(5));
-  while (!q.empty()) q.run_next();
+  Timer dead(sim, [&] { order.push_back(-1); });
+  sim.schedule_in(DurationNs::seconds(2), [&] { order.push_back(2); });
+  dead.arm(DurationNs::seconds(3));
+  sim.schedule_in(DurationNs::seconds(4), [&] { order.push_back(4); });
+  sim.schedule_in(DurationNs::seconds(10), [&] { order.push_back(10); });
+  sim.schedule_in(DurationNs::millis(5), [&] { order.push_back(0); });
+  dead.cancel();
+  EXPECT_EQ(sim.events().size(), 4u);
+  EXPECT_EQ(sim.events().next_time(), TimeNs::millis(5));
+  sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 10}));
 }
 
 TEST(EventQueue, CancelledOverflowMinimumDoesNotDisturbLaterEvents) {
-  // The earliest far event is cancelled long before it is due (the RTO
+  // The earliest far expiry is cancelled long before it is due (the RTO
   // backoff pattern): when the clock passes its would-be expiry, the stale
   // handle is dropped and the queue must carry on — near events keep
   // firing and the surviving later event still fires at its own time,
   // exactly once.
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
-  const EventId dead = q.schedule(TimeNs::seconds(3), [&] { order.push_back(-1); });
-  q.schedule(TimeNs::seconds(9), [&] { order.push_back(9); });
-  q.cancel(dead);
-  // Walk the clock across 3 s in small steps so the cancelled event's time
+  Timer dead(sim, [&] { order.push_back(-1); });
+  dead.arm(DurationNs::seconds(3));
+  sim.schedule_in(DurationNs::seconds(9), [&] { order.push_back(9); });
+  dead.cancel();
+  // Walk the clock across 3 s in small steps so the cancelled expiry's time
   // is passed mid-run.
   for (int i = 1; i <= 80; ++i) {
-    q.schedule(TimeNs::millis(50 * i), [&order, i] {
+    sim.schedule_in(DurationNs::millis(50 * i), [&order, i] {
       if (i % 20 == 0) order.push_back(i / 20);
     });
   }
-  while (!q.empty()) q.run_next();
+  sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 9}));
 }
 
 TEST(EventQueue, StressMixedBandsWithCancellations) {
-  // Pseudo-random times over 0..8 s, every third event cancelled up front:
-  // survivors must fire in exact (time, seq) order.
-  EventQueue q;
+  // Pseudo-random times over 0..8 s; every third event is a timer, cancelled
+  // up front: the plain events must fire in exact (time, seq) order.
+  Simulator sim;
   std::vector<std::pair<std::int64_t, int>> fired;
-  std::vector<EventId> ids;
+  std::vector<std::unique_ptr<Timer>> timers;
   std::vector<std::pair<std::int64_t, int>> expected;
   for (int i = 0; i < 3000; ++i) {
     const std::int64_t t =
         static_cast<std::int64_t>((static_cast<std::uint64_t>(i) *
                                    2654435761u) %
                                   8'000'000'000ull);
-    ids.push_back(q.schedule(TimeNs(t), [&fired, t, i] {
-      fired.push_back({t, i});
-    }));
-    if (i % 3 != 0) expected.push_back({t, i});
+    const auto fire = [&fired, t, i] { fired.push_back({t, i}); };
+    if (i % 3 == 0) {
+      timers.push_back(std::make_unique<Timer>(sim, fire));
+      timers.back()->arm(DurationNs(t));
+    } else {
+      sim.schedule_in(DurationNs(t), fire);
+      expected.push_back({t, i});
+    }
   }
-  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
-  EXPECT_EQ(q.size(), expected.size());
-  while (!q.empty()) q.run_next();
+  for (auto& timer : timers) timer->cancel();
+  EXPECT_EQ(sim.events().size(), expected.size());
+  sim.run_all();
   std::stable_sort(expected.begin(), expected.end());
   ASSERT_EQ(fired.size(), expected.size());
   EXPECT_EQ(fired, expected);

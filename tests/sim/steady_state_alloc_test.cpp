@@ -1,7 +1,7 @@
 // Proves the simulation hot path is allocation-free in steady state: once
 // the event slab, heap and the delay pipes' in-flight rings have reached
-// their high-water marks, schedule/cancel/run and packet movement through
-// the pipe lanes never touch the allocator.
+// their high-water marks, schedule/run, timer re-arms and packet movement
+// through the pipe lanes never touch the allocator.
 //
 // The global operator new/delete replacements below count every allocation
 // in this test binary; gtest runs each TEST in its own process under ctest,
@@ -61,17 +61,14 @@ namespace {
 /// and interleaved clock stepping.
 void churn(Simulator& sim) {
   std::int64_t fired = 0;
-  EventId timer = 0;
+  Timer timer(sim, [&fired] { ++fired; });
   for (int i = 0; i < 64; ++i) {
     sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
   }
   for (int i = 0; i < 2'000; ++i) {
     sim.run_until(sim.now() + DurationNs::micros(1));
     sim.schedule_in(DurationNs::micros(64), [&fired] { ++fired; });
-    if (i % 8 == 0) {
-      sim.cancel(timer);
-      timer = sim.schedule_in(DurationNs::millis(1), [&fired] { ++fired; });
-    }
+    if (i % 8 == 0) timer.arm(DurationNs::millis(1));
   }
   sim.run_all();
   ASSERT_GT(fired, 0);
@@ -85,7 +82,7 @@ TEST(SteadyStateAllocation, EventQueueScheduleNeverAllocatesWhenWarm) {
   const std::size_t before = g_allocations.load();
   churn(sim);
   EXPECT_EQ(g_allocations.load(), before)
-      << "warm schedule/cancel/run_until must not allocate";
+      << "warm schedule/re-arm/run_until must not allocate";
 }
 
 TEST(SteadyStateAllocation, DelayPipeReusesRingSlots) {
