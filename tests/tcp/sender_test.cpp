@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cca/fixed_window.h"
@@ -236,6 +237,108 @@ TEST(TcpSender, SpuriousRetransmissionDetected) {
   ASSERT_GE(tx->rto_count(), 1);
   ASSERT_GE(tx->total_retransmissions(), 1);
   EXPECT_GE(tx->spurious_retx_count(), 1);
+}
+
+/// The scoreboard's loss-recovery events (kMarkLost "L", kRetransmit "R",
+/// kSack "S", kRto "T") in log order. Runs of one type on consecutive seqs
+/// at the same instant are folded to "L4-5"; "@<us>" opens each new instant.
+std::string recovery_trace(const TcpEventLog& log) {
+  std::string out;
+  TimeNs at = TimeNs(-1);
+  char run_type = 0;
+  SeqNr run_lo = 0, run_hi = 0;
+  auto flush = [&] {
+    if (run_type == 0) return;
+    out += ' ';
+    out += run_type;
+    out += std::to_string(run_lo);
+    if (run_hi != run_lo) out += '-' + std::to_string(run_hi);
+    run_type = 0;
+  };
+  for (const TcpEvent& e : log.events()) {
+    char c = 0;
+    switch (e.type) {
+      case TcpEventType::kMarkLost: c = 'L'; break;
+      case TcpEventType::kRetransmit: c = 'R'; break;
+      case TcpEventType::kSack: c = 'S'; break;
+      case TcpEventType::kRto: c = 'T'; break;
+      default: continue;
+    }
+    if (e.time != at) {
+      flush();
+      at = e.time;
+      out += " @" + std::to_string(at.ns() / 1000);
+    }
+    if (c == run_type && e.seq == run_hi + 1 && c != 'T') {
+      run_hi = e.seq;
+      continue;
+    }
+    flush();
+    run_type = c;
+    run_lo = run_hi = e.seq;
+  }
+  flush();
+  return out;
+}
+
+TEST(TcpSender, LongRecoveryWithRtoIsPinned) {
+  // A 64-segment window with many holes, a second round of FACK losses on
+  // new data, an RTO in the middle of recovery, then SACKs (for original
+  // copies and for retransmissions) that overlap the earlier blocks. Pins
+  // the exact scoreboard event sequence and counters.
+  SenderFixture f;
+  f.cfg.log_events = true;
+  f.cfg.total_segments = 200;
+  auto tx = f.make(64);
+  tx->start(TimeNs::zero());
+  std::vector<net::Packet> acks;
+  acks.reserve(16);  // events hold indices into a vector that never moves
+  auto ack_at = [&](std::int64_t ms, SeqNr cum,
+                    std::initializer_list<net::SackBlock> sacks) {
+    acks.push_back(f.ack(cum, sacks));
+    f.sim.schedule_at(TimeNs::millis(ms), [&tx, &acks, i = acks.size() - 1] {
+      tx->on_ack_packet(acks[i]);
+    });
+  };
+  // Holes at 4-5, 10-11, 20-23, 40-43 and 60-63 of the first flight.
+  ack_at(40, 4, {{44, 60}, {24, 40}, {12, 20}, {6, 10}});
+  ack_at(45, 4, {{44, 62}, {24, 40}, {12, 20}, {6, 10}});
+  // New data 70-79 SACKed: FACK marks 62-69 lost.
+  ack_at(50, 4, {{70, 80}, {44, 62}, {24, 40}, {12, 20}});
+  ack_at(55, 4, {{70, 84}, {44, 62}, {24, 40}, {12, 20}});
+  // Silence until the RTO (~1.04 s); then late SACKs.
+  ack_at(1041, 10, {{80, 90}, {70, 84}, {44, 62}, {24, 40}});
+  ack_at(1045, 12, {{100, 104}, {80, 92}, {44, 62}, {24, 40}});
+  ack_at(1050, 12, {{100, 110}, {62, 66}, {80, 92}, {44, 62}});
+  ack_at(1060, 22, {{120, 130}, {100, 110}, {62, 70}, {80, 92}});
+  ack_at(1070, 70, {{120, 140}, {100, 116}, {80, 92}});
+  f.sim.run_until(TimeNs::millis(1080));
+
+  EXPECT_EQ(recovery_trace(tx->log()),
+            " @40000 S44-59 S24-39 S12-19 S6-9 L4-5 L10-11 L20-23 L40-43"
+            " R4-5 R10-11 R20-23 R40-43"
+            " @45000 S60-61"
+            " @50000 S70-79 L62-69 R62-69"
+            " @55000 S80-83"
+            " @1040000 T4 L84-127 R4-5 R10-11 R20-23 R40-43 R62-69 R84-127"
+            " @1041000 S84-89"
+            " @1045000 S100-103 S90-91"
+            " @1050000 S104-109 S62-65"
+            " @1060000 S120-129 S66-69"
+            " @1070000 S130-139 S110-115");
+  EXPECT_EQ(tx->snd_una(), 70);
+  EXPECT_EQ(tx->snd_nxt(), 192);
+  EXPECT_EQ(tx->total_sent(), 276);
+  EXPECT_EQ(tx->total_retransmissions(), 84);
+  EXPECT_EQ(tx->rto_count(), 1);
+  EXPECT_EQ(tx->fast_retransmit_entries(), 1);
+  EXPECT_EQ(tx->spurious_retx_count(), 16);
+  EXPECT_EQ(tx->state().sacked_out, 58);
+  EXPECT_EQ(tx->state().lost_out, 12);
+  EXPECT_EQ(tx->state().retrans_out, 12);
+  EXPECT_EQ(tx->log().count(TcpEventType::kMarkLost), 64);
+  EXPECT_EQ(tx->log().count(TcpEventType::kRetransmit), 84);
+  EXPECT_EQ(tx->log().count(TcpEventType::kSack), 112);
 }
 
 TEST(TcpSender, EventLogRecordsSendsWhenEnabled) {
