@@ -67,6 +67,48 @@ TEST(Rng, UniformIntIsRoughlyUniform) {
   }
 }
 
+TEST(Rng, UniformIntSequenceIsPinnedAcrossRejections) {
+  // Spans are chosen so the rejection step of bounded() actually runs:
+  // for a span n, draws below (2^64 - n) % n are redrawn. n = 0x6000...01
+  // rejects about a quarter of draws, 2^62 + 1 and (2^64 / 3) + 1 about a
+  // quarter and a third, 2^63 never and 10 almost never. Every generated
+  // genome goes through this path, so the values are pinned exactly.
+  struct Span {
+    std::int64_t lo, hi;
+  };
+  const Span spans[] = {
+      {0, 0x6000'0000'0000'0000LL},                 // n = 0x6000...01
+      {-(1LL << 61), (1LL << 61)},                  // n = 2^62 + 1
+      {0, 0x5555'5555'5555'5555LL},                 // n = 2^64 / 3 + 1
+      {-(1LL << 62), (1LL << 62) - 1},              // n = 2^63
+      {1, 10},
+  };
+  Rng r(2024);
+  std::vector<std::int64_t> got;
+  for (int round = 0; round < 4; ++round) {
+    for (const Span& s : spans) got.push_back(r.uniform_int(s.lo, s.hi));
+  }
+  const std::vector<std::int64_t> want = {
+      592210081873530979LL,  -1869570322825082204LL, 1125296687617217106LL,
+      129261143478860652LL,  6,                      6370487944993047519LL,
+      1046473583588109184LL, 3972148873584413658LL,  2145813767037329269LL,
+      2,                     5123163514309370597LL,  -1198046072990227418LL,
+      1265254493624466125LL, -1859335505155235311LL, 4,
+      805439057211643637LL,  1937291686524021602LL,  3117139366278825699LL,
+      -177903722844992484LL, 10};
+  EXPECT_EQ(got, want);
+
+  // The 20 outputs consumed 29 raw draws: nine were rejected.
+  Rng raw(2024);
+  int draws = 0;
+  while (raw.state() != r.state()) {
+    (void)raw.next_u64();
+    ++draws;
+    ASSERT_LT(draws, 1000);
+  }
+  EXPECT_EQ(draws, 29);
+}
+
 TEST(Rng, BernoulliMatchesProbability) {
   Rng r(19);
   int hits = 0;
