@@ -100,12 +100,13 @@ class Rng {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
-  /// Unbiased bounded sample via rejection (Lemire-style threshold).
+  /// Unbiased bounded sample via rejection (Lemire-style threshold). The
+  /// threshold (2^64 - n) % n is below n, so any draw r >= n passes without
+  /// it, and the division that computes it runs only for r < n.
   std::uint64_t bounded(std::uint64_t n) {
-    const std::uint64_t threshold = (0 - n) % n;
     for (;;) {
       const std::uint64_t r = next_u64();
-      if (r >= threshold) return r % n;
+      if (r >= n || r >= (0 - n) % n) return r % n;
     }
   }
 
