@@ -36,12 +36,14 @@ void TcpSender::reset(const Config& cfg, std::unique_ptr<CongestionControl> cca)
   st_ = SenderState{};
   st_.mss_bytes = cfg_.mss_bytes;
   sink_ = nullptr;  // observers are per run; the harness re-attaches
-  segs_.recycle();
   snd_una_ = 0;
   snd_nxt_ = 0;
   wnd_right_ = cfg_.initial_rwnd_segments;
   fack_ = 0;
   recovery_point_ = -1;
+  fack_scanned_ = 0;
+  retx_hint_ = 0;
+  sack_cache_n_ = 0;
   backoff_ = 0;
   rto_count_ = 0;
   fast_recovery_count_ = 0;
@@ -87,29 +89,30 @@ void TcpSender::refresh_state() {
 // Transmission path
 // ---------------------------------------------------------------------------
 
-bool TcpSender::has_retransmit_work() const {
-  return next_retransmit_seq() >= 0;
-}
-
-SeqNr TcpSender::next_retransmit_seq() const {
+SeqNr TcpSender::next_retransmit_seq() {
   // lost_out counts exactly the segments with the lost mark still set in
   // [snd_una, snd_nxt) (marking increments it; SACK/cumulative delivery
   // decrement it), so the common no-loss case skips the window scan — this
   // predicate runs on every transmission opportunity and was the single
   // hottest function in the simulated-second profile.
   if (st_.lost_out == 0) return -1;
-  // Lowest lost segment without an outstanding retransmission.
-  for (SeqNr s = snd_una_; s < snd_nxt_; ++s) {
+  // Lowest lost segment without an outstanding retransmission. Nothing
+  // below retx_hint_ qualifies, so the scan resumes there.
+  for (SeqNr s = std::max(retx_hint_, snd_una_); s < snd_nxt_; ++s) {
     const Segment& sg = seg(s);
-    if (sg.lost && !sg.retrans_out && !sg.sacked && !sg.delivered_flag) return s;
+    if (sg.lost && !sg.retrans_out && !sg.sacked && !sg.delivered_flag) {
+      retx_hint_ = s;
+      return s;
+    }
   }
+  retx_hint_ = snd_nxt_;
   return -1;
 }
 
-bool TcpSender::can_transmit() const {
+bool TcpSender::can_transmit() {
   if (!started_) return false;
   if (st_.in_flight() >= cca_->cwnd_segments()) return false;
-  if (has_retransmit_work()) return true;
+  if (next_retransmit_seq() >= 0) return true;
   // New data also needs room in the peer's advertised window. With a
   // persistent hole the window closes and only retransmissions may flow
   // (the RTO on the lost head doubles as the zero-window probe).
@@ -248,6 +251,7 @@ void TcpSender::on_rto_timer() {
     }
   }
   st_.retrans_out = 0;
+  retx_hint_ = snd_una_;
 
   st_.in_loss = true;
   st_.in_recovery = false;
@@ -293,19 +297,46 @@ void TcpSender::deliver_segment(Segment& sg, TimeNs now, RateSampleBuilder& rsb)
   }
 }
 
+void TcpSender::sack_range(SeqNr lo, SeqNr hi, TimeNs now,
+                           RateSampleBuilder& rsb, std::int64_t* newly_sacked,
+                           DurationNs* rtt_sample) {
+  for (SeqNr s = lo; s < hi; ++s) {
+    Segment& sg = seg(s);
+    if (sg.sacked || sg.delivered_flag) continue;
+    sg.sacked = true;
+    ++st_.sacked_out;
+    if (sg.lost) {
+      sg.lost = false;
+      --st_.lost_out;
+    }
+    if (sg.retrans_out) {
+      sg.retrans_out = false;
+      --st_.retrans_out;
+    }
+    deliver_segment(sg, now, rsb);
+    if (sg.tx_count == 1) *rtt_sample = now - sg.last_sent;
+    ++(*newly_sacked);
+    fack_ = std::max(fack_, s + 1);
+    log_.emit(now, TcpEventType::kSack, s);
+  }
+}
+
 void TcpSender::mark_losses_from_fack(std::int64_t* newly_lost) {
   // FACK: segments more than dupack_threshold below the forward-most SACK
   // are lost. Retransmitted copies are not re-marked; their loss is only
-  // detectable by RTO (this is what the shrew attack leans on).
-  const SeqNr limit = fack_ - cfg_.dupack_threshold;
-  for (SeqNr s = snd_una_; s < std::min(limit, snd_nxt_); ++s) {
+  // detectable by RTO (this is what the shrew attack leans on). Every seq
+  // below fack_scanned_ was examined before and needs no mark.
+  const SeqNr limit = std::min(fack_ - cfg_.dupack_threshold, snd_nxt_);
+  for (SeqNr s = std::max(fack_scanned_, snd_una_); s < limit; ++s) {
     Segment& sg = seg(s);
     if (sg.sacked || sg.lost || sg.delivered_flag || sg.retrans_out) continue;
     sg.lost = true;
     ++st_.lost_out;
     ++(*newly_lost);
+    retx_hint_ = std::min(retx_hint_, s);
     log_.emit(sim_.now(), TcpEventType::kMarkLost, s);
   }
+  fack_scanned_ = std::max(fack_scanned_, limit);
 }
 
 void TcpSender::maybe_enter_recovery(TimeNs now, std::int64_t newly_lost) {
@@ -404,31 +435,40 @@ void TcpSender::on_ack_packet(const net::Packet& ack) {
     fack_ = std::max(fack_, snd_una_);
   }
 
-  // 2. SACK blocks.
+  // 2. SACK blocks. Each block is walked in ascending seq order, minus the
+  // parts the previous ACK's blocks (sack_cache_) already SACKed.
+  std::array<net::SackBlock, 4> walked{};
+  int n_walked = 0;
   for (int i = 0; i < ack.tcp.n_sacks; ++i) {
     const net::SackBlock& b = ack.tcp.sacks[i];
     const SeqNr lo = std::max<SeqNr>(b.start, snd_una_);
     const SeqNr hi = std::min<SeqNr>(b.end, snd_nxt_);
-    for (SeqNr s = lo; s < hi; ++s) {
-      Segment& sg = seg(s);
-      if (sg.sacked || sg.delivered_flag) continue;
-      sg.sacked = true;
-      ++st_.sacked_out;
-      if (sg.lost) {
-        sg.lost = false;
-        --st_.lost_out;
+    if (lo >= hi) continue;
+    walked[n_walked++] = {lo, hi};
+    SeqNr s = lo;
+    while (s < hi) {
+      // Skip to the end of a cached block that holds s, or walk up to the
+      // start of the next cached block above s.
+      SeqNr skip_to = s;
+      SeqNr walk_to = hi;
+      for (int c = 0; c < sack_cache_n_; ++c) {
+        const net::SackBlock& cb = sack_cache_[c];
+        if (cb.start <= s && s < cb.end) {
+          skip_to = std::max(skip_to, cb.end);
+        } else if (cb.start > s) {
+          walk_to = std::min(walk_to, cb.start);
+        }
       }
-      if (sg.retrans_out) {
-        sg.retrans_out = false;
-        --st_.retrans_out;
+      if (skip_to > s) {
+        s = skip_to;
+        continue;
       }
-      deliver_segment(sg, now, rsb);
-      if (sg.tx_count == 1) rtt_sample = now - sg.last_sent;
-      ++newly_sacked;
-      fack_ = std::max(fack_, s + 1);
-      log_.emit(now, TcpEventType::kSack, s);
+      sack_range(s, walk_to, now, rsb, &newly_sacked, &rtt_sample);
+      s = walk_to;
     }
   }
+  sack_cache_ = walked;
+  sack_cache_n_ = n_walked;
 
   // 3. RTT estimation (never from retransmitted segments).
   if (rtt_sample >= DurationNs::zero()) rtt_.on_measurement(rtt_sample);

@@ -13,8 +13,32 @@
 //  - FACK-style loss marking (>= dupthresh segments SACKed above) drives
 //    fast retransmit; a lost retransmission is only recovered by RTO, which
 //    is what the low-rate attack (§4.3) and the CUBIC finding (§4.2) exploit.
+//
+// Scoreboard cursors. Adversarial traces hold the sender in long recoveries
+// with large windows, so the three per-ACK scoreboard walks resume where
+// the last one stopped instead of rescanning from snd_una. Each cursor only
+// skips segments the plain walk would skip, so every mark, event and result
+// is the same as with the plain walks:
+//  - fack_scanned_ (Linux lost_skb_hint): the FACK marker has examined every
+//    seq below it. An examined segment was SACKed, delivered, marked lost,
+//    or retransmitted (which needs the lost mark). None of these marks is
+//    cleared inside the window except a retransmission's, which only the
+//    RTO clears — and the RTO keeps the lost mark. So the marker never has
+//    work below the cursor again.
+//  - retx_hint_ (Linux retransmit_skb_hint): no seq in [snd_una, retx_hint_)
+//    needs a retransmission (lost, not SACKed, no copy in flight). A segment
+//    starts to need one only when the FACK marker marks it lost, which
+//    lowers the hint to its seq, or when the RTO marks it lost or clears its
+//    retransmission mark, which resets the hint to snd_una.
+//  - sack_cache_ (Linux recv_sack_cache): the previous ACK's SACK blocks,
+//    clamped to the window as they were walked. Every seq in them is
+//    SACKed (or cumulatively delivered), and a SACK mark is never cleared
+//    inside the window, so the next ACK walks only the parts of its blocks
+//    outside them. Clamping keeps seqs sent after that ACK out of the cache.
+// reset() rewinds all three to an empty window.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -142,7 +166,8 @@ class TcpSender {
   /// re-homing the window into a doubled slab when needed. Cumulative-ack
   /// advance is pure index arithmetic — unlike the std::deque predecessor,
   /// steady-state sending never touches the allocator (growth stops at the
-  /// flow's in-flight high-water mark).
+  /// flow's in-flight high-water mark). reset() keeps the slab as it is:
+  /// append() value-initializes every slot before its first use.
   class SegmentRing {
    public:
     Segment& at(SeqNr s) {
@@ -159,11 +184,6 @@ class TcpSender {
       sg = Segment{};
       return sg;
     }
-
-    /// Nothing to wipe between runs: slots are value-initialized by append()
-    /// before first use and the live window restarts at [0, 0). Kept as an
-    /// explicit hook so reset() documents the slab reuse.
-    void recycle() {}
 
    private:
     void grow(SeqNr lo, SeqNr hi) {
@@ -197,10 +217,12 @@ class TcpSender {
                                   std::int64_t prior_in_flight,
                                   DurationNs rtt_sample);
 
+  void sack_range(SeqNr lo, SeqNr hi, TimeNs now, RateSampleBuilder& rsb,
+                  std::int64_t* newly_sacked, DurationNs* rtt_sample);
+
   // Transmission path.
-  bool can_transmit() const;
-  bool has_retransmit_work() const;
-  SeqNr next_retransmit_seq() const;
+  bool can_transmit();
+  SeqNr next_retransmit_seq();
   void send_segment(SeqNr s, bool is_retx);
   void try_send();
   void pacing_fire();
@@ -224,6 +246,11 @@ class TcpSender {
   SeqNr wnd_right_ = 0;       // flow-control right edge (snd_una + rwnd)
   SeqNr fack_ = 0;            // highest SACKed seq + 1 (forward ack)
   SeqNr recovery_point_ = -1; // snd_nxt at recovery entry
+  // Scoreboard cursors; the header comment states their invariants.
+  SeqNr fack_scanned_ = 0;
+  SeqNr retx_hint_ = 0;
+  std::array<net::SackBlock, 4> sack_cache_{};
+  int sack_cache_n_ = 0;
   int backoff_ = 0;           // RTO exponential backoff exponent
   std::int64_t rto_count_ = 0;
   std::int64_t fast_recovery_count_ = 0;
