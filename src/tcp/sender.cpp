@@ -437,7 +437,7 @@ void TcpSender::on_ack_packet(const net::Packet& ack) {
 
   // 2. SACK blocks. Each block is walked in ascending seq order, minus the
   // parts the previous ACK's blocks (sack_cache_) already SACKed.
-  std::array<net::SackBlock, 4> walked{};
+  decltype(sack_cache_) walked{};
   int n_walked = 0;
   for (int i = 0; i < ack.tcp.n_sacks; ++i) {
     const net::SackBlock& b = ack.tcp.sacks[i];

@@ -15,16 +15,16 @@
 //    is what the low-rate attack (§4.3) and the CUBIC finding (§4.2) exploit.
 //
 // Scoreboard cursors. Adversarial traces hold the sender in long recoveries
-// with large windows, so the three per-ACK scoreboard walks resume where
-// the last one stopped instead of rescanning from snd_una. Each cursor only
-// skips segments the plain walk would skip, so every mark, event and result
-// is the same as with the plain walks:
+// with large windows, so the scoreboard walks made on every ACK and at every
+// transmission opportunity resume from a cursor instead of rescanning from
+// snd_una. Each cursor only skips segments the plain walk would skip, so
+// every mark, event and result is the same as with the plain walks:
 //  - fack_scanned_ (Linux lost_skb_hint): the FACK marker has examined every
-//    seq below it. An examined segment was SACKed, delivered, marked lost,
-//    or retransmitted (which needs the lost mark). None of these marks is
-//    cleared inside the window except a retransmission's, which only the
-//    RTO clears — and the RTO keeps the lost mark. So the marker never has
-//    work below the cursor again.
+//    seq below it. An examined segment is SACKed, delivered or marked lost
+//    (a retransmitted segment carries the lost mark too), and stays so while
+//    it is in the window: a SACK swaps the lost mark for the SACK mark, and
+//    an RTO clears only retransmission marks. So the marker never has work
+//    below the cursor again.
 //  - retx_hint_ (Linux retransmit_skb_hint): no seq in [snd_una, retx_hint_)
 //    needs a retransmission (lost, not SACKed, no copy in flight). A segment
 //    starts to need one only when the FACK marker marks it lost, which
@@ -38,7 +38,6 @@
 // reset() rewinds all three to an empty window.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -249,7 +248,7 @@ class TcpSender {
   // Scoreboard cursors; the header comment states their invariants.
   SeqNr fack_scanned_ = 0;
   SeqNr retx_hint_ = 0;
-  std::array<net::SackBlock, 4> sack_cache_{};
+  decltype(net::TcpHeader::sacks) sack_cache_{};
   int sack_cache_n_ = 0;
   int backoff_ = 0;           // RTO exponential backoff exponent
   std::int64_t rto_count_ = 0;
