@@ -13,6 +13,7 @@
 #include "trace/trace_io.h"
 #include "triage/bundle.h"
 #include "triage/minimize.h"
+#include "util/thread_pool.h"
 
 namespace ccfuzz::triage {
 
@@ -20,12 +21,27 @@ namespace {
 
 namespace fs = std::filesystem;
 
-void logf(std::FILE* log, const char* fmt, ...) {
-  if (log == nullptr) return;
+/// Appends printf-formatted text to `out`: candidates run on pool threads
+/// and buffer their log lines until their turn to commit.
+void appendf(std::string& out, const char* fmt, ...) {
   va_list ap;
   va_start(ap, fmt);
-  std::vfprintf(log, fmt, ap);
+  va_list copy;
+  va_copy(copy, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, copy);
+  va_end(copy);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, ap);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
   va_end(ap);
+}
+
+void write_log(std::FILE* log, const std::string& text) {
+  if (log == nullptr || text.empty()) return;
+  std::fputs(text.c_str(), log);
   std::fflush(log);
 }
 
@@ -53,16 +69,40 @@ struct FindingPredicate {
   }
 };
 
-/// One triage unit: a candidate trace attributed to a cell.
+/// One triage item: a candidate trace attributed to a cell, or (no cell) a
+/// load or attribution error already written into its outcome.
 struct Candidate {
   const campaign::CellConfig* cell = nullptr;
   trace::Trace genome;
   std::string source;  // "winner" | "quarantine"
 };
 
+/// What triaging one candidate produced, held until its turn to commit.
+struct Outcome {
+  TriageStats delta;  ///< counters, except bundles_written and write errors
+  std::string log;    ///< lines logged before the bundle is saved
+  bool bundle_due = false;
+  BundleManifest manifest;
+  trace::Trace minimized;
+};
+
+void add(TriageStats& to, const TriageStats& d) {
+  to.candidates += d.candidates;
+  to.confirmed += d.confirmed;
+  to.flaky += d.flaky;
+  to.unreproduced += d.unreproduced;
+  to.simulator_bugs += d.simulator_bugs;
+  to.bundles_written += d.bundles_written;
+  to.errors += d.errors;
+}
+
+/// The pure part of triage: confirm, minimize, shrink, re-measure and
+/// classify one candidate. Touches no shared state, so candidates run
+/// concurrently.
 void triage_one(const Candidate& cand, const TriageConfig& cfg,
-                const std::string& findings_dir, TriageStats& stats) {
+                Outcome& out) {
   const campaign::CellConfig& cell = *cand.cell;
+  TriageStats& stats = out.delta;
   ++stats.candidates;
   const std::string id = bundle_id(cell.name, trace::hash(cand.genome));
   const fuzz::TraceEvaluator ev = campaign::make_evaluator(cell);
@@ -74,18 +114,20 @@ void triage_one(const Candidate& cand, const TriageConfig& cfg,
     // The genome no longer produces a non-finite score under this matrix —
     // a stale quarantine entry, not a confirmable finding.
     ++stats.unreproduced;
-    logf(cfg.log, "triage: %s %s/%s not reproduced (score %.6g finite)\n",
-         cand.source.c_str(), cell.name.c_str(), id.c_str(),
-         conf.eval.score.total());
+    appendf(out.log, "triage: %s %s/%s not reproduced (score %.6g finite)\n",
+            cand.source.c_str(), cell.name.c_str(), id.c_str(),
+            conf.eval.score.total());
     return;
   }
   if (conf.flaky) {
     ++stats.flaky;
-    logf(cfg.log,
-         "triage: %s %s/%s FLAKY (drift %.3g, wall-truncated: %s) — dropped\n",
-         cand.source.c_str(), cell.name.c_str(), id.c_str(), conf.drift,
-         conf.eval.truncation == sim::TruncationReason::kWallDeadline ? "yes"
-                                                                      : "no");
+    appendf(out.log,
+            "triage: %s %s/%s FLAKY (drift %.3g, wall-truncated: %s) — "
+            "dropped\n",
+            cand.source.c_str(), cell.name.c_str(), id.c_str(), conf.drift,
+            conf.eval.truncation == sim::TruncationReason::kWallDeadline
+                ? "yes"
+                : "no");
     return;
   }
   ++stats.confirmed;
@@ -153,12 +195,12 @@ void triage_one(const Candidate& cand, const TriageConfig& cfg,
   if (violations > 0) {
     ++stats.simulator_bugs;
     for (const auto& v : armed_run.invariants.violations()) {
-      logf(cfg.log, "triage:   invariant violated at %.3f ms: %s\n",
-           v.when.to_millis(), v.what.c_str());
+      appendf(out.log, "triage:   invariant violated at %.3f ms: %s\n",
+              v.when.to_millis(), v.what.c_str());
     }
   }
 
-  BundleManifest m;
+  BundleManifest& m = out.manifest;
   m.id = id;
   m.source = cand.source;
   m.cell = cell.name;
@@ -178,20 +220,33 @@ void triage_one(const Candidate& cand, const TriageConfig& cfg,
   m.truncated = conf.truncated;
   m.classification = violations > 0 ? "simulator-bug" : "cca-weakness";
   m.invariant_violations = violations;
+  out.minimized = std::move(minimized.trace);
+  out.bundle_due = true;
+}
 
+/// The serial part: log, save the bundle, count — in candidate order.
+void commit_one(const Candidate& cand, const Outcome& out,
+                const TriageConfig& cfg, const std::string& findings_dir,
+                TriageStats& stats) {
+  add(stats, out.delta);
+  write_log(cfg.log, out.log);
+  if (!out.bundle_due) return;
+  const BundleManifest& m = out.manifest;
+  std::string line;
   const std::string dir = findings_dir + "/" + m.id;
-  if (Error e = save_bundle(dir, m, cand.genome, minimized.trace)) {
+  if (Error e = save_bundle(dir, m, cand.genome, out.minimized)) {
     ++stats.errors;
-    logf(cfg.log, "triage: cannot write bundle %s: %s\n", dir.c_str(),
-         e.message.c_str());
-    return;
+    appendf(line, "triage: cannot write bundle %s: %s\n", dir.c_str(),
+            e.message.c_str());
+  } else {
+    ++stats.bundles_written;
+    appendf(line,
+            "triage: %s %s/%s confirmed: %zu -> %zu events, score %.6g, %s\n",
+            cand.source.c_str(), m.cell.c_str(), m.id.c_str(),
+            cand.genome.size(), out.minimized.size(), m.expected_score,
+            m.classification.c_str());
   }
-  ++stats.bundles_written;
-  logf(cfg.log,
-       "triage: %s %s/%s confirmed: %zu -> %zu events, score %.6g, %s\n",
-       cand.source.c_str(), cell.name.c_str(), m.id.c_str(),
-       cand.genome.size(), minimized.trace.size(), m.expected_score,
-       m.classification.c_str());
+  write_log(cfg.log, line);
 }
 
 }  // namespace
@@ -221,11 +276,26 @@ Confirmation confirm(const fuzz::TraceEvaluator& ev, const trace::Trace& t,
 Result<TriageStats> triage_report(
     const std::vector<campaign::CellConfig>& cells,
     const std::string& report_dir, const TriageConfig& cfg) {
-  TriageStats stats;
   if (!fs::exists(report_dir)) {
     return Error::io("no campaign report at " + report_dir);
   }
   const std::string findings_dir = report_dir + "/findings";
+
+  // The ordered items: each cell's winners, then the quarantine. An item
+  // that cannot be triaged keeps its place with its error line.
+  std::vector<Candidate> items;
+  std::vector<Outcome> outcomes;
+  const auto add_error = [&](std::string line) {
+    items.emplace_back();
+    Outcome& o = outcomes.emplace_back();
+    ++o.delta.errors;
+    o.log = std::move(line);
+  };
+  const auto add_candidate = [&](const campaign::CellConfig* cell,
+                                 trace::Trace t, const char* source) {
+    items.push_back({cell, std::move(t), source});
+    outcomes.emplace_back();
+  };
 
   // Cell winners: `<report>/<cell>/winner_<k>.trace`, best first.
   for (const campaign::CellConfig& cell : cells) {
@@ -237,12 +307,11 @@ Result<TriageStats> triage_report(
       if (!fs::exists(path)) break;
       Result<trace::Trace> t = trace::try_load_trace(path);
       if (!t) {
-        ++stats.errors;
-        logf(cfg.log, "triage: cannot load %s: %s\n", path.c_str(),
-             t.error().message.c_str());
+        add_error("triage: cannot load " + path + ": " + t.error().message +
+                  "\n");
         continue;
       }
-      triage_one({&cell, std::move(*t), "winner"}, cfg, findings_dir, stats);
+      add_candidate(&cell, std::move(*t), "winner");
     }
   }
 
@@ -265,9 +334,8 @@ Result<TriageStats> triage_report(
   for (const std::string& path : qpaths) {
     Result<trace::Trace> t = trace::try_load_trace(path);
     if (!t) {
-      ++stats.errors;
-      logf(cfg.log, "triage: cannot load %s: %s\n", path.c_str(),
-           t.error().message.c_str());
+      add_error("triage: cannot load " + path + ": " + t.error().message +
+                "\n");
       continue;
     }
     const auto wanted = t->kind == trace::TraceKind::kLink
@@ -281,14 +349,25 @@ Result<TriageStats> triage_report(
       }
     }
     if (owner == nullptr) {
-      ++stats.errors;
-      logf(cfg.log, "triage: no %s-mode cell to replay %s under\n",
-           scenario::to_string(wanted), path.c_str());
+      add_error(std::string("triage: no ") + scenario::to_string(wanted) +
+                "-mode cell to replay " + path + " under\n");
       continue;
     }
-    triage_one({owner, std::move(*t), "quarantine"}, cfg, findings_dir,
-               stats);
+    add_candidate(owner, std::move(*t), "quarantine");
   }
+
+  // Candidates are independent: triage them on the pool, and commit each
+  // (log, bundle, counters) in item order as soon as its prefix is done.
+  TriageStats stats;
+  ordered_parallel_for(
+      items.size(),
+      [&](std::size_t i) {
+        if (items[i].cell != nullptr) triage_one(items[i], cfg, outcomes[i]);
+      },
+      [&](std::size_t i) {
+        commit_one(items[i], outcomes[i], cfg, findings_dir, stats);
+        outcomes[i] = Outcome{};  // the minimized trace is on disk now
+      });
   return stats;
 }
 
@@ -308,18 +387,26 @@ Result<ReplayStats> replay_findings(
   }
   std::sort(dirs.begin(), dirs.end());
 
-  for (const std::string& dir : dirs) {
-    if (!fs::exists(dir + "/" + kManifestFile)) continue;
-    ++stats.bundles;
+  dirs.erase(std::remove_if(dirs.begin(), dirs.end(),
+                            [](const std::string& dir) {
+                              return !fs::exists(dir + "/" + kManifestFile);
+                            }),
+             dirs.end());
+
+  // Each bundle replays on the pool; its counter and log line land in
+  // sorted bundle order.
+  struct Replayed {
+    int ReplayStats::*counter = nullptr;
+    std::string log;
+  };
+  std::vector<Replayed> outcomes(dirs.size());
+  const auto replay_one = [&](const std::string& dir, Replayed& out) {
     const auto broken = [&](const std::string& why) {
-      ++stats.broken;
-      logf(log, "replay: %s BROKEN: %s\n", dir.c_str(), why.c_str());
+      out.counter = &ReplayStats::broken;
+      appendf(out.log, "replay: %s BROKEN: %s\n", dir.c_str(), why.c_str());
     };
     Result<BundleManifest> m = load_manifest(dir);
-    if (!m) {
-      broken(m.error().message);
-      continue;
-    }
+    if (!m) return broken(m.error().message);
     const campaign::CellConfig* cell = nullptr;
     for (const campaign::CellConfig& c : cells) {
       if (c.name == m->cell) {
@@ -328,23 +415,18 @@ Result<ReplayStats> replay_findings(
       }
     }
     if (cell == nullptr) {
-      broken("cell '" + m->cell +
-             "' not in this matrix — pass the campaign's matrix flags");
-      continue;
+      return broken("cell '" + m->cell +
+                    "' not in this matrix — pass the campaign's matrix flags");
     }
     const std::string have =
         trace::hash_hex(campaign::scenario_key(cell->scenario));
     if (have != m->scenario_hash) {
-      broken("scenario drift: matrix builds " + have + ", bundle recorded " +
-             m->scenario_hash);
-      continue;
+      return broken("scenario drift: matrix builds " + have +
+                    ", bundle recorded " + m->scenario_hash);
     }
     Result<trace::Trace> t =
         trace::try_load_trace(dir + "/" + kMinimizedTraceFile);
-    if (!t) {
-      broken(t.error().message);
-      continue;
-    }
+    if (!t) return broken(t.error().message);
     // Replay under the (possibly duration-shrunk) scenario the bundle
     // recorded; everything else comes from the matrix cell.
     campaign::CellConfig rc = *cell;
@@ -359,16 +441,25 @@ Result<ReplayStats> replay_findings(
              std::abs(e.score.total() - m->expected_score) <= m->tolerance;
     }
     if (pass) {
-      ++stats.ok;
-      logf(log, "replay: %s ok (score %.6g)\n", m->id.c_str(),
-           e.score.total());
+      out.counter = &ReplayStats::ok;
+      appendf(out.log, "replay: %s ok (score %.6g)\n", m->id.c_str(),
+              e.score.total());
     } else {
-      ++stats.drifted;
-      logf(log, "replay: %s DRIFTED: score %.6g, expected %.6g +- %.3g%s\n",
-           m->id.c_str(), e.score.total(), m->expected_score, m->tolerance,
-           m->expect_quarantined ? " (quarantine not reproduced)" : "");
+      out.counter = &ReplayStats::drifted;
+      appendf(out.log,
+              "replay: %s DRIFTED: score %.6g, expected %.6g +- %.3g%s\n",
+              m->id.c_str(), e.score.total(), m->expected_score,
+              m->tolerance,
+              m->expect_quarantined ? " (quarantine not reproduced)" : "");
     }
-  }
+  };
+  ordered_parallel_for(
+      dirs.size(), [&](std::size_t i) { replay_one(dirs[i], outcomes[i]); },
+      [&](std::size_t i) {
+        ++stats.bundles;
+        ++(stats.*outcomes[i].counter);
+        write_log(log, outcomes[i].log);
+      });
   return stats;
 }
 

@@ -19,6 +19,14 @@
 //
 // replay_findings() is the regression half: re-evaluate every bundle's
 // minimized trace under a freshly built matrix and fail on any drift.
+//
+// Candidates (and replayed bundles) are independent, so both run on the
+// global thread pool (ordered_parallel_for). Only the log lines, the bundle
+// writes and the counters are serial: they are committed in candidate
+// order — each cell's winners by rank, then the sorted quarantine — as soon
+// as every earlier candidate is done, so the first bundle lands as early as
+// in a serial loop and the output matches it byte for byte. A one-thread
+// pool (CCFUZZ_THREADS=1) runs the candidates one by one in that order.
 #pragma once
 
 #include <cstdio>
@@ -42,7 +50,9 @@ struct TriageConfig {
   /// Simulation budget for minimization per finding (ddmin + duration
   /// shrink). 0 disables minimization (bundles ship the original trace).
   int max_minimize_evals = 200;
-  /// Progress stream (one line per candidate); null = silent.
+  /// Progress stream (one line per candidate); null = silent. Lines arrive
+  /// in candidate order, one candidate's lines at a time, but possibly from
+  /// pool threads: a custom stream must not assume the caller's thread.
   std::FILE* log = nullptr;
 };
 
@@ -77,7 +87,8 @@ struct TriageStats {
 /// (a campaign output tree) against the matrix `cells`, writing bundles to
 /// `<report_dir>/findings/`. The cells must be the matrix the campaign ran —
 /// cell names are matched against the report's directory layout. Errors:
-/// kIo when the report tree is unreadable.
+/// kIo when the report tree is unreadable. A cell whose evaluator cannot be
+/// built (an unknown CCA) throws, after every earlier candidate committed.
 Result<TriageStats> triage_report(const std::vector<campaign::CellConfig>& cells,
                                   const std::string& report_dir,
                                   const TriageConfig& cfg);
@@ -92,7 +103,8 @@ struct ReplayStats {
 /// Replays every bundle under `findings_dir` against the matrix `cells`:
 /// rebuilds each bundle's evaluator, re-runs the minimized trace, and
 /// compares against the recorded expectation. A missing findings directory
-/// is an empty corpus (0 bundles), not an error.
+/// is an empty corpus (0 bundles), not an error. Bundles replay on the pool;
+/// log lines and counters land in sorted bundle order.
 Result<ReplayStats> replay_findings(
     const std::vector<campaign::CellConfig>& cells,
     const std::string& findings_dir, std::FILE* log = nullptr);

@@ -54,10 +54,14 @@ class Rng {
   }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
+  /// The span and the sum are computed in uint64 (modulo 2^64), so spans
+  /// above 2^63 such as [INT64_MIN, INT64_MAX] cannot overflow.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
     if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-    return lo + static_cast<std::int64_t>(bounded(span));
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     bounded(span));
   }
 
   /// Uniform double in [lo, hi).

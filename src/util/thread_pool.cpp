@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 
 #include "util/logging.h"
 #include "util/record.h"
@@ -99,6 +100,55 @@ std::size_t parse_thread_count(const char* value) {
 ThreadPool& global_thread_pool() {
   static ThreadPool pool(parse_thread_count(std::getenv("CCFUZZ_THREADS")));
   return pool;
+}
+
+void ordered_parallel_for(std::size_t n,
+                          const std::function<void(std::size_t)>& work,
+                          const std::function<void(std::size_t)>& commit) {
+  std::mutex mu;
+  std::vector<char> done(n, 0);
+  std::size_t next = 0;      // lowest index not yet committed
+  bool committing = false;   // a thread is inside the commit loop
+  std::size_t failed = n;    // lowest index whose work or commit threw
+  std::exception_ptr error;  // that index's exception
+  global_thread_pool().parallel_for(n, [&](std::size_t i) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      if (i > failed) return;  // the serial loop never gets here
+    }
+    try {
+      work(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mu);
+      if (i < failed) {
+        failed = i;
+        error = std::current_exception();
+      }
+      return;
+    }
+    std::unique_lock<std::mutex> lk(mu);
+    done[i] = 1;
+    // The committer re-checks done[next] under the lock before it leaves,
+    // so a prefix completed while it was busy is never stranded.
+    if (committing) return;
+    committing = true;
+    while (next < failed && done[next]) {
+      const std::size_t k = next;
+      lk.unlock();
+      try {
+        commit(k);
+      } catch (...) {
+        lk.lock();
+        failed = k;
+        error = std::current_exception();
+        break;
+      }
+      lk.lock();
+      ++next;
+    }
+    committing = false;
+  });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ccfuzz

@@ -69,4 +69,17 @@ void maybe_parallel_for(bool parallel, std::size_t n, Fn&& fn) {
   }
 }
 
+/// Runs work(i) for every i in [0, n) on the global pool, and commit(i) in
+/// index order, one call at a time, as soon as work(0..i) have all finished
+/// — on whichever thread finished that prefix, so results stream out while
+/// later indices still run. commit(i) sees everything work(i) wrote.
+/// When work(k) (or commit(k)) throws, no commit at or after k runs, work
+/// beyond k is skipped where it has not started, and the exception of the
+/// lowest such k is rethrown on the caller once the pool drains: callers see
+/// what the serial loop `work(i); commit(i);` would have done. A one-thread
+/// pool, or a call from a pool worker, runs exactly that serial loop.
+void ordered_parallel_for(std::size_t n,
+                          const std::function<void(std::size_t)>& work,
+                          const std::function<void(std::size_t)>& commit);
+
 }  // namespace ccfuzz

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -65,6 +66,36 @@ TEST(Rng, UniformIntIsRoughlyUniform) {
   for (int c : counts) {
     EXPECT_NEAR(c, n / 10, n / 100);  // within 10% relative
   }
+}
+
+TEST(Rng, UniformIntHandlesSpansAboveTwoToThe63) {
+  // hi - lo overflows int64 here; the sanitizer build traps signed
+  // overflow, so these draws must stay in unsigned arithmetic.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng r(29);
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t v = r.uniform_int(kMin, kMax);  // span 2^64 (wraps to 0)
+    saw_negative |= v < 0;
+    saw_positive |= v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+  // n = 2^63 + 1: [-2^62, 2^62] and [kMin, 0].
+  bool saw_high_half = false;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t v = r.uniform_int(-(1LL << 62), 1LL << 62);
+    ASSERT_GE(v, -(1LL << 62));
+    ASSERT_LE(v, 1LL << 62);
+    const std::int64_t w = r.uniform_int(kMin, 0);
+    ASSERT_LE(w, 0);
+    saw_high_half |= w > kMin / 2;
+  }
+  EXPECT_TRUE(saw_high_half);
+  // The extremes themselves are reachable as degenerate ranges.
+  EXPECT_EQ(r.uniform_int(kMin, kMin), kMin);
+  EXPECT_EQ(r.uniform_int(kMax, kMax), kMax);
 }
 
 TEST(Rng, UniformIntSequenceIsPinnedAcrossRejections) {

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,6 +96,100 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   for (const auto& h : hits) {
     ASSERT_EQ(h.load(), 1);
   }
+}
+
+TEST(OrderedParallelFor, CommitsInIndexOrderOneAtATime) {
+  constexpr std::size_t kN = 300;
+  std::vector<std::uint64_t> results(kN, 0);  // written by work, read by commit
+  std::vector<std::size_t> committed;
+  std::atomic<bool> in_commit{false};
+  std::atomic<int> overlaps{0};
+  ordered_parallel_for(
+      kN,
+      [&](std::size_t i) {
+        // Uneven work, so later indices often finish first.
+        volatile std::uint64_t x = i;
+        for (std::size_t k = 0; k < (kN - i) * 200; ++k) x = x * 31 + k;
+        results[i] = i * i + 1;
+      },
+      [&](std::size_t i) {
+        if (in_commit.exchange(true)) overlaps++;
+        EXPECT_EQ(results[i], i * i + 1) << "commit " << i;
+        committed.push_back(i);
+        in_commit = false;
+      });
+  EXPECT_EQ(overlaps.load(), 0);
+  ASSERT_EQ(committed.size(), kN);
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(committed[i], i);
+
+  ordered_parallel_for(
+      0, [](std::size_t) { FAIL() << "no work for an empty range"; },
+      [](std::size_t) { FAIL() << "no commit for an empty range"; });
+}
+
+TEST(OrderedParallelFor, ThrowingWorkCommitsThePrefixAndRethrows) {
+  constexpr std::size_t kN = 100;
+  std::vector<std::size_t> committed;
+  try {
+    ordered_parallel_for(
+        kN,
+        [&](std::size_t i) {
+          if (i == 37) throw std::runtime_error("work 37");
+          if (i == 60) throw std::runtime_error("work 60");
+        },
+        [&](std::size_t i) { committed.push_back(i); });
+    ADD_FAILURE() << "the exception must reach the caller";
+  } catch (const std::runtime_error& e) {
+    // The lowest failing index wins, as in the serial loop.
+    EXPECT_EQ(std::string(e.what()), "work 37");
+  }
+  ASSERT_EQ(committed.size(), 37u);
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    ASSERT_EQ(committed[i], i);
+  }
+}
+
+TEST(OrderedParallelFor, ThrowingCommitStopsLaterCommits) {
+  std::vector<std::size_t> committed;
+  EXPECT_THROW(ordered_parallel_for(
+                   50, [](std::size_t) {},
+                   [&](std::size_t i) {
+                     if (i == 12) throw std::logic_error("commit 12");
+                     committed.push_back(i);
+                   }),
+               std::logic_error);
+  EXPECT_EQ(committed.size(), 12u);
+}
+
+TEST(OrderedParallelFor, CommitsStreamWhileLaterWorkRuns) {
+  // On one thread the serial loop passes this by construction, which says
+  // nothing about streaming.
+  if (global_thread_pool().thread_count() == 1) {
+    GTEST_SKIP() << "single-thread pool";
+  }
+  // work(i) waits for commit(i - 1): a helper that committed only after
+  // all work would time out here instead.
+  constexpr std::size_t kN = 16;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t commits = 0;
+  std::atomic<int> timeouts{0};
+  ordered_parallel_for(
+      kN,
+      [&](std::size_t i) {
+        std::unique_lock<std::mutex> lk(mu);
+        if (!cv.wait_for(lk, std::chrono::seconds(10),
+                         [&] { return commits >= i; })) {
+          timeouts++;
+        }
+      },
+      [&](std::size_t) {
+        std::lock_guard<std::mutex> lk(mu);
+        ++commits;
+        cv.notify_all();
+      });
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(commits, kN);
 }
 
 TEST(ThreadPool, ParsesThreadCountStrictly) {
