@@ -1,7 +1,8 @@
 // Pins the bytes the checkpoint-family writers emit: a trace, a coverage-on
-// Fuzzer's saved state, a one-cell campaign's elite archive, and a two-cell
-// campaign's checkpoint. Reader refactors must leave every writer
-// byte-identical (a format change needs a version bump, not a new golden).
+// Fuzzer's saved state, a one-cell campaign's elite archive, a two-cell
+// campaign's checkpoint, and a paper-scale MAP-Elites checkpoint. Reader and
+// writer refactors must leave every writer byte-identical (a format change
+// needs a version bump, not a new golden).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,6 +100,49 @@ TEST(RecordGolden, SamplesRoundTripByteIdentically) {
   resumed.run();
   EXPECT_EQ(with_sorted_cache(
                 record_samples::slurp(dir + "/checkpoint/campaign.ckpt")),
+            with_sorted_cache(checkpoint));
+  std::filesystem::remove_all(dir);
+}
+
+/// A two-cell MAP-Elites campaign (reno, cubic) at population 200 over three
+/// generations, checkpointing every generation into `dir`: its checkpoint
+/// holds hundreds of members with their stamps and covmaps, archive entries
+/// and a cache of hundreds of evaluations. The traffic model is the
+/// benchmark's durable one, which never puts a stamp at the trace end.
+campaign::CampaignConfig paper_scale_campaign(const std::string& dir) {
+  campaign::CellConfig cell = record_samples::tiny_cell("reno", true);
+  cell.ga.search = fuzz::SearchMode::kMapElites;
+  cell.ga.population = 200;
+  cell.ga.islands = 4;
+  cell.ga.max_generations = 3;
+  cell.ga.migration_interval = 2;
+  cell.traffic_model = {.max_packets = 120, .initial_packets = 60};
+  cell.traffic_model.dist = {.k_agg = DurationNs(1), .rate_low = 0.0,
+                             .rate_high = 1e12, .rate_constraints = true};
+  campaign::CellConfig cubic = cell;
+  cubic.cca = "cubic";
+  campaign::CampaignConfig cfg;
+  cfg.add_cell(cell).add_cell(cubic).parallel(false).output_dir(dir)
+      .checkpoint_every(1);
+  return cfg;
+}
+
+TEST(RecordGolden, PaperScaleCheckpointIsPinned) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "ccfuzz_record_paper_scale")
+          .string();
+  std::filesystem::remove_all(dir);
+  campaign::Campaign(paper_scale_campaign(dir)).run();
+  const std::string path = dir + "/checkpoint/campaign.ckpt";
+  const std::string checkpoint = record_samples::slurp(path);
+  EXPECT_EQ(fingerprint(checkpoint), "20503ff1780fba63 1065465");
+
+  // Restored and written back on exit, it is the same checkpoint.
+  campaign::CampaignConfig cfg = paper_scale_campaign(dir);
+  campaign::Campaign resumed(cfg.resume_dir(dir));
+  ASSERT_TRUE(resumed.resumed());
+  resumed.run();
+  EXPECT_EQ(with_sorted_cache(record_samples::slurp(path)),
             with_sorted_cache(checkpoint));
   std::filesystem::remove_all(dir);
 }
