@@ -13,7 +13,6 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -787,7 +786,7 @@ const CampaignReport& Campaign::run() {
   return report_;
 }
 
-void Campaign::write_checkpoint() const {
+void Campaign::write_checkpoint() {
   if (checkpoint_every_ <= 0 || output_dir_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(output_dir_ + "/checkpoint", ec);
@@ -796,39 +795,42 @@ void Campaign::write_checkpoint() const {
                     output_dir_.c_str(), ec.message().c_str());
     return;
   }
-  std::ostringstream os;
-  os << "# ccfuzz-checkpoint v1\n";
-  os << "# cells " << cells_.size() << "\n";
-  os << std::setprecision(17);
+  // A checkpoint grows a little each generation (the cache only grows):
+  // reserving half again the last one's size lets the buffer fill in place.
+  // Untouched reserved pages are not resident.
+  record::Writer w;
+  w.reserve(checkpoint_bytes_ + checkpoint_bytes_ / 2);
+  w << "# ccfuzz-checkpoint v1\n";
+  w << "# cells " << cells_.size() << '\n';
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const CellState& cell = *cells_[i];
-    os << "# cell " << i << "\n";
-    os << "# name " << cell.cfg.name << "\n";
-    os << "# best_so_far " << cell.best_so_far << "\n";
-    os << "# since_improvement " << cell.since_improvement << "\n";
-    os << "# final_pass " << (cell.final_pass ? 1 : 0) << "\n";
-    os << "# done " << (cell.done ? 1 : 0) << "\n";
-    os << "# simulations " << cell.result.simulations << "\n";
-    os << "# cache_hits " << cell.result.cache_hits << "\n";
-    cell.fuzzer.save_state(os);
-    os << "# end cell\n";
+    w << "# cell " << i << '\n';
+    w << "# name " << cell.cfg.name << '\n';
+    w << "# best_so_far " << cell.best_so_far << '\n';
+    w << "# since_improvement " << cell.since_improvement << '\n';
+    w << "# final_pass " << cell.final_pass << '\n';
+    w << "# done " << cell.done << '\n';
+    w << "# simulations " << cell.result.simulations << '\n';
+    w << "# cache_hits " << cell.result.cache_hits << '\n';
+    cell.fuzzer.save_state(w);
+    w << "# end cell\n";
   }
   // Entry order follows the hash map and is not meaningful; the restored
   // cache is order-independent.
-  os << "# cache " << cache_.size() << "\n";
+  w << "# cache " << cache_.size() << '\n';
   for (const auto& [key, eval] : cache_) {
-    os << "# cachekey ";
-    record::write_hex(os, {&key, 1});
-    os << "\n";
-    fuzz::state_io::write_eval(os, eval);
+    w << "# cachekey ";
+    w.hex({&key, 1}) << '\n';
+    fuzz::state_io::write_eval(w, eval);
   }
-  os << "# end checkpoint\n";
+  w << "# end checkpoint\n";
+  checkpoint_bytes_ = w.str().size();
   const std::string path = output_dir_ + "/checkpoint/campaign.ckpt";
   // Rotating write: the previous snapshot survives as campaign.ckpt.prev,
   // so a corrupted head (bad sector, fsync lie) degrades to the previous
   // generation instead of a fresh start. A failed write (ENOSPC et al) is a
   // warning, not an abort: the campaign keeps running on the old snapshot.
-  if (Error e = write_file_rotating(path, os.str())) {
+  if (Error e = write_file_rotating(path, w.str())) {
     CCFUZZ_LOG_WARN("checkpoint: write failed (%s): %s", to_string(e.code),
                     e.message.c_str());
   } else if (faultinject::should_fire(

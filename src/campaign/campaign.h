@@ -442,7 +442,7 @@ class Campaign {
   void fill_result(CellState& cell);
   void finish_cell(CellState& cell);
   void build_cells();
-  void write_checkpoint() const;
+  void write_checkpoint();
   Error restore_checkpoint(const std::string& path);
 
   std::vector<CellConfig> cell_cfgs_;
@@ -456,6 +456,8 @@ class Campaign {
   CampaignReport report_;
   std::string output_dir_;
   int checkpoint_every_ = 0;
+  /// Size of the last checkpoint written, to size the next one's buffer.
+  std::size_t checkpoint_bytes_ = 0;
   std::shared_ptr<fuzz::Quarantine> quarantine_;
   bool parallel_ = true;
   bool ran_ = false;

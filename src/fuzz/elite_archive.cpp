@@ -1,11 +1,11 @@
 #include "fuzz/elite_archive.h"
 
 #include <fstream>
-#include <iomanip>
 #include <stdexcept>
 
 #include "fuzz/state_io.h"
 #include "trace/trace_io.h"
+#include "util/fs.h"
 
 namespace ccfuzz::fuzz {
 namespace {
@@ -82,37 +82,33 @@ const EliteArchive::Cell& EliteArchive::sample(Rng& rng) const {
   return cells_[occupied_[pick]];
 }
 
-void EliteArchive::save(std::ostream& os, bool terminated) const {
-  os << "# ccfuzz-archive v1\n";
-  os << "# cells " << occupied_.size() << "\n";
-  os << "# union ";
-  record::write_hex(os, union_map_.words);
-  os << "\n";
-  os << std::setprecision(17);
+void EliteArchive::save(record::Writer& w, bool terminated) const {
+  w << "# ccfuzz-archive v1\n";
+  w << "# cells " << occupied_.size() << '\n';
+  w << "# union ";
+  w.hex(union_map_.words) << '\n';
   for (const std::uint16_t idx : occupied_) {
     const Cell& c = cells_[idx];
-    os << "# entry " << idx << "\n";
-    os << "# score " << c.eval.score.performance << " " << c.eval.score.trace
-       << "\n";
-    os << "# desc";
-    state_io::write_descriptor(os, c.eval.coverage.descriptor);
-    os << "\n# bits " << c.eval.coverage.bits << "\n";
-    os << "# map ";
-    record::write_hex(os, c.eval.coverage.bitmap.words);
-    os << "\n";
-    trace::write_trace(os, c.genome);
-    os << "# end entry\n";
+    w << "# entry " << idx << '\n';
+    w << "# score " << c.eval.score.performance << ' ' << c.eval.score.trace
+      << '\n';
+    w << "# desc";
+    state_io::write_descriptor(w, c.eval.coverage.descriptor);
+    w << "\n# bits " << c.eval.coverage.bits << '\n';
+    w << "# map ";
+    w.hex(c.eval.coverage.bitmap.words) << '\n';
+    trace::write_trace(w, c.genome);
+    w << "# end entry\n";
   }
-  if (terminated) os << "# end archive\n";
-  if (!os) throw std::runtime_error("archive write failed");
+  if (terminated) w << "# end archive\n";
 }
 
 void EliteArchive::save_file(const std::string& path) const {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) {
-    throw std::runtime_error("cannot open archive file for write: " + path);
+  record::Writer w;
+  save(w);
+  if (Error e = write_file_atomic(path, w.str(), /*sync=*/false)) {
+    throw std::runtime_error("cannot write archive file: " + e.message);
   }
-  save(f);
 }
 
 Result<EliteArchive> EliteArchive::try_load(std::istream& is) {

@@ -98,7 +98,9 @@ class EliteArchive {
   /// `# map`, a trace_io block and `# end entry`. With `terminated`,
   /// appends `# end archive` so the block can be embedded inside a larger
   /// stream (checkpoints); standalone files omit it.
-  void save(std::ostream& os, bool terminated = false) const;
+  void save(record::Writer& w, bool terminated = false) const;
+  /// Writes save()'s bytes to `path` through write_file_atomic, without an
+  /// fsync. Throws std::runtime_error on failure.
   void save_file(const std::string& path) const;
   /// Parses a standalone archive written by save() without throwing; the
   /// stream must end after the last entry. Restores genomes, scores,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "fuzz/selection.h"
@@ -269,26 +268,25 @@ GenStats Fuzzer::advance_generation() {
   return gs;
 }
 
-void Fuzzer::save_state(std::ostream& os) const {
-  os << "# ccfuzz-fuzzer v1\n";
-  os << "# generation " << generation_ << "\n";
-  os << "# total_evaluations " << total_evaluations_ << "\n";
-  os << "# best " << (best_ever_.evaluated ? 1 : 0) << "\n";
-  if (best_ever_.evaluated) state_io::write_member(os, best_ever_);
-  os << "# history " << history_.size() << "\n";
-  for (const GenStats& gs : history_) state_io::write_genstats(os, gs);
-  os << "# islands " << islands_.size() << "\n";
+void Fuzzer::save_state(record::Writer& w) const {
+  w << "# ccfuzz-fuzzer v1\n";
+  w << "# generation " << generation_ << '\n';
+  w << "# total_evaluations " << total_evaluations_ << '\n';
+  w << "# best " << best_ever_.evaluated << '\n';
+  if (best_ever_.evaluated) state_io::write_member(w, best_ever_);
+  w << "# history " << history_.size() << '\n';
+  for (const GenStats& gs : history_) state_io::write_genstats(w, gs);
+  w << "# islands " << islands_.size() << '\n';
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     const Island& isl = islands_[i];
-    os << "# island " << i << " ";
-    record::write_hex(os, isl.rng.state());
-    os << " " << isl.members.size() << "\n";
-    for (const Member& m : isl.members) state_io::write_member(os, m);
-    os << "# end island\n";
+    w << "# island " << i << ' ';
+    w.hex(isl.rng.state()) << ' ' << isl.members.size() << '\n';
+    for (const Member& m : isl.members) state_io::write_member(w, m);
+    w << "# end island\n";
   }
-  os << "# archive " << (archive_ ? 1 : 0) << "\n";
-  if (archive_) archive_->save(os, /*terminated=*/true);
-  os << "# end fuzzer\n";
+  w << "# archive " << (archive_ != nullptr) << '\n';
+  if (archive_) archive_->save(w, /*terminated=*/true);
+  w << "# end fuzzer\n";
 }
 
 Error Fuzzer::restore_state(std::istream& is) {

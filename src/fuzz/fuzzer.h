@@ -181,7 +181,7 @@ class Fuzzer {
   /// archive (embedded, terminated) — as a `# ccfuzz-fuzzer v1` block, at
   /// any generation including 0. restore_state on an identically-configured
   /// Fuzzer continues the search bit-identically to one that never stopped.
-  void save_state(std::ostream& os) const;
+  void save_state(record::Writer& w) const;
 
   /// Restores state written by save_state into this (identically
   /// configured) fuzzer. On error the fuzzer is left unusable for resume —

@@ -1,17 +1,14 @@
 #include "fuzz/state_io.h"
 
-#include <iomanip>
-#include <ostream>
-
 #include "coverage/probe.h"
 #include "trace/trace_io.h"
 
 namespace ccfuzz::fuzz::state_io {
 
-void write_descriptor(std::ostream& os, const coverage::BehaviorDescriptor& d) {
-  os << " " << +d.state_transitions << " " << +d.rtt_spread << " "
-     << +d.max_backoff << " " << +d.cwnd_span << " " << +d.event_mask << " "
-     << +d.cca_states;
+void write_descriptor(record::Writer& w, const coverage::BehaviorDescriptor& d) {
+  w << ' ' << d.state_transitions << ' ' << d.rtt_spread << ' '
+    << d.max_backoff << ' ' << d.cwnd_span << ' ' << d.event_mask << ' '
+    << d.cca_states;
 }
 
 void read_descriptor(record::Reader& r, coverage::BehaviorDescriptor& d) {
@@ -19,23 +16,21 @@ void read_descriptor(record::Reader& r, coverage::BehaviorDescriptor& d) {
       d.event_mask >> d.cca_states;
 }
 
-void write_eval(std::ostream& os, const Evaluation& e) {
-  os << std::setprecision(17);
-  os << "# eval " << e.score.performance << " " << e.score.trace << " "
-     << e.goodput_mbps << " " << e.cca_sent << " " << e.cca_delivered << " "
-     << e.cca_drops << " " << e.cross_sent << " " << e.cross_drops << " "
-     << e.rto_count << " " << e.p10_delay_s << " " << (e.stalled ? 1 : 0)
-     << " " << (e.truncated ? 1 : 0) << " " << static_cast<int>(e.truncation)
-     << " " << (e.quarantined ? 1 : 0) << " " << e.jain_fairness << " "
-     << e.flow_goodput_mbps.size();
-  for (const double g : e.flow_goodput_mbps) os << " " << g;
-  os << "\n";
+void write_eval(record::Writer& w, const Evaluation& e) {
+  w << "# eval " << e.score.performance << ' ' << e.score.trace << ' '
+    << e.goodput_mbps << ' ' << e.cca_sent << ' ' << e.cca_delivered << ' '
+    << e.cca_drops << ' ' << e.cross_sent << ' ' << e.cross_drops << ' '
+    << e.rto_count << ' ' << e.p10_delay_s << ' ' << e.stalled << ' '
+    << e.truncated << ' ' << static_cast<int>(e.truncation) << ' '
+    << e.quarantined << ' ' << e.jain_fairness << ' '
+    << e.flow_goodput_mbps.size();
+  for (const double g : e.flow_goodput_mbps) w << ' ' << g;
+  w << '\n';
   const auto& c = e.coverage;
-  os << "# cov " << (c.valid ? 1 : 0) << " " << c.bits;
-  write_descriptor(os, c.descriptor);
-  os << "\n# covmap ";
-  record::write_hex(os, c.bitmap.words);
-  os << "\n";
+  w << "# cov " << c.valid << ' ' << c.bits;
+  write_descriptor(w, c.descriptor);
+  w << "\n# covmap ";
+  w.hex(c.bitmap.words) << '\n';
 }
 
 Error read_eval(record::Reader& r, Evaluation& e) {
@@ -52,12 +47,11 @@ Error read_eval(record::Reader& r, Evaluation& e) {
   return r.error();
 }
 
-void write_member(std::ostream& os, const Member& m) {
-  os << std::setprecision(17);
-  os << "# member " << (m.evaluated ? 1 : 0) << " " << m.novelty << "\n";
-  write_eval(os, m.eval);
-  trace::write_trace(os, m.genome);
-  os << "# end member\n";
+void write_member(record::Writer& w, const Member& m) {
+  w << "# member " << m.evaluated << ' ' << m.novelty << '\n';
+  write_eval(w, m.eval);
+  trace::write_trace(w, m.genome);
+  w << "# end member\n";
 }
 
 Error read_member(record::Reader& r, Member& m) {
@@ -70,16 +64,15 @@ Error read_member(record::Reader& r, Member& m) {
   return r.error();
 }
 
-void write_genstats(std::ostream& os, const GenStats& gs) {
-  os << std::setprecision(17);
-  os << "# gen " << gs.generation << " " << gs.best_score << " "
-     << gs.mean_score << " " << gs.topk_mean_packets_sent << " "
-     << gs.topk_mean_goodput_mbps << " " << gs.topk_mean_jain_fairness << " "
-     << gs.stalled_count << " " << gs.evaluations << " " << gs.archive_cells
-     << " " << gs.archive_new_cells << " " << gs.archive_improved << " "
-     << gs.coverage_bits << " " << gs.topk_mean_flow_goodput_mbps.size();
-  for (const double g : gs.topk_mean_flow_goodput_mbps) os << " " << g;
-  os << "\n";
+void write_genstats(record::Writer& w, const GenStats& gs) {
+  w << "# gen " << gs.generation << ' ' << gs.best_score << ' '
+    << gs.mean_score << ' ' << gs.topk_mean_packets_sent << ' '
+    << gs.topk_mean_goodput_mbps << ' ' << gs.topk_mean_jain_fairness << ' '
+    << gs.stalled_count << ' ' << gs.evaluations << ' ' << gs.archive_cells
+    << ' ' << gs.archive_new_cells << ' ' << gs.archive_improved << ' '
+    << gs.coverage_bits << ' ' << gs.topk_mean_flow_goodput_mbps.size();
+  for (const double g : gs.topk_mean_flow_goodput_mbps) w << ' ' << g;
+  w << '\n';
 }
 
 Error read_genstats(record::Reader& r, GenStats& gs) {

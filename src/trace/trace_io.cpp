@@ -3,22 +3,25 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/fs.h"
+
 namespace ccfuzz::trace {
 
-void write_trace(std::ostream& os, const Trace& t) {
-  os << "# ccfuzz-trace v1\n";
-  os << "# kind " << (t.kind == TraceKind::kLink ? "link" : "traffic") << "\n";
-  os << "# duration_ns " << t.duration.ns() << "\n";
+void write_trace(record::Writer& w, const Trace& t) {
+  w << "# ccfuzz-trace v1\n";
+  w << "# kind " << (t.kind == TraceKind::kLink ? "link" : "traffic") << "\n";
+  w << "# duration_ns " << t.duration.ns() << "\n";
   for (const TimeNs s : t.stamps) {
-    os << s.ns() << "\n";
+    w << s.ns() << '\n';
   }
-  if (!os) throw std::runtime_error("trace write failed");
 }
 
 void save_trace(const std::string& path, const Trace& t) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open trace file for write: " + path);
-  write_trace(f, t);
+  record::Writer w;
+  write_trace(w, t);
+  if (Error e = write_file_atomic(path, w.str(), /*sync=*/false)) {
+    throw std::runtime_error("cannot write trace file: " + e.message);
+  }
 }
 
 namespace {

@@ -21,10 +21,12 @@
 
 namespace ccfuzz::trace {
 
-/// Writes `t` to `os`. Throws std::runtime_error on stream failure.
-void write_trace(std::ostream& os, const Trace& t);
+/// Appends `t` to `w`.
+void write_trace(record::Writer& w, const Trace& t);
 
-/// Writes `t` to `path` (overwrites). Throws std::runtime_error on failure.
+/// Writes `t` to `path` (overwrites) through write_file_atomic, without an
+/// fsync: `path` holds the old file or the whole new one, never a prefix.
+/// Throws std::runtime_error on failure (ENOSPC, a short write, ...).
 void save_trace(const std::string& path, const Trace& t);
 
 /// Parses a trace file from `is` without throwing. Error codes: kVersion for

@@ -1,7 +1,6 @@
 #include "util/record.h"
 
 #include <istream>
-#include <ostream>
 
 #include "campaign/report.h"
 
@@ -15,12 +14,13 @@ std::string_view unindented(std::string_view line) {
 
 }  // namespace
 
-void write_hex(std::ostream& os, std::span<const std::uint64_t> words) {
-  os << std::hex;
+Writer& Writer::hex(std::span<const std::uint64_t> words) {
+  char tmp[24];
   for (std::size_t i = 0; i < words.size(); ++i) {
-    os << (i == 0 ? "" : " ") << words[i];
+    if (i != 0) buf_.push_back(' ');
+    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, words[i], 16).ptr);
   }
-  os << std::dec;
+  return *this;
 }
 
 std::string_view tag_of(std::string_view line) {

@@ -1,7 +1,10 @@
-// Line-oriented readers for every on-disk format. The checkpoint family
-// (trace, member, fuzzer state, elite archive, checkpoint) is records:
-// `# <tag>` plus fields, each after one space, opened by `# <magic>
-// <version>`, a nested block closed by `# end <what>`. The JSON family (shard
+// Line-oriented readers for every on-disk format, and the one writer of the
+// checkpoint family. The checkpoint family (trace, member, fuzzer state,
+// elite archive, checkpoint) is records: `# <tag>` plus fields, each after
+// one space, opened by `# <magic> <version>`, a nested block closed by
+// `# end <what>`. A Writer builds such a file in one string, which goes to
+// disk in one write; doubles are written as %.17g, through std::to_chars,
+// and read back exactly. The JSON family (shard
 // plan, shard summary, finding manifest) is machine-written JSON, one key or
 // inline object per line; indentation is skipped, and a line ends in a comma
 // exactly when another item of its object or array follows. A shard
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
@@ -33,8 +37,51 @@
 
 namespace ccfuzz::record {
 
-/// Writes `words` in lowercase hex, space-separated.
-void write_hex(std::ostream& os, std::span<const std::uint64_t> words);
+/// Builds one file of the checkpoint family in a string. `<<` appends text
+/// as it is, integers in decimal (bool as 0/1, uint8_t as a number, not a
+/// character) and doubles as %.17g, which round-trips every IEEE-754 value
+/// and is what parse_number() reads; hex() appends hex-word fields. No
+/// locale, no stream state: the bytes depend only on the values.
+class Writer {
+ public:
+  Writer& operator<<(std::string_view text) {
+    buf_.append(text);
+    return *this;
+  }
+  Writer& operator<<(char c) {
+    buf_.push_back(c);
+    return *this;
+  }
+  template <std::integral N>
+    requires(!std::is_same_v<N, char>)
+  Writer& operator<<(N v) {
+    if constexpr (std::is_same_v<N, bool>) {
+      buf_.push_back(v ? '1' : '0');
+    } else {
+      char tmp[24];
+      buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+    }
+    return *this;
+  }
+  Writer& operator<<(double v) {
+    // The longest is "-2.2250738585072014e-308": 24 characters.
+    char tmp[32];
+    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v,
+                                   std::chars_format::general, 17)
+                         .ptr);
+    return *this;
+  }
+  /// Appends `words` in lowercase hex, space-separated.
+  Writer& hex(std::span<const std::uint64_t> words);
+
+  /// What has been written.
+  const std::string& str() const { return buf_; }
+  /// Makes room for `bytes` in all, so a file of a known size grows in place.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
+ private:
+  std::string buf_;
+};
 
 /// Hex-word fields, one per word: `r >> Hex(array)`, `r >> Hex(&word, 1)`.
 using Hex = std::span<std::uint64_t>;

@@ -6,9 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "faultinject/fault_plan.h"
+#include "fuzz/elite_archive.h"
+#include "trace/trace_io.h"
 #include "util/fs.h"
 
 namespace ccfuzz {
@@ -121,6 +124,40 @@ TEST_F(FaultFsTest, RotatingWriteFaultKeepsBothSnapshotsIntact) {
   EXPECT_EQ(e.code, Error::Code::kNoSpace);
   EXPECT_EQ(slurp(target_), "v2\n");
   EXPECT_EQ(slurp(target_ + ".prev"), "v1\n");
+}
+
+// save_trace and EliteArchive::save_file write triage bundles, quarantined
+// genomes, winners and archives: a failed write must throw, and leave no
+// file, or the old one whole, at the target.
+TEST_F(FaultFsTest, SaveTraceThrowsOnAFailedWriteAndLeavesNoPartialFile) {
+  trace::Trace t;
+  t.duration = TimeNs::seconds(1);
+  for (std::int64_t ms = 0; ms < 200; ++ms) {
+    t.stamps.push_back(TimeNs::millis(ms));
+  }
+  for (const char* spec : {"enospc@1", "short_write@1"}) {
+    SCOPED_TRACE(spec);
+    arm_spec(spec);
+    EXPECT_THROW(trace::save_trace(target_, t), std::runtime_error);
+    faultinject::disarm();
+    EXPECT_FALSE(fs::exists(target_));
+  }
+  trace::save_trace(target_, t);
+  const std::string whole = slurp(target_);
+  arm_spec("short_write@1");
+  t.stamps.pop_back();
+  EXPECT_THROW(trace::save_trace(target_, t), std::runtime_error);
+  EXPECT_EQ(slurp(target_), whole);
+}
+
+TEST_F(FaultFsTest, ArchiveSaveFileThrowsOnAFailedWriteAndLeavesNoFile) {
+  for (const char* spec : {"enospc@1", "short_write@1"}) {
+    SCOPED_TRACE(spec);
+    arm_spec(spec);
+    EXPECT_THROW(fuzz::EliteArchive().save_file(target_), std::runtime_error);
+    faultinject::disarm();
+    EXPECT_FALSE(fs::exists(target_));
+  }
 }
 
 TEST_F(FaultFsTest, LowDiskFaultReportsZeroFreeBytes) {

@@ -105,8 +105,9 @@ TEST(EliteArchive, SaveLoadRoundTripsThroughTraceIo) {
   a.insert(make_trace(2, 32), make_eval(-0.5, 4, 0, 40));
   a.insert(make_trace(3, 1), make_eval(3.25, 7, 7, 80));
 
-  std::stringstream ss;
-  a.save(ss);
+  record::Writer w;
+  a.save(w);
+  std::stringstream ss(w.str());
   const EliteArchive b = EliteArchive::load(ss);
 
   ASSERT_EQ(b.filled(), a.filled());
@@ -190,10 +191,10 @@ TEST(EliteArchiveMerge, IntoEmptyArchiveReproducesSaveBytes) {
   EliteArchive a;
   EXPECT_EQ(a.merge_from(b), b.filled());
 
-  std::stringstream sa, sb;
-  a.save(sa);
-  b.save(sb);
-  EXPECT_EQ(sa.str(), sb.str());
+  record::Writer wa, wb;
+  a.save(wa);
+  b.save(wb);
+  EXPECT_EQ(wa.str(), wb.str());
 }
 
 TEST(EliteArchiveMerge, IsIdempotent) {
@@ -315,7 +316,7 @@ TEST(EliteArchiveErrors, MissingFileIsKIo) {
 
 TEST(EliteArchiveErrors, RenamedScoreTagIsKParse) {
   // `# score` → `# scorf` once loaded with the score silently zeroed.
-  std::stringstream full;
+  record::Writer full;
   run_cell(coverage_cell()).archive->save(full);
   std::string bytes = full.str();
   const std::size_t pos = bytes.find("# score ");

@@ -43,10 +43,10 @@ Evaluation sample_eval() {
 
 TEST(StateIo, EvalRoundTripsExactly) {
   const Evaluation in = sample_eval();
-  std::stringstream ss;
-  state_io::write_eval(ss, in);
+  record::Writer w;
+  state_io::write_eval(w, in);
   Evaluation out;
-  record::Reader r(ss);
+  record::Reader r(w.str());
   ASSERT_FALSE(state_io::read_eval(r, out));
   EXPECT_EQ(out.score.performance, in.score.performance);
   EXPECT_EQ(out.score.trace, in.score.trace);
@@ -75,10 +75,10 @@ TEST(StateIo, MemberRoundTripsGenomeByHash) {
   m.evaluated = true;
   m.novelty = 0.25;
 
-  std::stringstream ss;
-  state_io::write_member(ss, m);
+  record::Writer w;
+  state_io::write_member(w, m);
   Member out;
-  record::Reader r(ss);
+  record::Reader r(w.str());
   ASSERT_FALSE(state_io::read_member(r, out));
   EXPECT_EQ(out.evaluated, m.evaluated);
   EXPECT_EQ(out.novelty, m.novelty);
@@ -102,10 +102,10 @@ TEST(StateIo, GenStatsRoundTripExactly) {
   gs.archive_improved = 1;
   gs.coverage_bits = 99;
 
-  std::stringstream ss;
-  state_io::write_genstats(ss, gs);
+  record::Writer w;
+  state_io::write_genstats(w, gs);
   GenStats out;
-  record::Reader r(ss);
+  record::Reader r(w.str());
   ASSERT_FALSE(state_io::read_genstats(r, out));
   EXPECT_EQ(out.generation, gs.generation);
   EXPECT_EQ(out.best_score, gs.best_score);
@@ -152,9 +152,9 @@ Fuzzer make_fuzzer(const campaign::CellConfig& cell) {
 }
 
 std::string saved_state(const Fuzzer& f) {
-  std::ostringstream os;
-  f.save_state(os);
-  return os.str();
+  record::Writer w;
+  f.save_state(w);
+  return w.str();
 }
 
 TEST(FuzzerState, CoverageArchiveSurvivesTheRoundTrip) {

@@ -18,8 +18,9 @@ Trace sample_trace() {
 
 TEST(TraceIo, RoundTripThroughStream) {
   const Trace t = sample_trace();
-  std::stringstream ss;
-  write_trace(ss, t);
+  record::Writer w;
+  write_trace(w, t);
+  std::stringstream ss(w.str());
   const Trace r = read_trace(ss);
   EXPECT_EQ(r.kind, t.kind);
   EXPECT_EQ(r.duration, t.duration);
@@ -29,8 +30,9 @@ TEST(TraceIo, RoundTripThroughStream) {
 TEST(TraceIo, RoundTripLinkKind) {
   Trace t = sample_trace();
   t.kind = TraceKind::kLink;
-  std::stringstream ss;
-  write_trace(ss, t);
+  record::Writer w;
+  write_trace(w, t);
+  std::stringstream ss(w.str());
   EXPECT_EQ(read_trace(ss).kind, TraceKind::kLink);
 }
 
@@ -38,8 +40,9 @@ TEST(TraceIo, EmptyTraceRoundTrips) {
   Trace t;
   t.kind = TraceKind::kLink;
   t.duration = TimeNs::seconds(1);
-  std::stringstream ss;
-  write_trace(ss, t);
+  record::Writer w;
+  write_trace(w, t);
+  std::stringstream ss(w.str());
   const Trace r = read_trace(ss);
   EXPECT_TRUE(r.stamps.empty());
   EXPECT_EQ(r.duration, TimeNs::seconds(1));
@@ -98,8 +101,9 @@ TEST(TraceIo, LoadMissingFileThrows) {
 // accordingly instead of dying on a bare exception.
 
 TEST(TraceIoErrors, WrittenTracesCarryTheVersionMagic) {
-  std::stringstream ss;
-  write_trace(ss, sample_trace());
+  record::Writer w;
+  write_trace(w, sample_trace());
+  std::stringstream ss(w.str());
   std::string first;
   std::getline(ss, first);
   EXPECT_EQ(first, "# ccfuzz-trace v1");

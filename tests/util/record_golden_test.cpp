@@ -61,8 +61,8 @@ TEST(RecordGolden, SamplesRoundTripByteIdentically) {
   using record_samples::written;
   const std::string trace = record_samples::trace_bytes();
   std::istringstream trace_in(trace);
-  EXPECT_EQ(written([&](std::ostream& os) {
-              trace::write_trace(os, trace::read_trace(trace_in));
+  EXPECT_EQ(written([&](record::Writer& w) {
+              trace::write_trace(w, trace::read_trace(trace_in));
             }),
             trace);
 
@@ -71,8 +71,8 @@ TEST(RecordGolden, SamplesRoundTripByteIdentically) {
   record::Reader member_reader(member_in);
   fuzz::Member member;
   ASSERT_FALSE(fuzz::state_io::read_member(member_reader, member));
-  EXPECT_EQ(written([&](std::ostream& os) {
-              fuzz::state_io::write_member(os, member);
+  EXPECT_EQ(written([&](record::Writer& w) {
+              fuzz::state_io::write_member(w, member);
             }),
             member_bytes);
 
@@ -80,12 +80,12 @@ TEST(RecordGolden, SamplesRoundTripByteIdentically) {
   std::istringstream state_in(state);
   fuzz::Fuzzer fuzzer = record_samples::evaluated_fuzzer();
   ASSERT_FALSE(fuzzer.restore_state(state_in));
-  EXPECT_EQ(written([&](std::ostream& os) { fuzzer.save_state(os); }), state);
+  EXPECT_EQ(written([&](record::Writer& w) { fuzzer.save_state(w); }), state);
 
   const std::string archive = record_samples::archive_bytes();
   std::istringstream archive_in(archive);
-  EXPECT_EQ(written([&](std::ostream& os) {
-              fuzz::EliteArchive::load(archive_in).save(os);
+  EXPECT_EQ(written([&](record::Writer& w) {
+              fuzz::EliteArchive::load(archive_in).save(w);
             }),
             archive);
 

@@ -41,12 +41,12 @@ inline std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-/// What `write` writes to a string stream.
+/// What `write` writes to a record::Writer.
 template <typename Write>
 std::string written(Write&& write) {
-  std::ostringstream os;
-  write(os);
-  return os.str();
+  record::Writer w;
+  write(w);
+  return w.str();
 }
 
 inline std::string trace_bytes() {
@@ -56,7 +56,7 @@ inline std::string trace_bytes() {
   for (std::int64_t i = 0; i < 24; ++i) {
     t.stamps.emplace_back(i * i * 3'000'017 + 12'345);
   }
-  return written([&](std::ostream& os) { trace::write_trace(os, t); });
+  return written([&](record::Writer& w) { trace::write_trace(w, t); });
 }
 
 /// One tiny cell: population 4 over 2 islands, traces of tens of stamps.
@@ -93,13 +93,13 @@ inline fuzz::Fuzzer evaluated_fuzzer() {
 }
 
 inline std::string fuzzer_state_bytes() {
-  return written([](std::ostream& os) { evaluated_fuzzer().save_state(os); });
+  return written([](record::Writer& w) { evaluated_fuzzer().save_state(w); });
 }
 
 /// The best member of evaluated_fuzzer(), as a member block.
 inline std::string member_bytes() {
-  return written([](std::ostream& os) {
-    fuzz::state_io::write_member(os, evaluated_fuzzer().best());
+  return written([](record::Writer& w) {
+    fuzz::state_io::write_member(w, evaluated_fuzzer().best());
   });
 }
 
@@ -107,8 +107,8 @@ inline std::string member_bytes() {
 inline std::string archive_bytes() {
   campaign::CampaignConfig cfg;
   cfg.add_cell(tiny_cell("reno", /*coverage=*/true)).parallel(false);
-  return written([&](std::ostream& os) {
-    campaign::Campaign(cfg).run().cells.front().archive->save(os);
+  return written([&](record::Writer& w) {
+    campaign::Campaign(cfg).run().cells.front().archive->save(w);
   });
 }
 
