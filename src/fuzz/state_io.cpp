@@ -5,7 +5,8 @@
 
 namespace ccfuzz::fuzz::state_io {
 
-void write_descriptor(record::Writer& w, const coverage::BehaviorDescriptor& d) {
+void write_descriptor(record::Writer& w,
+                      const coverage::BehaviorDescriptor& d) {
   w << ' ' << d.state_transitions << ' ' << d.rtt_spread << ' '
     << d.max_backoff << ' ' << d.cwnd_span << ' ' << d.event_mask << ' '
     << d.cca_states;

@@ -14,6 +14,27 @@ std::string_view unindented(std::string_view line) {
 
 }  // namespace
 
+Writer& Writer::integer(std::int64_t v) {
+  char tmp[24];
+  buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+  return *this;
+}
+
+Writer& Writer::integer(std::uint64_t v) {
+  char tmp[24];
+  buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+  return *this;
+}
+
+Writer& Writer::operator<<(double v) {
+  // The longest is "-2.2250738585072014e-308": 24 characters.
+  char tmp[32];
+  buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v,
+                                 std::chars_format::general, 17)
+                       .ptr);
+  return *this;
+}
+
 Writer& Writer::hex(std::span<const std::uint64_t> words) {
   char tmp[24];
   for (std::size_t i = 0; i < words.size(); ++i) {

@@ -57,20 +57,14 @@ class Writer {
   Writer& operator<<(N v) {
     if constexpr (std::is_same_v<N, bool>) {
       buf_.push_back(v ? '1' : '0');
+      return *this;
+    } else if constexpr (std::is_signed_v<N>) {
+      return integer(static_cast<std::int64_t>(v));
     } else {
-      char tmp[24];
-      buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+      return integer(static_cast<std::uint64_t>(v));
     }
-    return *this;
   }
-  Writer& operator<<(double v) {
-    // The longest is "-2.2250738585072014e-308": 24 characters.
-    char tmp[32];
-    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v,
-                                   std::chars_format::general, 17)
-                         .ptr);
-    return *this;
-  }
+  Writer& operator<<(double v);
   /// Appends `words` in lowercase hex, space-separated.
   Writer& hex(std::span<const std::uint64_t> words);
 
@@ -80,6 +74,11 @@ class Writer {
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
  private:
+  // Out of line: a record writes dozens of numbers, and inlined to_chars
+  // would copy its digit loop into every write site.
+  Writer& integer(std::int64_t v);
+  Writer& integer(std::uint64_t v);
+
   std::string buf_;
 };
 

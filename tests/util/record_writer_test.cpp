@@ -120,8 +120,8 @@ TEST(RecordWriter, SmallFieldsAreNumbersNotCharacters) {
 
 TEST(RecordWriter, HexWordsMatchTheStream) {
   std::mt19937_64 rng(3);
-  std::vector<std::uint64_t> words = {0, 1, 0xabcdef,
-                                      std::numeric_limits<std::uint64_t>::max()};
+  std::vector<std::uint64_t> words = {
+      0, 1, 0xabcdef, std::numeric_limits<std::uint64_t>::max()};
   for (int i = 0; i < 1000; ++i) words.push_back(rng() >> (rng() % 64));
   std::ostringstream os;
   os << std::hex;
