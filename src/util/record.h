@@ -4,12 +4,12 @@
 // one space, opened by `# <magic> <version>`, a nested block closed by
 // `# end <what>`. A Writer builds such a file in one string, which goes to
 // disk in one write; doubles are written as %.17g, through std::to_chars,
-// and read back exactly. The JSON family (shard
-// plan, shard summary, finding manifest) is machine-written JSON, one key or
-// inline object per line; indentation is skipped, and a line ends in a comma
-// exactly when another item of its object or array follows. A shard
-// summary's CSV twin is read as RFC 4180 rows. Blank lines are skipped. One
-// Reader is passed down the nesting, so an embedded block parses in place.
+// and read back exactly. The JSON family (shard plan, shard summary, finding
+// manifest) is machine-written JSON, one key or inline object per line;
+// indentation is skipped, and a line ends in a comma exactly when another
+// item of its object or array follows. A shard summary's CSV twin is read as
+// RFC 4180 rows. Blank lines are skipped. One Reader is passed down the
+// nesting, so an embedded block parses in place.
 //
 // Errors are sticky: the Reader keeps the first one and every later read is
 // a no-op, so a block reads as straight-line code checked once. Every
