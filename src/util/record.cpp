@@ -12,34 +12,35 @@ std::string_view unindented(std::string_view line) {
   return line;
 }
 
+/// Appends what std::to_chars(…, args...) writes.
+template <typename... Args>
+void append_chars(std::string& out, Args... args) {
+  // The longest, a %.17g double like "-2.2250738585072014e-308", has 24.
+  char tmp[32];
+  out.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, args...).ptr);
+}
+
 }  // namespace
 
 Writer& Writer::integer(std::int64_t v) {
-  char tmp[24];
-  buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+  append_chars(buf_, v);
   return *this;
 }
 
 Writer& Writer::integer(std::uint64_t v) {
-  char tmp[24];
-  buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+  append_chars(buf_, v);
   return *this;
 }
 
 Writer& Writer::operator<<(double v) {
-  // The longest is "-2.2250738585072014e-308": 24 characters.
-  char tmp[32];
-  buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v,
-                                 std::chars_format::general, 17)
-                       .ptr);
+  append_chars(buf_, v, std::chars_format::general, 17);
   return *this;
 }
 
 Writer& Writer::hex(std::span<const std::uint64_t> words) {
-  char tmp[24];
   for (std::size_t i = 0; i < words.size(); ++i) {
     if (i != 0) buf_.push_back(' ');
-    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, words[i], 16).ptr);
+    append_chars(buf_, words[i], 16);
   }
   return *this;
 }
