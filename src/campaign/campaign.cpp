@@ -516,13 +516,20 @@ struct Campaign::CellState {
   bool final_pass = false;
   bool done = false;
 
+  /// A fresh cell, or with `state` one restored from a checkpoint: its
+  /// fuzzer is read from `state` (errors stay there) instead of generating
+  /// a population, and the checkpoint's archive stands in for the resume
+  /// archive.
   CellState(CellConfig c, std::uint64_t k,
-            std::shared_ptr<fuzz::Quarantine> quarantine, bool parallel)
+            std::shared_ptr<fuzz::Quarantine> quarantine, bool parallel,
+            record::Reader* state)
       : cfg(std::move(c)),
         key(k),
         evaluator(make_evaluator(cfg)),
-        fuzzer(cfg.ga, make_trace_model(cfg), cfg.scenario.coverage,
-               parallel) {
+        fuzzer(state ? fuzz::Fuzzer(cfg.ga, make_trace_model(cfg),
+                                    cfg.scenario.coverage, parallel, *state)
+                     : fuzz::Fuzzer(cfg.ga, make_trace_model(cfg),
+                                    cfg.scenario.coverage, parallel)) {
     evaluator.set_quarantine(std::move(quarantine));
     result.cell = cfg;
     // A zero-generation budget runs no generations, but the initial
@@ -533,7 +540,7 @@ struct Campaign::CellState {
     // always names its resume path); an unreadable or corrupt archive is a
     // crash artifact, so it degrades to a cold start with a warning instead
     // of killing the campaign.
-    if (!cfg.resume_archive.empty() && cfg.scenario.coverage &&
+    if (!state && !cfg.resume_archive.empty() && cfg.scenario.coverage &&
         std::filesystem::exists(cfg.resume_archive)) {
       Result<fuzz::EliteArchive> a =
           fuzz::EliteArchive::try_load_file(cfg.resume_archive);
@@ -561,11 +568,10 @@ Campaign::Campaign(const CampaignConfig& cfg)
     quarantine_ =
         std::make_shared<fuzz::Quarantine>(output_dir_ + "/quarantine");
   }
-  build_cells();
   // Full mid-campaign resume: restore populations, RNG streams, counters,
   // archives, and the evaluation cache from the last checkpoint. Anything
   // wrong with the file — truncated by a crash, version skew, config drift —
-  // degrades to the fresh cells built above, with a warning.
+  // degrades to fresh cells, with a warning.
   if (!cfg.resume_dir().empty()) {
     const std::string head = cfg.resume_dir() + "/checkpoint/campaign.ckpt";
     // Degradation chain: the head snapshot, then its .prev rotation
@@ -576,13 +582,13 @@ Campaign::Campaign(const CampaignConfig& cfg)
       Error e = restore_checkpoint(ckpt);
       if (!e) {
         resumed_ = true;
+        head_is_current_ = ckpt == output_dir_ + "/checkpoint/campaign.ckpt";
         break;
       }
-      // A failed restore may have half-mutated cell state; rebuild before
-      // the next candidate (or the fresh start) so nothing leaks through.
+      // A failed restore leaves the cells and cache entries it read so far;
+      // drop them before the next candidate (or the fresh start).
       cache_.clear();
       cells_.clear();
-      build_cells();
       CCFUZZ_LOG_WARN("checkpoint %s unusable (%s: %s); %s", ckpt.c_str(),
                       to_string(e.code), e.message.c_str(),
                       ckpt == head
@@ -590,13 +596,15 @@ Campaign::Campaign(const CampaignConfig& cfg)
                           : "starting the campaign fresh");
     }
   }
+  if (!resumed_) build_cells();
 }
 
 void Campaign::build_cells() {
   cells_.reserve(cell_cfgs_.size());
   for (std::size_t i = 0; i < cell_cfgs_.size(); ++i) {
     cells_.push_back(std::make_unique<CellState>(
-        cell_cfgs_[i], eval_key(cell_cfgs_[i], i), quarantine_, parallel_));
+        cell_cfgs_[i], eval_key(cell_cfgs_[i], i), quarantine_, parallel_,
+        nullptr));
   }
 }
 
@@ -763,6 +771,7 @@ const CampaignReport& Campaign::run() {
 #endif
 
     ++iteration;
+    head_is_current_ = false;
     if (checkpoint_every_ > 0 && iteration % checkpoint_every_ == 0) {
       write_checkpoint();
     }
@@ -770,6 +779,7 @@ const CampaignReport& Campaign::run() {
 
   // Final checkpoint: a finished campaign resumes as a no-op rewrite of the
   // same report. (An interrupted run already checkpointed before breaking.)
+  // Usually the final-pass iteration wrote it already.
   if (!report_.interrupted) write_checkpoint();
 
   report_.cells.reserve(cells_.size());
@@ -787,7 +797,11 @@ const CampaignReport& Campaign::run() {
 }
 
 void Campaign::write_checkpoint() {
-  if (checkpoint_every_ <= 0 || output_dir_.empty()) return;
+  // A rewrite of the head would cost a serialization and an fsync, and
+  // demote an identical snapshot into .prev in place of the one before.
+  if (checkpoint_every_ <= 0 || output_dir_.empty() || head_is_current_) {
+    return;
+  }
   std::error_code ec;
   std::filesystem::create_directories(output_dir_ + "/checkpoint", ec);
   if (ec) {
@@ -833,8 +847,10 @@ void Campaign::write_checkpoint() {
   if (Error e = write_file_rotating(path, w.str())) {
     CCFUZZ_LOG_WARN("checkpoint: write failed (%s): %s", to_string(e.code),
                     e.message.c_str());
-  } else if (faultinject::should_fire(
-                 faultinject::FaultSite::kCrashCheckpoint)) {
+    return;
+  }
+  head_is_current_ = true;
+  if (faultinject::should_fire(faultinject::FaultSite::kCrashCheckpoint)) {
     // The checkpoint is complete and durable; dying here is exactly the
     // power-cut-at-the-boundary case the resume machinery must absorb.
     faultinject::crash_now(faultinject::FaultSite::kCrashCheckpoint);
@@ -851,19 +867,21 @@ Error validate_checkpoint_file(const std::string& path) {
 }
 
 Error Campaign::restore_checkpoint(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Error::io("cannot open checkpoint: " + path);
-  record::Reader r(is);
+  // One read; the cells are then built from the text, each fuzzer parsing
+  // its islands on the pool (Fuzzer::restore_state).
+  Result<std::string> text = read_file(path);
+  if (!text) return Error::io("cannot open checkpoint: " + path);
+  record::Reader r(*text);
   std::size_t n_cells = 0, n_cache = 0;
   r.header("ccfuzz-checkpoint", "v1");
   r.read("cells", n_cells);
-  if (n_cells != cells_.size()) {
+  if (n_cells != cell_cfgs_.size()) {
     r.fail(Error::mismatch("checkpoint: holds " + std::to_string(n_cells) +
                            " cells, campaign configures " +
-                           std::to_string(cells_.size())));
+                           std::to_string(cell_cfgs_.size())));
   }
   for (std::size_t i = 0; i < n_cells && r.ok(); ++i) {
-    CellState& cell = *cells_[i];
+    const CellConfig& cfg = cell_cfgs_[i];
     std::size_t idx = 0;
     std::string name;
     r.read("cell", idx);
@@ -871,18 +889,29 @@ Error Campaign::restore_checkpoint(const std::string& path) {
     r.expect("name").rest(name).done();
     // Config drift between the checkpointing and resuming processes would
     // silently graft one cell's population onto another's scenario.
-    if (name != cell.cfg.name) {
+    if (name != cfg.name) {
       r.fail(Error::mismatch("checkpoint: cell " + std::to_string(i) + " is '" +
-                             name + "', campaign expects '" + cell.cfg.name +
-                             "'"));
+                             name + "', campaign expects '" + cfg.name + "'"));
     }
-    r.read("best_so_far", cell.best_so_far);
-    r.read("since_improvement", cell.since_improvement);
-    r.read("final_pass", cell.final_pass);
-    r.read("done", cell.done);
-    r.read("simulations", cell.result.simulations);
-    r.read("cache_hits", cell.result.cache_hits);
-    cell.fuzzer.restore_state(r);
+    double best_so_far = 0.0;
+    int since_improvement = 0;
+    bool final_pass = false, done = false;
+    std::int64_t simulations = 0, cache_hits = 0;
+    r.read("best_so_far", best_so_far);
+    r.read("since_improvement", since_improvement);
+    r.read("final_pass", final_pass);
+    r.read("done", done);
+    r.read("simulations", simulations);
+    r.read("cache_hits", cache_hits);
+    if (!r.ok()) break;
+    CellState& cell = *cells_.emplace_back(std::make_unique<CellState>(
+        cfg, eval_key(cfg, i), quarantine_, parallel_, &r));
+    cell.best_so_far = best_so_far;
+    cell.since_improvement = since_improvement;
+    cell.final_pass = final_pass;
+    cell.done = done;
+    cell.result.simulations = simulations;
+    cell.result.cache_hits = cache_hits;
     r.end("cell");
   }
   r.read("cache", n_cache);

@@ -442,7 +442,10 @@ class Campaign {
   void fill_result(CellState& cell);
   void finish_cell(CellState& cell);
   void build_cells();
+  /// Writes the checkpoint, unless the head already holds this state.
   void write_checkpoint();
+  /// Builds cells_ and the cache from the checkpoint at `path`. On an error
+  /// they hold what was read before it.
   Error restore_checkpoint(const std::string& path);
 
   std::vector<CellConfig> cell_cfgs_;
@@ -458,6 +461,9 @@ class Campaign {
   int checkpoint_every_ = 0;
   /// Size of the last checkpoint written, to size the next one's buffer.
   std::size_t checkpoint_bytes_ = 0;
+  /// The checkpoint head on disk holds the current state: written, or
+  /// restored from, since the last lockstep generation.
+  bool head_is_current_ = false;
   std::shared_ptr<fuzz::Quarantine> quarantine_;
   bool parallel_ = true;
   bool ran_ = false;

@@ -1,13 +1,13 @@
 #include "campaign/report.h"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "trace/hash.h"
 #include "trace/trace_io.h"
 #include "util/csv.h"
+#include "util/fs.h"
 #include "util/record.h"
 
 namespace ccfuzz::campaign {
@@ -90,11 +90,12 @@ std::string flow_goodputs_csv(const fuzz::Evaluation& e) {
   return join_flow_goodputs(e, ';');
 }
 
+/// Writes `body` whole or not at all: a failed write (ENOSPC, EIO) throws
+/// and leaves no truncated file at `path`.
 void write_file(const std::filesystem::path& path, const std::string& body) {
-  std::ofstream os(path);
-  os << body;
-  if (!os) {
-    throw std::runtime_error("failed to write " + path.string());
+  if (Error e = write_file_atomic(path.string(), body, /*sync=*/false)) {
+    throw std::runtime_error("failed to write " + path.string() + ": " +
+                             e.message);
   }
 }
 
@@ -222,7 +223,7 @@ void write_report(const CampaignReport& report, const std::string& dir) {
     {
       // Hand-rolled (not CsvWriter): the per-flow goodput column is a
       // ';'-joined list, like best_flow_goodputs_mbps in summary.csv.
-      std::ofstream os(cell_dir / "history.csv");
+      std::ostringstream os;
       os << "generation,best_score,mean_score,top20_packets_sent,"
             "top20_goodput_mbps,top20_jain_fairness,"
             "top20_flow_goodputs_mbps,stalled,evaluations,"
@@ -244,10 +245,7 @@ void write_report(const CampaignReport& report, const std::string& dir) {
            << gs.archive_cells << ',' << gs.archive_new_cells << ','
            << gs.coverage_bits << '\n';
       }
-      if (!os) {
-        throw std::runtime_error("failed to write " +
-                                 (cell_dir / "history.csv").string());
-      }
+      write_file(cell_dir / "history.csv", os.str());
     }
     for (std::size_t w = 0; w < r.winners.size(); ++w) {
       trace::save_trace(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <istream>
+#include <iterator>
 #include <stdexcept>
 
 #include "fuzz/selection.h"
@@ -30,8 +31,9 @@ void sort_best_first(std::vector<Member>& members) {
 
 }  // namespace
 
-Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
-               bool coverage, bool parallel)
+Fuzzer::Fuzzer(Shape, const GaConfig& cfg,
+               std::shared_ptr<const TraceModel> model, bool coverage,
+               bool parallel)
     : cfg_(cfg), model_(std::move(model)), parallel_(parallel) {
   assert(cfg_.population >= 2 && "population too small");
   assert(cfg_.islands >= 1 && "need at least one island");
@@ -52,8 +54,13 @@ Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
         "probe (ScenarioConfig::coverage = true)");
   }
 
-  Rng master(cfg_.seed);
   islands_.resize(static_cast<std::size_t>(cfg_.islands));
+}
+
+Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
+               bool coverage, bool parallel)
+    : Fuzzer(Shape{}, cfg, std::move(model), coverage, parallel) {
+  Rng master(cfg_.seed);
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     islands_[i].rng = master.fork(static_cast<std::uint64_t>(i) + 1);
   }
@@ -71,6 +78,12 @@ Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
       isl.members.push_back(std::move(mem));
     }
   });
+}
+
+Fuzzer::Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
+               bool coverage, bool parallel, record::Reader& state)
+    : Fuzzer(Shape{}, cfg, std::move(model), coverage, parallel) {
+  restore_state(state);
 }
 
 std::vector<Member*> Fuzzer::pending_members() {
@@ -290,8 +303,23 @@ void Fuzzer::save_state(record::Writer& w) const {
 }
 
 Error Fuzzer::restore_state(std::istream& is) {
-  record::Reader r(is);
+  const std::string text(std::istreambuf_iterator<char>(is), {});
+  record::Reader r(text);
   return restore_state(r);
+}
+
+void Fuzzer::read_island(record::Reader& r, std::size_t i) {
+  std::size_t idx = 0, n_members = 0;
+  std::array<std::uint64_t, 4> s{};
+  r.read("island", idx, record::Hex(s), n_members);
+  if (idx != i) r.fail(Error::corrupt("fuzzer state: island out of order"));
+  Island& isl = islands_[i];
+  isl.rng.set_state(s);
+  isl.members.clear();
+  for (std::size_t m = 0; m < n_members && r.ok(); ++m) {
+    state_io::read_member(r, isl.members.emplace_back());
+  }
+  r.end("island");
 }
 
 Error Fuzzer::restore_state(record::Reader& r) {
@@ -316,19 +344,9 @@ Error Fuzzer::restore_state(record::Reader& r) {
                            std::to_string(islands_.size()) + ", state has " +
                            std::to_string(n_islands) + ")"));
   }
-  for (std::size_t i = 0; i < n_islands && r.ok(); ++i) {
-    std::size_t idx = 0, n_members = 0;
-    std::array<std::uint64_t, 4> s{};
-    r.read("island", idx, record::Hex(s), n_members);
-    if (idx != i) r.fail(Error::corrupt("fuzzer state: island out of order"));
-    Island& isl = islands_[i];
-    isl.rng.set_state(s);
-    isl.members.clear();
-    for (std::size_t m = 0; m < n_members && r.ok(); ++m) {
-      state_io::read_member(r, isl.members.emplace_back());
-    }
-    r.end("island");
-  }
+  // Each island writes only its own members and RNG stream.
+  r.blocks("island", n_islands, parallel_,
+           [this](record::Reader& b, std::size_t i) { read_island(b, i); });
   r.read("archive", has_archive);
   if (has_archive != (archive_ != nullptr)) {
     r.fail(Error::mismatch(

@@ -132,6 +132,12 @@ class Fuzzer {
   /// population and breeds islands on the global thread pool.
   Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
          bool coverage, bool parallel = true);
+  /// The resume constructor: the same configuration, with the state that
+  /// save_state wrote read from `state` (restore_state) instead of a
+  /// generated initial population. Errors stay in `state`; on one, the
+  /// fuzzer is unusable for resume.
+  Fuzzer(const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
+         bool coverage, bool parallel, record::Reader& state);
 
   // --- Staged interface --------------------------------------------------
   // A campaign runs many Fuzzers at once and wants one flat evaluation batch
@@ -188,10 +194,13 @@ class Fuzzer {
   /// callers must fall back to a fresh instance. kMismatch when the stream
   /// disagrees with this fuzzer's shape (island count, archive presence);
   /// framing errors (kParse, kVersion, kTruncated) come from util/record.
+  /// The stream is read into memory and restored as below.
   Error restore_state(std::istream& is);
   /// The same, for a block embedded in an enclosing record stream (campaign
-  /// checkpoints): members, history and the archive are read in place from
-  /// `r`, through this block's `# end fuzzer` line.
+  /// checkpoints), read from `r` through this block's `# end fuzzer` line.
+  /// When `r` reads a string, the islands parse on the thread pool (with
+  /// `parallel`), each with its own sub-reader (record::Reader::blocks); the
+  /// result and any error are those of the serial read.
   Error restore_state(record::Reader& r);
 
  private:
@@ -202,6 +211,14 @@ class Fuzzer {
     Rng rng;
   };
 
+  /// The configured shape both constructors start from: the archive and
+  /// the islands, with no members and unseeded RNG streams.
+  struct Shape {};
+  Fuzzer(Shape, const GaConfig& cfg, std::shared_ptr<const TraceModel> model,
+         bool coverage, bool parallel);
+
+  /// Reads island `i`'s block (restore_state).
+  void read_island(record::Reader& r, std::size_t i);
   void absorb_into_archive(GenStats& gs);
   void breed_island(Island& isl);
   void migrate();

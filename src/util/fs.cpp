@@ -1,6 +1,7 @@
 #include "util/fs.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/statvfs.h>
 #include <unistd.h>
 
@@ -105,6 +106,35 @@ Error write_file_rotating(const std::string& path, const std::string& body,
     // the one whose failure semantics matter (head intact, typed error).
   }
   return rename_into_place(tmp, path);
+}
+
+Result<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Error::io("cannot open " + path + ": " + std::strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const Error e = Error::io("fstat " + path + ": " + std::strerror(errno));
+    ::close(fd);
+    return e;
+  }
+  std::string body(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < body.size()) {
+    const ssize_t n = ::read(fd, body.data() + got, body.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const Error e = Error::io("read " + path + ": " + std::strerror(errno));
+      ::close(fd);
+      return e;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  body.resize(got);
+  return body;
 }
 
 Result<std::uint64_t> free_bytes(const std::string& path) {

@@ -37,6 +37,11 @@ Error write_file_atomic(const std::string& path, const std::string& body,
 Error write_file_rotating(const std::string& path, const std::string& body,
                           bool sync = true);
 
+/// The file at `path`, as long as it was when opened (files here are
+/// replaced by rename, never grown in place), read in one pass. Typed kIo
+/// error when it cannot be opened or read.
+Result<std::string> read_file(const std::string& path);
+
 /// Free bytes available to unprivileged writers on the filesystem holding
 /// `path` (statvfs f_bavail). Typed kIo error when the path cannot be
 /// statted.

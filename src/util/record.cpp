@@ -3,6 +3,7 @@
 #include <istream>
 
 #include "campaign/report.h"
+#include "util/thread_pool.h"
 
 namespace ccfuzz::record {
 namespace {
@@ -173,6 +174,45 @@ bool Reader::done() {
 void Reader::end(std::string_view what) {
   std::size_t unused = 0;
   expect("end").one_of({what}, unused).done();
+}
+
+void Reader::blocks(std::string_view what, std::size_t n, bool parallel,
+                    const std::function<void(Reader&, std::size_t)>& read) {
+  // Block i+1 starts after the first close line at or after block i's start;
+  // the last block found may run to the end of the text without one.
+  std::vector<Reader> subs;
+  std::vector<const char*> ends;  // where block i's close line ends
+  if (ok() && !is_ && !held_) {
+    const std::string close = "# end " + std::string(what);
+    std::string_view text = text_;
+    std::size_t line_no = line_no_;
+    while (subs.size() < n && ends.size() == subs.size()) {
+      Reader& sub = subs.emplace_back(text);
+      sub.line_no_ = line_no;
+      sub.started_ = started_;
+      for (bool closed = false; !closed && !text.empty(); ++line_no) {
+        const std::size_t len = std::min(text.find('\n'), text.size());
+        closed = text.substr(0, len) == close;
+        text.remove_prefix(std::min(len + 1, text.size()));
+        if (closed) ends.push_back(text.data());
+      }
+    }
+  }
+  maybe_parallel_for(parallel, subs.size(),
+                     [&](std::size_t i) { read(subs[i], i); });
+  // Take the blocks over in order. A block that read cleanly ends at its
+  // close line unless its records accept that line; should one do so, the
+  // next block's start is not where this Reader stands, and the blocks from
+  // there on read again in place.
+  std::size_t i = 0;
+  while (i < subs.size()) {
+    const bool next_starts_here = i < ends.size() && !subs[i].held_ &&
+                                  subs[i].text_.data() == ends[i];
+    *this = std::move(subs[i++]);
+    rest_ = {};  // it viewed the moved line
+    if (!ok() || !next_starts_here) break;
+  }
+  for (; i < n && ok(); ++i) read(*this, i);
 }
 
 void Reader::footer(std::string_view what) {

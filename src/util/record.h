@@ -18,12 +18,20 @@
 // the end), kVersion (known magic, other version), kTruncated (input ends
 // where a line is due, or an object lacks a key). Callers add the semantic
 // errors they own (kMismatch, kCorrupt) through fail().
+//
+// A Reader of a string can hand a run of blocks to sub-readers (blocks()):
+// each reads the text from its block's start to the end, numbering lines on
+// from where its block starts, so a block reads there exactly as it would in
+// place. Once blocks 0..i-1 have read cleanly, each ending at its `# end`
+// line, block i starts where the one Reader would have, and its error, line
+// number included, is the one Reader's.
 #pragma once
 
 #include <algorithm>
 #include <charconv>
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <iosfwd>
 #include <span>
@@ -163,6 +171,16 @@ class Reader {
 
   /// Reads `# end <what>`.
   void end(std::string_view what);
+  /// Reads `n` blocks in a row, each closed by a `# end <what>` line, as
+  /// `read(block, i)` for block i: the outcome is that of calling
+  /// read(*this, i) for i = 0..n-1, but each block found in the text gets a
+  /// sub-reader of its own (see the top of this file), and they run on the
+  /// thread pool when `parallel`, so `read` must write only block i's
+  /// results. Afterwards this Reader stands after the last block, or holds
+  /// the error of the first block that failed. A Reader of a stream reads
+  /// every block in place.
+  void blocks(std::string_view what, std::size_t n, bool parallel,
+              const std::function<void(Reader&, std::size_t)>& read);
   /// Reads to the end; the last line must be `# end <what>` (kTruncated).
   void footer(std::string_view what);
   /// Fails unless nothing but blank lines remains.

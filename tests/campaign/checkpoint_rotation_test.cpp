@@ -149,6 +149,34 @@ TEST_F(CheckpointRotationTest, CorruptHeadResumesFromPrevBitIdentical) {
   }
 }
 
+TEST_F(CheckpointRotationTest, PrevHoldsTheGenerationBeforeTheHead) {
+  // Neither the stop path nor the end of a run writes the head again, so
+  // .prev keeps the generation before it.
+  const std::string ref_dir = (base_ / "ref").string();
+  const std::string dir = (base_ / "out").string();
+  run_reference_and_interrupted(ref_dir, dir);
+  EXPECT_NE(slurp(head(dir)), slurp(head(dir) + ".prev"));
+  const std::string ref_head = slurp(head(ref_dir));
+  const std::string ref_prev = slurp(head(ref_dir) + ".prev");
+  EXPECT_NE(ref_head, ref_prev);
+
+  // A finished campaign resumed from its head writes no checkpoint.
+  {
+    CampaignConfig cfg = tiny_campaign(ref_dir);
+    cfg.resume_dir(ref_dir);
+    Campaign c(cfg);
+    ASSERT_TRUE(c.resumed());
+    EXPECT_FALSE(c.run().interrupted);
+  }
+  EXPECT_EQ(slurp(head(ref_dir)), ref_head);
+  EXPECT_EQ(slurp(head(ref_dir) + ".prev"), ref_prev);
+
+  // The interrupted one resumes to the reference, and finishes the same
+  // way.
+  resume_and_expect_reference(dir, ref_dir, /*expect_resumed=*/true);
+  EXPECT_NE(slurp(head(dir)), slurp(head(dir) + ".prev"));
+}
+
 TEST_F(CheckpointRotationTest, BothSnapshotsCorruptDegradesToFresh) {
   const std::string ref_dir = (base_ / "ref").string();
   const std::string dir = (base_ / "out").string();

@@ -10,6 +10,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/report.h"
 
@@ -40,6 +42,16 @@ CampaignConfig tiny_campaign(const std::string& dir) {
       .winners(3)
       .output_dir(dir)
       .checkpoint_every(1);
+  return cfg;
+}
+
+/// tiny_campaign with four islands of four per cell.
+CampaignConfig four_island_campaign(const std::string& dir) {
+  fuzz::GaConfig ga = tiny_ga();
+  ga.population = 16;
+  ga.islands = 4;
+  CampaignConfig cfg = tiny_campaign(dir);
+  cfg.ga(ga);
   return cfg;
 }
 
@@ -203,6 +215,74 @@ TEST_F(CheckpointTest, MismatchedCellConfigurationDegradesToFreshStart) {
   cfg.ccas({"bbr", "cubic"}).base_scenario(sc);
   Campaign c(cfg);
   EXPECT_FALSE(c.resumed());
+}
+
+/// Leaves the checkpoint of four_island_campaign(dir) stopped after three
+/// generation events (mid-run: bred, unevaluated children) in `dir`.
+void checkpoint_mid_run(const std::string& dir) {
+  Campaign c(four_island_campaign(dir));
+  StopAfterObserver stopper(3);
+  c.add_observer(&stopper);
+  ASSERT_TRUE(c.run().interrupted);
+  reset_stop_flag();
+}
+
+TEST_F(CheckpointTest, ParallelAndSerialRestoresRewriteTheSameBytes) {
+  const std::string dir = (base_ / "out").string();
+  checkpoint_mid_run(dir);
+  std::string rewritten[2];
+  for (const bool parallel : {false, true}) {
+    // Resumed into another directory with the stop flag up, the campaign
+    // writes the state it restored there and stops.
+    const std::string out = (base_ / (parallel ? "par" : "ser")).string();
+    CampaignConfig cfg = four_island_campaign(out);
+    cfg.resume_dir(dir).parallel(parallel);
+    Campaign c(cfg);
+    ASSERT_TRUE(c.resumed());
+    request_stop();
+    EXPECT_TRUE(c.run().interrupted);
+    reset_stop_flag();
+    rewritten[parallel] = slurp(fs::path(out) / "checkpoint" / "campaign.ckpt");
+  }
+  ASSERT_FALSE(rewritten[0].empty());
+  EXPECT_EQ(rewritten[1], rewritten[0]);
+}
+
+TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
+  const std::string dir = (base_ / "out").string();
+  checkpoint_mid_run(dir);
+  const fs::path head = fs::path(dir) / "checkpoint" / "campaign.ckpt";
+  fs::remove(head.string() + ".prev");
+  const std::string ckpt = slurp(head);
+  // Island 2 of the second cell.
+  const std::size_t island = ckpt.find("# island 2 ", ckpt.find("# cell 1\n"));
+  const std::size_t close = ckpt.find("# end island\n", island);
+  ASSERT_NE(close, std::string::npos);
+  std::string flipped = ckpt;
+  flipped[close + 3] = static_cast<char>(flipped[close + 3] ^ 0x01);
+  std::string doubled = ckpt;
+  doubled.insert(close, "# end island\n");
+  for (const auto& [what, bytes] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"truncated",
+            ckpt.substr(0, ckpt.find('\n', (island + close) / 2) + 1)},
+           {"flipped", flipped},
+           {"doubled", doubled}}) {
+    SCOPED_TRACE(what);
+    std::string warning[2];
+    for (const bool parallel : {false, true}) {
+      std::ofstream(head, std::ios::binary | std::ios::trunc) << bytes;
+      CampaignConfig cfg = four_island_campaign(dir);
+      cfg.resume_dir(dir).parallel(parallel);
+      ::testing::internal::CaptureStderr();
+      const bool resumed = Campaign(cfg).resumed();
+      warning[parallel] = ::testing::internal::GetCapturedStderr();
+      EXPECT_FALSE(resumed);
+    }
+    EXPECT_NE(warning[0].find("unusable"), std::string::npos) << warning[0];
+    EXPECT_NE(warning[0].find("line "), std::string::npos) << warning[0];
+    EXPECT_EQ(warning[1], warning[0]);
+  }
 }
 
 TEST_F(CheckpointTest, NoCheckpointWrittenWhenDisabled) {

@@ -8,7 +8,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "campaign/report.h"
 #include "faultinject/fault_plan.h"
 #include "fuzz/elite_archive.h"
 #include "trace/trace_io.h"
@@ -157,6 +159,42 @@ TEST_F(FaultFsTest, ArchiveSaveFileThrowsOnAFailedWriteAndLeavesNoFile) {
     EXPECT_THROW(fuzz::EliteArchive().save_file(target_), std::runtime_error);
     faultinject::disarm();
     EXPECT_FALSE(fs::exists(target_));
+  }
+}
+
+// write_report writes summary.csv, summary.json and each cell's history.csv
+// whole or not at all.
+TEST_F(FaultFsTest, WriteReportThrowsOnAFailedWriteAndLeavesNoPartialFile) {
+  campaign::CampaignReport report;
+  campaign::CellResult& cell = report.cells.emplace_back();
+  cell.cell.name = "reno.traffic.low-utilization";
+  cell.cell.cca = "reno";
+  for (int g = 0; g < 3; ++g) {
+    fuzz::GenStats& gs = cell.history.emplace_back();
+    gs.generation = g;
+    gs.best_score = 0.25 * g;
+  }
+  const fs::path dir = base_ / "report";
+  campaign::write_report(report, dir.string());
+  const std::vector<std::string> files = {
+      "summary.csv", "summary.json", "reno.traffic.low-utilization/history.csv"};
+  std::vector<std::string> whole;
+  for (const std::string& f : files) whole.push_back(slurp(dir / f));
+
+  for (const char* site : {"enospc", "short_write"}) {
+    for (std::size_t k = 0; k < files.size(); ++k) {
+      const std::string spec = site + ("@" + std::to_string(k + 1));
+      SCOPED_TRACE(spec);
+      fs::remove_all(dir);
+      arm_spec(spec);
+      EXPECT_THROW(campaign::write_report(report, dir.string()),
+                   std::runtime_error);
+      faultinject::disarm();
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(slurp(dir / files[j]), whole[j]) << files[j];
+      }
+      EXPECT_FALSE(fs::exists(dir / files[k])) << files[k];
+    }
   }
 }
 

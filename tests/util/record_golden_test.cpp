@@ -89,17 +89,20 @@ TEST(RecordGolden, SamplesRoundTripByteIdentically) {
             }),
             archive);
 
-  // A finished campaign resumed from its checkpoint rewrites it on exit.
+  // A finished campaign resumed from its checkpoint writes it on exit, into
+  // an output directory other than the one it resumed from (it does not
+  // rewrite the head it was restored from).
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ccfuzz_record_round_trip")
           .string();
   const std::string checkpoint = record_samples::checkpoint_bytes(dir);
-  campaign::CampaignConfig cfg = record_samples::checkpoint_campaign(dir);
+  campaign::CampaignConfig cfg =
+      record_samples::checkpoint_campaign(dir + "/resumed");
   campaign::Campaign resumed(cfg.resume_dir(dir));
   ASSERT_TRUE(resumed.resumed());
   resumed.run();
-  EXPECT_EQ(with_sorted_cache(
-                record_samples::slurp(dir + "/checkpoint/campaign.ckpt")),
+  EXPECT_EQ(with_sorted_cache(record_samples::slurp(
+                dir + "/resumed/checkpoint/campaign.ckpt")),
             with_sorted_cache(checkpoint));
   std::filesystem::remove_all(dir);
 }
@@ -137,12 +140,14 @@ TEST(RecordGolden, PaperScaleCheckpointIsPinned) {
   const std::string checkpoint = record_samples::slurp(path);
   EXPECT_EQ(fingerprint(checkpoint), "20503ff1780fba63 1065465");
 
-  // Restored and written back on exit, it is the same checkpoint.
-  campaign::CampaignConfig cfg = paper_scale_campaign(dir);
+  // Restored and written back on exit (into another directory), it is the
+  // same checkpoint.
+  campaign::CampaignConfig cfg = paper_scale_campaign(dir + "/resumed");
   campaign::Campaign resumed(cfg.resume_dir(dir));
   ASSERT_TRUE(resumed.resumed());
   resumed.run();
-  EXPECT_EQ(with_sorted_cache(record_samples::slurp(path)),
+  EXPECT_EQ(with_sorted_cache(
+                record_samples::slurp(dir + "/resumed/checkpoint/campaign.ckpt")),
             with_sorted_cache(checkpoint));
   std::filesystem::remove_all(dir);
 }
