@@ -141,8 +141,9 @@ class CampaignConfig {
     return *this;
   }
   /// Run the GA on the global thread pool (on by default): evaluation,
-  /// cache keying, initial-population generation and breeding. Reports and
-  /// checkpoints are byte-identical either way.
+  /// cache keying, initial-population generation, breeding, and the parse
+  /// of a restored checkpoint's islands. Reports, checkpoints and restore
+  /// errors are byte-identical either way.
   CampaignConfig& parallel(bool on) {
     parallel_ = on;
     return *this;

@@ -13,9 +13,10 @@
 // note_external_evaluations(), and calls advance_generation(). The driver
 // owns the generation budget, patience stop and final evaluation pass.
 //
-// With `parallel`, initial-population generation and breeding run on the
-// global thread pool. Each island owns its RNG stream and writes only its
-// own members, so the results are bit-identical to a serial run.
+// With `parallel`, initial-population generation, breeding and the parse of
+// a restored state's islands run on the global thread pool. Each island owns
+// its RNG stream and writes only its own members, so the results are
+// bit-identical to a serial run.
 // Statistics, archive inserts and migration stay serial.
 #pragma once
 
