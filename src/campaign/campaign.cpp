@@ -589,11 +589,12 @@ Campaign::Campaign(const CampaignConfig& cfg)
       // drop them before the next candidate (or the fresh start).
       cache_.clear();
       cells_.clear();
+      const bool prev_next =
+          ckpt == head && std::filesystem::exists(head + ".prev");
       CCFUZZ_LOG_WARN("checkpoint %s unusable (%s: %s); %s", ckpt.c_str(),
                       to_string(e.code), e.message.c_str(),
-                      ckpt == head
-                          ? "falling back to the previous snapshot"
-                          : "starting the campaign fresh");
+                      prev_next ? "falling back to the previous snapshot"
+                                : "starting the campaign fresh");
     }
   }
   if (!resumed_) build_cells();
@@ -809,11 +810,31 @@ void Campaign::write_checkpoint() {
                     output_dir_.c_str(), ec.message().c_str());
     return;
   }
-  // A checkpoint grows a little each generation (the cache only grows):
-  // reserving half again the last one's size lets the buffer fill in place.
-  // Untouched reserved pages are not resident.
-  record::Writer w;
-  w.reserve(checkpoint_bytes_ + checkpoint_bytes_ / 2);
+  const std::string path = output_dir_ + "/checkpoint/campaign.ckpt";
+  // The checkpoint streams to campaign.ckpt.tmp in chunks of about
+  // record::Writer::kSpillBytes as it is formatted, however large it grows.
+  AtomicFile file(path);
+  record::Writer w([&file](std::string_view bytes) { file.append(bytes); });
+  save_checkpoint(w);
+  w.flush();
+  // Rotating publish: the previous snapshot survives as campaign.ckpt.prev,
+  // so a corrupted head (bad sector, fsync lie) degrades to the previous
+  // generation instead of a fresh start. A failed write (ENOSPC et al) is a
+  // warning, not an abort: the campaign keeps running on the old snapshot.
+  if (Error e = file.publish_rotating()) {
+    CCFUZZ_LOG_WARN("checkpoint: write failed (%s): %s", to_string(e.code),
+                    e.message.c_str());
+    return;
+  }
+  head_is_current_ = true;
+  if (faultinject::should_fire(faultinject::FaultSite::kCrashCheckpoint)) {
+    // The checkpoint is complete and durable; dying here is exactly the
+    // power-cut-at-the-boundary case the resume machinery must absorb.
+    faultinject::crash_now(faultinject::FaultSite::kCrashCheckpoint);
+  }
+}
+
+void Campaign::save_checkpoint(record::Writer& w) const {
   w << "# ccfuzz-checkpoint v1\n";
   w << "# cells " << cells_.size() << '\n';
   for (std::size_t i = 0; i < cells_.size(); ++i) {
@@ -838,23 +859,6 @@ void Campaign::write_checkpoint() {
     fuzz::state_io::write_eval(w, eval);
   }
   w << "# end checkpoint\n";
-  checkpoint_bytes_ = w.str().size();
-  const std::string path = output_dir_ + "/checkpoint/campaign.ckpt";
-  // Rotating write: the previous snapshot survives as campaign.ckpt.prev,
-  // so a corrupted head (bad sector, fsync lie) degrades to the previous
-  // generation instead of a fresh start. A failed write (ENOSPC et al) is a
-  // warning, not an abort: the campaign keeps running on the old snapshot.
-  if (Error e = write_file_rotating(path, w.str())) {
-    CCFUZZ_LOG_WARN("checkpoint: write failed (%s): %s", to_string(e.code),
-                    e.message.c_str());
-    return;
-  }
-  head_is_current_ = true;
-  if (faultinject::should_fire(faultinject::FaultSite::kCrashCheckpoint)) {
-    // The checkpoint is complete and durable; dying here is exactly the
-    // power-cut-at-the-boundary case the resume machinery must absorb.
-    faultinject::crash_now(faultinject::FaultSite::kCrashCheckpoint);
-  }
 }
 
 Error validate_checkpoint_file(const std::string& path) {
@@ -867,11 +871,13 @@ Error validate_checkpoint_file(const std::string& path) {
 }
 
 Error Campaign::restore_checkpoint(const std::string& path) {
-  // One read; the cells are then built from the text, each fuzzer parsing
-  // its islands on the pool (Fuzzer::restore_state).
-  Result<std::string> text = read_file(path);
-  if (!text) return Error::io("cannot open checkpoint: " + path);
-  record::Reader r(*text);
+  // Mapped, not read into a string: the cells are built from the text in
+  // place, each fuzzer parsing its islands on the pool
+  // (Fuzzer::restore_state). Checkpoints are only ever replaced by rename,
+  // never truncated in place, so the mapped bytes stay valid throughout.
+  Result<MappedFile> file = MappedFile::open(path);
+  if (!file) return Error::io("cannot open checkpoint: " + path);
+  record::Reader r(file->text());
   std::size_t n_cells = 0, n_cache = 0;
   r.header("ccfuzz-checkpoint", "v1");
   r.read("cells", n_cells);

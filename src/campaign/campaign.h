@@ -428,6 +428,10 @@ class Campaign {
   /// True when this campaign restored mid-run state from a checkpoint.
   bool resumed() const { return resumed_; }
 
+  /// Writes a checkpoint of the current state to `w`: the bytes a
+  /// checkpoint taken now would publish.
+  void save_checkpoint(record::Writer& w) const;
+
   /// The quarantine recorder for NaN/inf-scoring genomes — present when an
   /// output_dir is configured (writes to `<output_dir>/quarantine/`).
   const std::shared_ptr<fuzz::Quarantine>& quarantine() const {
@@ -460,8 +464,6 @@ class Campaign {
   CampaignReport report_;
   std::string output_dir_;
   int checkpoint_every_ = 0;
-  /// Size of the last checkpoint written, to size the next one's buffer.
-  std::size_t checkpoint_bytes_ = 0;
   /// The checkpoint head on disk holds the current state: written, or
   /// restored from, since the last lockstep generation.
   bool head_is_current_ = false;

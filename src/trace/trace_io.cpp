@@ -38,21 +38,30 @@ bool is_comment(std::string_view line) {
 
 /// The records after the magic: kind, duration, then one stamp per line up
 /// to the enclosing block's `# end` line (left for the caller) or the end
-/// of the stream.
+/// of the stream. A negative duration, or a stamp before the one above it
+/// or outside [0, duration), is kCorrupt at its line: a line cut short
+/// mid-number reads as a smaller stamp, and fails there.
 Result<Trace> read_body(record::Reader& r) {
   Trace t;
   std::size_t kind = 0;
   std::int64_t ns = 0;
   r.expect("kind").one_of({"traffic", "link"}, kind).done();
   r.read("duration_ns", ns);
+  if (ns < 0) r.fail(Error::corrupt(r.at() + "trace: negative duration"));
   t.kind = kind == 0 ? TraceKind::kTraffic : TraceKind::kLink;
   t.duration = TimeNs(ns);
+  std::int64_t last = 0;
   for (std::string_view line; r.peek(line) && record::tag_of(line) != "end";) {
-    if ((r.bare() >> ns).done()) t.stamps.emplace_back(ns);
-  }
-  if (r.ok() && (t.duration < TimeNs::zero() || !t.well_formed())) {
-    r.fail(Error::corrupt(
-        "trace: negative duration, or stamps not sorted within [0, duration)"));
+    if (!(r.bare() >> ns).done()) break;
+    const bool outside = ns < 0 || ns >= t.duration.ns();
+    if (outside || ns < last) {
+      r.fail(Error::corrupt(r.at() + "trace: stamp " + std::to_string(ns) +
+                            (outside ? " outside [0, duration)"
+                                     : " before the stamp above it")));
+      break;
+    }
+    t.stamps.emplace_back(ns);
+    last = ns;
   }
   if (!r.ok()) return r.error();
   return t;

@@ -32,7 +32,8 @@ void save_trace(const std::string& path, const Trace& t);
 /// Parses a trace file from `is` without throwing. Error codes: kVersion for
 /// a `# ccfuzz-trace` magic naming an unsupported version, kParse for
 /// syntactically mangled lines, kTruncated for a missing header, kCorrupt
-/// for stamps outside [0, duration) or out of order. The magic is optional
+/// (`line N:`) for a negative duration or the first stamp outside
+/// [0, duration) or below the one above it. The magic is optional
 /// (a file may open with `# kind`); after the first line, `#` lines that are
 /// not trace records are comments.
 Result<Trace> try_read_trace(std::istream& is);

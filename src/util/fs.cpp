@@ -1,6 +1,7 @@
 #include "util/fs.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/statvfs.h>
 #include <unistd.h>
@@ -8,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "faultinject/fault_plan.h"
 
@@ -20,95 +22,105 @@ Error write_errno_error(const std::string& what, int err) {
   return err == ENOSPC ? Error::no_space(msg) : Error::io(msg);
 }
 
-/// Writes `body` into `tmp` (created/truncated), fsyncs when asked, closes.
-/// On failure the tmp file is left behind exactly as a real crash would
-/// leave it — callers only ever publish via rename, so a torn tmp is inert.
-Error write_tmp_file(const std::string& tmp, const std::string& body,
-                     bool sync) {
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return write_errno_error("cannot open " + tmp, errno);
-  }
-  if (faultinject::should_fire(faultinject::FaultSite::kNoSpace)) {
-    ::close(fd);
-    return Error::no_space("fault injection: ENOSPC writing " + tmp);
-  }
-  if (faultinject::should_fire(faultinject::FaultSite::kShortWrite)) {
-    // A short write persists a prefix, then fails — the torn tmp stays on
-    // disk like a crash artifact; the target must remain untouched.
-    const std::size_t half = body.size() / 2;
-    ssize_t ignored = ::write(fd, body.data(), half);
-    (void)ignored;
-    ::close(fd);
-    return Error::io("fault injection: short write on " + tmp);
-  }
-  const char* p = body.data();
-  std::size_t left = body.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Error e = write_errno_error("write failed for " + tmp, errno);
-      ::close(fd);
-      return e;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  if (sync) {
-    if (faultinject::should_fire(faultinject::FaultSite::kFsyncFail)) {
-      ::close(fd);
-      return Error::io("fault injection: fsync failed for " + tmp);
-    }
-    if (::fsync(fd) != 0) {
-      const Error e = write_errno_error("fsync failed for " + tmp, errno);
-      ::close(fd);
-      return e;
-    }
-  }
-  if (::close(fd) != 0) {
-    return write_errno_error("close failed for " + tmp, errno);
-  }
-  return Error::success();
-}
-
-/// The publish step: rename tmp into place (fault-injectable).
-Error rename_into_place(const std::string& tmp, const std::string& path) {
-  if (faultinject::should_fire(faultinject::FaultSite::kRenameFail)) {
-    return Error::io("fault injection: rename " + tmp + " -> " + path);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return write_errno_error("rename " + tmp + " -> " + path, errno);
-  }
-  return Error::success();
-}
-
 }  // namespace
 
-Error write_file_atomic(const std::string& path, const std::string& body,
-                        bool sync) {
-  const std::string tmp = path + ".tmp";
-  if (Error e = write_tmp_file(tmp, body, sync)) return e;
-  return rename_into_place(tmp, path);
-}
-
-Error write_file_rotating(const std::string& path, const std::string& body,
-                          bool sync) {
-  const std::string tmp = path + ".tmp";
-  if (Error e = write_tmp_file(tmp, body, sync)) return e;
-  // Demote the current head to .prev before landing the new one. A failure
-  // here (cross-device weirdness, permissions) costs the fallback, not the
-  // checkpoint — proceed and land the head anyway. ENOENT (first write) is
-  // the normal case, not a failure.
-  const std::string prev = path + ".prev";
-  if (std::rename(path.c_str(), prev.c_str()) != 0 && errno != ENOENT) {
-    // Deliberately not fault-injected: the injectable publish step below is
-    // the one whose failure semantics matter (head intact, typed error).
+AtomicFile::AtomicFile(std::string path, bool sync)
+    : path_(std::move(path)), tmp_(path_ + ".tmp"), sync_(sync) {
+  fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd_ < 0) {
+    fail(write_errno_error("cannot open " + tmp_, errno));
+  } else if (faultinject::should_fire(faultinject::FaultSite::kNoSpace)) {
+    fail(Error::no_space("fault injection: ENOSPC writing " + tmp_));
+  } else {
+    short_write_ =
+        faultinject::should_fire(faultinject::FaultSite::kShortWrite);
   }
-  return rename_into_place(tmp, path);
 }
 
-Result<std::string> read_file(const std::string& path) {
+AtomicFile::~AtomicFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void AtomicFile::fail(Error e) {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  if (error_.ok()) error_ = std::move(e);
+}
+
+void AtomicFile::append(std::string_view bytes) {
+  if (!error_.ok()) return;
+  if (short_write_) {
+    // A short write persists a prefix, then fails — the torn tmp stays on
+    // disk like a crash artifact; the target must remain untouched.
+    ssize_t ignored = ::write(fd_, bytes.data(), bytes.size() / 2);
+    (void)ignored;
+    fail(Error::io("fault injection: short write on " + tmp_));
+    return;
+  }
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail(write_errno_error("write failed for " + tmp_, errno));
+      return;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
+Error AtomicFile::publish() { return finish(false); }
+
+Error AtomicFile::publish_rotating() { return finish(true); }
+
+Error AtomicFile::finish(bool rotate) {
+  if (short_write_) append({});  // an empty file's short write
+  if (error_.ok() && sync_) {
+    if (faultinject::should_fire(faultinject::FaultSite::kFsyncFail)) {
+      fail(Error::io("fault injection: fsync failed for " + tmp_));
+    } else if (::fsync(fd_) != 0) {
+      fail(write_errno_error("fsync failed for " + tmp_, errno));
+    }
+  }
+  if (!error_.ok()) return error_;
+  const int fd = fd_;
+  fd_ = -1;
+  if (::close(fd) != 0) {
+    return write_errno_error("close failed for " + tmp_, errno);
+  }
+  // The injected failure of the publish step strikes before the rotation,
+  // so the head and .prev stay as they were.
+  if (faultinject::should_fire(faultinject::FaultSite::kRenameFail)) {
+    return Error::io("fault injection: rename " + tmp_ + " -> " + path_);
+  }
+  if (rotate) {
+    // Demote the current head to .prev before landing the new one. A
+    // failure here (cross-device weirdness, permissions) costs the
+    // fallback, not the checkpoint — proceed and land the head anyway.
+    // ENOENT (first write) is the normal case, not a failure.
+    const std::string prev = path_ + ".prev";
+    (void)std::rename(path_.c_str(), prev.c_str());
+  }
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    return write_errno_error("rename " + tmp_ + " -> " + path_, errno);
+  }
+  return Error::success();
+}
+
+Error write_file_atomic(const std::string& path, std::string_view body,
+                        bool sync) {
+  AtomicFile f(path, sync);
+  f.append(body);
+  return f.publish();
+}
+
+Error write_file_rotating(const std::string& path, std::string_view body,
+                          bool sync) {
+  AtomicFile f(path, sync);
+  f.append(body);
+  return f.publish_rotating();
+}
+
+Result<MappedFile> MappedFile::open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Error::io("cannot open " + path + ": " + std::strerror(errno));
@@ -119,22 +131,23 @@ Result<std::string> read_file(const std::string& path) {
     ::close(fd);
     return e;
   }
-  std::string body(static_cast<std::size_t>(st.st_size), '\0');
-  std::size_t got = 0;
-  while (got < body.size()) {
-    const ssize_t n = ::read(fd, body.data() + got, body.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const Error e = Error::io("read " + path + ": " + std::strerror(errno));
-      ::close(fd);
-      return e;
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
+  const auto size = static_cast<std::size_t>(st.st_size);
+  // An empty file has nothing to map (mmap rejects a zero length).
+  void* data = size == 0 ? nullptr
+                         : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // the mapping holds the file
+  if (data == MAP_FAILED) {
+    return Error::io("mmap " + path + ": " + std::strerror(errno));
   }
-  ::close(fd);
-  body.resize(got);
-  return body;
+  return MappedFile(static_cast<const char*>(data), size);
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
 }
 
 Result<std::uint64_t> free_bytes(const std::string& path) {

@@ -1,5 +1,7 @@
 #include "util/record.h"
 
+#include <array>
+#include <cstring>
 #include <istream>
 
 #include "campaign/report.h"
@@ -21,21 +23,65 @@ void append_chars(std::string& out, Args... args) {
   out.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, args...).ptr);
 }
 
+/// "00" "01" … "99": two decimal digits per lookup.
+constexpr auto kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// Writes `v` in decimal so that it ends at `end`; returns its first digit.
+char* decimal_before(char* end, std::uint64_t v) {
+  for (; v >= 100; v /= 100) {
+    end -= 2;
+    std::memcpy(end, &kDigitPairs[2 * (v % 100)], 2);
+  }
+  if (v >= 10) {
+    end -= 2;
+    std::memcpy(end, &kDigitPairs[2 * v], 2);
+  } else {
+    *--end = static_cast<char>('0' + v);
+  }
+  return end;
+}
+
 }  // namespace
 
+Writer::Writer(Sink sink, std::size_t spill_at)
+    : sink_(std::move(sink)), spill_at_(spill_at) {
+  // The bound and one append past it fit, so the buffer does not move.
+  buf_.reserve(2 * spill_at_);
+}
+
+void Writer::flush() {
+  if (buf_.empty() || !sink_) return;
+  sink_(buf_);
+  buf_.clear();
+}
+
 Writer& Writer::integer(std::int64_t v) {
-  append_chars(buf_, v);
-  return *this;
+  // 19 digits and a sign. The magnitude of INT64_MIN is an unsigned value.
+  char tmp[20];
+  const auto magnitude = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                               : static_cast<std::uint64_t>(v);
+  char* first = decimal_before(tmp + sizeof tmp, magnitude);
+  if (v < 0) *--first = '-';
+  buf_.append(first, tmp + sizeof tmp);
+  return spill();
 }
 
 Writer& Writer::integer(std::uint64_t v) {
-  append_chars(buf_, v);
-  return *this;
+  char tmp[20];
+  buf_.append(decimal_before(tmp + sizeof tmp, v), tmp + sizeof tmp);
+  return spill();
 }
 
 Writer& Writer::operator<<(double v) {
   append_chars(buf_, v, std::chars_format::general, 17);
-  return *this;
+  return spill();
 }
 
 Writer& Writer::hex(std::span<const std::uint64_t> words) {
@@ -43,7 +89,7 @@ Writer& Writer::hex(std::span<const std::uint64_t> words) {
     if (i != 0) buf_.push_back(' ');
     append_chars(buf_, words[i], 16);
   }
-  return *this;
+  return spill();
 }
 
 std::string_view tag_of(std::string_view line) {

@@ -2,14 +2,18 @@
 // checkpoint family. The checkpoint family (trace, member, fuzzer state,
 // elite archive, checkpoint) is records: `# <tag>` plus fields, each after
 // one space, opened by `# <magic> <version>`, a nested block closed by
-// `# end <what>`. A Writer builds such a file in one string, which goes to
-// disk in one write; doubles are written as %.17g, through std::to_chars,
-// and read back exactly. The JSON family (shard plan, shard summary, finding
-// manifest) is machine-written JSON, one key or inline object per line;
-// indentation is skipped, and a line ends in a comma exactly when another
-// item of its object or array follows. A shard summary's CSV twin is read as
-// RFC 4180 rows. Blank lines are skipped. One Reader is passed down the
-// nesting, so an embedded block parses in place.
+// `# end <what>`. A Writer builds such a file in one string or, given a
+// sink, in a buffer it hands to the sink each time it passes a fixed bound
+// (kSpillBytes), so a checkpoint streams to disk through about 1 MiB of
+// memory however large it is. Integers are written through a two-digit
+// table, byte for byte what std::to_chars writes; doubles as %.17g, through
+// std::to_chars, and read back exactly. The JSON family (shard plan, shard
+// summary, finding manifest) is machine-written JSON, one key or inline
+// object per line; indentation is skipped, and a line ends in a comma
+// exactly when another item of its object or array follows. A shard
+// summary's CSV twin is read as RFC 4180 rows. Blank lines are skipped. One
+// Reader is passed down the nesting, so an embedded block parses in place;
+// a checkpoint is read from its mapped file, not copied.
 //
 // Errors are sticky: the Reader keeps the first one and every later read is
 // a no-op, so a block reads as straight-line code checked once. Every
@@ -17,7 +21,8 @@
 // or key, wrong field count, unparsable or out-of-range field, content after
 // the end), kVersion (known magic, other version), kTruncated (input ends
 // where a line is due, or an object lacks a key). Callers add the semantic
-// errors they own (kMismatch, kCorrupt) through fail().
+// errors they own (kMismatch, kCorrupt) through fail(), at() naming the
+// line.
 //
 // A Reader of a string can hand a run of blocks to sub-readers (blocks()):
 // each reads the text from its block's start to the end, numbering lines on
@@ -45,27 +50,40 @@
 
 namespace ccfuzz::record {
 
-/// Builds one file of the checkpoint family in a string. `<<` appends text
-/// as it is, integers in decimal (bool as 0/1, uint8_t as a number, not a
-/// character) and doubles as %.17g, which round-trips every IEEE-754 value
-/// and is what parse_number() reads; hex() appends hex-word fields. No
-/// locale, no stream state: the bytes depend only on the values.
+/// Builds one file of the checkpoint family. `<<` appends text as it is,
+/// integers in decimal (bool as 0/1, uint8_t as a number, not a character)
+/// and doubles as %.17g, which round-trips every IEEE-754 value and is what
+/// parse_number() reads; hex() appends hex-word fields. No locale, no stream
+/// state: the bytes depend only on the values.
 class Writer {
  public:
+  /// Takes the bytes a spilling Writer hands over, in order.
+  using Sink = std::function<void(std::string_view)>;
+  /// A spilling Writer's bound.
+  static constexpr std::size_t kSpillBytes = std::size_t{1} << 20;
+
+  /// Builds the file in one string: str() is all of it.
+  Writer() = default;
+  /// Spills: once an append leaves `spill_at` bytes or more in the buffer,
+  /// they go to `sink` and the buffer empties, keeping its capacity, so it
+  /// never holds more than the bound plus one append. flush() hands over
+  /// the rest. Tests vary `spill_at`; the program writes at kSpillBytes.
+  explicit Writer(Sink sink, std::size_t spill_at = kSpillBytes);
+
   Writer& operator<<(std::string_view text) {
     buf_.append(text);
-    return *this;
+    return spill();
   }
   Writer& operator<<(char c) {
     buf_.push_back(c);
-    return *this;
+    return spill();
   }
   template <std::integral N>
     requires(!std::is_same_v<N, char>)
   Writer& operator<<(N v) {
     if constexpr (std::is_same_v<N, bool>) {
       buf_.push_back(v ? '1' : '0');
-      return *this;
+      return spill();
     } else if constexpr (std::is_signed_v<N>) {
       return integer(static_cast<std::int64_t>(v));
     } else {
@@ -76,18 +94,25 @@ class Writer {
   /// Appends `words` in lowercase hex, space-separated.
   Writer& hex(std::span<const std::uint64_t> words);
 
-  /// What has been written.
+  /// What has been written and not handed to the sink: all of it, without
+  /// one.
   const std::string& str() const { return buf_; }
-  /// Makes room for `bytes` in all, so a file of a known size grows in place.
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  /// Hands what is buffered to the sink, if there is one.
+  void flush();
 
  private:
-  // Out of line: a record writes dozens of numbers, and inlined to_chars
-  // would copy its digit loop into every write site.
+  Writer& spill() {
+    if (buf_.size() >= spill_at_) flush();
+    return *this;
+  }
+  // Out of line: a record writes dozens of numbers, and an inlined digit
+  // loop would be copied into every write site.
   Writer& integer(std::int64_t v);
   Writer& integer(std::uint64_t v);
 
   std::string buf_;
+  Sink sink_;
+  std::size_t spill_at_ = SIZE_MAX;  ///< never reached without a sink
 };
 
 /// Hex-word fields, one per word: `r >> Hex(array)`, `r >> Hex(&word, 1)`.
@@ -143,6 +168,8 @@ class Reader {
   void fail(Error e);
   /// Records kParse at the current line: a value out of its field's range.
   void fail_parse(const std::string& what);
+  /// `line <n>: `, the current line, for a caller's semantic error.
+  std::string at() const;
 
   /// Reads the `# <magic> <version>` line.
   void header(std::string_view magic, std::string_view version);
@@ -227,7 +254,6 @@ class Reader {
   void lit(std::string_view text);
   void string(std::string& out);
   std::string_view take();
-  std::string at() const;
   template <typename N>
   void number(N& out, int base = 10);
 

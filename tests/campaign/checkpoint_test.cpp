@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "campaign/report.h"
+#include "faultinject/fault_plan.h"
+#include "util/record.h"
 
 namespace ccfuzz::campaign {
 namespace {
@@ -258,6 +261,20 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
   const std::size_t island = ckpt.find("# island 2 ", ckpt.find("# cell 1\n"));
   const std::size_t close = ckpt.find("# end island\n", island);
   ASSERT_NE(close, std::string::npos);
+  // From the middle of the island on, the first stamp line below another,
+  // cut after its first digit: a smaller stamp than the one above it.
+  const auto is_stamp = [&](std::size_t at) {
+    const std::size_t end = ckpt.find('\n', at);
+    return end > at + 1 && std::all_of(ckpt.begin() + at, ckpt.begin() + end,
+                                       [](char c) { return c >= '0' && c <= '9'; });
+  };
+  std::size_t above = ckpt.find('\n', (island + close) / 2) + 1;
+  std::size_t stamp = ckpt.find('\n', above) + 1;
+  while (stamp < close && !(is_stamp(above) && is_stamp(stamp))) {
+    above = stamp;
+    stamp = ckpt.find('\n', stamp) + 1;
+  }
+  ASSERT_LT(stamp, close);
   std::string flipped = ckpt;
   flipped[close + 3] = static_cast<char>(flipped[close + 3] ^ 0x01);
   std::string doubled = ckpt;
@@ -266,6 +283,7 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
        std::vector<std::pair<std::string, std::string>>{
            {"truncated",
             ckpt.substr(0, ckpt.find('\n', (island + close) / 2) + 1)},
+           {"cut mid-line", ckpt.substr(0, stamp + 1)},
            {"flipped", flipped},
            {"doubled", doubled}}) {
     SCOPED_TRACE(what);
@@ -282,6 +300,136 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
     EXPECT_NE(warning[0].find("unusable"), std::string::npos) << warning[0];
     EXPECT_NE(warning[0].find("line "), std::string::npos) << warning[0];
     EXPECT_EQ(warning[1], warning[0]);
+  }
+}
+
+TEST_F(CheckpointTest, FallbackWarningNamesTheStepTaken) {
+  const std::string dir = (base_ / "out").string();
+  Campaign(tiny_campaign(dir)).run();
+  const fs::path head = fs::path(dir) / "checkpoint" / "campaign.ckpt";
+  const std::string prev = head.string() + ".prev";
+  ASSERT_TRUE(fs::exists(prev));
+  std::ofstream(head, std::ios::binary | std::ios::trunc) << "not a checkpoint\n";
+  for (const bool with_prev : {true, false}) {
+    SCOPED_TRACE(with_prev ? "with .prev" : "without .prev");
+    if (!with_prev) fs::remove(prev);
+    CampaignConfig cfg = tiny_campaign(dir);
+    cfg.resume_dir(dir);
+    ::testing::internal::CaptureStderr();
+    const bool resumed = Campaign(cfg).resumed();
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resumed, with_prev);
+    EXPECT_NE(warning.find("campaign.ckpt unusable"), std::string::npos)
+        << warning;
+    EXPECT_EQ(warning.find("falling back to the previous snapshot") !=
+                  std::string::npos,
+              with_prev)
+        << warning;
+    EXPECT_EQ(warning.find("starting the campaign fresh") != std::string::npos,
+              !with_prev)
+        << warning;
+  }
+}
+
+/// four_island_campaign with populations and traces large enough that each
+/// checkpoint passes record::Writer::kSpillBytes: it streams to disk in
+/// several chunks.
+CampaignConfig multi_chunk_campaign(const std::string& dir) {
+  fuzz::GaConfig ga = tiny_ga();
+  ga.population = 96;
+  ga.islands = 4;
+  ga.max_generations = 4;
+  CampaignConfig cfg = tiny_campaign(dir);
+  cfg.ga(ga).traffic_model({.max_packets = 1200, .initial_packets = 900});
+  return cfg;
+}
+
+/// Arms a fault plan on the first generation event of the third lockstep
+/// generation, whose checkpoint it fails, keeping the checkpoint files as
+/// they were; on the first event of the fourth it keeps them again.
+class FaultThirdCheckpoint final : public CampaignObserver {
+ public:
+  FaultThirdCheckpoint(std::string spec, fs::path head)
+      : spec_(std::move(spec)), head_(std::move(head)) {}
+  void on_generation(const CellConfig&, const fuzz::GenStats&) override {
+    ++events_;
+    if (events_ == 5) {
+      before_ = files();
+      Result<faultinject::FaultPlan> plan =
+          faultinject::FaultPlan::parse(spec_);
+      ASSERT_TRUE(plan) << plan.error().message;
+      faultinject::arm(std::move(*plan));
+    } else if (events_ == 7) {
+      after_ = files();
+    }
+  }
+  /// The head, .prev and .tmp ("" when absent).
+  std::vector<std::string> files() const {
+    std::vector<std::string> out;
+    for (const char* suffix : {"", ".prev", ".tmp"}) {
+      const fs::path p = head_.string() + suffix;
+      out.push_back(fs::exists(p) ? slurp(p) : "");
+    }
+    return out;
+  }
+
+  std::vector<std::string> before_, after_;
+
+ private:
+  std::string spec_;
+  fs::path head_;
+  int events_ = 0;
+};
+
+TEST_F(CheckpointTest, FaultedMultiChunkCheckpointKeepsBothSnapshots) {
+  for (const char* spec :
+       {"enospc@1", "short_write@1", "fsync@1", "rename@1"}) {
+    SCOPED_TRACE(spec);
+    faultinject::disarm();
+    const std::string dir = (base_ / "out").string();
+    fs::remove_all(dir);
+    const fs::path head = fs::path(dir) / "checkpoint" / "campaign.ckpt";
+    FaultThirdCheckpoint fault(spec, head);
+    Campaign c(multi_chunk_campaign(dir));
+    c.add_observer(&fault);
+    ::testing::internal::CaptureStderr();
+    const CampaignReport& report = c.run();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    faultinject::disarm();
+    ASSERT_EQ(fault.before_.size(), 3u);
+    ASSERT_EQ(fault.after_.size(), 3u);
+    const std::string& old_head = fault.before_[0];
+    EXPECT_GT(old_head.size(), record::Writer::kSpillBytes);
+    EXPECT_FALSE(fault.before_[1].empty());
+    // The failed checkpoint changed neither snapshot.
+    EXPECT_EQ(fault.after_[0], old_head);
+    EXPECT_EQ(fault.after_[1], fault.before_[1]);
+    // What it left in .tmp: nothing, a torn prefix, or the whole unpublished
+    // file.
+    const std::string& tmp = fault.after_[2];
+    const std::string spec_name = spec;
+    if (spec_name == "enospc@1") {
+      EXPECT_TRUE(tmp.empty());
+    } else if (spec_name == "short_write@1") {
+      EXPECT_TRUE(tmp.starts_with("# ccfuzz-checkpoint v1\n"));
+      EXPECT_LT(tmp.size(), record::Writer::kSpillBytes);
+      EXPECT_FALSE(tmp.ends_with("# end checkpoint\n"));
+    } else {
+      EXPECT_GT(tmp.size(), old_head.size());
+      EXPECT_TRUE(tmp.ends_with("# end checkpoint\n"));
+    }
+    // One warning, and the campaign ran on and checkpointed again.
+    std::size_t warnings = 0;
+    for (std::size_t at = log.find("checkpoint: write failed");
+         at != std::string::npos;
+         at = log.find("checkpoint: write failed", at + 1)) {
+      ++warnings;
+    }
+    EXPECT_EQ(warnings, 1u) << log;
+    EXPECT_FALSE(report.interrupted);
+    for (const auto& cell : report.cells) EXPECT_EQ(cell.history.size(), 4u);
+    EXPECT_FALSE(validate_checkpoint_file(head.string()));
+    EXPECT_NE(slurp(head), old_head);
   }
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace ccfuzz::trace {
 namespace {
@@ -135,11 +138,22 @@ TEST(TraceIoErrors, GarbageIsKParse) {
 }
 
 TEST(TraceIoErrors, MalformedTraceIsKCorrupt) {
-  std::stringstream unsorted(
-      "# kind link\n# duration_ns 1000000000\n500\n100\n");
-  EXPECT_EQ(try_read_trace(unsorted).error().code, Error::Code::kCorrupt);
-  std::stringstream outside("# kind link\n# duration_ns 1000\n2000\n");
-  EXPECT_EQ(try_read_trace(outside).error().code, Error::Code::kCorrupt);
+  // Each names the line of the first stamp (or duration) out of place; the
+  // cut one is a line cut short mid-number.
+  for (const auto& [text, line] : std::vector<std::pair<std::string, int>>{
+           {"# kind link\n# duration_ns 1000000000\n500\n100\n", 4},
+           {"# kind link\n# duration_ns 1000\n2000\n", 3},
+           {"# kind link\n# duration_ns 1000\n-1\n", 3},
+           {"# kind link\n# duration_ns -5\n", 2},
+           {"# kind link\n# duration_ns 1000000\n4700\n51200\n5", 5}}) {
+    std::stringstream is(text);
+    const Result<Trace> r = try_read_trace(is);
+    ASSERT_FALSE(r) << text;
+    EXPECT_EQ(r.error().code, Error::Code::kCorrupt) << text;
+    EXPECT_TRUE(r.error().message.starts_with(
+        "line " + std::to_string(line) + ": trace: "))
+        << r.error().message;
+  }
 }
 
 TEST(TraceIoErrors, MissingFileIsKIo) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "record_samples.h"
@@ -149,6 +151,78 @@ TEST(RecordGolden, PaperScaleCheckpointIsPinned) {
   EXPECT_EQ(with_sorted_cache(
                 record_samples::slurp(dir + "/resumed/checkpoint/campaign.ckpt")),
             with_sorted_cache(checkpoint));
+  std::filesystem::remove_all(dir);
+}
+
+/// The longest line of `bytes`, newline included: no writer of the family
+/// appends across a newline, so no one append is longer.
+std::size_t longest_line(const std::string& bytes) {
+  std::size_t longest = 0;
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t end = std::min(bytes.find('\n', at), bytes.size() - 1);
+    longest = std::max(longest, end + 1 - at);
+    at = end + 1;
+  }
+  return longest;
+}
+
+/// Each sample's writer, run on a Writer that spills at `bound`, hands its
+/// sink the in-memory bytes, in chunks that pass the bound by less than one
+/// append.
+void expect_spills_whole(const std::string& what,
+                         const std::function<void(record::Writer&)>& write) {
+  const std::string whole = record_samples::written(write);
+  const std::size_t append = longest_line(whole);
+  for (const std::size_t bound : {std::size_t{1}, std::size_t{4096},
+                                  record::Writer::kSpillBytes}) {
+    SCOPED_TRACE(what + " at " + std::to_string(bound));
+    std::string joined;
+    record::Writer w(
+        [&](std::string_view bytes) {
+          EXPECT_LT(bytes.size(), bound + append);
+          joined += bytes;
+        },
+        bound);
+    write(w);
+    w.flush();
+    EXPECT_EQ(joined, whole);
+  }
+}
+
+TEST(RecordGolden, SpillingWritersWriteTheInMemoryBytes) {
+  using namespace record_samples;
+  std::istringstream trace_in(trace_bytes());
+  const trace::Trace trace = trace::read_trace(trace_in);
+  expect_spills_whole("trace",
+                      [&](record::Writer& w) { trace::write_trace(w, trace); });
+  const fuzz::Fuzzer fuzzer = evaluated_fuzzer();
+  expect_spills_whole("member", [&](record::Writer& w) {
+    fuzz::state_io::write_member(w, fuzzer.best());
+  });
+  expect_spills_whole("fuzzer state",
+                      [&](record::Writer& w) { fuzzer.save_state(w); });
+  std::istringstream archive_in(archive_bytes());
+  const fuzz::EliteArchive archive = fuzz::EliteArchive::load(archive_in);
+  expect_spills_whole("archive",
+                      [&](record::Writer& w) { archive.save(w); });
+
+  // Each campaign's save_checkpoint() after its run writes the checkpoint
+  // it published last, a paper-scale one of more than kSpillBytes included.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "ccfuzz_record_spill")
+          .string();
+  for (const bool paper_scale : {false, true}) {
+    std::filesystem::remove_all(dir);
+    campaign::Campaign c(paper_scale ? paper_scale_campaign(dir)
+                                     : checkpoint_campaign(dir));
+    c.run();
+    const std::string published = slurp(dir + "/checkpoint/campaign.ckpt");
+    EXPECT_EQ(published.size() > record::Writer::kSpillBytes, paper_scale);
+    const auto save = [&](record::Writer& w) { c.save_checkpoint(w); };
+    EXPECT_EQ(written(save), published);
+    expect_spills_whole(paper_scale ? "paper-scale checkpoint" : "checkpoint",
+                        save);
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <iomanip>
 #include <limits>
@@ -83,24 +84,100 @@ TEST(RecordWriter, DoublesMatchTheStreamOnEdgeValues) {
   }
 }
 
+/// What std::to_chars writes for `v`, in base 10.
+template <typename N>
+std::string to_chars_of(N v) {
+  char buf[24];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 TEST(RecordWriter, IntegersMatchTheStream) {
+  // The Writer's two-digit kernel against std::to_chars and the stream, at
+  // every digit-length boundary, the 32-bit limits and the 64-bit ones.
   Oracle o;
   using I64 = std::numeric_limits<std::int64_t>;
-  for (const std::int64_t v : {I64::min(), I64::min() + 1, I64::max(),
-                               std::int64_t{0}, std::int64_t{-1},
-                               std::int64_t{1'000'000'000'000}}) {
+  using U64 = std::numeric_limits<std::uint64_t>;
+  std::vector<std::uint64_t> unsigned_edges = {
+      0, 1, 9, 10, 99, 100, 99'999'999, 100'000'000, 100'000'001,
+      (std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
+      (std::uint64_t{1} << 32) + 1, static_cast<std::uint64_t>(I64::max()),
+      static_cast<std::uint64_t>(I64::max()) + 1, U64::max() - 1, U64::max()};
+  for (std::uint64_t p = 10; p <= U64::max() / 10; p *= 10) {
+    for (const std::uint64_t v : {p - 1, p, p + 1, 10 * p - 1}) {
+      unsigned_edges.push_back(v);
+    }
+  }
+  for (const std::uint64_t u : unsigned_edges) {
+    EXPECT_EQ(o.writer(u), to_chars_of(u));
+    EXPECT_EQ(o.writer(u), o.stream(u));
+    if (u <= static_cast<std::uint64_t>(I64::max())) {
+      for (const std::int64_t v : {static_cast<std::int64_t>(u),
+                                   -static_cast<std::int64_t>(u)}) {
+        EXPECT_EQ(o.writer(v), to_chars_of(v));
+        EXPECT_EQ(o.writer(v), o.stream(v));
+      }
+    }
+  }
+  for (const std::int64_t v : {I64::min(), I64::min() + 1, I64::max()}) {
+    EXPECT_EQ(o.writer(v), to_chars_of(v));
     EXPECT_EQ(o.writer(v), o.stream(v));
   }
-  const std::uint64_t u64_max = std::numeric_limits<std::uint64_t>::max();
-  EXPECT_EQ(o.writer(u64_max), o.stream(u64_max));
   const int int_min = std::numeric_limits<int>::min();
   EXPECT_EQ(o.writer(int_min), o.stream(int_min));
   const std::size_t size = 1'234'567;
   EXPECT_EQ(o.writer(size), o.stream(size));
+  // Random values of every length: a random word shifted right 0..63 bits.
   std::mt19937_64 rng(11);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t u = rng() >> (rng() % 64);
+    const auto v = static_cast<std::int64_t>(rng());
+    ASSERT_EQ(o.writer(u), to_chars_of(u));
+    ASSERT_EQ(o.writer(v), to_chars_of(v));
+    ASSERT_EQ(o.writer(static_cast<std::int64_t>(u)),
+              to_chars_of(static_cast<std::int64_t>(u)));
+  }
   for (int i = 0; i < 10'000; ++i) {
     const auto v = static_cast<std::int64_t>(rng());
     ASSERT_EQ(o.writer(v), o.stream(v));
+  }
+}
+
+/// Formats a few records of every kind the checkpoint family writes.
+void write_records(Writer& w) {
+  const std::uint64_t words[] = {0, 0xdeadbeef, ~std::uint64_t{0}};
+  for (int i = 0; i < 200; ++i) {
+    w << "# stamp " << i * 1'000'003 << ' ' << -i << ' ' << (i % 2 == 0)
+      << ' ' << static_cast<std::uint8_t>(i) << ' ' << i * 0.1 << '\n';
+    w << "# words ";
+    w.hex(words) << '\n';
+  }
+}
+
+TEST(RecordWriter, SpillingWriterHandsOverTheSameBytesInBoundedChunks) {
+  Writer whole;
+  write_records(whole);
+  for (const std::size_t bound : {std::size_t{1}, std::size_t{64},
+                                  std::size_t{4096}, Writer::kSpillBytes}) {
+    SCOPED_TRACE(bound);
+    std::vector<std::string> chunks;
+    Writer w([&](std::string_view bytes) { chunks.emplace_back(bytes); },
+             bound);
+    write_records(w);
+    w.flush();
+    EXPECT_TRUE(w.str().empty());
+    w.flush();  // nothing left: no empty chunk
+    std::string joined;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      ASSERT_FALSE(chunks[i].empty());
+      // Every spill but the flush's reaches the bound, and passes it by
+      // less than one append: here at most the 27-byte hex field.
+      if (i + 1 < chunks.size()) {
+        EXPECT_GE(chunks[i].size(), bound);
+      }
+      EXPECT_LT(chunks[i].size(), bound + 27);
+      joined += chunks[i];
+    }
+    EXPECT_EQ(joined, whole.str());
   }
 }
 
