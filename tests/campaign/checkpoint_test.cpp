@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -265,8 +264,8 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
   // cut after its first digit: a smaller stamp than the one above it.
   const auto is_stamp = [&](std::size_t at) {
     const std::size_t end = ckpt.find('\n', at);
-    return end > at + 1 && std::all_of(ckpt.begin() + at, ckpt.begin() + end,
-                                       [](char c) { return c >= '0' && c <= '9'; });
+    return end > at + 1 &&
+           ckpt.find_first_not_of("0123456789", at) == end;
   };
   std::size_t above = ckpt.find('\n', (island + close) / 2) + 1;
   std::size_t stamp = ckpt.find('\n', above) + 1;
@@ -299,6 +298,11 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
     }
     EXPECT_NE(warning[0].find("unusable"), std::string::npos) << warning[0];
     EXPECT_NE(warning[0].find("line "), std::string::npos) << warning[0];
+    if (what == "cut mid-line") {
+      EXPECT_NE(warning[0].find("before the stamp above it"),
+                std::string::npos)
+          << warning[0];
+    }
     EXPECT_EQ(warning[1], warning[0]);
   }
 }
@@ -309,7 +313,8 @@ TEST_F(CheckpointTest, FallbackWarningNamesTheStepTaken) {
   const fs::path head = fs::path(dir) / "checkpoint" / "campaign.ckpt";
   const std::string prev = head.string() + ".prev";
   ASSERT_TRUE(fs::exists(prev));
-  std::ofstream(head, std::ios::binary | std::ios::trunc) << "not a checkpoint\n";
+  std::ofstream(head, std::ios::binary | std::ios::trunc)
+      << "not a checkpoint\n";
   for (const bool with_prev : {true, false}) {
     SCOPED_TRACE(with_prev ? "with .prev" : "without .prev");
     if (!with_prev) fs::remove(prev);

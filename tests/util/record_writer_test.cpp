@@ -1,7 +1,9 @@
 // record::Writer against std::ostringstream as the oracle: the checkpoint
 // family was written through streams at setprecision(17) (doubles) and
 // std::hex (hex words), and the Writer must give the same bytes for every
-// value, so files written before and after it stay byte-identical.
+// value, so files written before and after it stay byte-identical. Its
+// integer kernel is also checked against std::to_chars, and a Writer that
+// spills to a sink against one that keeps everything.
 #include "util/record.h"
 
 #include <gtest/gtest.h>
