@@ -6,7 +6,7 @@
 // timestamp, goodput inputs — yet the legacy observation path materialized
 // four O(packets) event vectors per run (net::BottleneckRecorder) and
 // re-scanned them per score. This sink is fed directly by the Dumbbell's
-// bottleneck egress callback and maintains those summaries incrementally, so
+// egress stage and maintains those summaries incrementally, so
 // scenario::RunResult can answer windowed_throughput / stalled / delay
 // percentile queries without any packet records. It is always on (the
 // per-packet cost is a few adds); ScenarioConfig::record_mode only controls
@@ -158,7 +158,7 @@ class StreamingMetrics {
   /// [start, duration).
   void set_flow_interval(std::size_t i, TimeNs start);
 
-  /// Feed from the bottleneck egress callback. Packets that are not CCA
+  /// Feed from the dumbbell's egress stage. Packets that are not CCA
   /// data, or whose flow index is out of range, are ignored.
   void on_egress(const net::Packet& p, TimeNs now, DurationNs queue_delay) {
     if (p.flow != net::FlowId::kCcaData || p.flow_index >= active_) return;

@@ -1,10 +1,11 @@
 // Cross-traffic injector for traffic fuzzing (paper §3.3).
 //
 // The fuzzer's traffic trace is a sequence of timestamps; at each timestamp
-// one cross-traffic packet is pushed into the bottleneck queue. Packets that
-// find the queue full are dropped and counted — the trace score uses both the
-// total injected and the drops to steer the GA toward minimal traffic
-// vectors (§3.4).
+// one cross-traffic packet is handed to the injector's sink, the dumbbell's
+// gateway, which offers it to the bottleneck queue. Packets that find the
+// queue full are dropped there and counted in the queue's per-kind stats —
+// the trace score uses both the total injected and the drops to steer the
+// GA toward minimal traffic vectors (§3.4).
 //
 // The injector is an event lane (sim::Lane): start() reserves one block of
 // FIFO seqs for the whole schedule — the seqs a loop of schedule_at() calls
@@ -16,28 +17,26 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "net/packet.h"
-#include "net/queue.h"
 #include "sim/simulator.h"
 #include "util/time.h"
 
 namespace ccfuzz::net {
 
-/// Injects one packet per trace timestamp into a queue.
+/// Emits one packet per trace timestamp into its sink.
 class CrossTrafficInjector final : private sim::Lane {
  public:
   /// `times` must be sorted ascending. Packets use `packet_bytes` frames and
   /// carry `flow_index` (the scenario assigns the aggregate the index after
   /// the last CCA flow) so recorder per-flow counters see a real flow id.
-  CrossTrafficInjector(sim::Simulator& sim, DropTailQueue& queue,
+  CrossTrafficInjector(sim::Simulator& sim, PacketSink& sink,
                        std::vector<TimeNs> times,
                        std::int32_t packet_bytes = kDefaultPacketBytes,
                        FlowIndex flow_index = 1)
-      : sim::Lane(sim.events()), sim_(sim), queue_(queue),
+      : sim::Lane(sim.events()), sim_(sim), sink_(sink),
         times_(std::move(times)), packet_bytes_(packet_bytes),
         flow_index_(flow_index) {}
 
@@ -55,25 +54,17 @@ class CrossTrafficInjector final : private sim::Lane {
 
   /// Rearms the injector for a fresh run with a new schedule, reusing the
   /// schedule storage's capacity. Simulator::reset must already have dropped
-  /// any pending injections; the observer callback is kept.
+  /// any pending injections.
   void reset(std::span<const TimeNs> times, std::int32_t packet_bytes,
              FlowIndex flow_index) {
     times_.assign(times.begin(), times.end());
     packet_bytes_ = packet_bytes;
     flow_index_ = flow_index;
     sent_ = 0;
-    dropped_ = 0;
   }
 
+  /// Packets handed to the sink so far, dropped ones included.
   std::int64_t packets_sent() const { return sent_; }
-  std::int64_t packets_dropped() const { return dropped_; }
-  std::int64_t packets_queued() const { return sent_ - dropped_; }
-
-  /// Observes every injected packet at the instant it reaches the gateway
-  /// (before the enqueue attempt). Used for ingress-rate recording.
-  void set_inject_observer(std::function<void(const Packet&, TimeNs)> fn) {
-    on_inject_ = std::move(fn);
-  }
 
  private:
   /// Due time of stamp `i`, clamped to the start time.
@@ -99,21 +90,18 @@ class CrossTrafficInjector final : private sim::Lane {
     p.size_bytes = packet_bytes_;
     p.created_at = sim_.now();
     ++sent_;
-    if (on_inject_) on_inject_(p, sim_.now());
-    if (!queue_.try_enqueue(std::move(p), sim_.now())) ++dropped_;
+    sink_.receive(std::move(p));
   }
 
   sim::Simulator& sim_;
-  DropTailQueue& queue_;
+  PacketSink& sink_;
   std::vector<TimeNs> times_;
   std::size_t next_ = 0;         ///< index of the pending head stamp
   TimeNs start_;                 ///< clock at start()
   std::uint32_t base_seq_ = 0;   ///< seq of stamp 0
   std::int32_t packet_bytes_;
   FlowIndex flow_index_;
-  std::function<void(const Packet&, TimeNs)> on_inject_;
   std::int64_t sent_ = 0;
-  std::int64_t dropped_ = 0;
 };
 
 }  // namespace ccfuzz::net

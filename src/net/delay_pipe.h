@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -15,23 +14,22 @@
 
 namespace ccfuzz::net {
 
-/// Delivers every packet exactly `delay` after send(), in send order.
+/// Hands every packet to its sink exactly `delay` after receive(), in
+/// arrival order.
 ///
 /// The pipe is an event lane (sim::Lane): in-flight packets wait in its own
 /// ring of {at, seq, Packet} entries, and only the head entry has a handle
-/// in the event queue. Each entry takes its FIFO seq at send() time, so
+/// in the event queue. Each entry takes its FIFO seq at receive() time, so
 /// deliveries interleave with every other event exactly as if each had been
 /// scheduled on its own. The ring grows to the pipe's in-flight high-water
-/// mark and is then reused, so send() never allocates in steady state.
-class DelayPipe final : private sim::Lane {
+/// mark and is then reused, so receive() never allocates in steady state.
+class DelayPipe final : public PacketSink, private sim::Lane {
  public:
-  DelayPipe(sim::Simulator& sim, DurationNs delay,
-            std::function<void(Packet&&)> deliver)
-      : sim::Lane(sim.events()), sim_(sim), delay_(delay),
-        deliver_(std::move(deliver)) {}
+  DelayPipe(sim::Simulator& sim, DurationNs delay, PacketSink& sink)
+      : sim::Lane(sim.events()), sim_(sim), delay_(delay), sink_(sink) {}
 
-  /// Sends a packet into the pipe at the current simulation time.
-  void send(Packet&& p) {
+  /// Puts a packet on the pipe at the current simulation time.
+  void receive(Packet&& p) override {
     if (count_ == ring_.size()) grow();
     Entry& e = ring_[(head_ + count_) & (ring_.size() - 1)];
     e.at = sim_.now() + delay_;
@@ -41,8 +39,7 @@ class DelayPipe final : private sim::Lane {
   }
 
   /// Reinitializes the pipe for a fresh run (possibly with a new delay).
-  /// Simulator::reset must already have emptied it; the delivery callback
-  /// is kept.
+  /// Simulator::reset must already have emptied it.
   void reset(DurationNs delay) {
     assert(count_ == 0 && "Simulator::reset empties every pipe");
     delay_ = delay;
@@ -75,7 +72,7 @@ class DelayPipe final : private sim::Lane {
     } else {
       drained();
     }
-    deliver_(std::move(p));
+    sink_.receive(std::move(p));
   }
 
   void clear() override {
@@ -95,7 +92,7 @@ class DelayPipe final : private sim::Lane {
 
   sim::Simulator& sim_;
   DurationNs delay_;
-  std::function<void(Packet&&)> deliver_;
+  PacketSink& sink_;
   std::vector<Entry> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;

@@ -5,17 +5,10 @@
 
 namespace ccfuzz::net {
 
-void BottleneckLink::complete_transmission(Packet&& p) {
-  ++served_;
-  if (egress_) egress_(p, sim_.now());
-  // Without a sink there is nothing to deliver, and no event to spend.
-  if (deliver_) prop_.send(std::move(p));
-}
-
 TraceDrivenLink::TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
-                                 DurationNs prop_delay,
+                                 PacketSink& egress,
                                  std::vector<TimeNs> service_times)
-    : BottleneckLink(sim, queue, prop_delay),
+    : BottleneckLink(sim, queue, egress),
       opportunity_(sim, [this] { on_opportunity(); }),
       times_(std::move(service_times)) {
 #ifndef NDEBUG
@@ -25,9 +18,8 @@ TraceDrivenLink::TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
 #endif
 }
 
-void TraceDrivenLink::reset(DurationNs prop_delay,
-                            std::span<const TimeNs> service_times) {
-  reset_base(prop_delay);
+void TraceDrivenLink::reset(std::span<const TimeNs> service_times) {
+  served_ = 0;
   times_.assign(service_times.begin(), service_times.end());
 #ifndef NDEBUG
   for (std::size_t i = 1; i < times_.size(); ++i) {
@@ -57,21 +49,24 @@ void TraceDrivenLink::on_opportunity() {
 }
 
 FixedRateLink::FixedRateLink(sim::Simulator& sim, DropTailQueue& queue,
-                             DurationNs prop_delay, DataRate rate)
-    : BottleneckLink(sim, queue, prop_delay),
+                             PacketSink& egress, DataRate rate)
+    : BottleneckLink(sim, queue, egress),
       transmit_done_(sim, [this] { on_transmit_done(); }),
-      rate_(rate) {
-  queue_.set_nonempty_notifier([this] { maybe_begin_service(); });
-}
+      rate_(rate) {}
 
-void FixedRateLink::reset(DurationNs prop_delay, DataRate rate) {
-  reset_base(prop_delay);
+void FixedRateLink::reset(DataRate rate) {
+  served_ = 0;
   rate_ = rate;
   busy_ = false;
-  queue_.set_nonempty_notifier([this] { maybe_begin_service(); });
 }
 
 void FixedRateLink::start() { maybe_begin_service(); }
+
+bool FixedRateLink::offer(Packet&& p) {
+  if (!queue_.try_enqueue(std::move(p), sim_.now())) return false;
+  maybe_begin_service();  // a no-op unless the queue was empty and idle
+  return true;
+}
 
 void FixedRateLink::maybe_begin_service() {
   if (busy_ || queue_.empty()) return;

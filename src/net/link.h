@@ -10,17 +10,21 @@
 // bottleneck used in traffic fuzzing mode (§3.3), where the trace controls
 // cross traffic instead.
 //
+// A link drains the gateway queue and hands each transmitted packet to its
+// egress sink at the instant it leaves the bottleneck; propagation towards
+// the receivers is the sink's business (scenario::Dumbbell sends it down
+// one DelayPipe). Arrivals reach the queue through offer(), so a
+// FixedRateLink learns of a packet in an idle queue from the call itself.
+//
 // Each link paces itself with one sim::Timer, re-armed from its own expiry
 // (the next opportunity, the next transmit-done), so its per-packet events
 // keep one queue handle and never touch the event slab.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "net/delay_pipe.h"
 #include "net/packet.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
@@ -28,27 +32,21 @@
 
 namespace ccfuzz::net {
 
-/// Invoked when a packet finishes propagation and arrives at the sink.
-using DeliveryFn = std::function<void(Packet&&)>;
-/// Invoked at the instant a packet leaves the bottleneck (egress), before
-/// propagation. Used for egress-rate recording.
-using EgressFn = std::function<void(const Packet&, TimeNs)>;
-
 /// Common interface for bottleneck links draining a DropTailQueue.
 class BottleneckLink {
  public:
   virtual ~BottleneckLink() = default;
-  // The propagation pipe's callback captures `this`.
   BottleneckLink(const BottleneckLink&) = delete;
   BottleneckLink& operator=(const BottleneckLink&) = delete;
 
   /// Schedules initial service activity. Call once before running.
   virtual void start() = 0;
 
-  /// Sink-side delivery callback (after propagation delay).
-  void set_delivery(DeliveryFn fn) { deliver_ = std::move(fn); }
-  /// Egress observation callback (at transmission completion instant).
-  void set_egress_observer(EgressFn fn) { egress_ = std::move(fn); }
+  /// Offers an arriving packet to the queue at the current time. Returns
+  /// false, with `p` left untouched, when the queue is full.
+  virtual bool offer(Packet&& p) {
+    return queue_.try_enqueue(std::move(p), sim_.now());
+  }
 
   /// Packets transmitted so far.
   std::int64_t packets_served() const { return served_; }
@@ -56,34 +54,20 @@ class BottleneckLink {
   /// The packet being serialized, if any (nullptr between packets and for
   /// links that transmit instantly).
   virtual const Packet* in_service() const { return nullptr; }
-  /// Transmitted packets still propagating towards the sink.
-  const DelayPipe& propagation() const { return prop_; }
 
  protected:
-  BottleneckLink(sim::Simulator& sim, DropTailQueue& queue,
-                 DurationNs prop_delay)
-      : sim_(sim), queue_(queue),
-        prop_(sim, prop_delay, [this](Packet&& p) { deliver_(std::move(p)); }) {}
+  BottleneckLink(sim::Simulator& sim, DropTailQueue& queue, PacketSink& egress)
+      : sim_(sim), queue_(queue), egress_(egress) {}
 
-  /// Transmits one packet (already dequeued) at the current time: notifies
-  /// the egress observer and sends the packet down the propagation pipe.
-  void complete_transmission(Packet&& p);
-
-  /// Shared part of the per-run reset: zeroed counters, new delay. The
-  /// observer/delivery callbacks are kept (they outlive runs in a reusable
-  /// harness).
-  void reset_base(DurationNs prop_delay) {
-    prop_.reset(prop_delay);
-    served_ = 0;
+  /// Transmits one packet (already dequeued) at the current time.
+  void complete_transmission(Packet&& p) {
+    ++served_;
+    egress_.receive(std::move(p));
   }
 
   sim::Simulator& sim_;
   DropTailQueue& queue_;
-  DeliveryFn deliver_;
-  EgressFn egress_;
-  /// Propagation stage: an event lane, one queue handle for all packets on
-  /// the wire.
-  DelayPipe prop_;
+  PacketSink& egress_;
   std::int64_t served_ = 0;
 };
 
@@ -93,14 +77,14 @@ class TraceDrivenLink final : public BottleneckLink {
   /// `service_times` must be sorted ascending. Opportunities before start()
   /// is called are honoured as long as they are >= the current sim time.
   TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
-                  DurationNs prop_delay, std::vector<TimeNs> service_times);
+                  PacketSink& egress, std::vector<TimeNs> service_times);
 
   void start() override;
 
   /// Rearms the link for a fresh run with a new service trace, reusing the
   /// trace storage's capacity. No opportunity may still be pending
   /// (Simulator::reset first).
-  void reset(DurationNs prop_delay, std::span<const TimeNs> service_times);
+  void reset(std::span<const TimeNs> service_times);
 
   /// Number of service opportunities that found an empty queue.
   std::int64_t wasted_opportunities() const { return wasted_; }
@@ -120,19 +104,21 @@ class TraceDrivenLink final : public BottleneckLink {
 /// Constant-rate store-and-forward link.
 class FixedRateLink final : public BottleneckLink {
  public:
-  FixedRateLink(sim::Simulator& sim, DropTailQueue& queue,
-                DurationNs prop_delay, DataRate rate);
+  FixedRateLink(sim::Simulator& sim, DropTailQueue& queue, PacketSink& egress,
+                DataRate rate);
 
   void start() override;
+
+  /// Enqueues, then starts serializing if the link was idle.
+  bool offer(Packet&& p) override;
 
   const Packet* in_service() const override {
     return busy_ ? &in_service_ : nullptr;
   }
 
-  /// Rearms the link for a fresh run (possibly with a new rate) and
-  /// re-registers its queue non-empty notifier — a reusable harness may have
-  /// pointed the queue at a different link in between.
-  void reset(DurationNs prop_delay, DataRate rate);
+  /// Rearms the link for a fresh run (possibly with a new rate). No
+  /// transmission may still be pending (Simulator::reset first).
+  void reset(DataRate rate);
 
  private:
   void maybe_begin_service();

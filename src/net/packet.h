@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "util/time.h"
 
@@ -65,5 +66,29 @@ struct Packet {
 
 /// Default frame size used throughout (1500 B ⇒ 1 ms at 12 Mbps).
 inline constexpr std::int32_t kDefaultPacketBytes = 1500;
+
+/// A stage of the packet path: a pipe, an endpoint, or one of the dumbbell's
+/// gateway, egress and delivery stages. Every component takes the sink
+/// downstream of it by reference in its constructor, so a topology is wired
+/// once, when it is built, and the sink must outlive the component.
+class PacketSink {
+ public:
+  virtual void receive(Packet&& p) = 0;
+
+ protected:
+  ~PacketSink() = default;  // sinks are never owned through this interface
+};
+
+/// Adapts a member function to PacketSink, for an owner with several input
+/// stages (scenario::Dumbbell).
+template <class Owner, void (Owner::*Stage)(Packet&&)>
+class PortSink final : public PacketSink {
+ public:
+  explicit PortSink(Owner& owner) : owner_(owner) {}
+  void receive(Packet&& p) override { (owner_.*Stage)(std::move(p)); }
+
+ private:
+  Owner& owner_;
+};
 
 }  // namespace ccfuzz::net

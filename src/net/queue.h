@@ -1,10 +1,11 @@
 // Fixed-size drop-tail FIFO queue — the gateway buffer of the paper's
-// dumbbell (§3.1).
+// dumbbell (§3.1). A plain container: whoever enqueues reacts to the result
+// (scenario::Dumbbell's gateway records drops, a FixedRateLink starts
+// serializing), so the queue calls out to nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -39,21 +40,19 @@ class DropTailQueue {
   explicit DropTailQueue(std::size_t capacity)
       : capacity_(capacity), ring_(capacity) {}
 
-  /// Attempts to enqueue; returns false (and counts a drop) when full.
-  /// Fires the non-empty notifier on an empty→non-empty transition.
-  bool try_enqueue(Packet p, TimeNs now) {
+  /// Attempts to enqueue, stamping the arrival time. When full, counts a
+  /// drop and returns false with `p` left untouched, so the caller can still
+  /// record it.
+  bool try_enqueue(Packet&& p, TimeNs now) {
     if (count_ >= capacity_) {
       ++stats_.dropped[static_cast<std::size_t>(p.flow)];
-      if (on_drop_) on_drop_(p, now);
       return false;
     }
     p.enqueued_at = now;
     ++stats_.enqueued[static_cast<std::size_t>(p.flow)];
-    const bool was_empty = count_ == 0;
     ring_[tail_] = std::move(p);
     if (++tail_ == capacity_) tail_ = 0;
     ++count_;
-    if (was_empty && on_nonempty_) on_nonempty_();
     return true;
   }
 
@@ -68,9 +67,7 @@ class DropTailQueue {
   }
 
   /// Returns the queue to empty with fresh stats (and a new capacity),
-  /// reusing the ring storage when the capacity is unchanged. Notifier
-  /// callbacks are kept — reusable harnesses (scenario::Dumbbell) rebind
-  /// them explicitly when the wiring changes.
+  /// reusing the ring storage when the capacity is unchanged.
   void reset(std::size_t capacity) {
     if (capacity != capacity_) {
       capacity_ = capacity;
@@ -85,14 +82,6 @@ class DropTailQueue {
   bool empty() const { return count_ == 0; }
   const QueueStats& stats() const { return stats_; }
 
-  /// Called on every empty→non-empty transition (used by rate-based links to
-  /// resume draining).
-  void set_nonempty_notifier(std::function<void()> fn) { on_nonempty_ = std::move(fn); }
-  /// Called for every dropped packet.
-  void set_drop_notifier(std::function<void(const Packet&, TimeNs)> fn) {
-    on_drop_ = std::move(fn);
-  }
-
  private:
   std::size_t capacity_;
   std::vector<Packet> ring_;
@@ -100,8 +89,6 @@ class DropTailQueue {
   std::size_t tail_ = 0;
   std::size_t count_ = 0;
   QueueStats stats_;
-  std::function<void()> on_nonempty_;
-  std::function<void(const Packet&, TimeNs)> on_drop_;
 };
 
 }  // namespace ccfuzz::net

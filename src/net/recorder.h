@@ -33,8 +33,8 @@ struct DelaySample {
   DurationNs queue_delay;
 };
 
-/// Accumulates bottleneck events during a run. Plain data; attach via the
-/// queue/link callbacks (see scenario::Dumbbell). Counters are maintained
+/// Accumulates bottleneck events during a run. Plain data, written by
+/// scenario::Dumbbell's gateway and egress stages. Counters are maintained
 /// incrementally so count queries are O(1), both per packet kind (FlowId)
 /// and per real flow index (set_flow_count sizes that table); the event
 /// vectors stay around for plotting and scoring.

@@ -9,7 +9,8 @@ namespace ccfuzz::scenario {
 
 Dumbbell::Dumbbell(sim::Simulator& sim, net::BottleneckRecorder& recorder,
                    analysis::StreamingMetrics& metrics)
-    : sim_(sim), recorder_(recorder), metrics_(metrics) {}
+    : sim_(sim), recorder_(recorder), metrics_(metrics),
+      prop_(sim, DurationNs::zero(), deliver_) {}
 
 void Dumbbell::resolve_spec(const FlowSpec& spec, FlowSpec& out) const {
   out = spec;
@@ -49,68 +50,41 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
   recorder_.set_flow_count(flow_count_ + 1);  // CCA flows + cross traffic
   metrics_.begin_run(flow_count_, cfg_.metrics_window, cfg_.duration);
 
-  // Gateway queue. The drop notifier is installed once and survives resets.
   if (!queue_) {
     queue_ = std::make_unique<net::DropTailQueue>(cfg_.net.queue_capacity);
-    queue_->set_drop_notifier([this](const net::Packet& p, TimeNs now) {
-      recorder_.record_drop(p, now);
-    });
   } else {
     queue_->reset(cfg_.net.queue_capacity);
   }
-
-  const auto install_link_callbacks = [this](net::BottleneckLink& lnk) {
-    lnk.set_egress_observer([this](const net::Packet& p, TimeNs now) {
-      recorder_.record_egress(p, now);
-      metrics_.on_egress(p, now, now - p.enqueued_at);
-    });
-    // Sink side of the bottleneck: each CCA flow's data reaches its own
-    // receiver; cross traffic terminates (its job was done in the queue).
-    lnk.set_delivery([this](net::Packet&& p) {
-      if (p.flow == net::FlowId::kCcaData && p.flow_index < flow_count_) {
-        flows_[p.flow_index].receiver->on_data_packet(p);
-      }
-    });
-  };
+  prop_.reset(cfg_.net.bottleneck_delay);
 
   // Bottleneck link: fuzzed service curve (link mode) or fixed rate. Both
-  // variants stay warm once built; only this run's is wired to the queue.
+  // variants stay warm once built; the gateway offers to this run's.
   active_cross_ = nullptr;
   if (cfg_.mode == FuzzMode::kLink) {
-    // A fixed-rate link from a previous traffic-mode run may still own the
-    // queue's non-empty notifier; a trace-driven link polls instead.
-    queue_->set_nonempty_notifier(nullptr);
     if (!trace_link_) {
       trace_link_ = std::make_unique<net::TraceDrivenLink>(
-          sim_, *queue_, cfg_.net.bottleneck_delay,
+          sim_, *queue_, egress_,
           std::vector<TimeNs>(trace_times.begin(), trace_times.end()));
-      install_link_callbacks(*trace_link_);
     } else {
-      trace_link_->reset(cfg_.net.bottleneck_delay, trace_times);
+      trace_link_->reset(trace_times);
     }
     link_ = trace_link_.get();
   } else {
     if (!fixed_link_) {
       fixed_link_ = std::make_unique<net::FixedRateLink>(
-          sim_, *queue_, cfg_.net.bottleneck_delay, cfg_.net.bottleneck_rate);
-      install_link_callbacks(*fixed_link_);
+          sim_, *queue_, egress_, cfg_.net.bottleneck_rate);
     } else {
-      // reset() also re-registers the queue non-empty notifier.
-      fixed_link_->reset(cfg_.net.bottleneck_delay, cfg_.net.bottleneck_rate);
+      fixed_link_->reset(cfg_.net.bottleneck_rate);
     }
     link_ = fixed_link_.get();
 
+    // Cross traffic bypasses the access pipes (it models aggregate arrivals
+    // at the gateway) but goes through the gateway like every arrival.
     if (!cross_) {
       cross_ = std::make_unique<net::CrossTrafficInjector>(
-          sim_, *queue_,
+          sim_, gateway_,
           std::vector<TimeNs>(trace_times.begin(), trace_times.end()),
           cfg_.net.packet_bytes, static_cast<net::FlowIndex>(flow_count_));
-      // Cross traffic bypasses the access pipes (it models aggregate
-      // arrivals at the gateway) but is still recorded as bottleneck
-      // ingress.
-      cross_->set_inject_observer([this](const net::Packet& p, TimeNs now) {
-        recorder_.record_ingress(p, now);
-      });
     } else {
       cross_->reset(trace_times, cfg_.net.packet_bytes,
                     static_cast<net::FlowIndex>(flow_count_));
@@ -148,28 +122,19 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
                                            : cca::make_factory(f.spec.cca)();
 
     if (!f.sender) {
-      // ACK return path: receiver → sender, uncongested.
-      f.ack = std::make_unique<net::DelayPipe>(
-          sim_, f.spec.ack_path_delay,
-          [this, i](net::Packet&& p) { flows_[i].sender->on_ack_packet(p); });
-      f.receiver = std::make_unique<tcp::TcpReceiver>(
-          sim_, rcfg,
-          [this, i](net::Packet&& p) { flows_[i].ack->send(std::move(p)); });
-      // Access link: sender → gateway queue, with ingress recording.
-      f.access = std::make_unique<net::DelayPipe>(
-          sim_, f.spec.access_delay,
-          [this](net::Packet&& p) {
-            recorder_.record_ingress(p, sim_.now());
-            queue_->try_enqueue(std::move(p), sim_.now());
-          });
+      // Access link into the gateway; the ACK return path is uncongested.
+      f.access = std::make_unique<net::DelayPipe>(sim_, f.spec.access_delay,
+                                                  gateway_);
       f.sender = std::make_unique<tcp::TcpSender>(
-          sim_, scfg, std::move(cca_instance),
-          [this, i](net::Packet&& p) { flows_[i].access->send(std::move(p)); });
+          sim_, scfg, std::move(cca_instance), *f.access);
+      f.ack = std::make_unique<net::DelayPipe>(sim_, f.spec.ack_path_delay,
+                                               *f.sender);
+      f.receiver = std::make_unique<tcp::TcpReceiver>(sim_, rcfg, *f.ack);
     } else {
-      f.ack->reset(f.spec.ack_path_delay);
-      f.receiver->reset(rcfg);
       f.access->reset(f.spec.access_delay);
       f.sender->reset(scfg, std::move(cca_instance));
+      f.ack->reset(f.spec.ack_path_delay);
+      f.receiver->reset(rcfg);
     }
 
     // Coverage instruments the primary flow — the algorithm under test.
@@ -179,6 +144,26 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
     }
 
     metrics_.set_flow_interval(i, f.spec.start);
+  }
+}
+
+void Dumbbell::gateway(net::Packet&& p) {
+  const TimeNs now = sim_.now();
+  recorder_.record_ingress(p, now);
+  // offer() leaves a refused packet untouched.
+  if (!link_->offer(std::move(p))) recorder_.record_drop(p, now);
+}
+
+void Dumbbell::egress(net::Packet&& p) {
+  const TimeNs now = sim_.now();
+  recorder_.record_egress(p, now);
+  metrics_.on_egress(p, now, now - p.enqueued_at);
+  prop_.receive(std::move(p));
+}
+
+void Dumbbell::deliver(net::Packet&& p) {
+  if (p.flow == net::FlowId::kCcaData && p.flow_index < flow_count_) {
+    flows_[p.flow_index].receiver->receive(std::move(p));
   }
 }
 
@@ -206,7 +191,7 @@ PacketLedger Dumbbell::packet_ledger() const {
   l.dropped = qs.dropped[k];
   const net::Packet* serving = link_->in_service();
   l.in_service = serving != nullptr && serving->flow == kData ? 1 : 0;
-  l.propagating = link_->propagation().in_flight(kData);
+  l.propagating = prop_.in_flight(kData);
   return l;
 }
 

@@ -1,18 +1,27 @@
 // The paper's dumbbell topology (§3.1), assembled from net/ and tcp/ parts,
 // generalized to a declarative set of competing CCA flows (§6 future work):
 //
-//   flow 0 sender ──access₀──▶ ┌─────────┐             ┌──────┐
-//   flow 1 sender ──access₁──▶ │ gateway │──bottleneck─▶ sink │─▶ receiverᵢ
-//   cross traffic ────────────▶│  FIFO   │   (20 ms)   └──────┘      │
-//                              └─────────┘                           │
-//   senderᵢ ◀──────────────── ACK pathᵢ ─────────────────────────────┘
+//   flow 0 sender ─access₀─┐
+//   flow 1 sender ─access₁─┼─▶ gateway() ─▶ link ─▶ egress() ─▶ propagation
+//   cross traffic ─────────┘              (FIFO +              (20 ms)  │
+//                                         service)                      ▼
+//   senderᵢ ◀────────── ACK pathᵢ ◀────────── receiverᵢ ◀──────── deliver()
+//
+//   gateway()  records ingress, offers the packet to the link, records a
+//              refusal as a drop
+//   egress()   at the egress instant: egress record, StreamingMetrics, then
+//              the one propagation DelayPipe
+//   deliver()  CCA data to its flow's receiver; cross traffic ends here
 //
 // Every flow owns its access link, ACK path, sender and receiver; all flows
-// share the gateway queue and bottleneck link. Per-flow access/ACK delays
-// give RTT heterogeneity; per-flow start/stop times give late-starter and
-// convergence scenarios. In link mode the bottleneck is a TraceDrivenLink
-// fed by the fuzzed service curve; in traffic mode it is a FixedRateLink and
-// the fuzzed trace drives the CrossTrafficInjector.
+// share the gateway queue and bottleneck link. Each arrow is a
+// net::PacketSink reference fixed when its component is built, so no wiring
+// changes between runs, and the Dumbbell's three stages see every packet.
+// Per-flow access/ACK delays give RTT heterogeneity; per-flow start/stop
+// times give late-starter and convergence scenarios. In link mode the
+// bottleneck is a TraceDrivenLink fed by the fuzzed service curve; in
+// traffic mode it is a FixedRateLink and the fuzzed trace drives the
+// CrossTrafficInjector.
 //
 // The Dumbbell is a *reusable harness* with one way in: construct the shell
 // once over caller-owned storage (simulator, recorder, metrics —
@@ -61,12 +70,13 @@ struct PacketLedger {
   }
 };
 
-/// Owns every component of a simulation run and wires their callbacks:
-/// construct the shell, then per run setup(), start() and
+/// Owns every component of a simulation run and its three stages (gateway,
+/// egress, delivery): construct the shell, then per run setup(), start() and
 /// Simulator::run_until(duration).
 class Dumbbell {
  public:
-  /// Binds warm storage, builds nothing yet. All three outlive the Dumbbell.
+  /// Binds warm storage and builds only the propagation pipe. All three
+  /// outlive the Dumbbell.
   Dumbbell(sim::Simulator& sim, net::BottleneckRecorder& recorder,
            analysis::StreamingMetrics& metrics);
 
@@ -125,16 +135,22 @@ class Dumbbell {
  private:
   /// One competing flow's private path: access link in, ACK path back.
   /// Slots persist across setups; only the first flow_count_ are active.
+  /// Built in member order, each part onto the one before it.
   struct Flow {
     FlowSpec spec;  // resolved: delays inherited, stop clamped to duration
     std::unique_ptr<net::DelayPipe> access;  // sender → gateway
+    std::unique_ptr<tcp::TcpSender> sender;
     std::unique_ptr<net::DelayPipe> ack;     // receiver → sender
     std::unique_ptr<tcp::TcpReceiver> receiver;
-    std::unique_ptr<tcp::TcpSender> sender;
   };
 
   /// Resolves `spec` against cfg_ (inherit delays, clamp stop) into `out`.
   void resolve_spec(const FlowSpec& spec, FlowSpec& out) const;
+
+  // The three stages of the header's diagram.
+  void gateway(net::Packet&& p);
+  void egress(net::Packet&& p);
+  void deliver(net::Packet&& p);
 
   sim::Simulator& sim_;
   ScenarioConfig cfg_;
@@ -142,6 +158,11 @@ class Dumbbell {
   net::BottleneckRecorder& recorder_;
   analysis::StreamingMetrics& metrics_;
   coverage::BehaviorProbe* probe_ = nullptr;
+
+  net::PortSink<Dumbbell, &Dumbbell::gateway> gateway_{*this};
+  net::PortSink<Dumbbell, &Dumbbell::egress> egress_{*this};
+  net::PortSink<Dumbbell, &Dumbbell::deliver> deliver_{*this};
+  net::DelayPipe prop_;
 
   std::unique_ptr<net::DropTailQueue> queue_;
   // Both link types stay warm once built; link_ points at this run's.

@@ -126,13 +126,10 @@ const RunResult& RunContext::run(const ScenarioConfig& cfg,
     f.tcp_log = db_.sender(i).log();
   }
   result_.queue_stats = db_.queue().stats();
-  if (const auto* ct = db_.cross_traffic()) {
-    result_.cross_sent = ct->packets_sent();
-    result_.cross_drops = ct->packets_dropped();
-  } else {
-    result_.cross_sent = 0;
-    result_.cross_drops = 0;
-  }
+  const auto* ct = db_.cross_traffic();
+  result_.cross_sent = ct != nullptr ? ct->packets_sent() : 0;
+  result_.cross_drops = result_.queue_stats.dropped[static_cast<std::size_t>(
+      net::FlowId::kCrossTraffic)];
   if (cfg.invariants) {
     audit_live_state();  // final scoreboard/cwnd/queue state
     check_conservation();

@@ -95,7 +95,7 @@ struct RunResult {
 
   // --- Cross traffic outcome (traffic mode) ---
   std::int64_t cross_sent = 0;
-  std::int64_t cross_drops = 0;
+  std::int64_t cross_drops = 0;  ///< queue_stats.dropped[kCrossTraffic]
 
   // --- Bottleneck observations ---
   net::QueueStats queue_stats;

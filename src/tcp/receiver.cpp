@@ -5,10 +5,10 @@
 namespace ccfuzz::tcp {
 
 TcpReceiver::TcpReceiver(sim::Simulator& sim, const Config& cfg,
-                         std::function<void(net::Packet&&)> send_ack)
+                         net::PacketSink& acks)
     : sim_(sim),
       cfg_(cfg),
-      send_ack_(std::move(send_ack)),
+      acks_(acks),
       delack_timer_(sim, [this] { on_delack_timer(); }) {
   reserve_buffers();
 }
@@ -184,7 +184,7 @@ void TcpReceiver::send_ack_now(std::int64_t acked_tx_id) {
   ack.tcp.wnd = advertised_window();
   fill_sacks(ack.tcp);
   ++acks_sent_;
-  send_ack_(std::move(ack));
+  acks_.receive(std::move(ack));
 }
 
 void TcpReceiver::on_delack_timer() {

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/packet.h"
@@ -21,8 +20,9 @@
 namespace ccfuzz::tcp {
 
 /// Receiver endpoint for the CCA flow. Data packets arrive via
-/// on_data_packet(); ACKs leave via the supplied send function.
-class TcpReceiver {
+/// on_data_packet() (receive() as a sink); ACKs leave into the sink given at
+/// construction.
+class TcpReceiver final : public net::PacketSink {
  public:
   struct Config {
     bool delayed_ack = true;
@@ -44,16 +44,16 @@ class TcpReceiver {
     net::FlowIndex flow_index = 0;
   };
 
-  TcpReceiver(sim::Simulator& sim, const Config& cfg,
-              std::function<void(net::Packet&&)> send_ack);
+  TcpReceiver(sim::Simulator& sim, const Config& cfg, net::PacketSink& acks);
 
   /// Reinitializes the receiver for a fresh run, keeping buffer capacity
   /// (out-of-order ranges, SACK recency list). The simulator must have been
-  /// reset; the ACK callback is kept.
+  /// reset.
   void reset(const Config& cfg);
 
   /// Handles an arriving data segment (possibly out of order or duplicate).
   void on_data_packet(const net::Packet& p);
+  void receive(net::Packet&& p) override { on_data_packet(p); }
 
   /// Next expected sequence number (left edge of the receive window).
   SeqNr rcv_nxt() const { return rcv_nxt_; }
@@ -102,7 +102,7 @@ class TcpReceiver {
 
   sim::Simulator& sim_;
   Config cfg_;
-  std::function<void(net::Packet&&)> send_ack_;
+  net::PacketSink& acks_;
   sim::Timer delack_timer_;
 
   SeqNr rcv_nxt_ = 0;

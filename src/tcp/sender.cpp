@@ -7,11 +7,11 @@ namespace ccfuzz::tcp {
 
 TcpSender::TcpSender(sim::Simulator& sim, const Config& cfg,
                      std::unique_ptr<CongestionControl> cca,
-                     std::function<void(net::Packet&&)> send_data)
+                     net::PacketSink& out)
     : sim_(sim),
       cfg_(cfg),
       cca_(std::move(cca)),
-      send_data_(std::move(send_data)),
+      out_(out),
       rtt_(cfg.rtt),
       log_(cfg.log_events),
       rto_timer_(sim, [this] { on_rto_timer(); }),
@@ -166,7 +166,7 @@ void TcpSender::send_segment(SeqNr s, bool is_retx) {
   p.created_at = now;
   p.tcp.seq = s;
   p.tcp.tx_id = sg.last_tx_id;
-  send_data_(std::move(p));
+  out_.receive(std::move(p));
 
   refresh_state();
   cca_->on_sent(st_, s, is_retx);

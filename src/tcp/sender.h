@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -55,8 +54,9 @@
 
 namespace ccfuzz::tcp {
 
-/// Sender endpoint of the CCA flow under test.
-class TcpSender {
+/// Sender endpoint of the CCA flow under test. It is the sink of its ACK
+/// path: receive() is on_ack_packet().
+class TcpSender final : public net::PacketSink {
  public:
   struct Config {
     /// Application data volume in segments; default: unbounded source.
@@ -83,16 +83,15 @@ class TcpSender {
     TimeNs stop = TimeNs::infinite();
   };
 
-  /// `send_data` injects a data packet toward the bottleneck queue.
+  /// Data packets go to `out` (the access path toward the bottleneck).
   TcpSender(sim::Simulator& sim, const Config& cfg,
-            std::unique_ptr<CongestionControl> cca,
-            std::function<void(net::Packet&&)> send_data);
+            std::unique_ptr<CongestionControl> cca, net::PacketSink& out);
 
   /// Reinitializes the sender for a fresh run — every observable field is
   /// exactly as after construction with (cfg, cca), but the segment ring
   /// keeps its slab, so warm reuse (scenario::RunContext) replays slow start
   /// without allocator traffic. The simulator must have been reset (no
-  /// pending timers of this sender survive); the send callback is kept.
+  /// pending timers of this sender survive).
   void reset(const Config& cfg, std::unique_ptr<CongestionControl> cca);
 
   /// Schedules connection start (first transmission) at time `at`, and the
@@ -106,6 +105,7 @@ class TcpSender {
 
   /// Handles an arriving ACK (cumulative + SACK blocks).
   void on_ack_packet(const net::Packet& ack);
+  void receive(net::Packet&& ack) override { on_ack_packet(ack); }
 
   /// Attaches a passive behavior observer (nullptr detaches). Cleared by
   /// reset(); the harness re-attaches per run. The sink must not mutate the
@@ -232,7 +232,7 @@ class TcpSender {
   Config cfg_;
   BehaviorSink* sink_ = nullptr;
   std::unique_ptr<CongestionControl> cca_;
-  std::function<void(net::Packet&&)> send_data_;
+  net::PacketSink& out_;
   RttEstimator rtt_;
   TcpEventLog log_;
   sim::Timer rto_timer_;

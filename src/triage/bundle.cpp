@@ -25,7 +25,8 @@ std::string fmt_double(double v) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + campaign::json_escape(s) + "\"";
+  // Appended rather than prepended: see record::Reader::line.
+  return std::string("\"").append(campaign::json_escape(s)).append("\"");
 }
 
 /// Reads what to_json writes, its keys in any order.

@@ -273,7 +273,9 @@ void Reader::eof() {
 }
 
 void Reader::line(std::string_view text) {
-  const std::string want = "'" + std::string(text) + "'";
+  // Appended, not "'" + std::string(text): GCC 12 misreads that prepend as
+  // an overlapping copy (-Wrestrict) in optimized builds.
+  const std::string want = std::string("'").append(text).append("'");
   if (due(want) && line_ != text) fail_parse("expected " + want);
   start({}, false);
 }

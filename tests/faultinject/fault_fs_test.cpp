@@ -183,7 +183,8 @@ TEST_F(FaultFsTest, WriteReportThrowsOnAFailedWriteAndLeavesNoPartialFile) {
 
   for (const char* site : {"enospc", "short_write"}) {
     for (std::size_t k = 0; k < files.size(); ++k) {
-      const std::string spec = site + ("@" + std::to_string(k + 1));
+      const std::string spec =
+          std::string(site).append("@").append(std::to_string(k + 1));
       SCOPED_TRACE(spec);
       fs::remove_all(dir);
       arm_spec(spec);

@@ -6,33 +6,32 @@
 #include <vector>
 
 #include "sim/simulator.h"
+#include "sinks.h"
 
 namespace ccfuzz::net {
 namespace {
 
 TEST(DelayPipe, DeliversAfterExactDelay) {
   sim::Simulator sim;
-  std::vector<std::int64_t> arrivals_ms;
-  DelayPipe pipe(sim, DurationNs::millis(20), [&](Packet&&) {
-    arrivals_ms.push_back(sim.now().to_millis());
-  });
-  Packet p;
-  pipe.send(std::move(p));
+  CaptureSink out(sim);
+  DelayPipe pipe(sim, DurationNs::millis(20), out);
+  pipe.receive(Packet{});
   sim.run_all();
-  EXPECT_EQ(arrivals_ms, (std::vector<std::int64_t>{20}));
+  EXPECT_EQ(out.times_ms(), (std::vector<std::int64_t>{20}));
 }
 
 TEST(DelayPipe, PreservesFifoOrderForSimultaneousSends) {
   sim::Simulator sim;
-  std::vector<std::uint64_t> ids;
-  DelayPipe pipe(sim, DurationNs::millis(5),
-                 [&](Packet&& p) { ids.push_back(p.id); });
+  CaptureSink out(sim);
+  DelayPipe pipe(sim, DurationNs::millis(5), out);
   for (std::uint64_t i = 0; i < 10; ++i) {
     Packet p;
     p.id = i;
-    pipe.send(std::move(p));
+    pipe.receive(std::move(p));
   }
   sim.run_all();
+  const std::vector<std::uint64_t> ids = out.ids();
+  ASSERT_EQ(ids.size(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) {
     ASSERT_EQ(ids[static_cast<std::size_t>(i)], i);
   }
@@ -40,10 +39,10 @@ TEST(DelayPipe, PreservesFifoOrderForSimultaneousSends) {
 
 TEST(DelayPipe, InFlightCountTracksOccupancy) {
   sim::Simulator sim;
-  DelayPipe pipe(sim, DurationNs::millis(10), [](Packet&&) {});
-  Packet a, b;
-  pipe.send(std::move(a));
-  pipe.send(std::move(b));
+  CaptureSink out(sim);
+  DelayPipe pipe(sim, DurationNs::millis(10), out);
+  pipe.receive(Packet{});
+  pipe.receive(Packet{});
   EXPECT_EQ(pipe.in_flight(), 2);
   sim.run_all();
   EXPECT_EQ(pipe.in_flight(), 0);
@@ -51,34 +50,44 @@ TEST(DelayPipe, InFlightCountTracksOccupancy) {
 
 TEST(DelayPipe, ZeroDelayDeliversAtSameTime) {
   sim::Simulator sim;
-  std::int64_t arrival = -1;
-  DelayPipe pipe(sim, DurationNs::zero(),
-                 [&](Packet&&) { arrival = sim.now().ns(); });
-  sim.schedule_at(TimeNs::millis(3), [&] {
-    Packet p;
-    pipe.send(std::move(p));
-  });
+  CaptureSink out(sim);
+  DelayPipe pipe(sim, DurationNs::zero(), out);
+  sim.schedule_at(TimeNs::millis(3), [&] { pipe.receive(Packet{}); });
   sim.run_all();
-  EXPECT_EQ(arrival, TimeNs::millis(3).ns());
+  ASSERT_EQ(out.times.size(), 1u);
+  EXPECT_EQ(out.times[0], TimeNs::millis(3));
 }
 
 TEST(DelayPipe, PacketContentsPassThroughUntouched) {
   sim::Simulator sim;
-  Packet got;
-  DelayPipe pipe(sim, DurationNs::millis(1),
-                 [&](Packet&& p) { got = std::move(p); });
+  CaptureSink out(sim);
+  DelayPipe pipe(sim, DurationNs::millis(1), out);
   Packet p;
   p.id = 77;
   p.flow = FlowId::kAck;
   p.tcp.ack = 42;
   p.tcp.sacks[0] = {10, 12};
   p.tcp.n_sacks = 1;
-  pipe.send(std::move(p));
+  pipe.receive(std::move(p));
   sim.run_all();
+  ASSERT_EQ(out.packets.size(), 1u);
+  const Packet& got = out.packets[0];
   EXPECT_EQ(got.id, 77u);
   EXPECT_EQ(got.flow, FlowId::kAck);
   EXPECT_EQ(got.tcp.ack, 42);
   EXPECT_EQ(got.tcp.sacks[0], (SackBlock{10, 12}));
+}
+
+TEST(DelayPipe, PipesChainThroughTheirSinks) {
+  // A pipe is itself a sink: two chained pipes add their delays.
+  sim::Simulator sim;
+  CaptureSink out(sim);
+  DelayPipe second(sim, DurationNs::millis(7), out);
+  DelayPipe first(sim, DurationNs::millis(3), second);
+  first.receive(Packet{});
+  sim.run_all();
+  EXPECT_EQ(out.times_ms(), (std::vector<std::int64_t>{10}));
+  EXPECT_EQ(first.in_flight() + second.in_flight(), 0);
 }
 
 }  // namespace

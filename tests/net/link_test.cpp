@@ -6,6 +6,9 @@
 
 #include <vector>
 
+#include "net/delay_pipe.h"
+#include "sinks.h"
+
 namespace ccfuzz::net {
 namespace {
 
@@ -16,37 +19,31 @@ Packet make_packet(std::uint64_t id) {
   return p;
 }
 
+/// A link whose egress is captured; the propagation tests put a DelayPipe
+/// between the link and the capture instead.
 struct LinkFixture {
   sim::Simulator sim;
   DropTailQueue queue{100};
-  std::vector<std::uint64_t> delivered;
-  std::vector<std::int64_t> delivery_times_ms;
-  std::vector<std::int64_t> egress_times_ms;
+  CaptureSink egressed{sim};
 
-  void attach(BottleneckLink& link) {
-    link.set_delivery([this](Packet&& p) {
-      delivered.push_back(p.id);
-      delivery_times_ms.push_back(sim.now().to_millis());
-    });
-    link.set_egress_observer([this](const Packet&, TimeNs t) {
-      egress_times_ms.push_back(t.to_millis());
-    });
+  /// The instants packets left the link.
+  std::vector<std::int64_t> egress_times_ms() const {
+    return egressed.times_ms();
   }
 };
 
 TEST(TraceDrivenLink, OnePacketPerOpportunity) {
   LinkFixture f;
-  TraceDrivenLink link(f.sim, f.queue, DurationNs::zero(),
+  TraceDrivenLink link(f.sim, f.queue, f.egressed,
                        {TimeNs::millis(10), TimeNs::millis(20), TimeNs::millis(30)});
-  f.attach(link);
   for (std::uint64_t i = 0; i < 2; ++i) {
-    f.queue.try_enqueue(make_packet(i), TimeNs::zero());
+    EXPECT_TRUE(link.offer(make_packet(i)));
   }
   link.start();
   f.sim.run_all();
   // Two packets serviced at the first two opportunities; third wasted.
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0, 1}));
-  EXPECT_EQ(f.egress_times_ms, (std::vector<std::int64_t>{10, 20}));
+  EXPECT_EQ(f.egressed.ids(), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{10, 20}));
   EXPECT_EQ(link.packets_served(), 2);
   EXPECT_EQ(link.wasted_opportunities(), 1);
 }
@@ -55,106 +52,133 @@ TEST(TraceDrivenLink, WastedOpportunityNotRecovered) {
   // MahiMahi semantics: a packet arriving after an opportunity must wait for
   // the next one, even if the earlier opportunity went unused.
   LinkFixture f;
-  TraceDrivenLink link(f.sim, f.queue, DurationNs::zero(),
+  TraceDrivenLink link(f.sim, f.queue, f.egressed,
                        {TimeNs::millis(10), TimeNs::millis(50)});
-  f.attach(link);
   link.start();
-  f.sim.schedule_at(TimeNs::millis(20), [&] {
-    f.queue.try_enqueue(make_packet(7), f.sim.now());
-  });
+  f.sim.schedule_at(TimeNs::millis(20), [&] { link.offer(make_packet(7)); });
   f.sim.run_all();
-  EXPECT_EQ(f.egress_times_ms, (std::vector<std::int64_t>{50}));
+  EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{50}));
   EXPECT_EQ(link.wasted_opportunities(), 1);
 }
 
 TEST(TraceDrivenLink, PropagationDelayApplied) {
-  LinkFixture f;
-  TraceDrivenLink link(f.sim, f.queue, DurationNs::millis(20),
-                       {TimeNs::millis(5)});
-  f.attach(link);
-  f.queue.try_enqueue(make_packet(1), TimeNs::zero());
+  // The link hands a packet over at the egress instant; the pipe behind it
+  // adds the propagation delay.
+  sim::Simulator sim;
+  DropTailQueue queue(100);
+  CaptureSink delivered(sim);
+  DelayPipe propagation(sim, DurationNs::millis(20), delivered);
+  TraceDrivenLink link(sim, queue, propagation, {TimeNs::millis(5)});
+  link.offer(make_packet(1));
   link.start();
-  f.sim.run_all();
-  EXPECT_EQ(f.egress_times_ms, (std::vector<std::int64_t>{5}));
-  EXPECT_EQ(f.delivery_times_ms, (std::vector<std::int64_t>{25}));
+  sim.run_until(TimeNs::millis(5));
+  EXPECT_EQ(link.packets_served(), 1);
+  EXPECT_EQ(propagation.in_flight(), 1);
+  sim.run_all();
+  EXPECT_EQ(delivered.ids(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(delivered.times_ms(), (std::vector<std::int64_t>{25}));
 }
 
 TEST(TraceDrivenLink, BurstOpportunitiesDrainBackToBack) {
   // Multiple identical timestamps model aggregation bursts.
   LinkFixture f;
-  TraceDrivenLink link(f.sim, f.queue, DurationNs::zero(),
+  TraceDrivenLink link(f.sim, f.queue, f.egressed,
                        {TimeNs::millis(10), TimeNs::millis(10), TimeNs::millis(10)});
-  f.attach(link);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    f.queue.try_enqueue(make_packet(i), TimeNs::zero());
-  }
+  for (std::uint64_t i = 0; i < 3; ++i) link.offer(make_packet(i));
   link.start();
   f.sim.run_all();
-  EXPECT_EQ(f.delivered.size(), 3u);
-  EXPECT_EQ(f.egress_times_ms, (std::vector<std::int64_t>{10, 10, 10}));
+  EXPECT_EQ(f.egressed.packets.size(), 3u);
+  EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{10, 10, 10}));
 }
 
 TEST(TraceDrivenLink, EmptyTraceServesNothing) {
   LinkFixture f;
-  TraceDrivenLink link(f.sim, f.queue, DurationNs::zero(), {});
-  f.attach(link);
-  f.queue.try_enqueue(make_packet(1), TimeNs::zero());
+  TraceDrivenLink link(f.sim, f.queue, f.egressed, {});
+  link.offer(make_packet(1));
   link.start();
   f.sim.run_all();
-  EXPECT_TRUE(f.delivered.empty());
+  EXPECT_TRUE(f.egressed.packets.empty());
   EXPECT_EQ(link.packets_served(), 0);
+}
+
+TEST(TraceDrivenLink, OfferReportsARefusalAndLeavesThePacket) {
+  sim::Simulator sim;
+  DropTailQueue queue(1);
+  CaptureSink egressed(sim);
+  TraceDrivenLink link(sim, queue, egressed, {TimeNs::millis(1)});
+  EXPECT_TRUE(link.offer(make_packet(1)));
+  Packet p = make_packet(2);
+  EXPECT_FALSE(link.offer(std::move(p)));
+  EXPECT_EQ(p.id, 2u);
+  EXPECT_EQ(queue.stats().total_dropped(), 1);
 }
 
 TEST(FixedRateLink, ServesAtConfiguredRate) {
   // 12 Mbps, 1500 B → one packet per ms, starting when the queue fills.
   LinkFixture f;
-  FixedRateLink link(f.sim, f.queue, DurationNs::zero(), DataRate::mbps(12));
-  f.attach(link);
+  FixedRateLink link(f.sim, f.queue, f.egressed, DataRate::mbps(12));
   link.start();
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    f.queue.try_enqueue(make_packet(i), TimeNs::zero());
-  }
+  for (std::uint64_t i = 0; i < 3; ++i) link.offer(make_packet(i));
   f.sim.run_all();
-  EXPECT_EQ(f.egress_times_ms, (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{1, 2, 3}));
   EXPECT_EQ(link.packets_served(), 3);
+}
+
+TEST(FixedRateLink, OfferWakesOnlyAnIdleLink) {
+  // The first offer starts serializing at once; offers during service queue
+  // behind it and leave the transmission in progress alone.
+  LinkFixture f;
+  FixedRateLink link(f.sim, f.queue, f.egressed, DataRate::mbps(12));
+  link.start();
+  link.offer(make_packet(0));
+  ASSERT_NE(link.in_service(), nullptr);
+  EXPECT_EQ(link.in_service()->id, 0u);
+  EXPECT_TRUE(f.queue.empty());
+  f.sim.schedule_at(TimeNs(500'000), [&] {
+    link.offer(make_packet(1));
+    EXPECT_EQ(link.in_service()->id, 0u);
+    EXPECT_EQ(f.queue.size(), 1u);
+  });
+  f.sim.run_all();
+  EXPECT_EQ(f.egressed.ids(), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(link.in_service(), nullptr);
 }
 
 TEST(FixedRateLink, ResumesAfterIdle) {
   LinkFixture f;
-  FixedRateLink link(f.sim, f.queue, DurationNs::zero(), DataRate::mbps(12));
-  f.attach(link);
+  FixedRateLink link(f.sim, f.queue, f.egressed, DataRate::mbps(12));
   link.start();
-  f.queue.try_enqueue(make_packet(0), TimeNs::zero());
+  link.offer(make_packet(0));
   f.sim.run_all();
-  ASSERT_EQ(f.egress_times_ms.size(), 1u);
+  ASSERT_EQ(f.egress_times_ms().size(), 1u);
   // Queue refilled 10 ms later: service restarts from the arrival time.
-  f.sim.schedule_at(TimeNs::millis(10), [&] {
-    f.queue.try_enqueue(make_packet(1), f.sim.now());
-  });
+  f.sim.schedule_at(TimeNs::millis(10), [&] { link.offer(make_packet(1)); });
   f.sim.run_all();
-  EXPECT_EQ(f.egress_times_ms, (std::vector<std::int64_t>{1, 11}));
+  EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{1, 11}));
 }
 
 TEST(FixedRateLink, PropagationDelayAfterSerialization) {
-  LinkFixture f;
-  FixedRateLink link(f.sim, f.queue, DurationNs::millis(20), DataRate::mbps(12));
-  f.attach(link);
+  sim::Simulator sim;
+  DropTailQueue queue(100);
+  CaptureSink delivered(sim);
+  DelayPipe propagation(sim, DurationNs::millis(20), delivered);
+  FixedRateLink link(sim, queue, propagation, DataRate::mbps(12));
   link.start();
-  f.queue.try_enqueue(make_packet(0), TimeNs::zero());
-  f.sim.run_all();
-  EXPECT_EQ(f.delivery_times_ms, (std::vector<std::int64_t>{21}));
+  link.offer(make_packet(0));
+  sim.run_all();
+  EXPECT_EQ(delivered.times_ms(), (std::vector<std::int64_t>{21}));
 }
 
 TEST(FixedRateLink, HalfSizePacketsServeFaster) {
   LinkFixture f;
-  FixedRateLink link(f.sim, f.queue, DurationNs::zero(), DataRate::mbps(12));
-  f.attach(link);
+  FixedRateLink link(f.sim, f.queue, f.egressed, DataRate::mbps(12));
   link.start();
   Packet p = make_packet(0);
   p.size_bytes = 750;
-  f.queue.try_enqueue(std::move(p), TimeNs::zero());
+  link.offer(std::move(p));
   f.sim.run_all();
-  ASSERT_EQ(f.egress_times_ms.size(), 1u);
+  ASSERT_EQ(f.egress_times_ms().size(), 1u);
   EXPECT_EQ(f.sim.now(), TimeNs(500'000));  // 0.5 ms
 }
 

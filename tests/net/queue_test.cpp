@@ -46,32 +46,23 @@ TEST(DropTailQueue, EnqueueStampsArrivalTime) {
   EXPECT_EQ(p->enqueued_at, TimeNs::millis(42));
 }
 
-TEST(DropTailQueue, NonEmptyNotifierFiresOnTransitionOnly) {
-  DropTailQueue q(4);
-  int notified = 0;
-  q.set_nonempty_notifier([&] { ++notified; });
-  q.try_enqueue(make_packet(FlowId::kCcaData), TimeNs::zero());
-  q.try_enqueue(make_packet(FlowId::kCcaData), TimeNs::zero());
-  EXPECT_EQ(notified, 1);
-  (void)q.dequeue();
-  (void)q.dequeue();
-  q.try_enqueue(make_packet(FlowId::kCcaData), TimeNs::zero());
-  EXPECT_EQ(notified, 2);
-}
-
-TEST(DropTailQueue, DropNotifierSeesDroppedPacket) {
+TEST(DropTailQueue, RefusedPacketIsLeftUntouched) {
+  // The caller still holds a refused packet, so it can record the drop
+  // without a copy (scenario::Dumbbell's gateway does).
   DropTailQueue q(1);
-  Packet dropped;
-  TimeNs when;
-  q.set_drop_notifier([&](const Packet& p, TimeNs t) {
-    dropped = p;
-    when = t;
-  });
-  q.try_enqueue(make_packet(FlowId::kCcaData, 1), TimeNs::zero());
-  q.try_enqueue(make_packet(FlowId::kCrossTraffic, 99), TimeNs::millis(3));
-  EXPECT_EQ(dropped.id, 99u);
-  EXPECT_EQ(dropped.flow, FlowId::kCrossTraffic);
-  EXPECT_EQ(when, TimeNs::millis(3));
+  EXPECT_TRUE(q.try_enqueue(make_packet(FlowId::kCcaData, 1), TimeNs::zero()));
+  Packet p = make_packet(FlowId::kCrossTraffic, 99);
+  p.size_bytes = 700;
+  p.tcp.seq = 5;
+  EXPECT_FALSE(q.try_enqueue(std::move(p), TimeNs::millis(3)));
+  EXPECT_EQ(p.id, 99u);
+  EXPECT_EQ(p.flow, FlowId::kCrossTraffic);
+  EXPECT_EQ(p.size_bytes, 700);
+  EXPECT_EQ(p.tcp.seq, 5);
+  EXPECT_EQ(p.enqueued_at, TimeNs{});  // not stamped: it never got in
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.stats().dropped[static_cast<std::size_t>(FlowId::kCrossTraffic)],
+            1);
 }
 
 TEST(DropTailQueue, PerFlowDequeueCounters) {

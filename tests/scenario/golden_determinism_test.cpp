@@ -307,5 +307,29 @@ TEST(GoldenDeterminism, WarmRunContextMatchesColdContext) {
   EXPECT_EQ(warm_hash, fingerprint(cold_run));
 }
 
+TEST(GoldenDeterminism, WarmContextAlternatingModesMatchesColdContexts) {
+  // One warm context runs link, traffic, link, traffic: the trace-driven and
+  // fixed-rate links, the cross-traffic injector (fed the golden traffic
+  // stamps) and the shared queue, gateway and propagation pipe all stay
+  // built and switch between runs. Each run must equal a cold context's.
+  for (const char* cca : {"reno", "bbr"}) {
+    SCOPED_TRACE(cca);
+    const auto factory = cca::make_factory(cca);
+    RunContext warm;
+    for (const FuzzMode mode : {FuzzMode::kLink, FuzzMode::kTraffic,
+                                FuzzMode::kLink, FuzzMode::kTraffic}) {
+      SCOPED_TRACE(to_string(mode));
+      const ScenarioConfig cfg = golden_config(mode);
+      const auto trace = golden_trace(mode, cfg.duration);
+      const RunResult& got = warm.run(cfg, factory, trace);
+      if (mode == FuzzMode::kTraffic) {
+        EXPECT_EQ(got.cross_sent, static_cast<std::int64_t>(trace.size()));
+      }
+      RunContext cold;
+      EXPECT_EQ(fingerprint(got), fingerprint(cold.run(cfg, factory, trace)));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ccfuzz::scenario

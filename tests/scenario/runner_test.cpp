@@ -51,12 +51,31 @@ TEST(Runner, WindowedThroughputSeries) {
 }
 
 TEST(Runner, CrossTrafficCountsReported) {
+  // A paced stream, then a burst of twice the gateway queue's capacity in
+  // one instant. Every arrival, cross traffic or CCA data, passes the
+  // gateway once: it is recorded as ingress, then either enqueued or
+  // refused and recorded as a drop.
   ScenarioConfig cfg = base_config();
   std::vector<TimeNs> trace;
   for (int i = 0; i < 100; ++i) trace.emplace_back(TimeNs::millis(10 + i));
+  const auto burst = static_cast<std::int64_t>(2 * cfg.net.queue_capacity);
+  for (std::int64_t i = 0; i < burst; ++i) {
+    trace.emplace_back(TimeNs::millis(1000));
+  }
   const auto r = run_scenario(cfg, cca::make_factory("reno"), trace);
-  EXPECT_EQ(r.cross_sent, 100);
-  EXPECT_GE(r.cross_drops, 0);
+  EXPECT_EQ(r.cross_sent, 100 + burst);
+  EXPECT_GT(r.cross_drops, 0);
+  EXPECT_EQ(r.cross_drops, r.recorder.drop_count(net::FlowId::kCrossTraffic));
+  EXPECT_EQ(r.recorder.ingress_count(net::FlowId::kCrossTraffic), r.cross_sent);
+  for (const net::FlowId kind :
+       {net::FlowId::kCcaData, net::FlowId::kCrossTraffic}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const auto k = static_cast<std::size_t>(kind);
+    EXPECT_GT(r.queue_stats.dropped[k], 0);
+    EXPECT_EQ(r.recorder.ingress_count(kind),
+              r.queue_stats.enqueued[k] + r.queue_stats.dropped[k]);
+    EXPECT_EQ(r.recorder.drop_count(kind), r.queue_stats.dropped[k]);
+  }
 }
 
 // Both trace consumers walk the stamps in order, so an unsorted trace is

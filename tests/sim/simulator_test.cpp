@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "../net/sinks.h"
 #include "net/delay_pipe.h"
 
 namespace ccfuzz::sim {
@@ -271,6 +272,7 @@ class TimerSystem {
     }
     return n;
   }
+  void on_delivery(net::Packet&& p) { on_fire(static_cast<int>(p.id)); }
   void on_fire(int label) {
     log_.emplace_back(sim_.now().ns(), label, size());
     for (unsigned k = 1 + rng_() % 3; k > 0 && actions_ < kActions; --k) {
@@ -316,7 +318,7 @@ class TimerSystem {
       default: {
         net::Packet p;
         p.id = static_cast<std::uint64_t>(next_label_++);
-        pipe_.send(std::move(p));
+        pipe_.receive(std::move(p));
       }
     }
   }
@@ -328,9 +330,8 @@ class TimerSystem {
   std::size_t queued_at_reset_ = 0;
   std::vector<Fire> log_;
   std::array<TimeNs, kTimers> expiry_{};
-  net::DelayPipe pipe_{sim_, DurationNs::millis(2), [this](net::Packet&& p) {
-                         on_fire(static_cast<int>(p.id));
-                       }};
+  net::PortSink<TimerSystem, &TimerSystem::on_delivery> delivery_{*this};
+  net::DelayPipe pipe_{sim_, DurationNs::millis(2), delivery_};
   std::vector<std::unique_ptr<T>> timers_;
 };
 
@@ -365,9 +366,9 @@ TEST(Simulator, DeterministicReplay) {
 TEST(SimulatorLane, ResetEmptiesEveryPipe) {
   Simulator sim;
   int delivered = 0;
-  net::DelayPipe pipe(sim, DurationNs::millis(10),
-                      [&](net::Packet&&) { ++delivered; });
-  for (int i = 0; i < 5; ++i) pipe.send(net::Packet{});
+  net::FnSink count([&](net::Packet&&) { ++delivered; });
+  net::DelayPipe pipe(sim, DurationNs::millis(10), count);
+  for (int i = 0; i < 5; ++i) pipe.receive(net::Packet{});
   sim.schedule_in(DurationNs::millis(1), [] {});
   EXPECT_EQ(pipe.in_flight(), 5);
   sim.reset();
@@ -375,7 +376,7 @@ TEST(SimulatorLane, ResetEmptiesEveryPipe) {
   EXPECT_EQ(sim.run_all(), 0u);
   EXPECT_EQ(delivered, 0);
   pipe.reset(DurationNs::millis(3));
-  pipe.send(net::Packet{});
+  pipe.receive(net::Packet{});
   sim.run_all();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(sim.now(), TimeNs::millis(3));
@@ -387,14 +388,13 @@ TEST(SimulatorLane, ThousandShortLivedPipesGrowNothing) {
   // reuses the lane id.
   Simulator sim;
   int delivered = 0;
-  net::DelayPipe keep(sim, DurationNs::millis(1),
-                      [&](net::Packet&&) { ++delivered; });
+  net::FnSink count([&](net::Packet&&) { ++delivered; });
+  net::DelayPipe keep(sim, DurationNs::millis(1), count);
   for (int i = 0; i < 1000; ++i) {
-    net::DelayPipe temp(sim, DurationNs::millis(2),
-                        [&](net::Packet&&) { ++delivered; });
-    temp.send(net::Packet{});
-    temp.send(net::Packet{});
-    keep.send(net::Packet{});
+    net::DelayPipe temp(sim, DurationNs::millis(2), count);
+    temp.receive(net::Packet{});
+    temp.receive(net::Packet{});
+    keep.receive(net::Packet{});
     if (i % 2 == 0) sim.run_until(sim.now() + DurationNs::micros(1500));
   }
   EXPECT_EQ(sim.events().lane_slots(), 2u);
@@ -408,12 +408,14 @@ TEST(SimulatorLane, EventBudgetTruncatesAtTheSameEvent) {
   // as plain events: an event budget must stop both after the same event.
   struct Run {
     explicit Run(bool l) : lane(l) {}
+    void on_delivery(net::Packet&& p) {
+      fired.push_back(static_cast<int>(p.id));
+    }
     bool lane;
     Simulator sim;
     std::vector<int> fired;
-    net::DelayPipe pipe{sim, DurationNs::millis(2), [this](net::Packet&& p) {
-                          fired.push_back(static_cast<int>(p.id));
-                        }};
+    net::PortSink<Run, &Run::on_delivery> delivery{*this};
+    net::DelayPipe pipe{sim, DurationNs::millis(2), delivery};
   };
   auto run = [](bool lane, std::uint64_t max_events) {
     Run r(lane);
@@ -423,7 +425,7 @@ TEST(SimulatorLane, EventBudgetTruncatesAtTheSameEvent) {
         if (r.lane) {
           net::Packet p;
           p.id = static_cast<std::uint64_t>(i);
-          r.pipe.send(std::move(p));
+          r.pipe.receive(std::move(p));
         } else {
           r.sim.schedule_in(DurationNs::millis(2),
                             [&r, i] { r.fired.push_back(i); });

@@ -18,6 +18,7 @@
 #include "fuzz/elite_archive.h"
 #include "fuzz/evaluator.h"
 #include "fuzz/score.h"
+#include "../net/sinks.h"
 #include "net/delay_pipe.h"
 #include "../scenario/dumbbell_rig.h"
 #include "scenario/runner.h"
@@ -45,12 +46,23 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+// The deletes stay out of line: inlined into a caller that also calls the
+// replaced operator new, GCC would see std::free() release what operator new
+// returned and warn (-Wmismatched-new-delete), though the pairs match.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -88,14 +100,14 @@ TEST(SteadyStateAllocation, EventQueueScheduleNeverAllocatesWhenWarm) {
 TEST(SteadyStateAllocation, DelayPipeReusesRingSlots) {
   Simulator sim;
   std::int64_t delivered = 0;
-  net::DelayPipe pipe(sim, DurationNs::millis(1),
-                      [&delivered](net::Packet&&) { ++delivered; });
+  net::FnSink count([&delivered](net::Packet&&) { ++delivered; });
+  net::DelayPipe pipe(sim, DurationNs::millis(1), count);
 
   auto round = [&] {
     for (int i = 0; i < 200; ++i) {
       net::Packet p;
       p.id = static_cast<std::uint64_t>(i);
-      pipe.send(std::move(p));
+      pipe.receive(std::move(p));
       sim.run_until(sim.now() + DurationNs::micros(100));
     }
     sim.run_all();
@@ -118,24 +130,16 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
   // must not touch the allocator — the deque predecessor allocated a chunk
   // every few segments forever.
   Simulator sim;
+  // The loop closes at the receiver, which is built last.
   tcp::TcpReceiver* receiver_ptr = nullptr;
-  tcp::TcpSender* sender_ptr = nullptr;
-
-  net::DelayPipe data_pipe(
-      sim, DurationNs::millis(10),
-      [&receiver_ptr](net::Packet&& p) { receiver_ptr->on_data_packet(p); });
-  net::DelayPipe ack_pipe(
-      sim, DurationNs::millis(10),
-      [&sender_ptr](net::Packet&& p) { sender_ptr->on_ack_packet(p); });
-
-  tcp::TcpReceiver receiver(
-      sim, tcp::TcpReceiver::Config{},
-      [&ack_pipe](net::Packet&& a) { ack_pipe.send(std::move(a)); });
-  tcp::TcpSender sender(
-      sim, tcp::TcpSender::Config{}, std::make_unique<cca::FixedWindow>(40),
-      [&data_pipe](net::Packet&& p) { data_pipe.send(std::move(p)); });
+  net::FnSink to_receiver(
+      [&receiver_ptr](net::Packet&& p) { receiver_ptr->receive(std::move(p)); });
+  net::DelayPipe data_pipe(sim, DurationNs::millis(10), to_receiver);
+  tcp::TcpSender sender(sim, tcp::TcpSender::Config{},
+                        std::make_unique<cca::FixedWindow>(40), data_pipe);
+  net::DelayPipe ack_pipe(sim, DurationNs::millis(10), sender);
+  tcp::TcpReceiver receiver(sim, tcp::TcpReceiver::Config{}, ack_pipe);
   receiver_ptr = &receiver;
-  sender_ptr = &sender;
 
   sender.start(TimeNs::zero());
   // Segment ring/slab/pipe ring high-water mark: the whole window leaves at

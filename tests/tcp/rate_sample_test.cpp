@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "../net/sinks.h"
 #include "sim/simulator.h"
 #include "tcp/sender.h"
 
@@ -40,7 +41,8 @@ class RecordingCca final : public CongestionControl {
 
 struct RateFixture {
   sim::Simulator sim;
-  std::vector<net::Packet> sent;
+  net::CaptureSink out{sim};
+  std::vector<net::Packet>& sent = out.packets;
   std::vector<RecordingCca::Obs> obs;
   TcpSender::Config cfg;
   RecordingCca* cca = nullptr;  // owned by the sender
@@ -50,8 +52,7 @@ struct RateFixture {
     auto rec = std::make_unique<RecordingCca>(cwnd, &obs);
     cca = rec.get();
     return std::make_unique<TcpSender>(
-        sim, cfg, std::move(rec),
-        [this](net::Packet&& p) { sent.push_back(std::move(p)); });
+        sim, cfg, std::move(rec), out);
   }
 
   net::Packet ack(SeqNr cum, std::initializer_list<net::SackBlock> sacks = {}) {

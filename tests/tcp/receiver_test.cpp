@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "../net/sinks.h"
 #include "sim/simulator.h"
 
 namespace ccfuzz::tcp {
@@ -21,12 +22,12 @@ net::Packet data(SeqNr seq, std::int64_t tx_id = 0) {
 
 struct ReceiverFixture {
   sim::Simulator sim;
-  std::vector<net::Packet> acks;
+  net::CaptureSink out{sim};
+  std::vector<net::Packet>& acks = out.packets;
   TcpReceiver::Config cfg;
 
   std::unique_ptr<TcpReceiver> make() {
-    return std::make_unique<TcpReceiver>(
-        sim, cfg, [this](net::Packet&& p) { acks.push_back(std::move(p)); });
+    return std::make_unique<TcpReceiver>(sim, cfg, out);
   }
 };
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cca/fixed_window.h"
+#include "../net/sinks.h"
 #include "sim/simulator.h"
 #include "tcp/sender.h"
 #include "util/rng.h"
@@ -248,8 +249,8 @@ TEST(ScoreboardDiff, RandomRecoveriesMatchPlainWalks) {
   TcpSender::Config cfg;
   cfg.log_events = true;
   cfg.rtt.min_rto = DurationNs::seconds(1);
-  TcpSender tx(sim, cfg, std::make_unique<cca::FixedWindow>(1),
-               [](net::Packet&&) {});
+  net::FnSink discard([](net::Packet&&) {});
+  TcpSender tx(sim, cfg, std::make_unique<cca::FixedWindow>(1), discard);
 
   std::int64_t checked_events = 0;
   std::int64_t checked_rtos = 0;

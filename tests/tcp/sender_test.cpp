@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cca/fixed_window.h"
+#include "../net/sinks.h"
 #include "sim/simulator.h"
 
 namespace ccfuzz::tcp {
@@ -17,7 +18,8 @@ namespace {
 /// Captures every data packet the sender emits.
 struct SenderFixture {
   sim::Simulator sim;
-  std::vector<net::Packet> sent;
+  net::CaptureSink out{sim};
+  std::vector<net::Packet>& sent = out.packets;
   TcpSender::Config cfg;
 
   SenderFixture() {
@@ -28,8 +30,7 @@ struct SenderFixture {
   std::unique_ptr<TcpSender> make(std::int64_t cwnd,
                                   DataRate pacing = DataRate::zero()) {
     return std::make_unique<TcpSender>(
-        sim, cfg, std::make_unique<cca::FixedWindow>(cwnd, pacing),
-        [this](net::Packet&& p) { sent.push_back(std::move(p)); });
+        sim, cfg, std::make_unique<cca::FixedWindow>(cwnd, pacing), out);
   }
 
   net::Packet ack(SeqNr cum, std::initializer_list<net::SackBlock> sacks = {}) {
