@@ -49,6 +49,26 @@ TEST(CrossTrafficInjector, CountsDropsWhenQueueFull) {
   EXPECT_EQ(q.stats().enqueued[cross], 2);
 }
 
+TEST(CrossTrafficInjector, InjectObserverSeesEveryPacket) {
+  // The sink observes each injection at its stamp, including one that the
+  // gateway's one-slot queue then refuses.
+  sim::Simulator sim;
+  DropTailQueue q(1);
+  CaptureSink seen(sim);
+  FnSink gateway([&](Packet&& p) {
+    seen.receive(Packet(p));
+    q.try_enqueue(std::move(p), sim.now());
+  });
+  CrossTrafficInjector inj(sim, gateway,
+                           {TimeNs::millis(1), TimeNs::millis(2)});
+  inj.start();
+  sim.run_all();
+  EXPECT_EQ(seen.times_ms(), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(inj.packets_sent(), 2);
+  const auto cross = static_cast<std::size_t>(FlowId::kCrossTraffic);
+  EXPECT_EQ(q.stats().dropped[cross], 1);
+}
+
 TEST(CrossTrafficInjector, PacketsTaggedAsCrossTraffic) {
   sim::Simulator sim;
   CaptureSink out(sim);
