@@ -438,6 +438,56 @@ TEST_F(CheckpointTest, FaultedMultiChunkCheckpointKeepsBothSnapshots) {
   }
 }
 
+/// Records the checkpoint head and .prev ("" when absent) at every
+/// generation event.
+class SnapshotRecorder final : public CampaignObserver {
+ public:
+  explicit SnapshotRecorder(fs::path head) : head_(std::move(head)) {}
+  void on_generation(const CellConfig&, const fuzz::GenStats&) override {
+    snapshots.push_back(files());
+  }
+  std::pair<std::string, std::string> files() const {
+    const fs::path prev = head_.string() + ".prev";
+    return {fs::exists(head_) ? slurp(head_) : "",
+            fs::exists(prev) ? slurp(prev) : ""};
+  }
+
+  std::vector<std::pair<std::string, std::string>> snapshots;
+
+ private:
+  fs::path head_;
+};
+
+TEST_F(CheckpointTest, OverlappedHeadsMatchSerialHeads) {
+  std::vector<std::pair<std::string, std::string>> seen[2];
+  std::pair<std::string, std::string> last[2];
+  for (const bool parallel : {false, true}) {
+    const std::string dir = (base_ / (parallel ? "par" : "ser")).string();
+    CampaignConfig cfg = four_island_campaign(dir);
+    cfg.parallel(parallel);
+    SnapshotRecorder recorder(fs::path(dir) / "checkpoint" / "campaign.ckpt");
+    Campaign c(cfg);
+    c.add_observer(&recorder);
+    ASSERT_FALSE(c.run().interrupted);
+    seen[parallel] = std::move(recorder.snapshots);
+    last[parallel] = recorder.files();
+  }
+  // Two cells, five generations each.
+  ASSERT_EQ(seen[0].size(), 10u);
+  ASSERT_EQ(seen[1].size(), seen[0].size());
+  for (std::size_t i = 0; i < seen[0].size(); ++i) {
+    SCOPED_TRACE("generation event " + std::to_string(i));
+    EXPECT_EQ(seen[1][i].first, seen[0][i].first);
+    EXPECT_EQ(seen[1][i].second, seen[0][i].second);
+  }
+  // From the second lockstep generation on, a head has landed.
+  EXPECT_FALSE(seen[0][2].first.empty());
+  EXPECT_FALSE(seen[0][4].second.empty());
+  EXPECT_FALSE(last[0].first.empty());
+  EXPECT_EQ(last[1].first, last[0].first);
+  EXPECT_EQ(last[1].second, last[0].second);
+}
+
 TEST_F(CheckpointTest, NoCheckpointWrittenWhenDisabled) {
   const std::string dir = (base_ / "out").string();
   CampaignConfig cfg = tiny_campaign(dir);
