@@ -650,6 +650,8 @@ const CampaignReport& Campaign::run() {
     CellState* cell;
     fuzz::Member* member;
     std::uint64_t key;
+    /// A cache hit's entry.
+    const fuzz::Evaluation* hit;
   };
 
   // Batch scratch lives across generations so the driver loop reuses its
@@ -657,11 +659,15 @@ const CampaignReport& Campaign::run() {
   // cell's evaluator runs on its own per-worker context, so interleaved
   // cells never reshape shared buffers — see TraceEvaluator::evaluate).
   std::vector<Job> pending;
+  std::vector<Job> hits;
   std::vector<Job> jobs;
   std::vector<Job> copies;
   std::vector<fuzz::BatchItem> items;
   std::unordered_set<std::uint64_t> batch_keys;
   std::uint64_t iteration = 0;
+  // A checkpoint due at the end of one lockstep generation is published on
+  // a pool worker while the next generation's batch simulates.
+  bool checkpoint_due = false;
 
   while (true) {
     // Graceful shutdown: the previous generation finished cleanly, so this
@@ -675,8 +681,10 @@ const CampaignReport& Campaign::run() {
     // Gather every active cell's pending members into one flat batch.
     // Repeats — a genome already in the cache, or the same genome reaching
     // two equivalent cells in this batch — are filled by copy, not
-    // re-simulated.
+    // re-simulated. Until the batch has joined, the checkpoint may be
+    // reading the cells and the cache, so this pass only classifies.
     pending.clear();
+    hits.clear();
     jobs.clear();
     copies.clear();
     batch_keys.clear();
@@ -685,10 +693,9 @@ const CampaignReport& Campaign::run() {
       CellState& cell = *cp;
       if (cell.done) continue;
       any_active = true;
-      const auto members = cell.fuzzer.pending_members();
-      for (fuzz::Member* m : members) pending.push_back({&cell, m, 0});
-      cell.fuzzer.note_external_evaluations(
-          static_cast<std::int64_t>(members.size()));
+      for (fuzz::Member* m : cell.fuzzer.pending_members()) {
+        pending.push_back({&cell, m, 0, nullptr});
+      }
     }
     if (!any_active) break;
     // Keys are independent per member, so they are hashed on the pool. The
@@ -698,14 +705,12 @@ const CampaignReport& Campaign::run() {
       pending[i].key =
           mix_keys(pending[i].cell->key, trace::hash(pending[i].member->genome));
     });
-    for (const Job& p : pending) {
+    for (Job& p : pending) {
       if (const auto hit = cache_.find(p.key); hit != cache_.end()) {
-        p.member->eval = hit->second;
-        p.member->evaluated = true;
-        ++p.cell->result.cache_hits;
+        p.hit = &hit->second;
+        hits.push_back(p);
       } else if (!batch_keys.insert(p.key).second) {
         copies.push_back(p);
-        ++p.cell->result.cache_hits;
       } else {
         jobs.push_back(p);
       }
@@ -716,7 +721,23 @@ const CampaignReport& Campaign::run() {
       items[i] = {&jobs[i].cell->evaluator, &jobs[i].member->genome,
                   &jobs[i].member->eval};
     }
-    fuzz::evaluate_batch(items, parallel_);
+    // The pool fills each job's `eval` in place while the checkpoint is
+    // formatted; the member is still unevaluated, so the checkpoint writes
+    // a default evaluation for it without reading `eval`.
+    if (std::unique_ptr<CheckpointWrite> ckpt =
+            checkpoint_due ? open_checkpoint() : nullptr) {
+      fuzz::evaluate_batch(items, parallel_,
+                           [&] { publish_checkpoint(*ckpt); });
+    } else {
+      fuzz::evaluate_batch(items, parallel_);
+    }
+    // Cache hits count: an uncached run would have simulated them.
+    for (const Job& p : pending) p.cell->fuzzer.note_external_evaluations(1);
+    for (const Job& h : hits) {
+      h.member->eval = *h.hit;
+      h.member->evaluated = true;
+      ++h.cell->result.cache_hits;
+    }
     for (const Job& j : jobs) {
       j.member->evaluated = true;
       // Wall-clock truncation is the one nondeterministic outcome a run can
@@ -732,12 +753,12 @@ const CampaignReport& Campaign::run() {
     for (const Job& c : copies) {
       if (const auto hit = cache_.find(c.key); hit != cache_.end()) {
         c.member->eval = hit->second;
+        ++c.cell->result.cache_hits;
       } else {
         // The job this copy deferred to was wall-truncated and excluded from
         // the cache — simulate it after all.
         c.cell->evaluator.evaluate_into(c.member->genome, c.member->eval);
         ++c.cell->result.simulations;
-        --c.cell->result.cache_hits;
       }
       c.member->evaluated = true;
     }
@@ -773,14 +794,14 @@ const CampaignReport& Campaign::run() {
 
     ++iteration;
     head_is_current_ = false;
-    if (checkpoint_every_ > 0 && iteration % checkpoint_every_ == 0) {
-      write_checkpoint();
-    }
+    checkpoint_due =
+        checkpoint_every_ > 0 && iteration % checkpoint_every_ == 0;
   }
 
   // Final checkpoint: a finished campaign resumes as a no-op rewrite of the
   // same report. (An interrupted run already checkpointed before breaking.)
-  // Usually the final-pass iteration wrote it already.
+  // The last lockstep generation has no batch to publish its checkpoint
+  // alongside, so it lands here.
   if (!report_.interrupted) write_checkpoint();
 
   report_.cells.reserve(cells_.size());
@@ -797,31 +818,48 @@ const CampaignReport& Campaign::run() {
   return report_;
 }
 
-void Campaign::write_checkpoint() {
+struct Campaign::CheckpointWrite {
+  // The checkpoint streams to campaign.ckpt.tmp in chunks of about
+  // record::Writer::kSpillBytes as it is formatted, however large it grows.
+  explicit CheckpointWrite(std::string path)
+      : file(std::move(path)),
+        writer([this](std::string_view bytes) { file.append(bytes); }) {}
+  // The Writer's sink holds this object's address.
+  CheckpointWrite(const CheckpointWrite&) = delete;
+  CheckpointWrite& operator=(const CheckpointWrite&) = delete;
+
+  AtomicFile file;
+  record::Writer writer;
+};
+
+std::unique_ptr<Campaign::CheckpointWrite> Campaign::open_checkpoint() {
   // A rewrite of the head would cost a serialization and an fsync, and
   // demote an identical snapshot into .prev in place of the one before.
   if (checkpoint_every_ <= 0 || output_dir_.empty() || head_is_current_) {
-    return;
+    return nullptr;
   }
   std::error_code ec;
   std::filesystem::create_directories(output_dir_ + "/checkpoint", ec);
   if (ec) {
     CCFUZZ_LOG_WARN("checkpoint: cannot create %s/checkpoint: %s",
                     output_dir_.c_str(), ec.message().c_str());
-    return;
+    return nullptr;
   }
-  const std::string path = output_dir_ + "/checkpoint/campaign.ckpt";
-  // The checkpoint streams to campaign.ckpt.tmp in chunks of about
-  // record::Writer::kSpillBytes as it is formatted, however large it grows.
-  AtomicFile file(path);
-  record::Writer w([&file](std::string_view bytes) { file.append(bytes); });
-  save_checkpoint(w);
-  w.flush();
+  // Opened on the driver, not on the worker that publishes it: the Writer's
+  // buffer then comes from the driver's malloc arena instead of growing a
+  // worker's, which raised a durable campaign's peak RSS.
+  return std::make_unique<CheckpointWrite>(output_dir_ +
+                                           "/checkpoint/campaign.ckpt");
+}
+
+void Campaign::publish_checkpoint(CheckpointWrite& ckpt) {
+  save_checkpoint(ckpt.writer);
+  ckpt.writer.flush();
   // Rotating publish: the previous snapshot survives as campaign.ckpt.prev,
   // so a corrupted head (bad sector, fsync lie) degrades to the previous
   // generation instead of a fresh start. A failed write (ENOSPC et al) is a
   // warning, not an abort: the campaign keeps running on the old snapshot.
-  if (Error e = file.publish_rotating()) {
+  if (Error e = ckpt.file.publish_rotating()) {
     CCFUZZ_LOG_WARN("checkpoint: write failed (%s): %s", to_string(e.code),
                     e.message.c_str());
     return;
@@ -831,6 +869,12 @@ void Campaign::write_checkpoint() {
     // The checkpoint is complete and durable; dying here is exactly the
     // power-cut-at-the-boundary case the resume machinery must absorb.
     faultinject::crash_now(faultinject::FaultSite::kCrashCheckpoint);
+  }
+}
+
+void Campaign::write_checkpoint() {
+  if (std::unique_ptr<CheckpointWrite> ckpt = open_checkpoint()) {
+    publish_checkpoint(*ckpt);
   }
 }
 

@@ -175,7 +175,10 @@ class CampaignConfig {
   /// (and at interruption / completion). 0 disables. Requires output_dir().
   /// Pair with resume_dir(output_dir()) to make a campaign crash-safe: kill
   /// it at any point, rerun the same binary, and it continues from the last
-  /// checkpoint to a bit-identical report.
+  /// checkpoint to a bit-identical report. The checkpoint of generation k
+  /// is written on one pool worker while generation k+1 simulates, so a
+  /// crash in that window resumes from generation k-1 and redoes one more
+  /// generation than a crash after it.
   CampaignConfig& checkpoint_every(int n) {
     checkpoint_every_ = n;
     return *this;
@@ -447,7 +450,19 @@ class Campaign {
   void fill_result(CellState& cell);
   void finish_cell(CellState& cell);
   void build_cells();
-  /// Writes the checkpoint, unless the head already holds this state.
+  /// An open checkpoint write: the temp file and the spilling
+  /// record::Writer that streams into it.
+  struct CheckpointWrite;
+  /// The driver's half of a checkpoint: unless the head already holds this
+  /// state, creates the directory and opens the temp file and its Writer.
+  /// Null when there is nothing to write (or the directory cannot be made).
+  std::unique_ptr<CheckpointWrite> open_checkpoint();
+  /// The other half: formats the state through `ckpt`, publishes it with
+  /// rotation and, on success, marks the head current. run() calls it on a
+  /// pool worker while the next generation simulates, so it reads only
+  /// what the batch leaves alone.
+  void publish_checkpoint(CheckpointWrite& ckpt);
+  /// Both halves back to back.
   void write_checkpoint();
   /// Builds cells_ and the cache from the checkpoint at `path`. On an error
   /// they hold what was read before it.

@@ -75,10 +75,17 @@ void TraceEvaluator::evaluate_on(scenario::RunContext& ctx,
   e.coverage = run.coverage_signature();
 }
 
-void evaluate_batch(const std::vector<BatchItem>& items, bool parallel) {
-  maybe_parallel_for(parallel, items.size(), [&](std::size_t i) {
+void evaluate_batch(const std::vector<BatchItem>& items, bool parallel,
+                    const std::function<void()>& lead) {
+  const auto evaluate = [&](std::size_t i) {
     items[i].evaluator->evaluate_into(*items[i].trace, *items[i].out);
-  });
+  };
+  if (parallel) {
+    global_thread_pool().parallel_for(items.size(), evaluate, lead);
+    return;
+  }
+  if (lead) lead();
+  for (std::size_t i = 0; i < items.size(); ++i) evaluate(i);
 }
 
 }  // namespace ccfuzz::fuzz

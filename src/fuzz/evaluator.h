@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -127,6 +128,10 @@ struct BatchItem {
 /// thread pool. This is the campaign scheduler's entry point:
 /// all cells' pending members are flattened into one such batch, so cores
 /// stay saturated even when a single cell or island has a long tail.
-void evaluate_batch(const std::vector<BatchItem>& items, bool parallel = true);
+/// A `lead` task runs once alongside the batch, on one pool worker that then
+/// joins it (ThreadPool::parallel_for); a serial batch runs it first. The
+/// campaign driver publishes the previous generation's checkpoint there.
+void evaluate_batch(const std::vector<BatchItem>& items, bool parallel = true,
+                    const std::function<void()>& lead = {});
 
 }  // namespace ccfuzz::fuzz

@@ -12,6 +12,9 @@
 // thread pool, or from its evaluation cache), reports the count through
 // note_external_evaluations(), and calls advance_generation(). The driver
 // owns the generation budget, patience stop and final evaluation pass.
+// While the pool evaluates, one of its workers may be checkpointing this
+// fuzzer (save_state): the pool fills pending members' `eval` in place, and
+// the driver sets `evaluated` and reports the count only after the batch.
 //
 // With `parallel`, initial-population generation, breeding and the parse of
 // a restored state's islands run on the global thread pool. Each island owns
@@ -145,7 +148,9 @@ class Fuzzer {
   // across all of them, so cores stay saturated when one cell or island has
   // a long tail. Per generation it calls pending_members(), fills each
   // member's `eval`/`evaluated` (from simulation or an evaluation cache),
-  // calls note_external_evaluations(), then advance_generation().
+  // calls note_external_evaluations(), then advance_generation(). Between
+  // pending_members() and the end of the batch, save_state may run on
+  // another thread; it reads no unevaluated member's `eval`.
 
   /// Members awaiting evaluation, in deterministic (island, slot) order.
   std::vector<Member*> pending_members();
@@ -186,8 +191,10 @@ class Fuzzer {
   /// Writes the full GA runtime state — island populations with their RNG
   /// streams, generation counter, history, best-ever member, and the elite
   /// archive (embedded, terminated) — as a `# ccfuzz-fuzzer v1` block, at
-  /// any generation including 0. restore_state on an identically-configured
-  /// Fuzzer continues the search bit-identically to one that never stopped.
+  /// any generation including 0. An unevaluated member's evaluation is
+  /// written as a default one (state_io::write_member). restore_state on an
+  /// identically-configured Fuzzer continues the search bit-identically to
+  /// one that never stopped.
   void save_state(record::Writer& w) const;
 
   /// Restores state written by save_state into this (identically

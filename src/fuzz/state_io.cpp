@@ -49,8 +49,9 @@ Error read_eval(record::Reader& r, Evaluation& e) {
 }
 
 void write_member(record::Writer& w, const Member& m) {
+  static const Evaluation kUnevaluated;
   w << "# member " << m.evaluated << ' ' << m.novelty << '\n';
-  write_eval(w, m.eval);
+  write_eval(w, m.evaluated ? m.eval : kUnevaluated);
   trace::write_trace(w, m.genome);
   w << "# end member\n";
 }

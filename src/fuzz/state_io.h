@@ -32,6 +32,9 @@ Error read_eval(record::Reader& r, Evaluation& e);
 
 /// Writes a population member: `# member <evaluated> <novelty>`, the
 /// evaluation, the genome as an embedded trace_io block, `# end member`.
+/// An unevaluated member's evaluation is written as a default Evaluation,
+/// without reading `m.eval`: a campaign checkpoints while the pool fills
+/// the evaluations of the next generation's members in place.
 void write_member(record::Writer& w, const Member& m);
 
 /// Reads a member block, genome included, through its `# end member` line.

@@ -57,10 +57,21 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty() || t_pool_worker) {
+                              const std::function<void(std::size_t)>& fn,
+                              const std::function<void()>& lead) {
+  // Written by whichever thread runs `lead`; read after the join.
+  std::exception_ptr lead_error;
+  const auto run_lead = [&] {
+    try {
+      lead();
+    } catch (...) {
+      lead_error = std::current_exception();
+    }
+  };
+  if (n <= 1 || workers_.empty() || t_pool_worker) {
+    if (lead) run_lead();
     for (std::size_t i = 0; i < n; ++i) fn(i);
+    if (lead_error) std::rethrow_exception(lead_error);
     return;
   }
   // Chunked work-stealing via a shared atomic counter keeps task overhead low
@@ -71,7 +82,10 @@ void ThreadPool::parallel_for(std::size_t n,
     std::lock_guard<std::mutex> lk(mu_);
     in_flight_ += n_tasks;
     for (std::size_t t = 0; t < n_tasks; ++t) {
-      tasks_.push([next, n, &fn] {
+      // The queue is FIFO, so the first worker to wake takes the lead.
+      const bool leads = t == 0 && lead;
+      tasks_.push([next, n, &fn, leads, &run_lead] {
+        if (leads) run_lead();
         for (;;) {
           const std::size_t i = next->fetch_add(1);
           if (i >= n) return;
@@ -81,8 +95,11 @@ void ThreadPool::parallel_for(std::size_t n,
     }
   }
   cv_task_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [this] { return in_flight_ == 0; });
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_done_.wait(lk, [this] { return in_flight_ == 0; });
+  }
+  if (lead_error) std::rethrow_exception(lead_error);
 }
 
 std::size_t parse_thread_count(const char* value) {

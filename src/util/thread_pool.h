@@ -4,7 +4,9 @@
 // fork/join semantics: parallel_for over an index range. Results are written
 // by index, so output order (and thus GA behaviour) is independent of thread
 // scheduling — the paper's reproducibility argument (§3.6) holds under
-// parallelism.
+// parallelism. A batch may carry one lead task, which a worker runs before
+// it joins the loop: the campaign driver writes a checkpoint that way while
+// the other workers simulate, without a thread of its own.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +35,15 @@ class ThreadPool {
   /// blocks until all iterations complete. Exceptions in fn terminate (the
   /// simulator treats internal errors as fatal bugs). Called from a pool
   /// worker (a nested parallel_for), the loop runs inline on that worker.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  ///
+  /// A `lead` task runs once, on one worker, which then joins the loop: the
+  /// campaign driver publishes a checkpoint there while the other workers
+  /// simulate. The caller only waits, so the pool never runs more threads
+  /// than its own. With n <= 1, no workers, or from a pool worker, lead()
+  /// runs inline before the loop. An exception from `lead` is rethrown on
+  /// the caller once every index has run.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    const std::function<void()>& lead = {});
 
  private:
   void worker_loop();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -435,6 +436,135 @@ TEST_F(CheckpointTest, FaultedMultiChunkCheckpointKeepsBothSnapshots) {
     for (const auto& cell : report.cells) EXPECT_EQ(cell.history.size(), 4u);
     EXPECT_FALSE(validate_checkpoint_file(head.string()));
     EXPECT_NE(slurp(head), old_head);
+  }
+}
+
+TEST_F(CheckpointTest, FailedOverlappedCheckpointKeepsSnapshotsAndReport) {
+  const std::string ref_dir = (base_ / "ref").string();
+  ASSERT_FALSE(Campaign(four_island_campaign(ref_dir)).run().interrupted);
+  const std::string dir = (base_ / "out").string();
+  const fs::path head = fs::path(dir) / "checkpoint" / "campaign.ckpt";
+  // The third generation's checkpoint is published while the fourth
+  // simulates, and fails.
+  FaultThirdCheckpoint fault("enospc@1", head);
+  Campaign c(four_island_campaign(dir));
+  c.add_observer(&fault);
+  ::testing::internal::CaptureStderr();
+  const bool interrupted = c.run().interrupted;
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  faultinject::disarm();
+  EXPECT_FALSE(interrupted);
+  ASSERT_EQ(fault.before_.size(), 3u);
+  ASSERT_EQ(fault.after_.size(), 3u);
+  EXPECT_FALSE(fault.before_[0].empty());
+  EXPECT_FALSE(fault.before_[1].empty());
+  EXPECT_EQ(fault.after_[0], fault.before_[0]);
+  EXPECT_EQ(fault.after_[1], fault.before_[1]);
+  std::size_t warnings = 0;
+  for (std::size_t at = log.find("checkpoint: write failed");
+       at != std::string::npos;
+       at = log.find("checkpoint: write failed", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1u) << log;
+  // The run went on to the report, and the final checkpoint, of one that
+  // never failed.
+  for (const char* rel :
+       {"summary.csv", "summary.json", "checkpoint/campaign.ckpt",
+        "reno.traffic.low-utilization/history.csv",
+        "cubic.traffic.low-utilization/history.csv",
+        "reno.traffic.low-utilization/winner_0.trace",
+        "cubic.traffic.low-utilization/winner_0.trace"}) {
+    EXPECT_EQ(slurp(fs::path(dir) / rel), slurp(fs::path(ref_dir) / rel))
+        << rel;
+  }
+}
+
+/// The `# generation` of the first cell in the checkpoint head at every
+/// generation event, with that event's generation; -1 while there is no
+/// head.
+class HeadGenerationRecorder final : public CampaignObserver {
+ public:
+  explicit HeadGenerationRecorder(fs::path head) : head_(std::move(head)) {}
+  void on_generation(const CellConfig&, const fuzz::GenStats& gs) override {
+    int in_head = -1;
+    if (fs::exists(head_)) {
+      const std::string text = slurp(head_);
+      const std::size_t at = text.find("# generation ");
+      if (at != std::string::npos) {
+        in_head = std::stoi(text.substr(at + std::strlen("# generation ")));
+      }
+    }
+    seen.emplace_back(gs.generation, in_head);
+  }
+
+  std::vector<std::pair<int, int>> seen;
+
+ private:
+  fs::path head_;
+};
+
+TEST_F(CheckpointTest, AllCacheHitGenerationStillPublishesItsCheckpoint) {
+  // A finished run's cache holds every evaluation the campaign makes.
+  const std::string full = (base_ / "full").string();
+  ASSERT_FALSE(Campaign(tiny_campaign(full)).run().interrupted);
+  const std::string full_ckpt =
+      slurp(fs::path(full) / "checkpoint" / "campaign.ckpt");
+  const std::size_t full_cache = full_ckpt.find("# cache ");
+  ASSERT_NE(full_cache, std::string::npos);
+  // Stopped after its first generation, a run holds bred, unevaluated
+  // children; hand it that cache.
+  const std::string mid = (base_ / "mid").string();
+  {
+    Campaign c(tiny_campaign(mid));
+    StopAfterObserver stopper(2);
+    c.add_observer(&stopper);
+    ASSERT_TRUE(c.run().interrupted);
+    reset_stop_flag();
+  }
+  const fs::path mid_head = fs::path(mid) / "checkpoint" / "campaign.ckpt";
+  std::string ckpt = slurp(mid_head);
+  const std::size_t mid_cache = ckpt.find("# cache ");
+  ASSERT_NE(mid_cache, std::string::npos);
+  ckpt = ckpt.substr(0, mid_cache) + full_ckpt.substr(full_cache);
+  std::ofstream(mid_head, std::ios::binary | std::ios::trunc) << ckpt;
+  fs::remove(mid_head.string() + ".prev");
+  std::vector<std::int64_t> restored_sims;
+  for (std::size_t at = ckpt.find("# simulations "); at != std::string::npos;
+       at = ckpt.find("# simulations ", at + 1)) {
+    restored_sims.push_back(
+        std::stoll(ckpt.substr(at + std::strlen("# simulations "))));
+  }
+  ASSERT_EQ(restored_sims.size(), 2u);
+
+  // Resumed into another directory, every member of every generation is a
+  // cache hit, so every batch is empty.
+  const std::string out = (base_ / "out").string();
+  CampaignConfig cfg = tiny_campaign(out);
+  cfg.resume_dir(mid);
+  Campaign c(cfg);
+  ASSERT_TRUE(c.resumed());
+  HeadGenerationRecorder recorder(fs::path(out) / "checkpoint" /
+                                  "campaign.ckpt");
+  c.add_observer(&recorder);
+  const CampaignReport& report = c.run();
+  ASSERT_EQ(report.cells.size(), 2u);
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    EXPECT_EQ(report.cells[i].simulations, restored_sims[i]);
+    EXPECT_GT(report.cells[i].cache_hits, 0);
+  }
+  // Four generations remain, two cells each. The first writes no head; from
+  // the second on, the head holds the state that generation started from.
+  ASSERT_EQ(recorder.seen.size(), 8u);
+  EXPECT_EQ(recorder.seen[0].second, -1);
+  EXPECT_EQ(recorder.seen[1].second, -1);
+  for (std::size_t i = 2; i < recorder.seen.size(); ++i) {
+    SCOPED_TRACE("generation event " + std::to_string(i));
+    EXPECT_EQ(recorder.seen[i].second, recorder.seen[i].first);
+  }
+  for (const char* rel : {"reno.traffic.low-utilization/history.csv",
+                          "cubic.traffic.low-utilization/history.csv"}) {
+    EXPECT_EQ(slurp(fs::path(out) / rel), slurp(fs::path(full) / rel)) << rel;
   }
 }
 

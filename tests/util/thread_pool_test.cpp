@@ -98,6 +98,116 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   }
 }
 
+TEST(ThreadPool, LeadRunsOnceOnAWorker) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> leads{0};
+  std::thread::id lead_thread;
+  std::vector<std::atomic<int>> hits(200);
+  pool.parallel_for(
+      hits.size(), [&](std::size_t i) { hits[i]++; },
+      [&] {
+        leads++;
+        lead_thread = std::this_thread::get_id();
+      });
+  EXPECT_EQ(leads.load(), 1);
+  EXPECT_NE(lead_thread, caller);
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, LeadRunsWhileOtherWorkersTakeTheLoop) {
+  // The lead waits for the whole loop: the other worker must run it.
+  ThreadPool pool(2);
+  constexpr std::size_t kN = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  bool waited = false;
+  pool.parallel_for(
+      kN,
+      [&](std::size_t) {
+        std::lock_guard<std::mutex> lk(mu);
+        ++done;
+        cv.notify_all();
+      },
+      [&] {
+        std::unique_lock<std::mutex> lk(mu);
+        waited = cv.wait_for(lk, std::chrono::seconds(10),
+                             [&] { return done == kN; });
+      });
+  EXPECT_TRUE(waited);
+  EXPECT_EQ(done, kN);
+}
+
+TEST(ThreadPool, LeadWorkerJoinsTheLoop) {
+  // One worker: the lead's thread runs every index after it.
+  ThreadPool pool(1);
+  std::thread::id lead_thread;
+  std::vector<std::thread::id> ran(16);
+  pool.parallel_for(
+      ran.size(),
+      [&](std::size_t i) { ran[i] = std::this_thread::get_id(); },
+      [&] { lead_thread = std::this_thread::get_id(); });
+  EXPECT_NE(lead_thread, std::this_thread::get_id());
+  for (const auto& id : ran) ASSERT_EQ(id, lead_thread);
+}
+
+TEST(ThreadPool, LeadRunsInlineBeforeTinyAndNestedLoops) {
+  ThreadPool pool(2);
+  for (const std::size_t n : {0u, 1u}) {
+    SCOPED_TRACE(n);
+    std::vector<std::string> order;
+    std::thread::id lead_thread;
+    pool.parallel_for(
+        n, [&](std::size_t) { order.push_back("index"); },
+        [&] {
+          order.push_back("lead");
+          lead_thread = std::this_thread::get_id();
+        });
+    EXPECT_EQ(lead_thread, std::this_thread::get_id());
+    ASSERT_EQ(order.size(), n + 1);
+    EXPECT_EQ(order.front(), "lead");
+  }
+  // From a pool task: inline on that worker, before its loop.
+  std::atomic<int> misplaced{0};
+  pool.parallel_for(4, [&](std::size_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    bool led = false;
+    pool.parallel_for(
+        8,
+        [&](std::size_t) {
+          if (!led || std::this_thread::get_id() != self) misplaced++;
+        },
+        [&] {
+          if (std::this_thread::get_id() != self) misplaced++;
+          led = true;
+        });
+    if (!led) misplaced++;
+  });
+  EXPECT_EQ(misplaced.load(), 0);
+}
+
+TEST(ThreadPool, ThrowingLeadIsRethrownAfterTheLoop) {
+  ThreadPool pool(3);
+  for (const std::size_t n : {1u, 100u}) {
+    SCOPED_TRACE(n);
+    std::vector<std::atomic<int>> hits(n);
+    try {
+      pool.parallel_for(
+          n, [&](std::size_t i) { hits[i]++; },
+          [] { throw std::runtime_error("lead failed"); });
+      ADD_FAILURE() << "the exception must reach the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "lead failed");
+    }
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+  // The pool is still usable.
+  std::atomic<int> after{0};
+  pool.parallel_for(50, [&](std::size_t) { after++; });
+  EXPECT_EQ(after.load(), 50);
+}
+
 TEST(OrderedParallelFor, CommitsInIndexOrderOneAtATime) {
   constexpr std::size_t kN = 300;
   std::vector<std::uint64_t> results(kN, 0);  // written by work, read by commit
