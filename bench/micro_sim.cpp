@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "cca/registry.h"
+#include "net/delay_pipe.h"
 #include "scenario/runner.h"
 #include "sim/simulator.h"
 #include "trace/dist_packets.h"
@@ -17,78 +18,104 @@ using namespace ccfuzz;
 
 namespace {
 
+/// Counts the packets a DelayPipe delivers.
+class CountSink final : public net::PacketSink {
+ public:
+  void receive(net::Packet&&) override { ++delivered; }
+  std::int64_t delivered = 0;
+};
+
 void BM_EventQueueChurn(benchmark::State& state) {
-  // Steady-state event churn, matching how production drives the core since
-  // scenario::RunContext landed: a warm simulator reused across runs, a
-  // bounded live set of near events (packet transmissions/deliveries), an
-  // RTO-style far-future sim::Timer re-armed every tenth step, and
-  // run_until() stepping the clock. Before the reusable contexts, every
-  // run_scenario() hit a cold queue — that profile is kept as
-  // BM_EventQueueChurnCold below.
+  // Steady-state event churn on the event sources a dumbbell run uses: a
+  // warm simulator reused across runs, a DelayPipe lane carrying the near
+  // events (one packet per simulated microsecond, 100 in flight), 16
+  // pacing timers that each re-arm from their own expiry, an RTO-style
+  // far-future sim::Timer re-armed every tenth step, and run_until()
+  // stepping the clock. The cold-queue profile is BM_EventQueueChurnCold
+  // below.
   sim::Simulator sim;
+  CountSink sink;
+  net::DelayPipe pipe(sim, DurationNs::micros(100), sink);
   std::int64_t fired = 0;
-  sim::Timer timer(sim, [&fired] { ++fired; });
+  sim::Timer rto(sim, [&fired] { ++fired; });
+  std::deque<sim::Timer> pacing;
+  for (int f = 0; f < 16; ++f) {
+    const DurationNs period = DurationNs::micros(10 + f);
+    pacing.emplace_back(sim, [&fired, &pacing, f, period] {
+      ++fired;
+      pacing[f].arm(period);
+    });
+  }
+  std::uint64_t events = 0;
   for (auto _ : state) {
     sim.reset();
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
-    }
+    for (auto& t : pacing) t.arm(DurationNs::zero());
     for (int i = 0; i < 9'800; ++i) {
       sim.run_until(sim.now() + DurationNs::micros(1));
-      sim.schedule_in(DurationNs::micros(100), [&fired] { ++fired; });
-      if (i % 10 == 0) timer.arm(DurationNs::millis(1));
+      pipe.receive(net::Packet{});
+      if (i % 10 == 0) rto.arm(DurationNs::millis(1));
     }
-    sim.run_all();
+    sim.run_until(sim.now() + DurationNs::micros(100));
+    events += sim.events_executed();
     benchmark::DoNotOptimize(fired);
   }
-  state.SetItemsProcessed(state.iterations() * 10'000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueChurn);
 
 void BM_EventQueueChurnCold(benchmark::State& state) {
-  // Cold-queue bulk churn: 10k events scheduled up front into a fresh
-  // simulator, then drained. This was the pre-RunContext production profile
-  // (and the original BM_EventQueueChurn body).
+  // Cold-queue churn: each iteration builds a fresh simulator with four
+  // DelayPipes (1 us to 1 ms) and a feeder timer that re-arms every
+  // microsecond and sends one packet down the next pipe, 10k sends in all,
+  // then drains. The heap, the lane table and the pipe rings all grow from
+  // empty, as in the first run of a fresh scenario::RunContext.
   for (auto _ : state) {
     sim::Simulator sim;
-    std::int64_t fired = 0;
-    for (int i = 0; i < 10'000; ++i) {
-      sim.schedule_in(DurationNs::micros((i * 37) % 1000),
-                      [&fired] { ++fired; });
+    CountSink sink;
+    std::deque<net::DelayPipe> pipes;
+    for (const std::int64_t us : {1, 10, 100, 1000}) {
+      pipes.emplace_back(sim, DurationNs::micros(us), sink);
     }
+    int sent = 0;
+    sim::Timer feeder(sim, [&] {
+      pipes[static_cast<std::size_t>(sent % 4)].receive(net::Packet{});
+      if (++sent < 10'000) feeder.arm(DurationNs::micros(1));
+    });
+    feeder.arm(DurationNs::zero());
     sim.run_all();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.delivered);
   }
-  state.SetItemsProcessed(state.iterations() * 10'000);
+  state.SetItemsProcessed(state.iterations() * 20'000);
 }
 BENCHMARK(BM_EventQueueChurnCold);
 
 void BM_TimerRearmHeavy(benchmark::State& state) {
   // RTO-heavy churn: every simulated "ACK" re-arms one of 16 flows' RTO
-  // timers a full second out, on top of the steady near-event churn, the way
-  // TcpSender re-arms its RTO through sim::Timer::arm. Virtually none of the
-  // far timers survive to their expiry. A re-arm a second out only moves
-  // the timer's key, so the heap holds the near events plus one handle per
-  // flow.
+  // timers a full second out, on top of a DelayPipe's steady near-event
+  // churn, the way TcpSender re-arms its RTO through sim::Timer::arm.
+  // Virtually none of the far timers survive to their expiry. A re-arm a
+  // second out only moves the timer's key, so the heap holds the pipe's
+  // handle plus one handle per flow.
   sim::Simulator sim;
+  CountSink sink;
+  net::DelayPipe pipe(sim, DurationNs::micros(100), sink);
   constexpr int kFlows = 16;
   std::int64_t fired = 0;
   std::deque<sim::Timer> rto;
   for (int f = 0; f < kFlows; ++f) rto.emplace_back(sim, [&fired] { ++fired; });
+  std::uint64_t events = 0;
   for (auto _ : state) {
     sim.reset();
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
-    }
     for (int i = 0; i < 9'800; ++i) {
       sim.run_until(sim.now() + DurationNs::micros(1));
-      sim.schedule_in(DurationNs::micros(100), [&fired] { ++fired; });
+      pipe.receive(net::Packet{});
       rto[i % kFlows].arm(DurationNs::seconds(1));
     }
     sim.run_all();
+    events += sim.events_executed();
     benchmark::DoNotOptimize(fired);
   }
-  state.SetItemsProcessed(state.iterations() * 10'000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_TimerRearmHeavy);
 

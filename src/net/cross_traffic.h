@@ -8,10 +8,9 @@
 // GA toward minimal traffic vectors (§3.4).
 //
 // The injector is an event lane (sim::Lane): start() reserves one block of
-// FIFO seqs for the whole schedule — the seqs a loop of schedule_at() calls
-// would have taken — and the stamp list itself is the lane's storage, so the
-// event queue holds one handle for the next injection instead of one per
-// stamp.
+// consecutive FIFO seqs for the whole schedule, stamp i taking the i-th, and
+// the stamp list itself is the lane's storage, so the event queue holds one
+// handle for the next injection instead of one per stamp.
 #pragma once
 
 #include <algorithm>
@@ -41,8 +40,8 @@ class CrossTrafficInjector final : private sim::Lane {
         flow_index_(flow_index) {}
 
   /// Queues every injection. Call once per run, before running the
-  /// simulation. Stamps before the current time fire now, as
-  /// Simulator::schedule_at would fire them.
+  /// simulation. Stamps before the current time fire now, as a timer armed
+  /// at such a time would (sim::Timer::arm_at).
   void start() {
     assert(pending() == 0 && "start() once per run");
     assert(std::is_sorted(times_.begin(), times_.end()));

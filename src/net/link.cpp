@@ -1,6 +1,5 @@
 #include "net/link.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace ccfuzz::net {
@@ -34,7 +33,7 @@ void TraceDrivenLink::start() { arm_next(); }
 
 void TraceDrivenLink::arm_next() {
   if (next_ < times_.size()) {
-    opportunity_.arm(std::max(times_[next_] - sim_.now(), DurationNs::zero()));
+    opportunity_.arm_at(times_[next_]);
   }
 }
 

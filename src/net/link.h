@@ -18,7 +18,7 @@
 //
 // Each link paces itself with one sim::Timer, re-armed from its own expiry
 // (the next opportunity, the next transmit-done), so its per-packet events
-// keep one queue handle and never touch the event slab.
+// keep one queue handle.
 #pragma once
 
 #include <span>

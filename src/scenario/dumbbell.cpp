@@ -93,7 +93,7 @@ void Dumbbell::setup(const ScenarioConfig& cfg, const tcp::CcaFactory& primary,
   }
 
   // One private path per flow: access link in, ACK path back. Slots persist
-  // across setups (warm segment rings, reorder buffers, event slabs); a
+  // across setups (warm segment rings, reorder buffers, pipe rings); a
   // fresh shape only appends.
   if (flows_.capacity() < flow_count_) flows_.reserve(flow_count_);
   for (std::size_t i = 0; i < flow_count_; ++i) {

@@ -5,6 +5,13 @@
 
 namespace ccfuzz::scenario {
 
+namespace {
+
+/// Interval between live-state audits on runs with invariants armed.
+constexpr DurationNs kAuditPeriod = DurationNs::millis(5);
+
+}  // namespace
+
 double FlowResult::goodput_mbps() const {
   const DurationNs span = active();
   if (span <= DurationNs::zero()) return 0.0;
@@ -53,6 +60,12 @@ double RunResult::jain_fairness() const {
   return sum * sum / (static_cast<double>(flows.size()) * sum_sq);
 }
 
+RunContext::RunContext()
+    : db_(sim_, result_.recorder, result_.metrics), audit_timer_(sim_, [this] {
+        audit_live_state();
+        audit_timer_.arm(kAuditPeriod);
+      }) {}
+
 const RunResult& RunContext::run(const ScenarioConfig& cfg,
                                  const tcp::CcaFactory& cca,
                                  std::span<const TimeNs> trace_times) {
@@ -61,8 +74,8 @@ const RunResult& RunContext::run(const ScenarioConfig& cfg,
   if (!std::is_sorted(trace_times.begin(), trace_times.end())) {
     throw std::invalid_argument("run: trace_times must be sorted ascending");
   }
-  // Reset every piece of reused state; capacities (slab, component buffers,
-  // metric bins) survive, contents don't.
+  // Reset every piece of reused state; capacities (event heap, component
+  // buffers, metric bins) survive, contents don't.
   sim_.reset();
   result_.recorder.clear();
   result_.probe.reset(cfg.coverage);
@@ -74,11 +87,9 @@ const RunResult& RunContext::run(const ScenarioConfig& cfg,
   db_.start();
 
   // Armed invariant oracle: periodic audits of live sender/queue state.
-  // Disarmed runs schedule nothing, so they stay bit-identical; armed audit
-  // events do count toward the run's event budget.
-  if (cfg.invariants) {
-    schedule_audit(DurationNs::millis(5));
-  }
+  // Disarmed runs never arm the audit timer, so they stay bit-identical;
+  // armed audits do count toward the run's event budget.
+  if (cfg.invariants) audit_timer_.arm(kAuditPeriod);
 
   // Run guards: cap the deadline at the sim-time budget, and arm the
   // event/wall guards inside the simulator. All of this is branch-only when
@@ -135,13 +146,6 @@ const RunResult& RunContext::run(const ScenarioConfig& cfg,
     check_conservation();
   }
   return result_;
-}
-
-void RunContext::schedule_audit(DurationNs period) {
-  sim_.schedule_in(period, [this, period] {
-    audit_live_state();
-    schedule_audit(period);
-  });
 }
 
 void RunContext::audit_live_state() {

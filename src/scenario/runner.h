@@ -6,7 +6,7 @@
 // result depends on nothing but its arguments, which is what makes the GA's
 // parallel evaluation deterministic (paper §3.6). Under the hood each thread
 // reuses one RunContext (thread_run_context), so back-to-back evaluations run
-// on warm buffers — the event-slot slab, dumbbell components (queue, links,
+// on warm buffers — the event heap, dumbbell components (queue, links,
 // pipes with their in-flight rings, senders, receivers) and metric bins reach
 // their high-water mark on the first run, after which a steady-state evaluation
 // performs zero heap allocations end to end, result handoff included (the
@@ -167,7 +167,7 @@ struct RunResult {
   double jain_fairness() const;
 };
 
-/// Reusable simulation harness: owns the simulator (event-slot slab), the
+/// Reusable simulation harness: owns the simulator (event heap and lanes), the
 /// reusable Dumbbell (queue, links, pipes, senders, receivers) and the warm
 /// RunResult the recorder/metrics write
 /// into, recycling all of it across runs — including across runs with
@@ -178,7 +178,7 @@ struct RunResult {
 /// allocations at all.
 class RunContext {
  public:
-  RunContext() : db_(sim_, result_.recorder, result_.metrics) {}
+  RunContext();
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
@@ -191,10 +191,9 @@ class RunContext {
                        std::span<const TimeNs> trace_times);
 
  private:
-  /// Armed-invariants support: schedules the next periodic audit and runs
-  /// the live-state checks (sender scoreboards, cwnd, queue occupancy, the
-  /// packet ledger). Never called on disarmed runs.
-  void schedule_audit(DurationNs period);
+  /// Armed-invariants support: the live-state checks (sender scoreboards,
+  /// cwnd, queue occupancy, the packet ledger), run by audit_timer_ every
+  /// audit period. Never called on disarmed runs.
   void audit_live_state();
   /// Post-run conservation checks (packet ledger, queue accounting,
   /// per-flow counters). Never called on disarmed runs.
@@ -205,6 +204,9 @@ class RunContext {
   sim::Simulator sim_;
   RunResult result_;
   Dumbbell db_;
+  /// Armed only when ScenarioConfig::invariants is set; re-arms itself each
+  /// time it fires.
+  sim::Timer audit_timer_;
 };
 
 /// This thread's warm RunContext, created on first use. Every run on this

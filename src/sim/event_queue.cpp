@@ -5,20 +5,6 @@
 
 namespace ccfuzz::sim {
 
-void EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
-  std::uint32_t slot;
-  if (free_head_ != kNil) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].fn = std::move(fn);
-  heap_push(HeapHandle{at.ns(), next_seq_++, slot});
-  ++live_;
-}
-
 std::uint32_t EventQueue::lane_register(Lane* lane) {
   std::uint32_t id;
   if (free_lane_ != kNil) {
@@ -53,29 +39,29 @@ std::uint32_t EventQueue::lane_push(std::uint32_t id, TimeNs at,
     e.head_at = at.ns();
     e.head_seq = e.handle_seq = seq;
     e.filed = true;
-    heap_push(HeapHandle{at.ns(), seq, kLaneTag | id});
+    heap_push(HeapHandle{at.ns(), seq, id});
   }
   e.pending += n;
   return seq;
 }
 
 void EventQueue::lane_rekey(std::uint32_t id, TimeNs at, std::uint32_t seq) {
-  assert(!heap_.empty() && heap_[0].slot == (kLaneTag | id));
+  assert(!heap_.empty() && heap_[0].lane == id);
   LaneEntry& e = lanes_[id];
   e.head_at = at.ns();
   e.head_seq = e.handle_seq = seq;
-  heap_replace_top(HeapHandle{at.ns(), seq, kLaneTag | id});
+  heap_replace_top(HeapHandle{at.ns(), seq, id});
 }
 
 void EventQueue::lane_drained(std::uint32_t id) {
-  assert(!heap_.empty() && heap_[0].slot == (kLaneTag | id));
+  assert(!heap_.empty() && heap_[0].lane == id);
   lanes_[id].filed = false;
   heap_pop_top();
 }
 
 void EventQueue::lane_rearm(std::uint32_t id, TimeNs at) {
   LaneEntry& e = lanes_[id];
-  const HeapHandle h{at.ns(), next_seq_++, kLaneTag | id};
+  const HeapHandle h{at.ns(), next_seq_++, id};
   if (e.pending == 0) {
     e.pending = 1;
     ++live_;
@@ -138,13 +124,7 @@ void EventQueue::heap_replace_top(HeapHandle h) {
 void EventQueue::prune() {
   while (!heap_.empty()) {
     const HeapHandle top = heap_[0];
-    if (top.slot < kLaneTag) {
-      // A slab event leaves the heap only by firing or by reset(): its
-      // handle is always live.
-      __builtin_prefetch(&slots_[top.slot]);
-      return;
-    }
-    LaneEntry& e = lanes_[top.slot - kLaneTag];
+    LaneEntry& e = lanes_[top.lane];
     if (e.handle_seq == top.seq) {
       if (e.pending == 0) {
         e.filed = false;  // a cancelled timer's handle
@@ -154,7 +134,7 @@ void EventQueue::prune() {
         // A timer re-armed to a later key since this handle was filed: the
         // handle surfaced early and takes the entry's key in place.
         e.handle_seq = e.head_seq;
-        heap_replace_top(HeapHandle{e.head_at, e.head_seq, top.slot});
+        heap_replace_top(HeapHandle{e.head_at, e.head_seq, top.lane});
         continue;
       }
     }
@@ -162,52 +142,23 @@ void EventQueue::prune() {
   }
 }
 
-TimeNs EventQueue::next_time() {
-  prune();
-  return heap_.empty() ? TimeNs::infinite() : TimeNs(heap_[0].at_ns);
-}
-
 bool EventQueue::run_next_due(TimeNs deadline, TimeNs& clock) {
   prune();
   if (heap_.empty()) return false;
   const HeapHandle top = heap_[0];
-  // After prune() the top is live and carries its event's own key.
+  // After prune() the top is live and carries its entry's own key.
   if (TimeNs(top.at_ns) > deadline) return false;
   --live_;
   clock = TimeNs(top.at_ns);
-  if (top.slot >= kLaneTag) {
-    // The owner detaches its head and re-keys (or drops) this very handle,
-    // which is still the heap top, before the head runs.
-    LaneEntry& e = lanes_[top.slot - kLaneTag];
-    --e.pending;
-    e.lane->fire();
-    return true;
-  }
-  heap_pop_top();
-  Slot& s = slots_[top.slot];
-  // Move the callback out before freeing the slot: the callback may schedule
-  // new events, which can reuse this slot or grow the slab.
-  EventCallback fn = std::move(s.fn);
-  s.next_free = free_head_;
-  free_head_ = top.slot;
-  fn();
+  // The owner detaches its head and re-keys (or drops) this very handle,
+  // which is still the heap top, before the head runs.
+  LaneEntry& e = lanes_[top.lane];
+  --e.pending;
+  e.lane->fire();
   return true;
 }
 
-TimeNs EventQueue::run_next() {
-  assert(!empty() && "run_next on empty queue");
-  TimeNs at = TimeNs::zero();
-  run_next_due(TimeNs::infinite(), at);
-  return at;
-}
-
 void EventQueue::reset() {
-  free_head_ = kNil;
-  for (std::uint32_t i = static_cast<std::uint32_t>(slots_.size()); i-- > 0;) {
-    slots_[i].fn.reset();
-    slots_[i].next_free = free_head_;
-    free_head_ = i;
-  }
   heap_.clear();
   for (LaneEntry& e : lanes_) {
     if (e.lane == nullptr) continue;

@@ -1,61 +1,45 @@
-// Discrete-event core: a priority queue of timestamped callbacks.
+// Discrete-event core: a priority queue of timestamped events.
 //
 // Determinism contract: events at equal timestamps fire in insertion order
 // (FIFO tie-break via a monotone sequence number). This makes every
 // simulation bit-reproducible, which the GA depends on for convergence
 // (paper §3.6).
 //
-// Design — slab + one 4-ary heap + FIFO lanes (zero steady-state
-// allocations):
+// Design — FIFO lanes under one 4-ary heap (zero steady-state allocations):
 //
-//   * Callbacks live in a slab of fixed-size slots holding an
-//     InlineCallback<kEventCallbackCapacity> (32-byte inline budget,
-//     compile-time asserted — capture owners, not payloads). A
-//     free list recycles slots, so after the high-water mark is reached
-//     schedule()/run_next() never touch the allocator.
+//   * Every event belongs to a Lane: a FIFO event source whose entries
+//     arrive in non-decreasing time order and whose owner stores them
+//     (payload included) in its own storage. A fixed-delay packet path
+//     delivers in send order (net::DelayPipe), the cross-traffic schedule is
+//     one pre-sorted stamp list, and a sim::Timer is a lane of at most one
+//     entry. The queue keeps one handle per lane — for its head entry — in
+//     the heap.
 //   * The ordering structure is a 4-ary index heap of 16-byte
-//     {time, seq, slot} handles (~half the depth of a binary heap,
-//     branch-predictable four-child scan). Its capacity is kept across
-//     reset(), so a reused queue schedules without allocating.
-//   * Slab events cannot be cancelled: one leaves the heap only by firing
-//     or by reset(), so a slab handle is never stale and needs no tag. What
-//     is left on the slab is O(flows) per run — flow start and stop, and
-//     armed audits. Anything that is re-armed or cancelled is a sim::Timer,
-//     and per-packet events ride lanes and timers (both bottleneck links
-//     pace themselves with a timer).
-//   * Heap handles carry a 32-bit FIFO sequence number. seq restarts on
-//     reset() (the heap is empty then), bounding the tie-break at 2^32
-//     events per run — orders of magnitude above any simulation
-//     (scenario::RunContext resets per run).
-//
-// Lanes — FIFO sources with one heap handle each:
-//
-//   * Most events have a simpler shape than "arbitrary callback at arbitrary
-//     time": a fixed-delay packet path delivers in send order, and the
-//     cross-traffic schedule is one pre-sorted stamp list. A Lane is such a
-//     FIFO source: its entries arrive in non-decreasing time order and its
-//     owner stores them (payload included) in its own storage, so they
-//     never touch the slot slab. The lane keeps one handle — for its head
-//     entry — in the heap, tagged with kLaneTag.
-//   * Ordering is unchanged by construction: an entry takes its seq from the
-//     queue's counter at push time, the moment a schedule() would have, so
-//     every (time, seq) pair and tie-break is the one a plain event would
-//     get. When a lane head fires, the owner detaches it and the queue
-//     re-keys the top handle in place with the next head (one sift-down
-//     instead of a pop and a push), then the detached head runs.
-//   * Lane entries count in size() and fire through run_next_due() like any
-//     other event. reset() empties every lane. A destroyed lane deregisters;
-//     its table entry (and id) is reused, and its leftover handle is stale:
-//     nothing is pending, and a lane that reuses the id files its handles
-//     with fresh seqs.
+//     {time, seq, lane} handles (~half the depth of a binary heap,
+//     branch-predictable four-child scan). Its capacity, like the lane
+//     table's, is kept across reset(), so a reused queue runs without
+//     allocating.
+//   * An entry takes its seq from the queue's counter at push (or arm) time,
+//     so every (time, seq) pair and tie-break is fixed by the order in which
+//     events were created, whichever lane holds them. When a lane head
+//     fires, the owner detaches it and the queue re-keys the top handle in
+//     place with the next head (one sift-down instead of a pop and a push),
+//     then the detached head runs.
+//   * seq is 32 bits and restarts on reset() (the heap is empty then),
+//     bounding the tie-break at 2^32 events per run — orders of magnitude
+//     above any simulation (scenario::RunContext resets per run).
+//   * reset() empties every lane. A destroyed lane deregisters; its table
+//     entry (and id) is reused, and its leftover handle is stale: nothing is
+//     pending, and a lane that reuses the id files its handles with fresh
+//     seqs.
 //
 // Timers — one-entry lanes that move:
 //
 //   * sim::Timer is a lane with at most one entry, which arm() moves. Each
-//     arm() takes a fresh seq, as a schedule() would, so the (time, seq) of
-//     every expiry is the one an eagerly re-scheduled timer gets. The queue
-//     records the entry's current key and the seq of the one heap handle
-//     that stands for it; that handle's key may be earlier, never later.
+//     arm() takes a fresh seq, so the (time, seq) of every expiry is the one
+//     a freshly created event gets at that moment. The queue records the
+//     entry's current key and the seq of the one heap handle that stands for
+//     it; that handle's key may be earlier, never later.
 //   * A re-arm to a later key only changes the entry's key: the handle
 //     already filed surfaces early and prune() re-keys it in place with one
 //     sift-down. A re-arm to an earlier key files a new handle; the old one
@@ -67,47 +51,25 @@
 //     holds O(flows) timer handles.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/inline_callback.h"
 #include "util/time.h"
 
 namespace ccfuzz::sim {
 
-/// Inline-storage budget for event callbacks. 32 bytes keeps one event slot
-/// to exactly one cache line and fits every closure in the simulator (the
-/// largest are [this, period] pairs) plus typical test lambdas; oversized
-/// captures fail to compile — keep payloads in their owner (packets in
-/// flight ride a Lane) and capture `this` instead.
-inline constexpr std::size_t kEventCallbackCapacity = 32;
-using EventCallback = InlineCallback<kEventCallbackCapacity>;
-
 class Lane;
 
-/// Min-queue of (time, seq) → callback: O(log n) push/pop, FIFO lanes that
-/// keep one handle per lane, and no steady-state allocations.
+/// Min-queue of (time, seq)-keyed lane heads: O(log n) push/pop, one heap
+/// handle per lane, and no steady-state allocations.
 class EventQueue {
  public:
-  /// Schedules `fn` at absolute time `at`. The event fires or is discarded
-  /// by reset(); to cancel or move an expiry, use a sim::Timer.
-  template <typename F>
-  void schedule(TimeNs at, F&& fn) {
-    schedule_impl(at, EventCallback(std::forward<F>(fn)));
-  }
-
   /// True if no live events remain.
   bool empty() const { return live_ == 0; }
 
   /// Number of live (pending, not-yet-fired) events.
   std::size_t size() const { return live_; }
-
-  /// Timestamp of the earliest live event; TimeNs::infinite() if none.
-  TimeNs next_time();
-
-  /// Pops and runs the earliest live event; returns its timestamp.
-  /// Requires !empty().
-  TimeNs run_next();
 
   /// If the earliest live event fires at or before `deadline`, stores its
   /// timestamp in `clock` (before the callback runs, so callbacks observe
@@ -117,8 +79,8 @@ class EventQueue {
   bool run_next_due(TimeNs deadline, TimeNs& clock);
 
   /// Discards all pending events, emptying every registered lane, but keeps
-  /// slab/heap capacity, so a reused queue (scenario::RunContext)
-  /// schedules without allocating.
+  /// the heap's and the lane table's capacity, so a reused queue
+  /// (scenario::RunContext) runs without allocating.
   void reset();
 
   /// Size of the lane table: registered lanes plus free entries. Ids are
@@ -128,14 +90,6 @@ class EventQueue {
  private:
   friend class Lane;
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// Handles whose slot field carries this bit stand for a lane's head; the
-  /// low bits are the lane id. Slab slots stay far below it.
-  static constexpr std::uint32_t kLaneTag = 0x80000000u;
-  struct Slot {
-    EventCallback fn;
-    std::uint32_t next_free = kNil;
-  };
-  static_assert(sizeof(Slot) <= 64, "one event slot should fit a cache line");
   struct LaneEntry {
     Lane* lane = nullptr;          ///< nullptr while the entry is free
     std::int64_t head_at = 0;      ///< key of the lane's current head ...
@@ -148,7 +102,7 @@ class EventQueue {
   struct HeapHandle {  // 16 bytes; what sift operations actually move
     std::int64_t at_ns;
     std::uint32_t seq;
-    std::uint32_t slot;
+    std::uint32_t lane;
   };
 
   // if/else (not ?:) so the compiler keeps the highly-predictable time
@@ -159,7 +113,6 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  void schedule_impl(TimeNs at, EventCallback fn);
   void heap_push(HeapHandle h);
   void heap_pop_top();
   /// Replaces the heap top with `h` and sifts it down. Requires !empty.
@@ -182,20 +135,19 @@ class EventQueue {
   /// Drops every pending entry of the lane; its handle stays filed until it
   /// surfaces, so a re-arm may still reuse it.
   void lane_discard(std::uint32_t id);
-  /// Discards stale lane handles at the heap top and re-keys a surfacing timer handle
-  /// whose timer was re-armed later, until the top is live and current.
+  /// Discards stale handles at the heap top and re-keys a surfacing timer
+  /// handle whose timer was re-armed later, until the top is live and
+  /// current.
   void prune();
 
-  std::vector<Slot> slots_;
-  std::vector<HeapHandle> heap_;  // 4-ary min-heap; may hold stale lane handles
+  std::vector<HeapHandle> heap_;  // 4-ary min-heap; may hold stale handles
   std::vector<LaneEntry> lanes_;
   std::uint32_t free_lane_ = kNil;
-  std::uint32_t free_head_ = kNil;
   std::uint32_t next_seq_ = 0;
   std::size_t live_ = 0;
 };
 
-/// A FIFO event source registered with an EventQueue (see "Lanes" above).
+/// A FIFO event source registered with an EventQueue (see "Design" above).
 /// The owner derives from Lane, keeps its entries in push order, and
 /// implements fire() and clear(). A lane must not outlive its queue.
 class Lane {
@@ -218,8 +170,8 @@ class Lane {
   std::uint32_t push_block(TimeNs first, std::uint32_t n) {
     return queue_.lane_push(id_, first, n);
   }
-  /// For lanes of at most one entry: moves the entry to `at` with a fresh
-  /// FIFO seq (or pushes it), as a new schedule() would order it.
+  /// For lanes of at most one entry: moves the entry to `at` (no earlier
+  /// than the current time) with a fresh FIFO seq, or pushes it.
   void rearm(TimeNs at) { queue_.lane_rearm(id_, at); }
   /// For lanes of at most one entry: drops it if pending.
   void discard() { queue_.lane_discard(id_); }

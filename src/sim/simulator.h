@@ -1,7 +1,9 @@
 // The Simulator owns the virtual clock and event queue and drives a single
-// deterministic run.
+// deterministic run. Every event rides a lane (sim::Lane, see
+// event_queue.h): a packet path, the cross-traffic schedule, or a Timer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -13,7 +15,7 @@
 namespace ccfuzz::sim {
 
 /// A single-threaded discrete-event simulation. Components hold a reference
-/// and schedule callbacks; run_until() advances the virtual clock.
+/// and register lanes or timers; run_until() advances the virtual clock.
 class Simulator {
  public:
   Simulator() = default;
@@ -22,22 +24,6 @@ class Simulator {
 
   /// Current virtual time.
   TimeNs now() const { return now_; }
-
-  /// Schedules `fn` after a relative delay (>= 0). The closure is stored
-  /// inline (see EventCallback) — scheduling never allocates. The event
-  /// cannot be cancelled; an expiry that moves or is cancelled is a Timer.
-  template <typename F>
-  void schedule_in(DurationNs delay, F&& fn) {
-    queue_.schedule(now_ + delay, std::forward<F>(fn));
-  }
-
-  /// Schedules `fn` at an absolute time. Times in the past fire "now" but
-  /// never move the clock backwards.
-  template <typename F>
-  void schedule_at(TimeNs at, F&& fn) {
-    if (at < now_) at = now_;
-    queue_.schedule(at, std::forward<F>(fn));
-  }
 
   /// The event queue, for registering FIFO event sources (sim::Lane). Lane
   /// owners push entries no earlier than now().
@@ -68,7 +54,7 @@ class Simulator {
 
   /// Returns the simulator to its initial state (clock at zero, no pending
   /// events, every lane empty, budget disarmed) while keeping the event
-  /// queue's slab/heap capacity, so a reused simulator
+  /// queue's capacity, so a reused simulator
   /// (scenario::RunContext) runs without allocator traffic.
   void reset() {
     queue_.reset();
@@ -89,23 +75,28 @@ class Simulator {
 };
 
 /// A restartable one-shot timer bound to a Simulator. Re-arming replaces
-/// any pending expiry. Used for RTO, delayed-ACK, pacing release, and the
-/// bottleneck links' next service opportunity or transmit-done.
+/// any pending expiry. Used for RTO, delayed-ACK, pacing release, the
+/// bottleneck links' next service opportunity or transmit-done, flow start
+/// and stop, and the armed invariant audits.
 ///
 /// The timer is a one-entry event lane (see "Timers" in event_queue.h): each
 /// arm() takes a fresh FIFO seq, so equal-timestamp execution order — and
-/// thus the golden fingerprints — is that of an event scheduled with
-/// schedule_in() at the same moment, while a re-arm to a later time (the
-/// RTO, restarted on every cumulative ACK) files no new heap handle. A
-/// destroyed timer deregisters, so a pending expiry never fires into a dead
-/// owner.
+/// thus the golden fingerprints — is fixed by the moment of the arm(), while
+/// a re-arm to a later time (the RTO, restarted on every cumulative ACK)
+/// files no new heap handle. A destroyed timer deregisters, so a pending
+/// expiry never fires into a dead owner.
 class Timer final : private Lane {
  public:
   Timer(Simulator& sim, std::function<void()> on_fire)
       : Lane(sim.events()), sim_(sim), on_fire_(std::move(on_fire)) {}
 
-  /// (Re)arms the timer to fire `delay` (>= 0) from now.
-  void arm(DurationNs delay) { rearm(sim_.now() + delay); }
+  /// (Re)arms the timer to fire `delay` from now; a negative delay fires
+  /// now.
+  void arm(DurationNs delay) { arm_at(sim_.now() + delay); }
+
+  /// (Re)arms the timer to fire at `at`; a time already past fires now, so
+  /// the clock never runs backwards.
+  void arm_at(TimeNs at) { rearm(std::max(at, sim_.now())); }
 
   /// Stops the timer if pending.
   void cancel() { discard(); }

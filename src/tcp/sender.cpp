@@ -15,7 +15,9 @@ TcpSender::TcpSender(sim::Simulator& sim, const Config& cfg,
       rtt_(cfg.rtt),
       log_(cfg.log_events),
       rto_timer_(sim, [this] { on_rto_timer(); }),
-      pacing_timer_(sim, [this] { pacing_fire(); }) {
+      pacing_timer_(sim, [this] { pacing_fire(); }),
+      start_timer_(sim, [this] { begin(); }),
+      stop_timer_(sim, [this] { stop(); }) {
   st_.mss_bytes = cfg_.mss_bytes;
   wnd_right_ = cfg_.initial_rwnd_segments;
   assert(cca_ && "sender requires a congestion control instance");
@@ -28,10 +30,12 @@ void TcpSender::reset(const Config& cfg, std::unique_ptr<CongestionControl> cca)
   assert(cca_ && "sender requires a congestion control instance");
   rtt_ = RttEstimator(cfg_.rtt);
   log_.reset(cfg_.log_events);
-  // In a reused context Simulator::reset has already emptied both timers;
+  // In a reused context Simulator::reset has already emptied every timer;
   // cancelling also stops them when the simulator was not reset.
   rto_timer_.cancel();
   pacing_timer_.cancel();
+  start_timer_.cancel();
+  stop_timer_.cancel();
 
   st_ = SenderState{};
   st_.mss_bytes = cfg_.mss_bytes;
@@ -57,15 +61,15 @@ void TcpSender::reset(const Config& cfg, std::unique_ptr<CongestionControl> cca)
 }
 
 void TcpSender::start(TimeNs at) {
-  sim_.schedule_at(at, [this] {
-    refresh_state();
-    cca_->init(st_);
-    started_ = true;
-    try_send();
-  });
-  if (!cfg_.stop.is_infinite()) {
-    sim_.schedule_at(cfg_.stop, [this] { stop(); });
-  }
+  start_timer_.arm_at(at);
+  if (!cfg_.stop.is_infinite()) stop_timer_.arm_at(cfg_.stop);
+}
+
+void TcpSender::begin() {
+  refresh_state();
+  cca_->init(st_);
+  started_ = true;
+  try_send();
 }
 
 void TcpSender::stop() {

@@ -90,16 +90,17 @@ class TcpSender final : public net::PacketSink {
   /// Reinitializes the sender for a fresh run — every observable field is
   /// exactly as after construction with (cfg, cca), but the segment ring
   /// keeps its slab, so warm reuse (scenario::RunContext) replays slow start
-  /// without allocator traffic. The simulator must have been reset (no
-  /// pending timers of this sender survive).
+  /// without allocator traffic. Every pending timer of this sender is
+  /// cancelled, start and stop included, whether or not the simulator was
+  /// reset.
   void reset(const Config& cfg, std::unique_ptr<CongestionControl> cca);
 
-  /// Schedules connection start (first transmission) at time `at`, and the
-  /// stop event when Config::stop is finite.
+  /// Arms connection start (first transmission) at time `at`, and the stop
+  /// when Config::stop is finite; a time already past fires now.
   void start(TimeNs at);
 
   /// Halts the flow: cancels timers and stops all further transmissions.
-  /// Arriving ACKs are still processed for bookkeeping. Scheduled
+  /// Arriving ACKs are still processed for bookkeeping. Fires
   /// automatically at Config::stop.
   void stop();
 
@@ -220,6 +221,8 @@ class TcpSender final : public net::PacketSink {
                   std::int64_t* newly_sacked, DurationNs* rtt_sample);
 
   // Transmission path.
+  /// The start timer fired: initializes the CCA and sends the first window.
+  void begin();
   bool can_transmit();
   SeqNr next_retransmit_seq();
   void send_segment(SeqNr s, bool is_retx);
@@ -237,6 +240,8 @@ class TcpSender final : public net::PacketSink {
   TcpEventLog log_;
   sim::Timer rto_timer_;
   sim::Timer pacing_timer_;
+  sim::Timer start_timer_;  // fires begin()
+  sim::Timer stop_timer_;   // fires stop()
 
   SenderState st_{};
   SegmentRing segs_;          // segments [snd_una_, snd_nxt_), keyed by seq

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "../sim/scripted_events.h"
 #include "sim/simulator.h"
 #include "sinks.h"
 
@@ -50,9 +51,10 @@ TEST(DelayPipe, InFlightCountTracksOccupancy) {
 
 TEST(DelayPipe, ZeroDelayDeliversAtSameTime) {
   sim::Simulator sim;
+  sim::Script script(sim);
   CaptureSink out(sim);
   DelayPipe pipe(sim, DurationNs::zero(), out);
-  sim.schedule_at(TimeNs::millis(3), [&] { pipe.receive(Packet{}); });
+  script.at(TimeNs::millis(3), [&] { pipe.receive(Packet{}); });
   sim.run_all();
   ASSERT_EQ(out.times.size(), 1u);
   EXPECT_EQ(out.times[0], TimeNs::millis(3));

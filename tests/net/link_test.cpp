@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "../sim/scripted_events.h"
 #include "net/delay_pipe.h"
 #include "sinks.h"
 
@@ -23,6 +24,7 @@ Packet make_packet(std::uint64_t id) {
 /// between the link and the capture instead.
 struct LinkFixture {
   sim::Simulator sim;
+  sim::Script script{sim};  // scripted arrivals
   DropTailQueue queue{100};
   CaptureSink egressed{sim};
 
@@ -55,7 +57,7 @@ TEST(TraceDrivenLink, WastedOpportunityNotRecovered) {
   TraceDrivenLink link(f.sim, f.queue, f.egressed,
                        {TimeNs::millis(10), TimeNs::millis(50)});
   link.start();
-  f.sim.schedule_at(TimeNs::millis(20), [&] { link.offer(make_packet(7)); });
+  f.script.at(TimeNs::millis(20), [&] { link.offer(make_packet(7)); });
   f.sim.run_all();
   EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{50}));
   EXPECT_EQ(link.wasted_opportunities(), 1);
@@ -134,7 +136,7 @@ TEST(FixedRateLink, OfferWakesOnlyAnIdleLink) {
   ASSERT_NE(link.in_service(), nullptr);
   EXPECT_EQ(link.in_service()->id, 0u);
   EXPECT_TRUE(f.queue.empty());
-  f.sim.schedule_at(TimeNs(500'000), [&] {
+  f.script.at(TimeNs(500'000), [&] {
     link.offer(make_packet(1));
     EXPECT_EQ(link.in_service()->id, 0u);
     EXPECT_EQ(f.queue.size(), 1u);
@@ -153,7 +155,7 @@ TEST(FixedRateLink, ResumesAfterIdle) {
   f.sim.run_all();
   ASSERT_EQ(f.egress_times_ms().size(), 1u);
   // Queue refilled 10 ms later: service restarts from the arrival time.
-  f.sim.schedule_at(TimeNs::millis(10), [&] { link.offer(make_packet(1)); });
+  f.script.at(TimeNs::millis(10), [&] { link.offer(make_packet(1)); });
   f.sim.run_all();
   EXPECT_EQ(f.egress_times_ms(), (std::vector<std::int64_t>{1, 11}));
 }

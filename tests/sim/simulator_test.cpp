@@ -1,4 +1,5 @@
 // Unit tests for the Simulator clock/driver and the restartable Timer.
+// Plain events are scripted one-shot timers (scripted_events.h).
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
@@ -16,18 +17,18 @@
 
 #include "../net/sinks.h"
 #include "net/delay_pipe.h"
+#include "scripted_events.h"
 
 namespace ccfuzz::sim {
 namespace {
 
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator sim;
+  Script s(sim);
   EXPECT_EQ(sim.now(), TimeNs::zero());
   std::vector<std::int64_t> seen;
-  sim.schedule_in(DurationNs::millis(10),
-                  [&] { seen.push_back(sim.now().to_millis()); });
-  sim.schedule_in(DurationNs::millis(5),
-                  [&] { seen.push_back(sim.now().to_millis()); });
+  s.in(DurationNs::millis(10), [&] { seen.push_back(sim.now().to_millis()); });
+  s.in(DurationNs::millis(5), [&] { seen.push_back(sim.now().to_millis()); });
   sim.run_all();
   EXPECT_EQ(seen, (std::vector<std::int64_t>{5, 10}));
   EXPECT_EQ(sim.now(), TimeNs::millis(10));
@@ -35,9 +36,10 @@ TEST(Simulator, ClockAdvancesWithEvents) {
 
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
+  Script s(sim);
   int fired = 0;
-  sim.schedule_in(DurationNs::millis(5), [&] { ++fired; });
-  sim.schedule_in(DurationNs::millis(50), [&] { ++fired; });
+  s.in(DurationNs::millis(5), [&] { ++fired; });
+  s.in(DurationNs::millis(50), [&] { ++fired; });
   sim.run_until(TimeNs::millis(20));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), TimeNs::millis(20));  // clock parked at the deadline
@@ -47,26 +49,17 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
 
 TEST(Simulator, EventAtDeadlineFires) {
   Simulator sim;
+  Script s(sim);
   bool fired = false;
-  sim.schedule_at(TimeNs::millis(10), [&] { fired = true; });
+  s.at(TimeNs::millis(10), [&] { fired = true; });
   sim.run_until(TimeNs::millis(10));
   EXPECT_TRUE(fired);
 }
 
-TEST(Simulator, ScheduleAtPastClampsToNow) {
-  Simulator sim;
-  sim.schedule_in(DurationNs::millis(10), [] {});
-  sim.run_all();
-  bool fired = false;
-  sim.schedule_at(TimeNs::millis(1), [&] { fired = true; });  // in the past
-  sim.run_all();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(sim.now(), TimeNs::millis(10));  // clock never went backwards
-}
-
 TEST(Simulator, CountsExecutedEvents) {
   Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.schedule_in(DurationNs::millis(i), [] {});
+  Script s(sim);
+  for (int i = 0; i < 7; ++i) s.in(DurationNs::millis(i), [] {});
   EXPECT_EQ(sim.run_all(), 7u);
   EXPECT_EQ(sim.events_executed(), 7u);
 }
@@ -120,6 +113,23 @@ TEST(Timer, CanRearmFromItsOwnCallback) {
   EXPECT_EQ(sim.now(), TimeNs::millis(3));
 }
 
+TEST(Timer, ArmAtPastClampsToNow) {
+  // An expiry already in the past fires now, through arm_at() and through a
+  // negative arm() delay alike: the clock never runs backwards.
+  Simulator sim;
+  Script s(sim);
+  s.in(DurationNs::millis(10), [] {});
+  sim.run_all();
+  std::vector<std::int64_t> fired;
+  Timer t(sim, [&] { fired.push_back(sim.now().to_millis()); });
+  t.arm_at(TimeNs::millis(1));  // in the past
+  sim.run_all();
+  t.arm(DurationNs::millis(-3));
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{10, 10}));
+  EXPECT_EQ(sim.now(), TimeNs::millis(10));  // clock never went backwards
+}
+
 TEST(Timer, DestroyedWhileArmedNeverFires) {
   Simulator sim;
   int dead = 0;
@@ -140,61 +150,13 @@ TEST(Timer, DestroyedWhileArmedNeverFires) {
 }
 
 // Differential harness: random timer traffic driven once through sim::Timer
-// and once through a reference timer built from plain schedule_in() events,
-// as Timer was before it became a lane. Timers are re-armed later, earlier
-// and at the same time, cancelled, cancelled then re-armed, and re-armed
-// from their own callback, mixed with plain events and a delay pipe, across
-// a Simulator::reset. Times are whole milliseconds, so exact-time ties are
-// common; both runs must fire the same events in the same order with the
-// same queue size.
-
-/// Timer as a plain event per arm(): each event carries the token of the
-/// arm() that filed it, and one whose token is no longer current is stale
-/// and fires as a no-op. Stale events still sit in the queue and still run,
-/// so the reference counts them for the harness to subtract.
-class ReferenceTimer {
- public:
-  ReferenceTimer(Simulator& sim, std::function<void()> on_fire)
-      : sim_(sim), on_fire_(std::move(on_fire)) {}
-  void arm(DurationNs delay) {
-    cancel();
-    pending_ = true;
-    sim_.schedule_in(delay, [this, token = token_] {
-      if (token != token_) {
-        --stale_pending_;
-        ++stale_fired_;
-        return;
-      }
-      pending_ = false;
-      on_fire_();
-    });
-  }
-  void cancel() {
-    if (pending_) ++stale_pending_;
-    pending_ = false;
-    ++token_;
-  }
-  bool pending() const { return pending_; }
-
-  /// Simulator::reset() discarded every event, stale ones included.
-  void forget_events() {
-    pending_ = false;
-    ++token_;
-    stale_pending_ = 0;
-    stale_fired_ = 0;
-  }
-  /// Stale events still queued, and stale events run since the last reset.
-  std::size_t stale_pending() const { return stale_pending_; }
-  std::uint64_t stale_fired() const { return stale_fired_; }
-
- private:
-  Simulator& sim_;
-  std::function<void()> on_fire_;
-  std::uint64_t token_ = 0;
-  bool pending_ = false;
-  std::size_t stale_pending_ = 0;
-  std::uint64_t stale_fired_ = 0;
-};
+// and once through ReferenceTimer, which adds one fresh one-shot timer per
+// arm(), as Timer behaved before it became a lane. Timers are re-armed
+// later, earlier and at the same time, cancelled, cancelled then re-armed,
+// and re-armed from their own callback, mixed with one-shot events and a
+// delay pipe, across a Simulator::reset. Times are whole milliseconds, so
+// exact-time ties are common; both runs must fire the same events in the
+// same order with the same queue size.
 
 template <typename T>
 class TimerSystem {
@@ -255,7 +217,7 @@ class TimerSystem {
   }
   void plain(DurationNs delay) {
     const int label = next_label_++;
-    sim_.schedule_in(delay, [this, label] { on_fire(label); });
+    script_.in(delay, [this, label] { on_fire(label); });
   }
   /// The queue's size and events run, less the reference's stale events.
   std::size_t size() {
@@ -324,6 +286,7 @@ class TimerSystem {
   }
 
   Simulator sim_;
+  Script script_{sim_};
   std::mt19937 rng_{2024};
   int actions_ = 0;
   int next_label_ = 0;
@@ -350,10 +313,11 @@ TEST(Simulator, DeterministicReplay) {
   // Two identical schedules must produce identical execution traces.
   auto run = [] {
     Simulator sim;
+    Script s(sim);
     std::vector<int> order;
     for (int i = 0; i < 100; ++i) {
-      sim.schedule_in(DurationNs::millis((i * 37) % 50),
-                      [&order, i] { order.push_back(i); });
+      s.in(DurationNs::millis((i * 37) % 50),
+           [&order, i] { order.push_back(i); });
     }
     sim.run_all();
     return order;
@@ -365,11 +329,12 @@ TEST(Simulator, DeterministicReplay) {
 
 TEST(SimulatorLane, ResetEmptiesEveryPipe) {
   Simulator sim;
+  Script s(sim);
   int delivered = 0;
   net::FnSink count([&](net::Packet&&) { ++delivered; });
   net::DelayPipe pipe(sim, DurationNs::millis(10), count);
   for (int i = 0; i < 5; ++i) pipe.receive(net::Packet{});
-  sim.schedule_in(DurationNs::millis(1), [] {});
+  s.in(DurationNs::millis(1), [] {});
   EXPECT_EQ(pipe.in_flight(), 5);
   sim.reset();
   EXPECT_EQ(pipe.in_flight(), 0);
@@ -405,7 +370,7 @@ TEST(SimulatorLane, ThousandShortLivedPipesGrowNothing) {
 
 TEST(SimulatorLane, EventBudgetTruncatesAtTheSameEvent) {
   // One schedule of sends and timers, delivered once through a pipe and once
-  // as plain events: an event budget must stop both after the same event.
+  // as one-shot events: an event budget must stop both after the same event.
   struct Run {
     explicit Run(bool l) : lane(l) {}
     void on_delivery(net::Packet&& p) {
@@ -413,6 +378,7 @@ TEST(SimulatorLane, EventBudgetTruncatesAtTheSameEvent) {
     }
     bool lane;
     Simulator sim;
+    Script script{sim};
     std::vector<int> fired;
     net::PortSink<Run, &Run::on_delivery> delivery{*this};
     net::DelayPipe pipe{sim, DurationNs::millis(2), delivery};
@@ -420,15 +386,15 @@ TEST(SimulatorLane, EventBudgetTruncatesAtTheSameEvent) {
   auto run = [](bool lane, std::uint64_t max_events) {
     Run r(lane);
     for (int i = 0; i < 40; ++i) {
-      r.sim.schedule_at(TimeNs::millis(i % 5), [&r, i] {
+      r.script.at(TimeNs::millis(i % 5), [&r, i] {
         r.fired.push_back(-i);
         if (r.lane) {
           net::Packet p;
           p.id = static_cast<std::uint64_t>(i);
           r.pipe.receive(std::move(p));
         } else {
-          r.sim.schedule_in(DurationNs::millis(2),
-                            [&r, i] { r.fired.push_back(i); });
+          r.script.in(DurationNs::millis(2),
+                      [&r, i] { r.fired.push_back(i); });
         }
       });
     }

@@ -1,6 +1,6 @@
 // Proves the simulation hot path is allocation-free in steady state: once
-// the event slab, heap and the delay pipes' in-flight rings have reached
-// their high-water marks, schedule/run, timer re-arms and packet movement
+// the event heap and the delay pipes' in-flight rings have reached their
+// high-water marks, timer arms and re-arms, runs and packet movement
 // through the pipe lanes never touch the allocator.
 //
 // The global operator new/delete replacements below count every allocation
@@ -8,6 +8,7 @@
 // so the counter is only observed by this file's tests.
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <new>
 
@@ -69,32 +70,51 @@ void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
 namespace ccfuzz::sim {
 namespace {
 
-/// One round of dumbbell-shaped churn: near events, a re-armed far timer,
-/// and interleaved clock stepping.
-void churn(Simulator& sim) {
-  std::int64_t fired = 0;
-  Timer timer(sim, [&fired] { ++fired; });
-  for (int i = 0; i < 64; ++i) {
-    sim.schedule_in(DurationNs::micros(i), [&fired] { ++fired; });
+/// Dumbbell-shaped churn over the event sources a run uses: 64 one-shot
+/// timers armed once per round, a DelayPipe lane carrying the near events,
+/// a re-armed far timer, and interleaved clock stepping. The timers and the
+/// pipe are built once, outside any measured round.
+class Churn {
+ public:
+  explicit Churn(Simulator& sim) : sim_(sim) {
+    for (int i = 0; i < 64; ++i) shots_.emplace_back(sim_, [this] { ++fired_; });
   }
-  for (int i = 0; i < 2'000; ++i) {
-    sim.run_until(sim.now() + DurationNs::micros(1));
-    sim.schedule_in(DurationNs::micros(64), [&fired] { ++fired; });
-    if (i % 8 == 0) timer.arm(DurationNs::millis(1));
+
+  void round() {
+    fired_ = 0;
+    for (std::size_t i = 0; i < shots_.size(); ++i) {
+      shots_[i].arm(DurationNs::micros(static_cast<std::int64_t>(i)));
+    }
+    for (int i = 0; i < 2'000; ++i) {
+      sim_.run_until(sim_.now() + DurationNs::micros(1));
+      pipe_.receive(net::Packet{});
+      if (i % 8 == 0) rto_.arm(DurationNs::millis(1));
+    }
+    sim_.run_all();
+    ASSERT_EQ(fired_, 64 + 2'000 + 1);
   }
-  sim.run_all();
-  ASSERT_GT(fired, 0);
-}
+
+ private:
+  void on_delivery(net::Packet&&) { ++fired_; }
+
+  Simulator& sim_;
+  std::int64_t fired_ = 0;
+  net::PortSink<Churn, &Churn::on_delivery> delivery_{*this};
+  net::DelayPipe pipe_{sim_, DurationNs::micros(64), delivery_};
+  Timer rto_{sim_, [this] { ++fired_; }};
+  std::deque<Timer> shots_;
+};
 
 TEST(SteadyStateAllocation, EventQueueScheduleNeverAllocatesWhenWarm) {
   Simulator sim;
-  churn(sim);  // reach the slab/heap high-water mark
+  Churn churn(sim);
+  churn.round();  // reach the heap and pipe-ring high-water marks
   sim.reset();
 
   const std::size_t before = g_allocations.load();
-  churn(sim);
+  churn.round();
   EXPECT_EQ(g_allocations.load(), before)
-      << "warm schedule/re-arm/run_until must not allocate";
+      << "warm timer arm/re-arm, pipe send and run_until must not allocate";
 }
 
 TEST(SteadyStateAllocation, DelayPipeReusesRingSlots) {
@@ -112,7 +132,7 @@ TEST(SteadyStateAllocation, DelayPipeReusesRingSlots) {
     }
     sim.run_all();
   };
-  round();  // warm ring + slab
+  round();  // warm ring + heap
   sim.reset();
 
   const std::size_t before = g_allocations.load();
@@ -126,7 +146,7 @@ TEST(SteadyStateAllocation, DelayPipeReusesRingSlots) {
 TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
   // A sender wired straight to a receiver through two delay pipes: once
   // the seq-keyed segment ring has grown to the flow's in-flight high-water
-  // mark (and the event slab and pipe rings are warm), continued ack-clocked sending
+  // mark (and the event heap and pipe rings are warm), continued ack-clocked sending
   // must not touch the allocator — the deque predecessor allocated a chunk
   // every few segments forever.
   Simulator sim;

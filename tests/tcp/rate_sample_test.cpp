@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "../net/sinks.h"
+#include "../sim/scripted_events.h"
 #include "sim/simulator.h"
 #include "tcp/sender.h"
 
@@ -41,6 +42,7 @@ class RecordingCca final : public CongestionControl {
 
 struct RateFixture {
   sim::Simulator sim;
+  sim::Script script{sim};  // scripted ACKs
   net::CaptureSink out{sim};
   std::vector<net::Packet>& sent = out.packets;
   std::vector<RecordingCca::Obs> obs;
@@ -71,7 +73,7 @@ TEST(RateSampler, FirstAckYieldsSampleWithZeroPriorDelivered) {
   auto tx = f.make(4);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
   f.sim.run_until(TimeNs::millis(41));
   ASSERT_EQ(f.obs.size(), 1u);
   const auto& rs = f.obs[0].rs;
@@ -90,8 +92,8 @@ TEST(RateSampler, DeliveryRateMatchesAckSpacing) {
   // ACKs 40 ms apart, one segment each. The second sample comes from the
   // skb of seq 1, which was sent at flow start (prior_delivered = 0); its
   // ack-phase interval spans both ACK arrivals.
-  f.sim.schedule_at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
-  f.sim.schedule_at(TimeNs::millis(80), [&] { tx->on_ack_packet(f.ack(2)); });
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(80), [&] { tx->on_ack_packet(f.ack(2)); });
   f.sim.run_until(TimeNs::millis(81));
   ASSERT_EQ(f.obs.size(), 2u);
   const auto& rs = f.obs[1].rs;
@@ -123,13 +125,13 @@ TEST(RateSampler, SampleBelowMinRttFlagged) {
   auto tx = f.make(8);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
-  f.sim.schedule_at(TimeNs::millis(50), [&] { f.cca->set_cwnd(3); });
-  f.sim.schedule_at(TimeNs::millis(80), [&] {
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(50), [&] { f.cca->set_cwnd(3); });
+  f.script.at(TimeNs::millis(80), [&] {
     tx->on_ack_packet(f.ack(1, {{8, 9}}));
   });
-  f.sim.schedule_at(TimeNs::millis(81), [&] { tx->on_ack_packet(f.ack(2)); });
-  f.sim.schedule_at(TimeNs::millis(82), [&] { tx->on_ack_packet(f.ack(3)); });
+  f.script.at(TimeNs::millis(81), [&] { tx->on_ack_packet(f.ack(2)); });
+  f.script.at(TimeNs::millis(82), [&] { tx->on_ack_packet(f.ack(3)); });
   f.sim.run_until(TimeNs::millis(83));
   ASSERT_EQ(f.obs.size(), 4u);
   const auto& rs = f.obs[3].rs;
@@ -154,14 +156,14 @@ TEST(RateSampler, RetransmissionRestampsPriorDelivered) {
   auto tx = f.make(8);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
   f.sim.run_until(TimeNs::millis(1200));  // RTO fired, retransmissions out
   ASSERT_GE(tx->rto_count(), 1);
   ASSERT_GT(tx->total_retransmissions(), 1);
 
   const auto obs_before = f.obs.size();
   // Late SACK for segments 2..4 whose originals were "delivered" long ago.
-  f.sim.schedule_at(TimeNs::millis(1250), [&] {
+  f.script.at(TimeNs::millis(1250), [&] {
     tx->on_ack_packet(f.ack(1, {{2, 5}}));
   });
   f.sim.run_until(TimeNs::millis(1251));
@@ -180,10 +182,10 @@ TEST(RateSampler, EachSkbSampledOnce) {
   f.sim.run_until(TimeNs::millis(1));
   // SACK 1..2, then cumulative ACK 2: the second ACK covers already-SACKed
   // seq 1, which must not produce a second sample from the same skb.
-  f.sim.schedule_at(TimeNs::millis(40), [&] {
+  f.script.at(TimeNs::millis(40), [&] {
     tx->on_ack_packet(f.ack(0, {{1, 2}}));
   });
-  f.sim.schedule_at(TimeNs::millis(42), [&] { tx->on_ack_packet(f.ack(2)); });
+  f.script.at(TimeNs::millis(42), [&] { tx->on_ack_packet(f.ack(2)); });
   f.sim.run_until(TimeNs::millis(43));
   ASSERT_EQ(f.obs.size(), 2u);
   // Second ACK delivers only seq 0 (seq 1 was already delivered by SACK).
@@ -196,7 +198,7 @@ TEST(RateSampler, PriorInFlightSnapshotTaken) {
   auto tx = f.make(6);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(3)); });
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(3)); });
   f.sim.run_until(TimeNs::millis(41));
   ASSERT_EQ(f.obs.size(), 1u);
   EXPECT_EQ(f.obs[0].rs.prior_in_flight, 6);
@@ -207,7 +209,7 @@ TEST(RateSampler, LossCountsReportedInSample) {
   auto tx = f.make(8);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] {
+  f.script.at(TimeNs::millis(40), [&] {
     tx->on_ack_packet(f.ack(0, {{1, 5}}));  // FACK ⇒ seq 0 marked lost
   });
   f.sim.run_until(TimeNs::millis(41));
@@ -223,7 +225,7 @@ TEST(RateSampler, DeliveredCounterMonotone) {
   f.sim.run_until(TimeNs::millis(1));
   std::int64_t last = 0;
   for (int i = 1; i <= 8; ++i) {
-    f.sim.schedule_at(TimeNs::millis(40 + i), [&, i] {
+    f.script.at(TimeNs::millis(40 + i), [&, i] {
       tx->on_ack_packet(f.ack(i));
     });
   }

@@ -10,6 +10,7 @@
 
 #include "cca/fixed_window.h"
 #include "../net/sinks.h"
+#include "../sim/scripted_events.h"
 #include "sim/simulator.h"
 
 namespace ccfuzz::tcp {
@@ -18,6 +19,7 @@ namespace {
 /// Captures every data packet the sender emits.
 struct SenderFixture {
   sim::Simulator sim;
+  sim::Script script{sim};  // ACKs and other scripted events
   net::CaptureSink out{sim};
   std::vector<net::Packet>& sent = out.packets;
   TcpSender::Config cfg;
@@ -68,14 +70,47 @@ TEST(TcpSender, StartTimeHonoured) {
   EXPECT_EQ(f.sent.size(), 2u);
 }
 
+TEST(TcpSender, DestroyedSenderGetsNoStartOrStop) {
+  // Flow start and stop are the sender's own timers: a sender destroyed
+  // while both are pending leaves nothing in the queue to fire into it.
+  SenderFixture f;
+  f.cfg.stop = TimeNs::millis(20);
+  auto tx = f.make(4);
+  tx->start(TimeNs::millis(10));
+  EXPECT_EQ(f.sim.events().size(), 2u);
+  tx.reset();
+  // Running a queue that still held them would call into freed memory.
+  ASSERT_EQ(f.sim.events().size(), 0u);
+  EXPECT_EQ(f.sim.run_all(), 0u);
+  EXPECT_TRUE(f.sent.empty());
+}
+
+TEST(TcpSender, ResetDropsPendingStartAndStopWithoutSimulatorReset) {
+  // reset() on a simulator that was not reset: the old run's start and stop
+  // must not fire into the new run.
+  SenderFixture f;
+  f.cfg.stop = TimeNs::millis(20);
+  auto tx = f.make(4);
+  tx->start(TimeNs::millis(10));
+  TcpSender::Config fresh = f.cfg;
+  fresh.stop = TimeNs::infinite();
+  tx->reset(fresh, std::make_unique<cca::FixedWindow>(4));
+  EXPECT_EQ(f.sim.events().size(), 0u);
+  EXPECT_EQ(f.sim.run_until(TimeNs::millis(25)), 0u);
+  EXPECT_TRUE(f.sent.empty());
+  // The new run starts at its own time and no stale stop halts it.
+  tx->start(TimeNs::millis(30));
+  f.sim.run_until(TimeNs::millis(31));
+  EXPECT_EQ(f.sent.size(), 4u);
+}
+
 TEST(TcpSender, AckAdvancesWindowAndSendsMore) {
   SenderFixture f;
   auto tx = f.make(3);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
   ASSERT_EQ(f.sent.size(), 3u);
-  f.sim.schedule_at(TimeNs::millis(50),
-                    [&] { tx->on_ack_packet(f.ack(2)); });
+  f.script.at(TimeNs::millis(50), [&] { tx->on_ack_packet(f.ack(2)); });
   f.sim.run_until(TimeNs::millis(51));
   EXPECT_EQ(tx->snd_una(), 2);
   EXPECT_EQ(f.sent.size(), 5u);  // window slid by 2
@@ -98,8 +133,7 @@ TEST(TcpSender, RttMeasurementFeedsEstimator) {
   auto tx = f.make(2);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40),
-                    [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
   f.sim.run_until(TimeNs::millis(41));
   EXPECT_EQ(tx->rtt_estimator().last_rtt(), DurationNs::millis(40));
   EXPECT_EQ(tx->state().min_rtt, DurationNs::millis(40));
@@ -111,7 +145,7 @@ TEST(TcpSender, FackLossMarkingTriggersFastRetransmit) {
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));  // seq 0..7 outstanding
   // SACKs for 1..3 (seq 0 lost). FACK = 4 → 4 - 3 = 1 > 0 → mark seq 0 lost.
-  f.sim.schedule_at(TimeNs::millis(40), [&] {
+  f.script.at(TimeNs::millis(40), [&] {
     tx->on_ack_packet(f.ack(0, {{1, 2}}));
     tx->on_ack_packet(f.ack(0, {{1, 3}}));
     tx->on_ack_packet(f.ack(0, {{1, 4}}));
@@ -133,10 +167,10 @@ TEST(TcpSender, RecoveryExitsWhenRecoveryPointAcked) {
   auto tx = f.make(8);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] {
+  f.script.at(TimeNs::millis(40), [&] {
     tx->on_ack_packet(f.ack(0, {{1, 4}}));  // mark 0 lost, enter recovery
   });
-  f.sim.schedule_at(TimeNs::millis(80), [&] {
+  f.script.at(TimeNs::millis(80), [&] {
     tx->on_ack_packet(f.ack(8));  // everything through snd_nxt acked
   });
   f.sim.run_until(TimeNs::millis(81));
@@ -169,7 +203,7 @@ TEST(TcpSender, RtoMarksAllUnsackedLost) {
   auto tx = f.make(4);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] {
+  f.script.at(TimeNs::millis(40), [&] {
     tx->on_ack_packet(f.ack(0, {{2, 3}}));  // seq 2 sacked
   });
   f.sim.run_until(TimeNs::seconds(2));
@@ -186,8 +220,7 @@ TEST(TcpSender, KarnBackoffResetOnNewAck) {
   f.sim.run_until(TimeNs::millis(1));
   f.sim.run_until(TimeNs::millis(1100));  // first RTO
   ASSERT_EQ(tx->rto_backoff(), 1);
-  f.sim.schedule_at(TimeNs::millis(1200),
-                    [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(1200), [&] { tx->on_ack_packet(f.ack(1)); });
   f.sim.run_until(TimeNs::millis(1201));
   EXPECT_EQ(tx->rto_backoff(), 0);
 }
@@ -209,7 +242,7 @@ TEST(TcpSender, DupAckEventFlagged) {
   auto tx = f.make(4);
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));
-  f.sim.schedule_at(TimeNs::millis(40), [&] {
+  f.script.at(TimeNs::millis(40), [&] {
     tx->on_ack_packet(f.ack(0, {{1, 2}}));  // dup: no cum advance
   });
   f.sim.run_until(TimeNs::millis(41));
@@ -225,13 +258,12 @@ TEST(TcpSender, SpuriousRetransmissionDetected) {
   tx->start(TimeNs::zero());
   f.sim.run_until(TimeNs::millis(1));  // 0..7 out
   // Establish min_rtt = 40 ms.
-  f.sim.schedule_at(TimeNs::millis(40),
-                    [&] { tx->on_ack_packet(f.ack(1)); });
+  f.script.at(TimeNs::millis(40), [&] { tx->on_ack_packet(f.ack(1)); });
   // RTO fires at t = 1040 ms (min-RTO 1 s from the ACK): everything is
   // marked lost and the fixed window lets the whole lost queue be
   // retransmitted immediately. SACKs for the ORIGINAL copies arrive 1 ms
   // later — far quicker than any real round trip.
-  f.sim.schedule_at(TimeNs::millis(1041), [&] {
+  f.script.at(TimeNs::millis(1041), [&] {
     tx->on_ack_packet(f.ack(1, {{2, 5}}));
   });
   f.sim.run_until(TimeNs::millis(1100));
@@ -297,7 +329,7 @@ TEST(TcpSender, LongRecoveryWithRtoIsPinned) {
   auto ack_at = [&](std::int64_t ms, SeqNr cum,
                     std::initializer_list<net::SackBlock> sacks) {
     acks.push_back(f.ack(cum, sacks));
-    f.sim.schedule_at(TimeNs::millis(ms), [&tx, &acks, i = acks.size() - 1] {
+    f.script.at(TimeNs::millis(ms), [&tx, &acks, i = acks.size() - 1] {
       tx->on_ack_packet(acks[i]);
     });
   };
