@@ -35,6 +35,13 @@ for d in "$OUT"/campaign/*/; do
     exit 1
   fi
 done
+# Traces are written as v2: a `# stamps` count, then deltas.
+for d in "$OUT"/campaign/*/; do
+  if ! head -1 "$d/winner_0.trace" | grep -qx "# ccfuzz-trace v2"; then
+    echo "smoke campaign FAILED: $d/winner_0.trace is not a v2 trace" >&2
+    exit 1
+  fi
+done
 echo "smoke campaign OK ($(ls -d "$OUT"/campaign/*/ | wc -l) cells)"
 
 # Multi-flow fairness smoke: a 2-flow reno-vs-bbr late-starter campaign must

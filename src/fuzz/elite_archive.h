@@ -15,8 +15,10 @@
 // their high-water mark (pinned by the steady-state allocation test).
 //
 // Archives serialize through trace_io (each elite genome is an embedded
-// `# ccfuzz-trace v1` block), so a campaign can resume from a previous
-// campaign's archive and keep filling cells.
+// `# ccfuzz-trace v2` block; archives written with v1 blocks still load), so
+// a campaign can resume from a previous campaign's archive and keep filling
+// cells. The archive's own `# ccfuzz-archive v1` magic did not change with
+// the trace encoding, which its nested blocks version themselves.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,15 @@
 // Plain-text trace serialization, for saving adversarial traces found by
 // the fuzzer and replaying them later (regression tests, figure scripts).
 //
-// Format: a `# ccfuzz-trace v1` magic line, then the `# kind` and
-// `# duration_ns` records in that order, then one integer nanosecond
-// timestamp per line. Parsed through util/record.
+// Format v2: a `# ccfuzz-trace v2` magic line, then the `# kind`,
+// `# duration_ns` and `# stamps N` records in that order, then the N
+// nanosecond timestamps as deltas, each from the stamp before it (the first
+// from 0), 16 per line, separated by single spaces. Deltas take about half
+// the bytes of absolute stamps, and a trace is most of every checkpoint.
+// write_trace() writes only v2. The readers also take v1 (the same records
+// without `# stamps`, then one absolute stamp per line) and the magic-less
+// v1 of the oldest files, which opens with `# kind`. Parsed through
+// util/record.
 //
 // Two API tiers: the try_* functions return Result<Trace> with a typed
 // Error (kVersion for format skew, kParse/kCorrupt for mangled bytes) and
@@ -31,11 +37,12 @@ void save_trace(const std::string& path, const Trace& t);
 
 /// Parses a trace file from `is` without throwing. Error codes: kVersion for
 /// a `# ccfuzz-trace` magic naming an unsupported version, kParse for
-/// syntactically mangled lines, kTruncated for a missing header, kCorrupt
-/// (`line N:`) for a negative duration or the first stamp outside
-/// [0, duration) or below the one above it. The magic is optional
-/// (a file may open with `# kind`); after the first line, `#` lines that are
-/// not trace records are comments.
+/// syntactically mangled lines, kTruncated for a missing header or fewer
+/// stamps than `# stamps` counts, kCorrupt (`line N:`) for a negative
+/// duration, the first stamp outside [0, duration) or below the one above
+/// it, a delta that would pass the duration, or more stamps than counted.
+/// The magic is optional (a file may open with `# kind`); after the first
+/// line, `#` lines that are not trace records are comments.
 Result<Trace> try_read_trace(std::istream& is);
 
 /// Parses a trace block embedded in an enclosing record stream: the magic

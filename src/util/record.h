@@ -93,6 +93,9 @@ class Writer {
   Writer& operator<<(double v);
   /// Appends `words` in lowercase hex, space-separated.
   Writer& hex(std::span<const std::uint64_t> words);
+  /// Writes `values` in decimal as one line of fields separated by single
+  /// spaces, then a newline: what Reader::bare() reads (trace stamp lines).
+  Writer& fields(std::span<const std::int64_t> values);
 
   /// What has been written and not handed to the sink: all of it, without
   /// one.
@@ -173,6 +176,11 @@ class Reader {
 
   /// Reads the `# <magic> <version>` line.
   void header(std::string_view magic, std::string_view version);
+  /// Reads a `# <magic> <version>` line whose version is one of `versions`;
+  /// `index` is its place.
+  void header(std::string_view magic,
+              std::initializer_list<std::string_view> versions,
+              std::size_t& index);
   /// Starts the next line, which must carry `tag`.
   Reader& expect(std::string_view tag);
   /// Starts the next line as untagged fields (trace stamps).
@@ -187,6 +195,8 @@ class Reader {
                  std::size_t& index);
   /// The rest of the line, verbatim and non-empty (a name with spaces).
   Reader& rest(std::string& out);
+  /// True while the current line has fields left and no error stands.
+  bool more() const { return ok() && !rest_.empty(); }
   /// Fails on fields left over; true while no error stands.
   bool done();
   /// expect(tag), whose fields must be exactly `out...`.

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "../trace/to_v1.h"
 #include "campaign/report.h"
 #include "faultinject/fault_plan.h"
 #include "util/record.h"
@@ -251,6 +252,47 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresRewriteTheSameBytes) {
   EXPECT_EQ(rewritten[1], rewritten[0]);
 }
 
+TEST_F(CheckpointTest, V1CheckpointResumesLikeItsV2Twin) {
+  const std::string dir = (base_ / "out").string();
+  checkpoint_mid_run(dir);
+  const std::string v2 =
+      slurp(fs::path(dir) / "checkpoint" / "campaign.ckpt");
+  // The same checkpoint as written before stamps became deltas.
+  const std::string v1 = trace::to_v1(v2);
+  ASSERT_NE(v1.find("# ccfuzz-trace v1\n"), std::string::npos);
+  ASSERT_EQ(v1.find("# ccfuzz-trace v2\n"), std::string::npos);
+  const std::vector<std::string> files = {
+      "checkpoint/campaign.ckpt",
+      "summary.csv",
+      "summary.json",
+      "reno.traffic.low-utilization/history.csv",
+      "cubic.traffic.low-utilization/history.csv",
+      "reno.traffic.low-utilization/winner_0.trace",
+      "cubic.traffic.low-utilization/winner_0.trace"};
+  std::vector<std::string> tree[2];
+  for (const bool old : {false, true}) {
+    // Each resumes from its own copy and finishes there.
+    const fs::path out = base_ / (old ? "v1" : "v2");
+    fs::create_directories(out / "checkpoint");
+    std::ofstream(out / "checkpoint" / "campaign.ckpt", std::ios::binary)
+        << (old ? v1 : v2);
+    CampaignConfig cfg = four_island_campaign(out.string());
+    cfg.resume_dir(out.string());
+    Campaign c(cfg);
+    ASSERT_TRUE(c.resumed());
+    ASSERT_FALSE(c.run().interrupted);
+    for (const std::string& rel : files) {
+      ASSERT_TRUE(fs::exists(out / rel)) << rel;
+      tree[old].push_back(slurp(out / rel));
+    }
+  }
+  EXPECT_TRUE(tree[0][0].starts_with("# ccfuzz-checkpoint v1\n"));
+  EXPECT_NE(tree[0][0].find("# ccfuzz-trace v2\n"), std::string::npos);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(tree[1][i], tree[0][i]) << files[i];
+  }
+}
+
 TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
   const std::string dir = (base_ / "out").string();
   checkpoint_mid_run(dir);
@@ -261,20 +303,19 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
   const std::size_t island = ckpt.find("# island 2 ", ckpt.find("# cell 1\n"));
   const std::size_t close = ckpt.find("# end island\n", island);
   ASSERT_NE(close, std::string::npos);
-  // From the middle of the island on, the first stamp line below another,
-  // cut after its first digit: a smaller stamp than the one above it.
-  const auto is_stamp = [&](std::size_t at) {
+  // From the middle of the island on, the first stamp line (v2: deltas
+  // separated by spaces), cut after the first digit of its second delta:
+  // the trace ends short of its `# stamps` count.
+  const auto is_stamps = [&](std::size_t at) {
     const std::size_t end = ckpt.find('\n', at);
-    return end > at + 1 &&
-           ckpt.find_first_not_of("0123456789", at) == end;
+    return end > at + 1 && ckpt.find(' ', at) < end &&
+           ckpt.find_first_not_of("0123456789 ", at) == end;
   };
-  std::size_t above = ckpt.find('\n', (island + close) / 2) + 1;
-  std::size_t stamp = ckpt.find('\n', above) + 1;
-  while (stamp < close && !(is_stamp(above) && is_stamp(stamp))) {
-    above = stamp;
-    stamp = ckpt.find('\n', stamp) + 1;
+  std::size_t stamps = ckpt.find('\n', (island + close) / 2) + 1;
+  while (stamps < close && !is_stamps(stamps)) {
+    stamps = ckpt.find('\n', stamps) + 1;
   }
-  ASSERT_LT(stamp, close);
+  ASSERT_LT(stamps, close);
   std::string flipped = ckpt;
   flipped[close + 3] = static_cast<char>(flipped[close + 3] ^ 0x01);
   std::string doubled = ckpt;
@@ -283,7 +324,7 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
        std::vector<std::pair<std::string, std::string>>{
            {"truncated",
             ckpt.substr(0, ckpt.find('\n', (island + close) / 2) + 1)},
-           {"cut mid-line", ckpt.substr(0, stamp + 1)},
+           {"cut mid-line", ckpt.substr(0, ckpt.find(' ', stamps) + 2)},
            {"flipped", flipped},
            {"doubled", doubled}}) {
     SCOPED_TRACE(what);
@@ -300,9 +341,10 @@ TEST_F(CheckpointTest, ParallelAndSerialRestoresReportTheSameError) {
     EXPECT_NE(warning[0].find("unusable"), std::string::npos) << warning[0];
     EXPECT_NE(warning[0].find("line "), std::string::npos) << warning[0];
     if (what == "cut mid-line") {
-      EXPECT_NE(warning[0].find("before the stamp above it"),
-                std::string::npos)
+      // "(truncated: line N: trace: <read> of <count> stamps)"
+      EXPECT_NE(warning[0].find("(truncated: line "), std::string::npos)
           << warning[0];
+      EXPECT_NE(warning[0].find(" stamps)"), std::string::npos) << warning[0];
     }
     EXPECT_EQ(warning[1], warning[0]);
   }
@@ -342,7 +384,7 @@ TEST_F(CheckpointTest, FallbackWarningNamesTheStepTaken) {
 /// several chunks.
 CampaignConfig multi_chunk_campaign(const std::string& dir) {
   fuzz::GaConfig ga = tiny_ga();
-  ga.population = 96;
+  ga.population = 128;
   ga.islands = 4;
   ga.max_generations = 4;
   CampaignConfig cfg = tiny_campaign(dir);

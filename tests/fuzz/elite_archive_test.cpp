@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../trace/to_v1.h"
 #include "campaign/campaign.h"
 #include "fuzz/elite_archive.h"
 #include "fuzz/fuzzer.h"
@@ -130,6 +131,25 @@ TEST(EliteArchive, SaveLoadRoundTripsThroughTraceIo) {
   EXPECT_FALSE(c.insert(make_trace(9), make_eval(1.0, 1, 2, 0)).new_cell);
   EXPECT_TRUE(c.insert(make_trace(9), make_eval(1.0, 2, 2, 0)).new_cell);
   EXPECT_EQ(c.filled(), b.filled() + 1);
+}
+
+TEST(EliteArchive, V1ArchiveLoadsAndSavesAsV2) {
+  EliteArchive a;
+  a.insert(make_trace(1, 8), make_eval(1.5, 1, 2, 0));
+  a.insert(make_trace(2, 40), make_eval(-0.5, 4, 0, 40));
+  a.insert(make_trace(3, 0), make_eval(3.25, 7, 7, 80));
+  record::Writer w;
+  a.save(w);
+  // An archive written before stamps became deltas.
+  const std::string v1 = trace::to_v1(w.str());
+  ASSERT_NE(v1.find("# ccfuzz-trace v1\n"), std::string::npos);
+  ASSERT_EQ(v1.find("# ccfuzz-trace v2\n"), std::string::npos);
+  std::stringstream ss(v1);
+  const Result<EliteArchive> b = EliteArchive::try_load(ss);
+  ASSERT_TRUE(b) << b.error().message;
+  record::Writer again;
+  b->save(again);
+  EXPECT_EQ(again.str(), w.str());
 }
 
 TEST(EliteArchive, LoadRejectsMalformedInput) {

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -109,7 +110,40 @@ TEST(TraceIoErrors, WrittenTracesCarryTheVersionMagic) {
   std::stringstream ss(w.str());
   std::string first;
   std::getline(ss, first);
-  EXPECT_EQ(first, "# ccfuzz-trace v1");
+  EXPECT_EQ(first, "# ccfuzz-trace v2");
+}
+
+TEST(TraceIo, V2WritesDeltasSixteenPerLine) {
+  Trace t;
+  t.kind = TraceKind::kLink;
+  t.duration = TimeNs(1000);
+  for (std::int64_t i = 0; i < 17; ++i) t.stamps.emplace_back(10 + 3 * i);
+  record::Writer w;
+  write_trace(w, t);
+  EXPECT_EQ(w.str(),
+            "# ccfuzz-trace v2\n# kind link\n# duration_ns 1000\n"
+            "# stamps 17\n"
+            "10 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3\n3\n");
+}
+
+TEST(TraceIo, V1AndV2OfOneTraceReadTheSame) {
+  const Trace want = sample_trace();
+  for (const char* text :
+       {"# ccfuzz-trace v1\n# kind traffic\n# duration_ns 5000000000\n"
+        "1000000\n500000000\n4999000000\n",
+        "# kind traffic\n# duration_ns 5000000000\n"
+        "1000000\n500000000\n4999000000\n",
+        "# ccfuzz-trace v2\n# kind traffic\n# duration_ns 5000000000\n"
+        "# stamps 3\n1000000 499000000 4499000000\n",
+        // A reader takes any number of deltas per line.
+        "# ccfuzz-trace v2\n# kind traffic\n# duration_ns 5000000000\n"
+        "# stamps 3\n1000000\n499000000 4499000000\n"}) {
+    std::stringstream ss(text);
+    const Trace r = read_trace(ss);
+    EXPECT_EQ(r.kind, want.kind) << text;
+    EXPECT_EQ(r.duration, want.duration) << text;
+    EXPECT_EQ(r.stamps, want.stamps) << text;
+  }
 }
 
 TEST(TraceIoErrors, FutureVersionIsKVersion) {
@@ -153,6 +187,46 @@ TEST(TraceIoErrors, MalformedTraceIsKCorrupt) {
     EXPECT_TRUE(r.error().message.starts_with(
         "line " + std::to_string(line) + ": trace: "))
         << r.error().message;
+  }
+}
+
+TEST(TraceIoErrors, MalformedV2TraceIsTyped) {
+  // Each is rejected at its line with its code: a delta past the duration,
+  // one that would overflow int64_t if added, a negative one, a count one
+  // short of the stamps and one over them.
+  const std::string head =
+      "# ccfuzz-trace v2\n# kind link\n# duration_ns 1000\n";
+  for (const auto& [body, code, line] :
+       std::vector<std::tuple<std::string, Error::Code, int>>{
+           {"# stamps 3\n1 2\n997\n", Error::Code::kCorrupt, 6},
+           {"# stamps 2\n5 9223372036854775807\n", Error::Code::kCorrupt, 5},
+           {"# stamps 1\n9223372036854775807\n", Error::Code::kCorrupt, 5},
+           {"# stamps 2\n5 -1\n", Error::Code::kCorrupt, 5},
+           {"# stamps 2\n1 2 3\n", Error::Code::kCorrupt, 5},
+           {"# stamps 2\n1\n2\n3\n", Error::Code::kCorrupt, 7},
+           {"# stamps 4\n1 2 3\n", Error::Code::kTruncated, 5},
+           {"# stamps 4\n1 2 3\n\n", Error::Code::kTruncated, 6},
+           {"# stamps 1\n", Error::Code::kTruncated, 4}}) {
+    std::stringstream is(head + body);
+    const Result<Trace> r = try_read_trace(is);
+    ASSERT_FALSE(r) << body;
+    EXPECT_EQ(r.error().code, code) << body;
+    EXPECT_TRUE(r.error().message.starts_with(
+        "line " + std::to_string(line) + ": trace: "))
+        << r.error().message;
+  }
+}
+
+TEST(TraceIoErrors, MangledV2FramingIsKParse) {
+  const std::string head =
+      "# ccfuzz-trace v2\n# kind link\n# duration_ns 1000\n";
+  for (const std::string body :
+       {"1 2\n", "# stamps two\n1 2\n", "# stamps -1\n",
+        "# stamps 2\n1  2\n", "# stamps 2\n1 2 \n", "# stamps 2\n1 x\n"}) {
+    std::stringstream is(head + body);
+    const Result<Trace> r = try_read_trace(is);
+    ASSERT_FALSE(r) << body;
+    EXPECT_EQ(r.error().code, Error::Code::kParse) << body;
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../trace/to_v1.h"
 #include "campaign/campaign.h"
 #include "campaign/report.h"
 #include "fuzz/score.h"
@@ -122,6 +123,45 @@ TEST_F(TriagePipelineTest, WinnersBecomeReplayableBundles) {
     if (entry.is_directory()) ++bundles_after;
   }
   EXPECT_EQ(bundles_after, bundles);
+}
+
+/// Rewrites every `.trace` file under `dir` as v1; returns how many.
+int rewrite_traces_as_v1(const stdfs::path& dir) {
+  int n = 0;
+  for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() != ".trace") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    in.close();
+    EXPECT_TRUE(bytes.str().starts_with("# ccfuzz-trace v2\n"))
+        << entry.path();
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+        << trace::to_v1(bytes.str());
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(TriagePipelineTest, V1WinnersTriageAndV1BundlesReplay) {
+  // A report tree and findings written before stamps became deltas.
+  const std::vector<campaign::CellConfig> cells = run_campaign();
+  ASSERT_GT(rewrite_traces_as_v1(dir_), 0);
+  TriageConfig tcfg;
+  tcfg.tolerance = 0.5;
+  tcfg.max_minimize_evals = 60;
+  Result<TriageStats> stats = triage_report(cells, dir_.string(), tcfg);
+  ASSERT_TRUE(stats) << stats.error().message;
+  EXPECT_EQ(stats->errors, 0);
+  ASSERT_GT(stats->bundles_written, 0);
+
+  ASSERT_GT(rewrite_traces_as_v1(dir_ / "findings"), 0);
+  Result<ReplayStats> rp = replay_findings(cells, (dir_ / "findings").string());
+  ASSERT_TRUE(rp) << rp.error().message;
+  EXPECT_EQ(rp->bundles, stats->bundles_written);
+  EXPECT_EQ(rp->drifted, 0);
+  EXPECT_EQ(rp->broken, 0);
+  EXPECT_EQ(rp->ok, rp->bundles);
 }
 
 TEST_F(TriagePipelineTest, ReplayCatchesATamperedExpectation) {

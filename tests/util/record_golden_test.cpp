@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "../trace/to_v1.h"
 #include "record_samples.h"
 
 namespace ccfuzz {
@@ -28,14 +30,23 @@ TEST(RecordGolden, WriterBytesArePinned) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ccfuzz_record_golden")
           .string();
-  EXPECT_EQ(fingerprint(record_samples::trace_bytes()),
-            "8477fdd08c12ab33 293");
-  EXPECT_EQ(fingerprint(record_samples::fuzzer_state_bytes()),
-            "26390107f2cd04e9 4526");
-  EXPECT_EQ(fingerprint(record_samples::archive_bytes()),
-            "643c3456b1481826 2158");
-  EXPECT_EQ(fingerprint(record_samples::checkpoint_bytes(dir)),
-            "73f020dac38dfd4c 8700");
+  // Each sample's v2 bytes, and the v1 pin that to_v1() of them still
+  // meets: only the stamp encoding changed.
+  for (const auto& [what, bytes, v2, v1] :
+       std::vector<std::tuple<std::string, std::string, std::string,
+                              std::string>>{
+           {"trace", record_samples::trace_bytes(),
+            "044004131991975a 287", "8477fdd08c12ab33 293"},
+           {"fuzzer state", record_samples::fuzzer_state_bytes(),
+            "c036aa2bbaa7adb6 4405", "26390107f2cd04e9 4526"},
+           {"archive", record_samples::archive_bytes(),
+            "512d168c776ac1ef 2102", "643c3456b1481826 2158"},
+           {"checkpoint", record_samples::checkpoint_bytes(dir),
+            "0e13cc30028c778c 8560", "73f020dac38dfd4c 8700"}}) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(fingerprint(bytes), v2);
+    EXPECT_EQ(fingerprint(trace::to_v1(bytes)), v1);
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -109,15 +120,17 @@ TEST(RecordGolden, SamplesRoundTripByteIdentically) {
   std::filesystem::remove_all(dir);
 }
 
-/// A two-cell MAP-Elites campaign (reno, cubic) at population 200 over three
-/// generations, checkpointing every generation into `dir`: its checkpoint
-/// holds hundreds of members with their stamps and covmaps, archive entries
-/// and a cache of hundreds of evaluations. The traffic model is the
-/// benchmark's durable one, which never puts a stamp at the trace end.
-campaign::CampaignConfig paper_scale_campaign(const std::string& dir) {
+/// A two-cell MAP-Elites campaign (reno, cubic) at `population` (200 by
+/// default) over three generations, checkpointing every generation into
+/// `dir`: its checkpoint holds hundreds of members with their stamps and
+/// covmaps, archive entries and a cache of hundreds of evaluations. The
+/// traffic model is the benchmark's durable one, which never puts a stamp at
+/// the trace end.
+campaign::CampaignConfig paper_scale_campaign(const std::string& dir,
+                                              int population = 200) {
   campaign::CellConfig cell = record_samples::tiny_cell("reno", true);
   cell.ga.search = fuzz::SearchMode::kMapElites;
-  cell.ga.population = 200;
+  cell.ga.population = population;
   cell.ga.islands = 4;
   cell.ga.max_generations = 3;
   cell.ga.migration_interval = 2;
@@ -140,7 +153,9 @@ TEST(RecordGolden, PaperScaleCheckpointIsPinned) {
   campaign::Campaign(paper_scale_campaign(dir)).run();
   const std::string path = dir + "/checkpoint/campaign.ckpt";
   const std::string checkpoint = record_samples::slurp(path);
-  EXPECT_EQ(fingerprint(checkpoint), "20503ff1780fba63 1065465");
+  EXPECT_EQ(fingerprint(checkpoint), "9a88a9d825f3f425 959499");
+  EXPECT_EQ(fingerprint(trace::to_v1(checkpoint)),
+            "20503ff1780fba63 1065465");
 
   // Restored and written back on exit (into another directory), it is the
   // same checkpoint.
@@ -207,13 +222,14 @@ TEST(RecordGolden, SpillingWritersWriteTheInMemoryBytes) {
                       [&](record::Writer& w) { archive.save(w); });
 
   // Each campaign's save_checkpoint() after its run writes the checkpoint
-  // it published last, a paper-scale one of more than kSpillBytes included.
+  // it published last, a paper-scale one of more than kSpillBytes included
+  // (at population 256: at 200 it holds about 0.9 MiB).
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ccfuzz_record_spill")
           .string();
   for (const bool paper_scale : {false, true}) {
     std::filesystem::remove_all(dir);
-    campaign::Campaign c(paper_scale ? paper_scale_campaign(dir)
+    campaign::Campaign c(paper_scale ? paper_scale_campaign(dir, 256)
                                      : checkpoint_campaign(dir));
     c.run();
     const std::string published = slurp(dir + "/checkpoint/campaign.ckpt");

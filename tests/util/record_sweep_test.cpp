@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "../trace/to_v1.h"
 #include "dist/merge.h"
 #include "record_samples.h"
 #include "util/logging.h"
@@ -118,13 +119,21 @@ void sweep(const std::string& sample, bool cuts_fail,
   EXPECT_EQ(failures, 0);
 }
 
+bool loads_trace(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return trace::try_read_trace(is).ok();
+}
+
 TEST(RecordSweep, Trace) {
   const std::string sample = record_samples::trace_bytes();
-  sweep(sample, /*cuts_fail=*/false, record_tags(sample),
-        [](const std::string& b) {
-          std::istringstream is(b);
-          return trace::try_read_trace(is).ok();
-        });
+  sweep(sample, /*cuts_fail=*/false, record_tags(sample), loads_trace);
+}
+
+// Traces written before v2 still load, so the v1 read path keeps its sweep.
+TEST(RecordSweep, TraceV1) {
+  const std::string sample =
+      trace::to_v1(record_samples::trace_bytes());
+  sweep(sample, /*cuts_fail=*/false, record_tags(sample), loads_trace);
 }
 
 TEST(RecordSweep, Member) {
