@@ -24,16 +24,13 @@ void write_trace(record::Writer& w, const Trace& t) {
   w << "# kind " << (t.kind == TraceKind::kLink ? "link" : "traffic") << "\n";
   w << "# duration_ns " << t.duration.ns() << "\n";
   w << "# stamps " << t.stamps.size() << "\n";
-  std::int64_t deltas[kStampsPerLine];
   std::int64_t last = 0;
-  for (std::size_t i = 0; i < t.stamps.size(); i += kStampsPerLine) {
-    const std::size_t n = std::min(kStampsPerLine, t.stamps.size() - i);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int64_t ns = t.stamps[i + j].ns();
-      deltas[j] = ns - last;
-      last = ns;
-    }
-    w.fields({deltas, n});
+  for (std::size_t i = 0; i < t.stamps.size(); ++i) {
+    const std::int64_t ns = t.stamps[i].ns();
+    const bool line_ends =
+        (i + 1) % kStampsPerLine == 0 || i + 1 == t.stamps.size();
+    w << ns - last << (line_ends ? '\n' : ' ');
+    last = ns;
   }
 }
 

@@ -42,7 +42,9 @@ void save_trace(const std::string& path, const Trace& t);
 /// duration, the first stamp outside [0, duration) or below the one above
 /// it, a delta that would pass the duration, or more stamps than counted.
 /// The magic is optional (a file may open with `# kind`); after the first
-/// line, `#` lines that are not trace records are comments.
+/// line, `#` lines that are not trace records are comments. The record tags
+/// (`ccfuzz-trace`, `kind`, `duration_ns`, `stamps`) are reserved in every
+/// version: a v1 file's `# stamps …` line is a record there too, and fails.
 Result<Trace> try_read_trace(std::istream& is);
 
 /// Parses a trace block embedded in an enclosing record stream: the magic

@@ -1,7 +1,6 @@
 #include "util/record.h"
 
 #include <array>
-#include <bit>
 #include <cstring>
 #include <istream>
 
@@ -34,17 +33,6 @@ constexpr auto kDigitPairs = [] {
   return pairs;
 }();
 
-/// 10^0 … 10^19.
-constexpr auto kPowersOf10 = [] {
-  std::array<std::uint64_t, 20> powers{};
-  std::uint64_t p = 1;
-  for (std::uint64_t& power : powers) {
-    power = p;
-    p *= 10;
-  }
-  return powers;
-}();
-
 /// Writes `v` in decimal so that it ends at `end`; returns its first digit.
 char* decimal_before(char* end, std::uint64_t v) {
   for (; v >= 100; v /= 100) {
@@ -57,26 +45,6 @@ char* decimal_before(char* end, std::uint64_t v) {
   } else {
     *--end = static_cast<char>('0' + v);
   }
-  return end;
-}
-
-/// Writes `v` in decimal from `out` on (at most 20 chars); returns the end.
-/// The digit count comes from the bit width, so the digits are written in
-/// place: numbers of mixed lengths (trace deltas) need no variable-length
-/// copy out of a scratch buffer, which made a line of deltas about a
-/// quarter slower to write. Writer::integer keeps the scratch buffer: for
-/// numbers of one length, most of its, the count did not pay.
-char* decimal(char* out, std::int64_t v) {
-  if (v < 0) *out++ = '-';
-  // The magnitude of INT64_MIN is an unsigned value.
-  const std::uint64_t magnitude =
-      v < 0 ? 0 - static_cast<std::uint64_t>(v) : static_cast<std::uint64_t>(v);
-  // `x` has as many digits as `magnitude`, and at least one. bit_width ×
-  // log10(2) (≈ 1233 / 4096) is that count or one less.
-  const std::uint64_t x = magnitude | 1;
-  const int guess = std::bit_width(x) * 1233 >> 12;
-  char* end = out + guess + (x >= kPowersOf10[guess] ? 1 : 0);
-  decimal_before(end, magnitude);
   return end;
 }
 
@@ -121,24 +89,6 @@ Writer& Writer::hex(std::span<const std::uint64_t> words) {
     if (i != 0) buf_.push_back(' ');
     append_chars(buf_, words[i], 16);
   }
-  return spill();
-}
-
-Writer& Writer::fields(std::span<const std::int64_t> values) {
-  // Formatted on the stack and appended a few hundred bytes at a time; a
-  // field, its separator and the newline take at most 22.
-  char line[512];
-  char* p = line;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (p > line + sizeof line - 22) {
-      buf_.append(line, p);
-      p = line;
-    }
-    if (i != 0) *p++ = ' ';
-    p = decimal(p, values[i]);
-  }
-  *p++ = '\n';
-  buf_.append(line, p);
   return spill();
 }
 

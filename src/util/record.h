@@ -93,9 +93,6 @@ class Writer {
   Writer& operator<<(double v);
   /// Appends `words` in lowercase hex, space-separated.
   Writer& hex(std::span<const std::uint64_t> words);
-  /// Writes `values` in decimal as one line of fields separated by single
-  /// spaces, then a newline: what Reader::bare() reads (trace stamp lines).
-  Writer& fields(std::span<const std::int64_t> values);
 
   /// What has been written and not handed to the sink: all of it, without
   /// one.

@@ -144,41 +144,6 @@ TEST(RecordWriter, IntegersMatchTheStream) {
   }
 }
 
-TEST(RecordWriter, FieldsMatchTheIntegerKernel) {
-  // fields() counts digits from the bit width and writes them in place: each
-  // field must read as `<<` writes the value, at every digit-length boundary,
-  // the limits and random lengths, and a line longer than fields()'s stack
-  // buffer must come out whole.
-  using I64 = std::numeric_limits<std::int64_t>;
-  std::vector<std::int64_t> values = {0, 1, 9, 10, 99, 100, I64::max(),
-                                      I64::min(), I64::min() + 1};
-  for (std::int64_t p = 10; p <= I64::max() / 10; p *= 10) {
-    for (const std::int64_t v : {p - 1, p, p + 1, 10 * p - 1}) {
-      values.push_back(v);
-      values.push_back(-v);
-    }
-  }
-  std::mt19937_64 rng(17);
-  for (int i = 0; i < 100'000; ++i) {
-    values.push_back(static_cast<std::int64_t>(rng()) >> (rng() % 64));
-  }
-  Writer line;
-  line.fields(values);
-  Writer oracle;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    oracle << (i == 0 ? "" : " ") << values[i];
-    Writer one;
-    one.fields({&values[i], 1});
-    ASSERT_EQ(one.str(), to_chars_of(values[i]) + "\n") << values[i];
-  }
-  oracle << '\n';
-  EXPECT_EQ(line.str(), oracle.str());
-
-  Writer none;
-  none.fields({});
-  EXPECT_EQ(none.str(), "\n");
-}
-
 /// Formats a few records of every kind the checkpoint family writes.
 void write_records(Writer& w) {
   const std::uint64_t words[] = {0, 0xdeadbeef, ~std::uint64_t{0}};
